@@ -16,8 +16,6 @@ the same formatted values.  Grids are given as ``min:max:points`` (append
 ``:log`` for logarithmic spacing) or as a comma-separated list.
 
 Exit codes: 0 success, 2 invalid arguments or parameters, 3 numerical failure.
-The environment variable LOSSFISH_THREADS caps worker parallelism; this
-implementation evaluates sweeps sequentially, which respects any cap.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -35,10 +32,10 @@ from .errors import LossfishError, SingularSystem
 from .hypotest import (HypothesisSpec, fidelity_error_bound, qfi_error_approx,
                        threshold_strategy_error)
 from .optimize import (FAMILY_COHERENT, FAMILY_IDLER_FREE, FAMILY_TMSV,
-                       _two_mode_grid_qfi, advantage_ratio, optimize_bandwidth,
-                       optimize_xi, total_qfi)
+                       advantage_ratio, grid_argmax, optimize_bandwidth,
+                       optimize_xi, total_qfi, two_mode_grid, two_mode_markers)
 from .probes import (SingleModeProbe, TwoModeProbe, build_single_mode,
-                     build_two_mode, tmsv, two_mode_r_min)
+                     build_two_mode, tmsv)
 from .qfi import qfi_fidelity_fd, qfi_if_closed, qfi_sld, qfi_tmsv, qfi_two_mode_closed
 
 
@@ -150,27 +147,13 @@ def _parse_2d_grid(spec: str):
 
 def _cmd_sweep_twomode(args):
     p = _channel(args)
-    nz, nr = _parse_2d_grid(args.grid)
-    if nz < 32 or nr < 32:
-        raise ValueError("grid must be at least 32x32")
-    zetas = np.linspace(0.0, 1.0, nz)
-    r_grid = np.stack([np.geomspace(two_mode_r_min(args.ns, z), 1.0, nr)
-                       for z in zetas])
-    qfi = _two_mode_grid_qfi(args.ns, zetas, r_grid, p)
+    zetas, r_grid, qfi = two_mode_grid(args.ns, p, _parse_2d_grid(args.grid))
     header = ["zeta", "r", "qfi"]
-    rows = []
-    best = (-math.inf, 0.0, 0.0)
-    for iz, z in enumerate(zetas):
-        for ir in range(nr):
-            q = qfi[iz, ir]
-            rows.append([z, r_grid[iz, ir], q])
-            if q >= best[0]:
-                best = (q, z, r_grid[iz, ir])
-    rows.append([best[1], best[2], best[0]])  # argmax summary
+    rows = [[z, r, q] for z, r_row, q_row in zip(zetas, r_grid, qfi)
+            for r, q in zip(r_row, q_row)]
+    rows.append(list(grid_argmax(zetas, r_grid, qfi)))  # argmax summary
     # reference markers: coherent, squeezed vacuum, TMSV
-    for z, r in ((0.0, 1.0), (1.0, two_mode_r_min(args.ns, 1.0)), (1.0, 1.0)):
-        q = _two_mode_grid_qfi(args.ns, np.array([z]), np.array([[r]]), p)[0, 0]
-        rows.append([z, r, q])
+    rows.extend(list(marker) for marker in two_mode_markers(args.ns, p))
     return header, rows
 
 
@@ -226,19 +209,6 @@ def _render(header, rows, fmt: str) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("LOSSFISH_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = max(1, int(raw))
-    except ValueError:
-        print(f"warning: ignoring non-integer LOSSFISH_THREADS={raw!r}",
-              file=sys.stderr)
-        return 1
-    return cap
 
 
 def _add_common(sub):
@@ -325,7 +295,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    _thread_cap()
     try:
         header, rows = args.handler(args)
     except SingularSystem as exc:

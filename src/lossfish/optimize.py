@@ -228,10 +228,11 @@ def _two_mode_grid_qfi(n_s: float, zetas: np.ndarray, r_grid: np.ndarray,
     `r_grid` has shape (len(zetas), n_r), one row of r values per zeta.  The
     SLD route is primary: the closed form loses up to ~4 digits to
     cancellation at small eta with bright backgrounds, enough to corrupt an
-    argmax over a nearly flat landscape.  Points where the SLD system itself
-    is too ill-conditioned (bright probes at eta -> 1, where the closed form
-    is well-behaved) fall back to the closed form, provided its own
-    cancellation estimate stays below 1e-9.
+    argmax over a nearly flat landscape.  All points go through one batched
+    SLD kernel call, singular ones (a pure idler at r_min) included.  Points
+    whose SLD residual stays above tolerance (bright probes at eta -> 1, where
+    the closed form is well-behaved) fall back to the closed form, provided
+    its own cancellation estimate stays below 1e-9.
     """
     zz = np.repeat(zetas, r_grid.shape[1])
     rr = r_grid.reshape(-1)
@@ -289,30 +290,59 @@ def _two_mode_grid_qfi(n_s: float, zetas: np.ndarray, r_grid: np.ndarray,
     return values.reshape(len(zetas), -1)
 
 
-def optimize_two_mode(n_s: float, p: ChannelParams, grid=(64, 64)):
-    """Exhaustive (zeta, r) search for the optimal two-mode probe.
+def two_mode_grid(n_s: float, p: ChannelParams, grid=(64, 64)):
+    """QFI over the exhaustive (zeta, r) search grid.
 
     Uses a linear zeta grid on [0, 1] and, for each zeta, a logarithmic r grid
-    on [r_min(zeta), 1].  Ties are broken toward larger zeta, then larger r.
-    Returns ``(zeta_opt, r_opt, qfi_opt)``; the maximum lands on the TMSV
-    corner (1, 1) for every parameter set we know of.
+    on [r_min(zeta), 1].  Returns ``(zetas, r_grid, qfi)``, with `r_grid` and
+    `qfi` of shape ``grid``, one row per zeta.
     """
     n_zeta, n_r = grid
     if n_zeta < 32 or n_r < 32:
         raise ValueError("grid must be at least 32x32")
-    if p.eta > 1.0 - EPS_ETA:
-        raise EtaTooClose(f"eta = {p.eta} is inside the guard band")
     zetas = np.linspace(0.0, 1.0, n_zeta)
     r_grid = np.stack([np.geomspace(two_mode_r_min(n_s, z), 1.0, n_r)
                        for z in zetas])
-    qfi = _two_mode_grid_qfi(n_s, zetas, r_grid, p)
-    best = (-math.inf, 0.0, 0.0)
-    for iz, z in enumerate(zetas):
-        for ir in range(n_r):
-            q = qfi[iz, ir]
-            if q >= best[0]:
-                best = (q, z, r_grid[iz, ir])
-    return best[1], best[2], best[0]
+    return zetas, r_grid, _two_mode_grid_qfi(n_s, zetas, r_grid, p)
+
+
+def grid_argmax(zetas: np.ndarray, r_grid: np.ndarray, qfi: np.ndarray):
+    """``(zeta, r, qfi)`` at the maximum of a (zeta, r) QFI grid.
+
+    Ties go to the last maximum in row-major order: larger zeta, then larger
+    r.  NaN entries never win; an all-NaN grid gives ``(0.0, 0.0, -inf)``.
+    """
+    flat = qfi.reshape(-1)
+    hits = np.flatnonzero(flat == np.max(flat, initial=-math.inf,
+                                         where=~np.isnan(flat)))
+    if hits.size == 0:
+        return 0.0, 0.0, -math.inf
+    iz, ir = np.unravel_index(hits[-1], qfi.shape)
+    return zetas[iz], r_grid[iz, ir], qfi[iz, ir]
+
+
+def two_mode_markers(n_s: float, p: ChannelParams):
+    """QFI at the coherent, squeezed-vacuum and TMSV corners of the (zeta, r) plane.
+
+    Returns ``[(zeta, r, qfi), ...]`` at (0, 1), (1, r_min) and (1, 1), from
+    one grid evaluation.
+    """
+    zetas = np.array([0.0, 1.0, 1.0])
+    rs = np.array([1.0, two_mode_r_min(n_s, 1.0), 1.0])
+    qfi = _two_mode_grid_qfi(n_s, zetas, rs[:, None], p)[:, 0]
+    return list(zip(zetas, rs, qfi))
+
+
+def optimize_two_mode(n_s: float, p: ChannelParams, grid=(64, 64)):
+    """Exhaustive (zeta, r) search for the optimal two-mode probe.
+
+    Searches the grid of :func:`two_mode_grid`; ties are broken toward larger
+    zeta, then larger r.  Returns ``(zeta_opt, r_opt, qfi_opt)``; the maximum
+    lands on the TMSV corner (1, 1) for every parameter set we know of.
+    """
+    if p.eta > 1.0 - EPS_ETA:
+        raise EtaTooClose(f"eta = {p.eta} is inside the guard band")
+    return grid_argmax(*two_mode_grid(n_s, p, grid))
 
 
 def tmsv_stationarity_check(n_s: float, p: ChannelParams, step: float = 1e-5):

@@ -31,6 +31,7 @@ Grids in this library therefore start at ``eta > 0`` for that corner.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -45,6 +46,7 @@ from .states import GaussianState, symplectic_form
 
 EPS_ETA = 1e-7
 SLD_RESIDUAL_TOL = 1e-8
+EPS_MACHINE = np.finfo(float).eps
 
 ROUTE_SLD = "sld"
 ROUTE_SINGLE_MODE_FORM = "single_mode_form"
@@ -75,83 +77,108 @@ def _check_eta(p: ChannelParams):
             "use the asymptotic expressions for the eta -> 1 behaviour")
 
 
-def _sym_pairs(m: int):
-    return [(i, j) for i in range(m) for j in range(i, m)]
+# The SLD kernel works through a stack in chunks of this many items, which
+# bounds the memory its batched eigendecompositions take.
+SLD_CHUNK = 512
 
 
-def _pinv_psd(mat: np.ndarray) -> np.ndarray:
-    """Spectral pseudoinverse, zeroing eigenvalues below 1e-12 of the largest."""
-    vals, vecs = np.linalg.eigh(mat)
-    cut = 1e-12 * np.max(np.abs(vals))
-    inv = np.where(np.abs(vals) > cut, 1.0 / vals, 0.0)
-    return (vecs * inv) @ vecs.T
+@functools.cache
+def _sld_system(m: int):
+    """Index tables and constant terms of the SLD system for `m` quadratures.
+
+    ``L`` is expanded over ``B_l = E_ij + E_ji`` (``E_ii`` on the diagonal),
+    one per pair ``i <= j``, and equation ``k`` is entry ``(i_k, j_k)`` of
+    ``4 S L S + W L W = 2 dS``.  With ``w`` the Frobenius norms
+    ``<B_l, B_l>`` (2 off the diagonal, 1 on it) and ``D = diag(w)``, the
+    system matrix ``A`` turns symmetric as ``D^1/2 A D^-1/2``:
+
+        (D^1/2 A D^-1/2)[k, l] = scale[k, l] (S[i_k, i_l] S[j_k, j_l]
+                                              + S[i_k, j_l] S[i_l, j_k])
+                                 + wbw[k, l]
+
+    with ``scale = 2 w^1/2 (w^1/2)^T`` and ``wbw`` the entries of ``W B_l W``
+    scaled the same way.  Returns ``(pick, sqrt_w, take, scale, wbw)``:
+    ``pick`` holds the flat indices of the entries ``(i_k, j_k)`` and
+    ``take`` those of the four ``S`` factors.
+    """
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    rows = np.array([i for i, _ in pairs])
+    cols = np.array([j for _, j in pairs])
+    sqrt_w = np.sqrt(np.where(rows == cols, 1.0, 2.0))
+    omega = symplectic_form(m // 2)
+    wbw = np.empty((len(pairs), len(pairs)))
+    for l, (i, j) in enumerate(pairs):
+        basis = np.zeros((m, m))
+        basis[i, j] = basis[j, i] = 1.0
+        wbw[:, l] = (omega @ basis @ omega)[rows, cols]
+    take = np.stack([rows[:, None] * m + rows, cols[:, None] * m + cols,
+                     rows[:, None] * m + cols, rows * m + cols[:, None]])
+    tables = (rows * m + cols, sqrt_w, take, 2.0 * np.outer(sqrt_w, sqrt_w),
+              sqrt_w[:, None] * wbw / sqrt_w)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _sld_chunk(st, dst, ddt):
+    """QFI values and relative SLD residuals for one chunk of the stack."""
+    count, m, _ = st.shape
+    pick, sqrt_w, take, scale, wbw = _sld_system(m)
+    s = st.reshape(count, -1)[:, take]
+    a_sym = scale * (s[:, 0] * s[:, 1] + s[:, 2] * s[:, 3]) + wbw
+    ds = dst.reshape(count, -1)[:, pick]
+    b_vec = 2.0 * ds
+    rhs = (sqrt_w * b_vec)[..., None]
+
+    # pseudoinverse with the least-squares rank cutoff k eps max|lambda|
+    vals, vecs = np.linalg.eigh(a_sym)
+    mag = np.abs(vals)
+    keep = mag > len(pick) * EPS_MACHINE * mag.max(axis=1, keepdims=True)
+    inv = np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)[..., None]
+    vecs_t = vecs.transpose(0, 2, 1)
+
+    y = vecs @ (inv * (vecs_t @ rhs))
+    for _ in range(2):  # iterative refinement for ill-conditioned corners
+        y = y + vecs @ (inv * (vecs_t @ (rhs - a_sym @ y)))
+    # the residual check runs on the unscaled system A x = b
+    x = y[..., 0] / sqrt_w
+    gap = np.einsum("gkl,gl->gk", a_sym * (sqrt_w / sqrt_w[:, None]), x) - b_vec
+    resid = np.sqrt(np.einsum("gk,gk->g", gap, gap))
+    b_norm = np.sqrt(np.einsum("gk,gk->g", b_vec, b_vec))
+    rel = np.divide(resid, b_norm, out=resid.copy(), where=b_norm > 0)
+
+    trace_term = (y[..., 0] * sqrt_w * ds).sum(axis=1)  # Tr[L dS]
+    disp = np.linalg.solve(st, ddt[..., None])[..., 0]
+    return trace_term + np.einsum("gi,gi->g", ddt, disp), rel
 
 
 def _sld_qfi_batch(st, dst, ddt, raise_on_bad=True):
     """QFI for a stack of channel outputs (st, dst, ddt); shape (G, m, m)/(G, m).
 
-    Solves the SLD system over the basis of symmetric matrices; items whose
-    batched solve fails or leaves a residual above tolerance are retried with
-    a least-squares solve (minimum-norm solution for the singular-consistent
-    cases, e.g. pure outputs with vanishing dS).  With ``raise_on_bad=False``
-    returns ``(values, bad_mask)`` instead of raising, letting callers route
-    ill-conditioned items to another evaluator.
+    Solves the SLD system over the basis of symmetric matrices for every item
+    at once, with a pseudoinverse from a batched eigendecomposition of the
+    symmetrized system matrix (see `_sld_system`), followed by two steps of
+    iterative refinement.  Singular items, such as pure output modes, get the
+    minimum-norm solution; as ``dS`` is orthogonal to the kernel of the SLD
+    operator, the QFI does not depend on which solution is picked.  An item
+    whose relative residual stays above ``SLD_RESIDUAL_TOL`` is bad: it raises
+    `SingularSystem`, or with ``raise_on_bad=False`` the call returns
+    ``(values, bad_mask)`` instead, letting callers route ill-conditioned items
+    to another evaluator.  The stack is processed in chunks of ``SLD_CHUNK``.
     """
-    grid, m, _ = st.shape
-    pairs = _sym_pairs(m)
-    k = len(pairs)
-    rows = np.array([ij[0] for ij in pairs])
-    cols = np.array([ij[1] for ij in pairs])
-    weights = np.array([2.0 - (i == j) for (i, j) in pairs])
-    omega = symplectic_form(m // 2)
-
-    a_mat = np.empty((grid, k, k))
-    for l, (i, j) in enumerate(pairs):
-        basis = np.zeros((m, m))
-        basis[i, j] = 1.0
-        basis[j, i] = 1.0
-        wbw = omega @ basis @ omega
-        tb = 4.0 * (st @ basis @ st) + wbw
-        a_mat[:, :, l] = tb[:, rows, cols]
-    b_vec = 2.0 * dst[:, rows, cols]
-
-    try:
-        x = np.linalg.solve(a_mat, b_vec[..., None])[..., 0]
-        for _ in range(2):  # iterative refinement for ill-conditioned corners
-            gap = b_vec - np.einsum("gkl,gl->gk", a_mat, x)
-            x = x + np.linalg.solve(a_mat, gap[..., None])[..., 0]
-        resid = np.linalg.norm(np.einsum("gkl,gl->gk", a_mat, x) - b_vec, axis=1)
-    except np.linalg.LinAlgError:
-        x = np.empty((grid, k))
-        resid = np.empty(grid)
-        resid[:] = np.inf
-    b_norm = np.linalg.norm(b_vec, axis=1)
-    bad = resid > SLD_RESIDUAL_TOL * np.maximum(b_norm, 1e-300)
-    bad |= (b_norm == 0.0) & (resid > SLD_RESIDUAL_TOL)
-    bad |= ~np.isfinite(resid)
-    still_bad = np.zeros(grid, dtype=bool)
-    for g in np.nonzero(bad)[0]:
-        xg, *_ = np.linalg.lstsq(a_mat[g], b_vec[g], rcond=None)
-        for _ in range(2):
-            corr, *_ = np.linalg.lstsq(a_mat[g], b_vec[g] - a_mat[g] @ xg,
-                                       rcond=None)
-            xg = xg + corr
-        x[g] = xg
-        res = np.linalg.norm(a_mat[g] @ xg - b_vec[g])
-        rel = res / b_norm[g] if b_norm[g] > 0 else res
-        if rel > SLD_RESIDUAL_TOL:
-            if raise_on_bad:
-                raise SingularSystem(
-                    f"SLD solve residual {rel:.3e} exceeds {SLD_RESIDUAL_TOL}")
-            still_bad[g] = True
-
-    trace_term = np.sum(x * weights * dst[:, rows, cols], axis=1)
-    disp = np.linalg.solve(st, ddt[..., None])[..., 0]
-    disp_term = np.einsum("gi,gi->g", ddt, disp)
-    values = trace_term + disp_term
-    if raise_on_bad:
-        return values
-    return values, still_bad
+    grid = len(st)
+    values = np.empty(grid)
+    rel = np.empty(grid)
+    for lo in range(0, grid, SLD_CHUNK):
+        part = slice(lo, lo + SLD_CHUNK)
+        values[part], rel[part] = _sld_chunk(st[part], dst[part], ddt[part])
+    bad = ~(rel <= SLD_RESIDUAL_TOL)
+    if not raise_on_bad:
+        return values, bad
+    if bad.any():
+        raise SingularSystem(f"SLD solve residual {rel[np.argmax(bad)]:.3e} "
+                             f"exceeds {SLD_RESIDUAL_TOL}")
+    return values
 
 
 def _output_moments(probe: GaussianState, p: ChannelParams):
@@ -163,31 +190,8 @@ def _output_moments(probe: GaussianState, p: ChannelParams):
 def qfi_sld(probe: GaussianState, p: ChannelParams) -> float:
     """QFI from the SLD linear system; works for 1- and 2-mode probes."""
     _check_eta(p)
-    dt, st, ddt, dst = _output_moments(probe, p)
-    m = st.shape[0]
-    pairs = _sym_pairs(m)
-    omega = symplectic_form(probe.modes)
-    a_mat = np.empty((len(pairs), len(pairs)))
-    for l, (i, j) in enumerate(pairs):
-        basis = np.zeros((m, m))
-        basis[i, j] = 1.0
-        basis[j, i] = 1.0
-        tb = 4.0 * st @ basis @ st + omega @ basis @ omega
-        a_mat[:, l] = [tb[i2, j2] for (i2, j2) in pairs]
-    b_vec = np.array([2.0 * dst[i, j] for (i, j) in pairs])
-    x, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-    for _ in range(2):  # iterative refinement for ill-conditioned corners
-        corr, *_ = np.linalg.lstsq(a_mat, b_vec - a_mat @ x, rcond=None)
-        x = x + corr
-    res = np.linalg.norm(a_mat @ x - b_vec)
-    b_norm = np.linalg.norm(b_vec)
-    rel = res / b_norm if b_norm > 0 else res
-    if rel > SLD_RESIDUAL_TOL:
-        raise SingularSystem(f"SLD solve residual {rel:.3e} exceeds {SLD_RESIDUAL_TOL}")
-    trace_term = sum(x[l] * (2.0 - (i == j)) * dst[i, j]
-                     for l, (i, j) in enumerate(pairs))
-    disp_term = ddt @ _pinv_psd(st) @ ddt
-    return float(trace_term + disp_term)
+    _, st, ddt, dst = _output_moments(probe, p)
+    return float(_sld_qfi_batch(st[None], dst[None], ddt[None])[0])
 
 
 def qfi_single_mode_form(probe: GaussianState, p: ChannelParams) -> float:

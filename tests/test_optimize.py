@@ -9,7 +9,8 @@ from lossfish import (ChannelParams, advantage_ratio, f1, g1, g2,
                       qfi_tmsv, threshold_constant_large_ns,
                       tmsv_stationarity_check, total_qfi, xi_threshold_nbar)
 from lossfish.optimize import (BOUNDARY_COHERENT, BOUNDARY_SQUEEZED,
-                               FAMILY_COHERENT, FAMILY_IDLER_FREE, FAMILY_TMSV)
+                               FAMILY_COHERENT, FAMILY_IDLER_FREE, FAMILY_TMSV,
+                               grid_argmax)
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -205,6 +206,32 @@ def test_two_mode_grid_argmax_is_tmsv():
 def test_two_mode_grid_rejects_small_grids():
     with pytest.raises(ValueError):
         optimize_two_mode(1.0, ChannelParams(0.5, 0.0), grid=(16, 64))
+
+
+def loop_argmax(zetas, r_grid, qfi):
+    # reference: the last q >= best in (zeta, r) order wins; NaN never does
+    best = (-math.inf, 0.0, 0.0)
+    for iz, z in enumerate(zetas):
+        for ir in range(qfi.shape[1]):
+            if qfi[iz, ir] >= best[0]:
+                best = (qfi[iz, ir], z, r_grid[iz, ir])
+    return best[1], best[2], best[0]
+
+
+@pytest.mark.parametrize("grid", [
+    [[1.0, 3.0, 2.0], [3.0, 0.5, 3.0]],
+    [[3.0, np.nan, 1.0], [np.nan, 2.0, 3.0]],
+    [[np.inf, 1.0, np.inf], [0.0, np.nan, -1.0]],
+    [[-np.inf, np.nan, -np.inf], [np.nan, -np.inf, np.nan]],
+    [[np.nan, np.nan, np.nan], [np.nan, np.nan, np.nan]],
+])
+def test_grid_argmax_matches_loop_tie_break(grid):
+    qfi = np.array(grid)
+    zetas = np.array([0.0, 1.0])
+    r_grid = np.array([[0.2, 0.5, 1.0], [0.3, 0.6, 1.0]])
+    got = grid_argmax(zetas, r_grid, qfi)
+    want = loop_argmax(zetas, r_grid, qfi)
+    assert got == want
 
 
 def test_two_mode_grid_refinement_stability():

@@ -3,10 +3,11 @@ import pytest
 
 from lossfish import (ChannelParams, EtaTooClose, SingleModeProbe,
                       TwoModeProbe, build_single_mode, build_two_mode,
-                      homodyne_fisher, qfi_coherent,
+                      homodyne_fisher, optimize_two_mode, qfi_coherent,
                       qfi_fidelity_fd, qfi_gamma, qfi_if_closed, qfi_shadow,
                       qfi_single_mode_form, qfi_sld, qfi_squeezed_vacuum,
                       qfi_tmsv, qfi_two_mode_closed, tmsv, vacuum)
+from lossfish.qfi import SLD_CHUNK, _output_moments, _sld_qfi_batch
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -313,3 +314,71 @@ def test_qfi_gamma():
     # eta = 1/2, I_eta = 4: (t^2/4) e^{-gamma t} I = 0.25
     val = qfi_gamma(2.0 * np.log(2.0), 1.0, probe, base)
     assert val == pytest.approx(0.25, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the batched SLD kernel
+# ---------------------------------------------------------------------------
+
+def output_stack(probes, p):
+    """Channel outputs (st, dst, ddt) of two-mode probes, stacked."""
+    moments = [_output_moments(build_two_mode(probe), p) for probe in probes]
+    return (np.stack([mom[1] for mom in moments]),
+            np.stack([mom[3] for mom in moments]),
+            np.stack([mom[2] for mom in moments]))
+
+
+def random_two_mode_probes(rng, count):
+    probes = []
+    for _ in range(count):
+        n_s = rng.uniform(0.1, 5.0)
+        zeta = rng.uniform(0.0, 1.0)
+        r_min = TwoModeProbe(n_s, zeta, 1.0).r_min
+        probes.append(TwoModeProbe(n_s, zeta, r_min ** rng.uniform(0.0, 1.0),
+                                   theta=rng.uniform(0.0, np.pi)))
+    return probes
+
+
+def test_grid_with_singular_row_never_calls_lstsq(monkeypatch):
+    # the r = r_min row of every zeta has a pure, uncorrelated idler (a = 1/2),
+    # so its SLD system is exactly singular; the kernel must solve it in batch
+    calls = []
+    real_lstsq = np.linalg.lstsq
+
+    def counting_lstsq(*args, **kwargs):
+        calls.append(1)
+        return real_lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    zeta, r, best = optimize_two_mode(1.0, ChannelParams(0.5, 1.0), grid=(64, 64))
+    assert (zeta, r) == (1.0, 1.0)
+    assert best == pytest.approx(qfi_tmsv(1.0, ChannelParams(0.5, 1.0)), rel=1e-9)
+    assert calls == []
+
+
+def test_kernel_values_do_not_depend_on_chunking():
+    p = ChannelParams(0.6, 0.7)
+    st, dst, ddt = output_stack(random_two_mode_probes(np.random.default_rng(5),
+                                                       1000), p)
+    assert len(st) % SLD_CHUNK != 0
+    whole = _sld_qfi_batch(st, dst, ddt)
+    # a copy per item: BLAS may round differently at another memory alignment
+    singles = [_sld_qfi_batch(st[g:g + 1].copy(), dst[g:g + 1].copy(),
+                              ddt[g:g + 1].copy())[0] for g in range(len(st))]
+    np.testing.assert_allclose(whole, singles, rtol=1e-12)
+    head = _sld_qfi_batch(st[:SLD_CHUNK + 1], dst[:SLD_CHUNK + 1],
+                          ddt[:SLD_CHUNK + 1])
+    np.testing.assert_allclose(head, whole[:SLD_CHUNK + 1], rtol=1e-12)
+
+
+def test_singular_item_leaves_other_items_unchanged():
+    p = ChannelParams(0.8, 0.3)
+    probes = random_two_mode_probes(np.random.default_rng(8), 20)
+    before = _sld_qfi_batch(*output_stack(probes, p))
+    # coherent signal with a vacuum idler: the idler output is exactly pure
+    singular = TwoModeProbe(1.0, 0.0, 1.0)
+    st, dst, ddt = output_stack(probes[:7] + [singular] + probes[7:], p)
+    np.testing.assert_array_equal(st[7, 2:, 2:], 0.5 * np.eye(2))
+    after = _sld_qfi_batch(st, dst, ddt)
+    np.testing.assert_allclose(np.delete(after, 7), before, rtol=1e-12)
+    assert after[7] == pytest.approx(qfi_coherent(1.0, p), rel=1e-9)

@@ -16,6 +16,7 @@ so the output background is constant in ``eta``; the substitution is applied
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,8 @@ class ChannelParams:
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise NonPhysicalParams(f"eta must lie in [0, 1], got {self.eta}")
-        if self.n_b < 0.0:
-            raise NonPhysicalParams(f"n_b must be non-negative, got {self.n_b}")
+        if not 0.0 <= self.n_b < math.inf:
+            raise NonPhysicalParams(f"n_b must be finite and >= 0, got {self.n_b}")
         if self.normalized and self.eta == 1.0 and self.n_b > 0.0:
             raise DivergentNoise("normalized bath N_B/(1-eta^2) diverges at eta = 1")
 
@@ -73,29 +74,37 @@ def gamma_to_eta(gamma: float, t: float) -> float:
     return float(np.exp(-0.5 * gamma * t))
 
 
+def output_moments(d, sigma, p: ChannelParams):
+    """Output moments ``(d_out, sigma_out)`` for input arrays of shape
+    ``(..., m)`` and ``(..., m, m)``, m = 2 or 4: one state or a stack."""
+    eta = p.eta
+    d_out = np.array(d, dtype=float)
+    d_out[..., :2] *= eta
+    sigma_out = np.array(sigma, dtype=float)
+    sigma_out[..., :2, :2] = eta ** 2 * sigma_out[..., :2, :2] \
+        + additive_noise(p) * np.eye(2)
+    sigma_out[..., :2, 2:] *= eta
+    sigma_out[..., 2:, :2] *= eta
+    return d_out, sigma_out
+
+
+def moment_derivatives(d, sigma, p: ChannelParams):
+    """Analytic eta-derivative ``(d_dot, sigma_dot)`` of :func:`output_moments`."""
+    d_dot = np.zeros_like(d)
+    d_dot[..., :2] = d[..., :2]
+    sigma_dot = np.zeros_like(sigma)
+    sigma_dot[..., :2, :2] = 2.0 * p.eta * sigma[..., :2, :2] \
+        + additive_noise_derivative(p) * np.eye(2)
+    sigma_dot[..., :2, 2:] = sigma[..., :2, 2:]
+    sigma_dot[..., 2:, :2] = sigma[..., 2:, :2]
+    return d_dot, sigma_dot
+
+
 def apply_channel(state: GaussianState, p: ChannelParams) -> GaussianState:
     """Channel output state; the signal is mode 1, any idler passes untouched."""
-    y = additive_noise(p)
-    eta = p.eta
-    d = state.d.copy()
-    d[:2] = eta * d[:2]
-    sigma = state.sigma.copy()
-    sigma[:2, :2] = eta ** 2 * sigma[:2, :2] + y * np.eye(2)
-    if state.modes == 2:
-        sigma[:2, 2:] = eta * sigma[:2, 2:]
-        sigma[2:, :2] = eta * sigma[2:, :2]
-    return make_state(d, sigma)
+    return make_state(*output_moments(state.d, state.sigma, p))
 
 
 def channel_derivative(state: GaussianState, p: ChannelParams):
     """Analytic eta-derivative (d_dot, sigma_dot) of the channel output moments."""
-    eta = p.eta
-    ydot = additive_noise_derivative(p)
-    d_dot = np.zeros_like(state.d)
-    d_dot[:2] = state.d[:2]
-    sigma_dot = np.zeros_like(state.sigma)
-    sigma_dot[:2, :2] = 2.0 * eta * state.sigma[:2, :2] + ydot * np.eye(2)
-    if state.modes == 2:
-        sigma_dot[:2, 2:] = state.sigma[:2, 2:]
-        sigma_dot[2:, :2] = state.sigma[2:, :2]
-    return d_dot, sigma_dot
+    return moment_derivatives(state.d, state.sigma, p)

@@ -57,8 +57,8 @@ def parse_grid(spec: str) -> np.ndarray:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         if n < 2:
             raise ValueError("grid needs at least 2 points")
-        if not lo < hi:
-            raise ValueError("grid needs min < max")
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError("grid needs finite min < max")
         if len(parts) == 4:
             if parts[3] != "log":
                 raise ValueError(f"unknown grid scale {parts[3]!r}")
@@ -66,9 +66,10 @@ def parse_grid(spec: str) -> np.ndarray:
                 raise ValueError("log scale requires min > 0")
             return np.geomspace(lo, hi, n)
         return np.linspace(lo, hi, n)
-    if "," in spec:
-        return np.array([float(x) for x in spec.split(",")])
-    return np.array([float(spec)])
+    values = np.array([float(x) for x in spec.split(",")])
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"grid values must be finite, got {spec!r}")
+    return values
 
 
 def _channel(args, eta=None) -> ChannelParams:
@@ -76,43 +77,40 @@ def _channel(args, eta=None) -> ChannelParams:
                          n_b=args.nb, normalized=args.normalized)
 
 
-def _build_probe_state(args):
+def _probe(args):
+    """The probe the flags describe: a SingleModeProbe, a TwoModeProbe or "tmsv"."""
     kind = args.probe
-    if kind == "coherent":
-        return build_single_mode(SingleModeProbe(args.ns, 0.0, args.theta))
-    if kind == "sq":
-        return build_single_mode(SingleModeProbe(args.ns, 1.0))
-    if kind == "dsq":
-        if args.xi is None:
-            raise ValueError("--xi is required for probe 'dsq'")
-        return build_single_mode(SingleModeProbe(args.ns, args.xi, args.theta))
     if kind == "tmsv":
-        return tmsv(args.ns)
+        return "tmsv"
     if kind == "twomode":
         if args.zeta is None or args.r is None:
             raise ValueError("--zeta and --r are required for probe 'twomode'")
-        return build_two_mode(TwoModeProbe(args.ns, args.zeta, args.r,
-                                           args.theta, args.phi))
-    raise ValueError(f"unknown probe {kind!r}")
+        return TwoModeProbe(args.ns, args.zeta, args.r, args.theta, args.phi)
+    if kind == "coherent":
+        return SingleModeProbe(args.ns, 0.0, args.theta)
+    if kind == "sq":
+        return SingleModeProbe(args.ns, 1.0)
+    if args.xi is None:
+        raise ValueError("--xi is required for probe 'dsq'")
+    return SingleModeProbe(args.ns, args.xi, args.theta)
+
+
+def _build_probe_state(args):
+    probe = _probe(args)
+    if probe == "tmsv":
+        return tmsv(args.ns)
+    if isinstance(probe, TwoModeProbe):
+        return build_two_mode(probe)
+    return build_single_mode(probe)
 
 
 def _closed_form_qfi(args, p: ChannelParams) -> float:
-    if args.probe == "coherent":
-        return qfi_if_closed(args.ns, 0.0, p).total
-    if args.probe == "sq":
-        return qfi_if_closed(0.0, args.ns, p).total
-    if args.probe == "dsq":
-        if args.xi is None:
-            raise ValueError("--xi is required for probe 'dsq'")
-        return qfi_if_closed((1.0 - args.xi) * args.ns, args.xi * args.ns, p).total
-    if args.probe == "tmsv":
+    probe = _probe(args)
+    if probe == "tmsv":
         return qfi_tmsv(args.ns, p)
-    if args.probe == "twomode":
-        if args.zeta is None or args.r is None:
-            raise ValueError("--zeta and --r are required for probe 'twomode'")
-        return qfi_two_mode_closed(
-            TwoModeProbe(args.ns, args.zeta, args.r, args.theta, args.phi), p)
-    raise ValueError(f"unknown probe {args.probe!r}")
+    if isinstance(probe, TwoModeProbe):
+        return qfi_two_mode_closed(probe, p)
+    return qfi_if_closed(probe.n_coh, probe.n_sq, p).total
 
 
 def _cmd_qfi(args):

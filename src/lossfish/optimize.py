@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, additive_noise, additive_noise_derivative
-from .errors import EtaTooClose, SingularSystem
-from .probes import two_mode_r_min
-from .qfi import (EPS_ETA, _sld_qfi_batch, _two_mode_closed_raw, qfi_coherent,
+from .channel import ChannelParams, moment_derivatives, output_moments
+from .errors import SingularSystem
+from .probes import two_mode_moments, two_mode_r_min
+from .qfi import (_check_eta, _sld_qfi_batch, _two_mode_closed_raw, qfi_coherent,
                   qfi_if_closed, qfi_squeezed_vacuum, qfi_tmsv)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -189,8 +189,7 @@ def optimize_xi(n_s: float, p: ChannelParams, xi_tol: float = 1e-8) -> XiOptResu
     """
     if n_s <= 0:
         raise ValueError("n_s must be positive")
-    if p.eta > 1.0 - EPS_ETA:
-        raise EtaTooClose(f"eta = {p.eta} is inside the guard band")
+    _check_eta(p)
 
     def value(xi):
         return qfi_if_closed((1.0 - xi) * n_s, xi * n_s, p).total
@@ -226,67 +225,36 @@ def _two_mode_grid_qfi(n_s: float, zetas: np.ndarray, r_grid: np.ndarray,
     """QFI on a (zeta, r) grid, vectorized over grid points.
 
     `r_grid` has shape (len(zetas), n_r), one row of r values per zeta.  The
-    SLD route is primary: the closed form loses up to ~4 digits to
-    cancellation at small eta with bright backgrounds, enough to corrupt an
-    argmax over a nearly flat landscape.  All points go through one batched
-    SLD kernel call, singular ones (a pure idler at r_min) included.  Points
-    whose SLD residual stays above tolerance (bright probes at eta -> 1, where
-    the closed form is well-behaved) fall back to the closed form, provided
-    its own cancellation estimate stays below 1e-9.
+    canonical probe moments, then the channel output and its eta-derivative,
+    go through one batched SLD kernel call, singular points (a pure idler at
+    r_min) included.  The SLD route is primary: the closed form loses up to
+    ~4 digits to cancellation at small eta with bright backgrounds, enough to
+    corrupt an argmax over a nearly flat landscape.  Points whose SLD residual
+    stays above tolerance (bright probes at eta -> 1, where the closed form is
+    well-behaved) fall back to the closed form, in one array call, provided
+    its cancellation estimate stays below 1e-9.  Raises `EtaTooClose` inside
+    the eta guard band.
     """
+    _check_eta(p)
     zz = np.repeat(zetas, r_grid.shape[1])
     rr = r_grid.reshape(-1)
-    x = n_s * zz ** 2
-    a = (2.0 * x + 1.0) / (rr + 1.0 / rr)
-    c = np.sqrt(np.clip(a ** 2 - 0.25, 0.0, None))
-    n_coh = n_s * (1.0 - zz ** 2)
-    grid = zz.size
-
-    sigma = np.zeros((grid, 4, 4))
-    sigma[:, 0, 0] = a * rr
-    sigma[:, 1, 1] = a / rr
-    sigma[:, 2, 2] = a
-    sigma[:, 3, 3] = a
-    cross = np.zeros((grid, 2, 2))
-    cross[:, 0, 0] = c * np.sqrt(rr)
-    cross[:, 1, 1] = -c * np.sqrt(1.0 / rr)
-    sigma[:, :2, 2:] = cross
-    sigma[:, 2:, :2] = np.transpose(cross, (0, 2, 1))
-    d = np.zeros((grid, 4))
-    d[:, 0] = np.sqrt(2.0 * n_coh)
-
-    eta = p.eta
-    y = additive_noise(p)
-    ydot = additive_noise_derivative(p)
-    st = sigma.copy()
-    st[:, :2, :2] = eta ** 2 * sigma[:, :2, :2]
-    st[:, 0, 0] += y
-    st[:, 1, 1] += y
-    st[:, :2, 2:] *= eta
-    st[:, 2:, :2] *= eta
-    dst = np.zeros_like(sigma)
-    dst[:, :2, :2] = 2.0 * eta * sigma[:, :2, :2]
-    dst[:, 0, 0] += ydot
-    dst[:, 1, 1] += ydot
-    dst[:, :2, 2:] = sigma[:, :2, 2:]
-    dst[:, 2:, :2] = sigma[:, 2:, :2]
-    ddt = np.zeros((grid, 4))
-    ddt[:, 0] = d[:, 0]
+    d, sigma = two_mode_moments(n_s, zz, rr)
+    _, st = output_moments(d, sigma, p)
+    ddt, dst = moment_derivatives(d, sigma, p)
 
     values, bad = _sld_qfi_batch(st, dst, ddt, raise_on_bad=False)
     if np.any(bad):
         if p.normalized:
             raise SingularSystem("SLD solve ill-conditioned and no closed-form "
                                  "fallback exists for the normalized model")
-        for g in np.nonzero(bad)[0]:
-            val = _two_mode_closed_raw(n_s, zz[g], rr[g], 0.0, p.eta, p.n_b)
-            # leading-term cancellation estimate of the closed form
-            lead = (4.0 * a[g] ** 2 + 1.0) / p.eta ** 2 \
-                + 2.0 * p.eta ** 2 / (1.0 - p.eta ** 2) ** 2
-            if not np.isfinite(val) or abs(val) < 1e-15 * lead * 1e7:
-                raise SingularSystem(
-                    "no well-conditioned QFI route at this grid point")
-            values[g] = val
+        val = _two_mode_closed_raw(n_s, zz[bad], rr[bad], 0.0, p.eta, p.n_b)
+        # leading-term cancellation estimate of the closed form; the output
+        # idler block is a * I
+        lead = (4.0 * st[bad, 2, 2] ** 2 + 1.0) / p.eta ** 2 \
+            + 2.0 * p.eta ** 2 / (1.0 - p.eta ** 2) ** 2
+        if np.any(~np.isfinite(val) | (np.abs(val) < 1e-15 * lead * 1e7)):
+            raise SingularSystem("no well-conditioned QFI route at this grid point")
+        values[bad] = val
     return values.reshape(len(zetas), -1)
 
 
@@ -300,6 +268,8 @@ def two_mode_grid(n_s: float, p: ChannelParams, grid=(64, 64)):
     n_zeta, n_r = grid
     if n_zeta < 32 or n_r < 32:
         raise ValueError("grid must be at least 32x32")
+    if not 0.0 <= n_s < math.inf:
+        raise ValueError(f"n_s must be finite and non-negative, got {n_s}")
     zetas = np.linspace(0.0, 1.0, n_zeta)
     r_grid = np.stack([np.geomspace(two_mode_r_min(n_s, z), 1.0, n_r)
                        for z in zetas])
@@ -340,8 +310,6 @@ def optimize_two_mode(n_s: float, p: ChannelParams, grid=(64, 64)):
     zeta, then larger r.  Returns ``(zeta_opt, r_opt, qfi_opt)``; the maximum
     lands on the TMSV corner (1, 1) for every parameter set we know of.
     """
-    if p.eta > 1.0 - EPS_ETA:
-        raise EtaTooClose(f"eta = {p.eta} is inside the guard band")
     return grid_argmax(*two_mode_grid(n_s, p, grid))
 
 
@@ -357,8 +325,7 @@ def tmsv_stationarity_check(n_s: float, p: ChannelParams, step: float = 1e-5):
         raise ValueError("n_s must be positive")
     if p.normalized and p.n_b > 0:
         raise ValueError("stationarity check uses the bare-channel closed form")
-    if p.eta > 1.0 - EPS_ETA:
-        raise EtaTooClose(f"eta = {p.eta} is inside the guard band")
+    _check_eta(p)
 
     def value(zeta, r):
         return _two_mode_closed_raw(n_s, zeta, r, 0.0, p.eta, p.n_b)

@@ -20,6 +20,7 @@ is the two-mode squeezed vacuum (TMSV).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,10 @@ class SingleModeProbe:
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.n_s < 0:
-            raise ProbeRangeError("n_s must be non-negative")
+        if not 0.0 <= self.n_s < math.inf:
+            raise ProbeRangeError(f"n_s must be finite and >= 0, got {self.n_s}")
+        if not math.isfinite(self.theta):
+            raise ProbeRangeError(f"theta must be finite, got {self.theta}")
         if not 0.0 <= self.xi <= 1.0:
             raise ProbeRangeError("xi must lie in [0, 1]")
 
@@ -76,8 +79,10 @@ class TwoModeProbe:
     phi: float = 0.0
 
     def __post_init__(self):
-        if self.n_s < 0:
-            raise ProbeRangeError("n_s must be non-negative")
+        if not 0.0 <= self.n_s < math.inf:
+            raise ProbeRangeError(f"n_s must be finite and >= 0, got {self.n_s}")
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+            raise ProbeRangeError("theta and phi must be finite")
         if not 0.0 <= self.zeta <= 1.0:
             raise ProbeRangeError("zeta must lie in [0, 1]")
         rmin = self.r_min
@@ -114,20 +119,32 @@ def build_single_mode(p: SingleModeProbe) -> GaussianState:
     return make_state(d, sigma)
 
 
+def two_mode_moments(n_s, zeta, r, theta=0.0, phi=0.0):
+    """Moments ``(d, sigma)`` of canonical two-mode probes, shapes ``(..., 4)``
+    and ``(..., 4, 4)``; broadcasts over arrays and checks no ranges."""
+    x = n_s * zeta ** 2
+    a = (2.0 * x + 1.0) / (r + 1.0 / r)
+    c = np.sqrt(np.maximum(a ** 2 - 0.25, 0.0))
+    sr, si = np.sqrt(r), np.sqrt(1.0 / r)
+    shape = np.broadcast_shapes(np.shape(a), np.shape(theta), np.shape(phi))
+    sigma = np.zeros(shape + (4, 4))
+    sigma[..., 0, 0] = a * r
+    sigma[..., 1, 1] = a / r
+    sigma[..., 2, 2] = sigma[..., 3, 3] = a
+    sigma[..., 0, 2] = sigma[..., 2, 0] = c * (sr * np.cos(phi))
+    sigma[..., 0, 3] = sigma[..., 3, 0] = c * (sr * np.sin(phi))
+    sigma[..., 1, 2] = sigma[..., 2, 1] = c * (si * np.sin(phi))
+    sigma[..., 1, 3] = sigma[..., 3, 1] = c * (-si * np.cos(phi))
+    d = np.zeros(shape + (4,))
+    amp = np.sqrt(2.0 * (n_s * (1.0 - zeta ** 2)))
+    d[..., 0] = amp * np.cos(theta)
+    d[..., 1] = amp * np.sin(theta)
+    return d, sigma
+
+
 def build_two_mode(p: TwoModeProbe) -> GaussianState:
     """Pure two-mode state in canonical form; signal-mode photons equal `n_s`."""
-    a, c, r = p.a, p.c_plus, p.r
-    sr, si = np.sqrt(r), np.sqrt(1.0 / r)
-    cross = c * np.array([[sr * np.cos(p.phi), sr * np.sin(p.phi)],
-                          [si * np.sin(p.phi), -si * np.cos(p.phi)]])
-    sigma = np.zeros((4, 4))
-    sigma[:2, :2] = np.diag([a * r, a / r])
-    sigma[2:, 2:] = a * np.eye(2)
-    sigma[:2, 2:] = cross
-    sigma[2:, :2] = cross.T
-    d = np.concatenate([np.sqrt(2.0 * p.n_coh) * np.array([np.cos(p.theta), np.sin(p.theta)]),
-                        [0.0, 0.0]])
-    return make_state(d, sigma)
+    return make_state(*two_mode_moments(p.n_s, p.zeta, p.r, p.theta, p.phi))
 
 
 def tmsv(n_s: float) -> GaussianState:

@@ -312,8 +312,8 @@ def qfi_tmsv(n_s: float, p: ChannelParams) -> float:
     which collapses to ``4 N_S / (1 - eta^2)`` at ``N_B = 0``.  The normalized
     model replaces the ``(1-eta^2)`` structure by ``N_B + 1 - eta^2``.
     """
-    if n_s < 0:
-        raise ValueError("n_s must be non-negative")
+    if not 0.0 <= n_s < math.inf:
+        raise ValueError(f"n_s must be finite and non-negative, got {n_s}")
     e2 = p.eta ** 2
     nb = p.n_b
     if p.normalized and nb > 0.0:
@@ -333,8 +333,8 @@ def qfi_tmsv(n_s: float, p: ChannelParams) -> float:
 def _two_mode_closed_raw(n_s, zeta, r, theta, eta, nb):
     """Canonical two-mode QFI; trusts its arguments, no domain checks.
 
-    Direct transcription of the trace + displacement terms for the canonical
-    probe.  Beware of catastrophic cancellation when
+    Broadcasts over arrays.  Direct transcription of the trace + displacement
+    terms for the canonical probe.  Beware of catastrophic cancellation when
     ``(4a^2 + 1)/(eta^2 I)`` approaches 1/eps_machine, i.e. very small eta
     combined with large photon numbers; the SLD route is stable there.
     """
@@ -350,10 +350,9 @@ def _two_mode_closed_raw(n_s, zeta, r, theta, eta, nb):
         * (4.0 * a2 * (1.0 + 2.0 * nb) ** 2 - 1.0)
     den1 = 2.0 * a * e2 * (1.0 + r * r) * (1.0 + 2.0 * nb) \
         + r * (one * (4.0 * a2 * (1.0 + 2.0 * nb) ** 2 - 1.0) - 2.0 * e2)
-    if num1 == 0.0 and den1 == 0.0:
-        # the fraction carries a factor N_B(N_B+1) and vanishes identically;
-        # its denominator hits zero too at a = 1/2, r = 1, N_B = 0
-        den1 = 1.0
+    # the fraction carries a factor N_B(N_B+1) and vanishes identically; where
+    # its denominator hits zero too (a = 1/2, r = 1, N_B = 0) it becomes 0/1
+    den1 = den1 + ((num1 == 0.0) & (den1 == 0.0))
     num2 = (one * (4.0 * a2 + 1.0) * (2.0 * nb ** 2 + 2.0 * nb + 1.0)
             + 2.0 * e2 / one) ** 2 - 16.0 * a2 * e2 ** 2 * (2.0 * nb + 1.0) ** 2
     den2 = 2.0 * a * e2 * (1.0 + r * r) * (1.0 + 2.0 * nb) * one \

@@ -5,6 +5,7 @@ from lossfish import (ChannelParams, DivergentNoise, NonPhysicalParams,
                       apply_channel, channel_derivative, effective_noise,
                       gamma_to_eta, heisenberg_margin, make_state, thermal,
                       tmsv, vacuum)
+from lossfish.channel import moment_derivatives, output_moments
 
 
 def test_param_validation():
@@ -12,8 +13,9 @@ def test_param_validation():
         ChannelParams(eta=1.2)
     with pytest.raises(NonPhysicalParams):
         ChannelParams(eta=-0.1)
-    with pytest.raises(NonPhysicalParams):
-        ChannelParams(eta=0.5, n_b=-1.0)
+    for n_b in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(NonPhysicalParams):
+            ChannelParams(eta=0.5, n_b=n_b)
     with pytest.raises(DivergentNoise):
         ChannelParams(eta=1.0, n_b=1.0, normalized=True)
     # eta = 1 with zero background is fine in the normalized model
@@ -120,3 +122,32 @@ def test_gamma_to_eta():
     assert gamma_to_eta(2.0 * np.log(2.0), 1.0) == pytest.approx(0.5, rel=1e-14)
     with pytest.raises(NonPhysicalParams):
         gamma_to_eta(-1.0, 1.0)
+
+
+def random_states(rng, modes, count):
+    states = []
+    for _ in range(count):
+        g = rng.normal(size=(2 * modes, 2 * modes))
+        sigma = 0.5 * np.eye(2 * modes) + g @ g.T
+        states.append(make_state(rng.normal(size=2 * modes), sigma))
+    return states
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("modes", [1, 2])
+def test_stacked_moments_match_per_state_channel(modes, normalized):
+    rng = np.random.default_rng(7 + modes)
+    states = random_states(rng, modes, 20)
+    p = ChannelParams(0.63, 1.7, normalized)
+    d = np.stack([s.d for s in states]).reshape(4, 5, 2 * modes)
+    sigma = np.stack([s.sigma for s in states]).reshape(4, 5, 2 * modes, 2 * modes)
+    d_out, sigma_out = output_moments(d, sigma, p)
+    d_dot, sigma_dot = moment_derivatives(d, sigma, p)
+    for k, state in enumerate(states):
+        item = np.unravel_index(k, (4, 5))
+        out = apply_channel(state, p)
+        np.testing.assert_array_equal(d_out[item], out.d)
+        np.testing.assert_array_equal(sigma_out[item], out.sigma)
+        dd, ds = channel_derivative(state, p)
+        np.testing.assert_array_equal(d_dot[item], dd)
+        np.testing.assert_array_equal(sigma_dot[item], ds)

@@ -24,6 +24,9 @@ def test_parse_grid_forms():
         parse_grid("0:1:1")
     with pytest.raises(ValueError):
         parse_grid("-1:1:4:log")
+    for spec in ("0:inf:3", "nan", "1,inf"):
+        with pytest.raises(ValueError):
+            parse_grid(spec)
 
 
 def test_qfi_tmsv_row(capsys):
@@ -51,11 +54,30 @@ def test_qfi_routes_consistent(capsys):
     assert vals["fidelity"] == pytest.approx(vals["sld"], rel=1e-4)
 
 
-def test_qfi_guard_band_exits_2(capsys):
-    code, _, err = run_cli(capsys, ["qfi", "--eta", "1.0", "--probe",
-                                    "coherent", "--ns", "1"])
+@pytest.mark.parametrize("argv", [
+    ["qfi", "--eta", "1.0", "--probe", "coherent", "--ns", "1"],
+    ["sweep-twomode", "--ns", "1", "--eta", "0.99999999", "--nb", "1"],
+], ids=["qfi", "sweep-twomode"])
+def test_qfi_guard_band_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
     assert code == 2
+    assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["qfi", "--eta", "0.5", "--nb", "nan", "--probe", "coherent", "--ns", "1"],
+    ["qfi", "--eta", "0.5", "--probe", "coherent", "--ns", "nan"],
+    ["qfi", "--eta", "0.5", "--probe", "tmsv", "--ns", "inf"],
+    ["qfi", "--eta", "0.5", "--nb", "inf", "--probe", "coherent", "--ns", "1",
+     "--route", "sld"],
+    ["sweep-xi", "--ns-grid", "1,nan", "--eta-grid", "0.5"],
+], ids=["nb-nan", "ns-nan", "tmsv-ns-inf", "nb-inf-sld", "grid-nan"])
+def test_non_finite_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 def test_qfi_coherent_full_loss(capsys):
@@ -166,9 +188,10 @@ def test_advantage_values(capsys):
 
 
 def test_hypothesis_delegates(capsys):
-    code, out, _ = run_cli(capsys, ["hypothesis", "--eta-plus", "0.9",
-                                    "--eta-minus", "0.8", "--m", "10",
-                                    "--probe", "coherent", "--ns", "1"])
+    with pytest.warns(UserWarning, match="threshold approximation is unreliable"):
+        code, out, _ = run_cli(capsys, ["hypothesis", "--eta-plus", "0.9",
+                                        "--eta-minus", "0.8", "--m", "10",
+                                        "--probe", "coherent", "--ns", "1"])
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "eta_plus,eta_minus,m,fid_bound,qfi_approx,threshold_approx"

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from lossfish import (ChannelParams, advantage_ratio, f1, g1, g2,
+from lossfish import (ChannelParams, EtaTooClose, advantage_ratio, f1, g1, g2,
                       optimize_bandwidth, optimize_two_mode, optimize_xi,
                       qfi_if_closed, qfi_shadow, qfi_squeezed_vacuum,
                       qfi_tmsv, threshold_constant_large_ns,
                       tmsv_stationarity_check, total_qfi, xi_threshold_nbar)
 from lossfish.optimize import (BOUNDARY_COHERENT, BOUNDARY_SQUEEZED,
                                FAMILY_COHERENT, FAMILY_IDLER_FREE, FAMILY_TMSV,
-                               grid_argmax)
+                               grid_argmax, two_mode_grid, two_mode_markers)
+from lossfish.channel import moment_derivatives, output_moments
+from lossfish.probes import two_mode_moments
+from lossfish.qfi import _sld_qfi_batch, _two_mode_closed_raw
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -232,6 +235,38 @@ def test_grid_argmax_matches_loop_tie_break(grid):
     got = grid_argmax(zetas, r_grid, qfi)
     want = loop_argmax(zetas, r_grid, qfi)
     assert got == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: optimize_two_mode(1.0, p, grid=(32, 32)),
+    lambda p: two_mode_grid(1.0, p, grid=(32, 32)),
+    lambda p: two_mode_markers(1.0, p),
+])
+def test_two_mode_grid_guard_band(call):
+    with pytest.raises(EtaTooClose):
+        call(ChannelParams(0.99999999, 1.0))
+
+
+def test_two_mode_grid_rejects_non_finite_power():
+    for n_s in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            two_mode_grid(n_s, ChannelParams(0.5, 1.0), grid=(32, 32))
+
+
+def test_grid_fallback_is_the_scalar_closed_form():
+    # bright probes at eta -> 1: the SLD residual check sends many points to
+    # the closed form, which the grid evaluates on all of them at once
+    n_s, p = 1e3, ChannelParams(0.999, 1e-3)
+    zetas, r_grid, qfi = two_mode_grid(n_s, p)
+    zz, rr = np.repeat(zetas, r_grid.shape[1]), r_grid.reshape(-1)
+    d, sigma = two_mode_moments(n_s, zz, rr)
+    _, st = output_moments(d, sigma, p)
+    ddt, dst = moment_derivatives(d, sigma, p)
+    _, bad = _sld_qfi_batch(st, dst, ddt, raise_on_bad=False)
+    assert bad.sum() > 0
+    scalar = [_two_mode_closed_raw(n_s, float(z), float(r), 0.0, p.eta, p.n_b)
+              for z, r in zip(zz[bad], rr[bad])]
+    np.testing.assert_allclose(qfi.reshape(-1)[bad], scalar, rtol=1e-15, atol=0)
 
 
 def test_two_mode_grid_refinement_stability():

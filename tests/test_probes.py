@@ -5,6 +5,7 @@ from lossfish import (ChannelParams, NotPure, NotTwoMode, ProbeRangeError,
                       SingleModeProbe, TwoModeProbe, build_single_mode,
                       build_two_mode, canonicalize, make_state, purity,
                       qfi_sld, thermal, tmsv, two_mode_r_min)
+from lossfish.probes import two_mode_moments
 
 
 def rotation(theta):
@@ -171,3 +172,34 @@ def test_canonicalize_rejects_bad_inputs():
     mixed = make_state(np.zeros(4), np.eye(4))
     with pytest.raises(NotPure):
         canonicalize(mixed)
+
+
+@pytest.mark.parametrize("field", ["n_s", "theta", "phi"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_probe_parameters_rejected(field, bad):
+    two_mode = dict(n_s=1.0, zeta=0.5, r=1.0, theta=0.0, phi=0.0)
+    with pytest.raises(ProbeRangeError):
+        TwoModeProbe(**{**two_mode, field: bad})
+    if field != "phi":
+        single_mode = dict(n_s=1.0, xi=0.5, theta=0.0)
+        with pytest.raises(ProbeRangeError):
+            SingleModeProbe(**{**single_mode, field: bad})
+
+
+def test_two_mode_moments_stack_matches_built_states():
+    rng = np.random.default_rng(3)
+    probes = []
+    for _ in range(24):
+        n_s, zeta = rng.uniform(0.0, 5.0), rng.uniform(0.0, 1.0)
+        r = np.exp(rng.uniform(np.log(two_mode_r_min(n_s, zeta)), 0.0))
+        probes.append(TwoModeProbe(n_s, zeta, r, rng.uniform(-np.pi, np.pi),
+                                   rng.uniform(-np.pi, np.pi)))
+    fields = [np.array([getattr(p, f) for p in probes]).reshape(6, 4)
+              for f in ("n_s", "zeta", "r", "theta", "phi")]
+    d, sigma = two_mode_moments(*fields)
+    assert d.shape == (6, 4, 4) and sigma.shape == (6, 4, 4, 4)
+    for k, probe in enumerate(probes):
+        item = np.unravel_index(k, (6, 4))
+        state = build_two_mode(probe)
+        np.testing.assert_array_equal(d[item], state.d)
+        np.testing.assert_array_equal(sigma[item], state.sigma)

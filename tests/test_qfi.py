@@ -7,7 +7,8 @@ from lossfish import (ChannelParams, EtaTooClose, SingleModeProbe,
                       qfi_fidelity_fd, qfi_gamma, qfi_if_closed, qfi_shadow,
                       qfi_single_mode_form, qfi_sld, qfi_squeezed_vacuum,
                       qfi_tmsv, qfi_two_mode_closed, tmsv, vacuum)
-from lossfish.qfi import SLD_CHUNK, _output_moments, _sld_qfi_batch
+from lossfish.qfi import (SLD_CHUNK, _output_moments, _sld_qfi_batch,
+                          _two_mode_closed_raw)
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -182,6 +183,21 @@ def test_two_mode_closed_special_points():
     p2 = ChannelParams(0.5, 0.0)
     assert qfi_two_mode_closed(TwoModeProbe(1.0, 0.0, 1.0), p2) == \
         pytest.approx(4.0, rel=1e-10)
+
+
+def test_two_mode_closed_raw_broadcasts():
+    # (zeta, r, N_B) = (0, 1, 0) is the corner where the first fraction is 0/0
+    zetas = np.array([0.0, 0.0, 0.3, 1.0])
+    rs = np.array([1.0, 0.7, 0.9, 1.0])
+    for nb in (0.0, 0.5):
+        got = _two_mode_closed_raw(1.0, zetas, rs, 0.0, 0.6, nb)
+        want = [_two_mode_closed_raw(1.0, float(z), float(r), 0.0, 0.6, nb)
+                for z, r in zip(zetas, rs)]
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    # the corner is a coherent state times a vacuum idler: I = 4 N_S at N_B = 0
+    assert _two_mode_closed_raw(1.0, zetas, rs, 0.0, 0.6, 0.0)[0] == \
+        pytest.approx(4.0, rel=1e-12)
 
 
 def test_two_mode_matches_squeezed_vacuum_near_full_transmission():

@@ -33,7 +33,7 @@ from .hypotest import (HypothesisSpec, fidelity_error_bound, qfi_error_approx,
                        threshold_strategy_error)
 from .optimize import (FAMILY_COHERENT, FAMILY_IDLER_FREE, FAMILY_TMSV,
                        advantage_ratio, grid_argmax, optimize_bandwidth,
-                       optimize_xi, total_qfi, two_mode_grid, two_mode_markers)
+                       optimize_xi, total_qfi, two_mode_grid)
 from .probes import (SingleModeProbe, TwoModeProbe, build_single_mode,
                      build_two_mode, tmsv)
 from .qfi import qfi_fidelity_fd, qfi_if_closed, qfi_sld, qfi_tmsv, qfi_two_mode_closed
@@ -150,8 +150,10 @@ def _cmd_sweep_twomode(args):
     rows = [[z, r, q] for z, r_row, q_row in zip(zetas, r_grid, qfi)
             for r, q in zip(r_row, q_row)]
     rows.append(list(grid_argmax(zetas, r_grid, qfi)))  # argmax summary
-    # reference markers: coherent, squeezed vacuum, TMSV
-    rows.extend(list(marker) for marker in two_mode_markers(args.ns, p))
+    # reference markers, grid corners: coherent (0, 1), squeezed vacuum
+    # (1, r_min), TMSV (1, 1)
+    rows.extend([zetas[iz], r_grid[iz, ir], qfi[iz, ir]]
+                for iz, ir in ((0, -1), (-1, 0), (-1, -1)))
     return header, rows
 
 

@@ -187,8 +187,8 @@ def optimize_xi(n_s: float, p: ChannelParams, xi_tol: float = 1e-8) -> XiOptResu
     brackets the maximum before the golden-section refinement (the low-power
     thermal landscape switches abruptly between the two edges).
     """
-    if n_s <= 0:
-        raise ValueError("n_s must be positive")
+    if not 0.0 < n_s < math.inf:
+        raise ValueError(f"n_s must be finite and positive, got {n_s}")
     _check_eta(p)
 
     def value(xi):
@@ -291,18 +291,6 @@ def grid_argmax(zetas: np.ndarray, r_grid: np.ndarray, qfi: np.ndarray):
     return zetas[iz], r_grid[iz, ir], qfi[iz, ir]
 
 
-def two_mode_markers(n_s: float, p: ChannelParams):
-    """QFI at the coherent, squeezed-vacuum and TMSV corners of the (zeta, r) plane.
-
-    Returns ``[(zeta, r, qfi), ...]`` at (0, 1), (1, r_min) and (1, 1), from
-    one grid evaluation.
-    """
-    zetas = np.array([0.0, 1.0, 1.0])
-    rs = np.array([1.0, two_mode_r_min(n_s, 1.0), 1.0])
-    qfi = _two_mode_grid_qfi(n_s, zetas, rs[:, None], p)[:, 0]
-    return list(zip(zetas, rs, qfi))
-
-
 def optimize_two_mode(n_s: float, p: ChannelParams, grid=(64, 64)):
     """Exhaustive (zeta, r) search for the optimal two-mode probe.
 
@@ -321,8 +309,8 @@ def tmsv_stationarity_check(n_s: float, p: ChannelParams, step: float = 1e-5):
     inside).  The closed form extends smoothly past r = 1 and zeta = 1, which
     the centred stencils exploit.
     """
-    if n_s <= 0:
-        raise ValueError("n_s must be positive")
+    if not 0.0 < n_s < math.inf:
+        raise ValueError(f"n_s must be finite and positive, got {n_s}")
     if p.normalized and p.n_b > 0:
         raise ValueError("stationarity check uses the bare-channel closed form")
     _check_eta(p)
@@ -341,101 +329,87 @@ def tmsv_stationarity_check(n_s: float, p: ChannelParams, step: float = 1e-5):
 # total QFI at fixed total power
 # ---------------------------------------------------------------------------
 
-def _infinite_m_idler_free(total_photons, p, xi):
+def _broadband_limit(total_photons, p, family, xi):
+    """``lim M->inf M I(total / M)`` for the TMSV or the idler-free family."""
+    if p.n_b > 0.0 and not p.normalized:
+        # shadow effect: every copy adds the power-independent vacuum term
+        return math.inf
     e2 = p.eta ** 2
+    if family == FAMILY_TMSV:
+        return 4.0 * total_photons / (p.n_b + 1.0 - e2)
     one = 1.0 - e2
     if p.n_b == 0.0:
         return 4.0 * total_photons * ((1.0 - xi) + xi * (one ** 2 + e2 ** 2) / one)
-    if p.normalized:
-        nb = p.n_b
-        return 4.0 * total_photons * ((1.0 - xi) / (2.0 * nb + 1.0)
-                                      + 2.0 * xi * e2 / (2.0 * nb * (nb + 1.0) + 1.0))
-    return math.inf
+    nb = p.n_b
+    return 4.0 * total_photons * ((1.0 - xi) / (2.0 * nb + 1.0)
+                                  + 2.0 * xi * e2 / (2.0 * nb * (nb + 1.0) + 1.0))
 
 
 def total_qfi(total_photons: float, m: float, p: ChannelParams,
               family: str = FAMILY_IDLER_FREE, xi: float = 0.0) -> float:
     """Total QFI ``M I(N_S = total / M)`` for a probe family and bandwidth M.
 
+    `xi` in [0, 1] is the squeezed fraction of the idler-free family; the
+    coherent family is the idler-free one at ``xi = 0``, for every M.
     ``m = math.inf`` evaluates the closed-form broadband limits; in the bare
     thermal channel (``N_B > 0``, unnormalized) that limit diverges because
     every extra copy contributes the power-independent shadow term, and
     ``math.inf`` is returned.
     """
-    if total_photons <= 0:
-        raise ValueError("total_photons must be positive")
-    if math.isinf(m):
-        if family == FAMILY_COHERENT:
-            if p.n_b == 0.0:
-                return 4.0 * total_photons
-            if p.normalized:
-                return 4.0 * total_photons / (1.0 + 2.0 * p.n_b)
-            return math.inf
-        if family == FAMILY_TMSV:
-            if p.n_b == 0.0:
-                return 4.0 * total_photons / (1.0 - p.eta ** 2)
-            if p.normalized:
-                return 4.0 * total_photons / (p.n_b + 1.0 - p.eta ** 2)
-            return math.inf
-        if family == FAMILY_IDLER_FREE:
-            return _infinite_m_idler_free(total_photons, p, xi)
+    if family not in (FAMILY_IDLER_FREE, FAMILY_TMSV, FAMILY_COHERENT):
         raise ValueError(f"unknown probe family {family!r}")
-    if m < 1:
+    if not 0.0 < total_photons < math.inf:
+        raise ValueError("total_photons must be finite and positive, "
+                         f"got {total_photons}")
+    if not m >= 1:
         raise ValueError("m must be at least 1")
-    n_s = total_photons / m
+    if not 0.0 <= xi <= 1.0:
+        raise ValueError("xi must lie in [0, 1]")
     if family == FAMILY_COHERENT:
-        return m * qfi_coherent(n_s, p)
+        family, xi = FAMILY_IDLER_FREE, 0.0
+    if math.isinf(m):
+        return _broadband_limit(total_photons, p, family, xi)
+    n_s = total_photons / m
     if family == FAMILY_TMSV:
         return m * qfi_tmsv(n_s, p)
-    if family == FAMILY_IDLER_FREE:
-        return m * qfi_if_closed((1.0 - xi) * n_s, xi * n_s, p).total
-    raise ValueError(f"unknown probe family {family!r}")
+    return m * qfi_if_closed((1.0 - xi) * n_s, xi * n_s, p).total
 
 
 def optimize_bandwidth(total_photons: float, p: ChannelParams,
                        family: str = FAMILY_IDLER_FREE) -> BandwidthPlan:
     """Choose the bandwidth (M = 1 vs the broadband limit) for a probe family.
 
-    In the bare thermal channel every family rides the shadow term, so the
-    plan is the divergent M = infinity one.  At ``N_B = 0`` the coherent and
-    TMSV totals are M-independent (reported as M = 1); the idler-free family
-    compares the jointly xi-optimized single-shot value against the broadband
-    closed form.  In the normalized model the TMSV total increases with M and
-    saturates the ultimate bound at M = infinity.
+    Every total comes from :func:`total_qfi`.  Where the broadband
+    (``m = math.inf``) total diverges, i.e. in the bare thermal channel where
+    every family rides the shadow term, the plan is the divergent
+    M = infinity one.  Otherwise the coherent total, and the TMSV total at
+    ``N_B = 0``, are M-independent (reported as M = 1); in the normalized
+    model the TMSV total increases with M and saturates the ultimate bound at
+    M = infinity.  The idler-free family compares the jointly xi-optimized
+    single-shot value against the better broadband edge, coherent
+    (``xi = 0``) or squeezed (``xi = 1``).
     """
-    if total_photons <= 0:
-        raise ValueError("total_photons must be positive")
-    if p.n_b > 0.0 and not p.normalized:
+    if family == FAMILY_TMSV:
+        m = 1.0 if p.n_b == 0.0 else math.inf
+        total = total_qfi(total_photons, m, p, family)
+        return BandwidthPlan(total_photons, m, total, family,
+                             divergent=math.isinf(total))
+    if family == FAMILY_IDLER_FREE:
+        coh, sq = (total_qfi(total_photons, math.inf, p, family, xi)
+                   for xi in (0.0, 1.0))
+        xi_inf, broadband = (1.0, sq) if sq > coh else (0.0, coh)
+    else:
+        broadband = total_qfi(total_photons, math.inf, p, family)
+    if math.isinf(broadband):
         return BandwidthPlan(total_photons, math.inf, math.inf, family,
                              divergent=True)
     if family == FAMILY_COHERENT:
         return BandwidthPlan(total_photons, 1.0,
                              total_qfi(total_photons, 1.0, p, family),
                              family, xi_opt=0.0)
-    if family == FAMILY_TMSV:
-        if p.n_b == 0.0:
-            # M-independent; a single probe is the canonical representative
-            return BandwidthPlan(total_photons, 1.0,
-                                 total_qfi(total_photons, 1.0, p, family), family)
-        return BandwidthPlan(total_photons, math.inf,
-                             total_qfi(total_photons, math.inf, p, family), family)
-    if family != FAMILY_IDLER_FREE:
-        raise ValueError(f"unknown probe family {family!r}")
-
     single = optimize_xi(total_photons, p)
-    e2 = p.eta ** 2
-    if p.n_b == 0.0:
-        slope_sq = ((1.0 - e2) ** 2 + e2 ** 2) / (1.0 - e2)
-        xi_inf, val_inf = (1.0, 4.0 * total_photons * slope_sq) \
-            if slope_sq > 1.0 else (0.0, 4.0 * total_photons)
-    else:
-        nb = p.n_b
-        slope_coh = 1.0 / (2.0 * nb + 1.0)
-        slope_sq = 2.0 * e2 / (2.0 * nb * (nb + 1.0) + 1.0)
-        xi_inf, val_inf = (1.0, 4.0 * total_photons * slope_sq) \
-            if slope_sq > slope_coh else (0.0, 4.0 * total_photons * slope_coh)
-    if val_inf > single.qfi_opt:
-        return BandwidthPlan(total_photons, math.inf, val_inf, family,
+    if broadband > single.qfi_opt:
+        return BandwidthPlan(total_photons, math.inf, broadband, family,
                              xi_opt=xi_inf)
     return BandwidthPlan(total_photons, 1.0, single.qfi_opt, family,
                          xi_opt=single.xi_opt)

@@ -93,24 +93,6 @@ class TwoModeProbe:
     def r_min(self) -> float:
         return two_mode_r_min(self.n_s, self.zeta)
 
-    @property
-    def n_sq_th(self) -> float:
-        """Photons allocated to the covariance (squeezed-thermal part)."""
-        return self.n_s * self.zeta ** 2
-
-    @property
-    def n_coh(self) -> float:
-        return self.n_s * (1.0 - self.zeta ** 2)
-
-    @property
-    def a(self) -> float:
-        return (2.0 * self.n_sq_th + 1.0) / (self.r + 1.0 / self.r)
-
-    @property
-    def c_plus(self) -> float:
-        """Positive cross-correlation singular value; c_minus = -c_plus."""
-        return float(np.sqrt(max(self.a ** 2 - 0.25, 0.0)))
-
 
 def build_single_mode(p: SingleModeProbe) -> GaussianState:
     """Pure single-mode state with the probe's displacement and squeezing."""

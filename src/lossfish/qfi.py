@@ -252,8 +252,9 @@ def qfi_if_closed(n_coh: float, n_sq: float, p: ChannelParams) -> QfiBreakdown:
     constant, the shadow term vanishes, and the denominators carry
     ``B = N_B(N_B+1) + N_sq eta^2 (2N_B+1) - N_sq eta^4`` instead.
     """
-    if n_coh < 0 or n_sq < 0:
-        raise ValueError("photon numbers must be non-negative")
+    if not (0.0 <= n_coh < math.inf and 0.0 <= n_sq < math.inf):
+        raise ValueError("photon numbers must be finite and non-negative, "
+                         f"got n_coh = {n_coh}, n_sq = {n_sq}")
     _check_eta(p)
     e2 = p.eta ** 2
     one = 1.0 - e2
@@ -392,8 +393,8 @@ def homodyne_fisher(n_coh: float, r: float, p: ChannelParams) -> float:
     """
     if not 0.0 < r <= 1.0:
         raise ValueError("r must lie in (0, 1]")
-    if n_coh < 0:
-        raise ValueError("n_coh must be non-negative")
+    if not 0.0 <= n_coh < math.inf:
+        raise ValueError(f"n_coh must be finite and non-negative, got {n_coh}")
     var = 0.5 * p.eta ** 2 * r + additive_noise(p)
     dvar = p.eta * r + additive_noise_derivative(p)
     dmean_sq = 2.0 * n_coh

@@ -126,6 +126,9 @@ def test_sweep_twomode_argmax_and_markers(capsys):
     assert float(tmsv_marker[0]) == 1.0 and float(tmsv_marker[1]) == 1.0
     assert float(tmsv_marker[2]) == pytest.approx(
         qfi_tmsv(1.0, ChannelParams(0.7071, 1.0)), rel=1e-9)
+    # the markers are the grid rows at (0, 1), (1, r_min) and (1, 1)
+    grid = lines[1:1 + 32 * 32]
+    assert lines[-3:] == [grid[31], grid[31 * 32], grid[-1]]
 
 
 def test_sweep_twomode_grid_refinement_keeps_argmax(capsys):

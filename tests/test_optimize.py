@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from lossfish import (ChannelParams, EtaTooClose, advantage_ratio, f1, g1, g2,
-                      optimize_bandwidth, optimize_two_mode, optimize_xi,
-                      qfi_if_closed, qfi_shadow, qfi_squeezed_vacuum,
+                      homodyne_fisher, optimize_bandwidth, optimize_two_mode,
+                      optimize_xi, qfi_if_closed, qfi_shadow, qfi_squeezed_vacuum,
                       qfi_tmsv, threshold_constant_large_ns,
                       tmsv_stationarity_check, total_qfi, xi_threshold_nbar)
 from lossfish.optimize import (BOUNDARY_COHERENT, BOUNDARY_SQUEEZED,
                                FAMILY_COHERENT, FAMILY_IDLER_FREE, FAMILY_TMSV,
-                               grid_argmax, two_mode_grid, two_mode_markers)
+                               grid_argmax, two_mode_grid)
 from lossfish.channel import moment_derivatives, output_moments
 from lossfish.probes import two_mode_moments
 from lossfish.qfi import _sld_qfi_batch, _two_mode_closed_raw
@@ -240,7 +240,6 @@ def test_grid_argmax_matches_loop_tie_break(grid):
 @pytest.mark.parametrize("call", [
     lambda p: optimize_two_mode(1.0, p, grid=(32, 32)),
     lambda p: two_mode_grid(1.0, p, grid=(32, 32)),
-    lambda p: two_mode_markers(1.0, p),
 ])
 def test_two_mode_grid_guard_band(call):
     with pytest.raises(EtaTooClose):
@@ -356,6 +355,83 @@ def test_optimize_bandwidth_normalized_tmsv_prefers_broadband():
                               FAMILY_TMSV)
     assert math.isinf(plan.m)
     assert plan.total_qfi == pytest.approx(4.0 / 1.75, rel=1e-12)
+
+
+def test_total_qfi_coherent_is_idler_free_at_xi_zero():
+    for p in (ChannelParams(0.6, 0.0), ChannelParams(0.6, 1.0),
+              ChannelParams(0.6, 1e-3, normalized=True)):
+        for m in (1.0, 3.0, 1e6, math.inf):
+            assert total_qfi(10.0, m, p, FAMILY_COHERENT) == \
+                total_qfi(10.0, m, p, FAMILY_IDLER_FREE, xi=0.0)
+
+
+def test_optimize_bandwidth_normalized_idler_free_edges():
+    # broadband idler-free slopes in the normalized model: 4 T/(2N_B+1) at the
+    # coherent edge, 4 T 2 eta^2/(2N_B(N_B+1)+1) at the squeezed edge
+    def slopes(eta, nb):
+        return 1.0 / (2 * nb + 1), 2 * eta ** 2 / (2 * nb * (nb + 1) + 1)
+
+    # squeezed edge wins broadband, and beats the single shot
+    total, eta, nb = 0.1, 0.9, 0.5
+    coh, sq = slopes(eta, nb)
+    assert sq > coh
+    plan = optimize_bandwidth(total, ChannelParams(eta, nb, normalized=True))
+    assert math.isinf(plan.m) and plan.xi_opt == 1.0 and not plan.divergent
+    assert plan.total_qfi == pytest.approx(4 * total * sq, rel=1e-14)
+
+    # coherent edge wins broadband; its total is M-independent, so the
+    # xi-optimized single shot matches or beats it
+    total, eta, nb = 1.0, 0.5, 1.0
+    p = ChannelParams(eta, nb, normalized=True)
+    coh, sq = slopes(eta, nb)
+    assert coh > sq
+    assert total_qfi(total, math.inf, p, FAMILY_IDLER_FREE, xi=0.0) == \
+        pytest.approx(4 * total * coh, rel=1e-15)
+    plan = optimize_bandwidth(total, p)
+    assert plan.m == 1.0 and not plan.divergent
+    assert plan.total_qfi == optimize_xi(total, p).qfi_opt
+    assert plan.total_qfi >= 4 * total * coh
+
+
+@pytest.mark.parametrize("p", [ChannelParams(0.5, 0.0), ChannelParams(0.5, 1.0),
+                               ChannelParams(0.5, 1.0, normalized=True)])
+def test_unknown_family_rejected_in_every_model(p):
+    with pytest.raises(ValueError, match="unknown probe family"):
+        optimize_bandwidth(1.0, p, "bogus")
+    for m in (1.0, math.inf):
+        with pytest.raises(ValueError, match="unknown probe family"):
+            total_qfi(1.0, m, p, "bogus")
+
+
+P_BARE = ChannelParams(0.5, 1.0)
+P_NORM = ChannelParams(0.5, 1.0, normalized=True)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda x: optimize_xi(x, P_BARE),
+    lambda x: total_qfi(x, 1.0, P_BARE),
+    lambda x: total_qfi(1.0, -x, P_NORM),  # m = inf is the broadband limit
+    lambda x: total_qfi(1.0, math.inf, P_NORM, FAMILY_IDLER_FREE, xi=x),
+    lambda x: optimize_bandwidth(x, P_NORM),
+    lambda x: tmsv_stationarity_check(x, P_BARE),
+    lambda x: homodyne_fisher(x, 1.0, P_BARE),
+    lambda x: qfi_if_closed(x, 0.0, P_BARE),
+    lambda x: qfi_if_closed(0.0, x, P_BARE),
+], ids=["optimize_xi", "total_qfi_photons", "total_qfi_m", "total_qfi_xi",
+        "optimize_bandwidth", "tmsv_stationarity_check", "homodyne_fisher",
+        "qfi_if_closed_coh", "qfi_if_closed_sq"])
+def test_library_boundary_rejects_non_finite(call, x):
+    with pytest.raises(ValueError):
+        call(x)
+
+
+def test_total_qfi_rejects_xi_outside_unit_interval():
+    # the broadband closed form would extrapolate, to a negative QFI at 1.5
+    for m in (1.0, math.inf):
+        for xi in (-0.5, 1.5):
+            with pytest.raises(ValueError):
+                total_qfi(1.0, m, P_NORM, FAMILY_IDLER_FREE, xi=xi)
 
 
 def test_normalized_total_bound():

@@ -134,8 +134,8 @@ def test_canonicalize_product_of_squeezed_vacua():
                      np.exp(-2 * s_idl) / 2, np.exp(2 * s_idl) / 2])
     state = make_state(np.zeros(4), sigma)
     probe = canonicalize(state)
-    assert probe.c_plus == pytest.approx(0.0, abs=1e-9)
     rebuilt = build_two_mode(probe)
+    assert rebuilt.sigma[:2, 2:] == pytest.approx(np.zeros((2, 2)), abs=1e-9)
     p = ChannelParams(0.8, 0.2)
     assert qfi_sld(rebuilt, p) == pytest.approx(qfi_sld(state, p), rel=1e-9)
 

@@ -127,11 +127,11 @@ def _cmd_qfi(args):
 
 def _cmd_sweep_xi(args):
     header = ["ns", "eta", "xi_opt", "qfi_opt", "boundary"]
-    rows = []
-    for ns in parse_grid(args.ns_grid):
-        for eta in parse_grid(args.eta_grid):
-            res = optimize_xi(float(ns), _channel(args, eta))
-            rows.append([ns, eta, res.xi_opt, res.qfi_opt, res.boundary])
+    ns_grid, eta_grid = parse_grid(args.ns_grid), parse_grid(args.eta_grid)
+    # one lockstep search per eta over all of N_S; rows run N_S outer, eta inner
+    results = [optimize_xi(ns_grid, _channel(args, eta)) for eta in eta_grid]
+    rows = [[ns, eta, res.xi_opt[i], res.qfi_opt[i], res.boundary[i]]
+            for i, ns in enumerate(ns_grid) for eta, res in zip(eta_grid, results)]
     return header, rows
 
 
@@ -158,31 +158,34 @@ def _cmd_sweep_twomode(args):
 
 
 def _cmd_sweep_total(args):
-    if args.nb > 0 and not args.normalized:
-        raise ValueError("total QFI diverges for the bare thermal channel; "
-                         "use --nb 0 or --normalized")
     header = ["total_ns", "eta", "m_opt", "xi_opt", "total_qfi",
               "ratio_vs_coherent", "ratio_vs_tmsv"]
-    rows = []
-    for tns in parse_grid(args.total_ns_grid):
-        for eta in parse_grid(args.eta_grid):
-            p = _channel(args, eta)
-            plan = optimize_bandwidth(float(tns), p, FAMILY_IDLER_FREE)
-            coh = total_qfi(float(tns), 1.0, p, FAMILY_COHERENT)
-            best_tmsv = optimize_bandwidth(float(tns), p, FAMILY_TMSV).total_qfi
-            rows.append([tns, eta, plan.m, plan.xi_opt, plan.total_qfi,
-                         plan.total_qfi / coh, plan.total_qfi / best_tmsv])
+    tns_grid, eta_grid = parse_grid(args.total_ns_grid), parse_grid(args.eta_grid)
+    columns = []
+    for eta in eta_grid:
+        p = _channel(args, eta)
+        plan = optimize_bandwidth(tns_grid, p, FAMILY_IDLER_FREE)
+        if plan.divergent.any():
+            raise ValueError("total QFI diverges for the bare thermal channel; "
+                             "use --nb 0 or --normalized")
+        coh = total_qfi(tns_grid, 1.0, p, FAMILY_COHERENT)
+        best_tmsv = optimize_bandwidth(tns_grid, p, FAMILY_TMSV).total_qfi
+        columns.append((plan.m, plan.xi_opt, plan.total_qfi,
+                        plan.total_qfi / coh, plan.total_qfi / best_tmsv))
+    # rows run total N_S outer, eta inner
+    rows = [[tns, eta, *(col[i] for col in cols)]
+            for i, tns in enumerate(tns_grid) for eta, cols in zip(eta_grid, columns)]
     return header, rows
 
 
 def _cmd_advantage(args):
     header = ["eta", "ns", "ratio_tmsv_coh"]
+    ns_grid = parse_grid(args.ns_grid)
     rows = []
     for eta in parse_grid(args.eta_grid):
-        for ns in parse_grid(args.ns_grid):
-            ratio = advantage_ratio(FAMILY_TMSV, FAMILY_COHERENT,
-                                    _channel(args, eta), float(ns))
-            rows.append([eta, ns, ratio])
+        ratios = advantage_ratio(FAMILY_TMSV, FAMILY_COHERENT,
+                                 _channel(args, eta), ns_grid)
+        rows.extend([eta, ns, ratio] for ns, ratio in zip(ns_grid, ratios))
     return header, rows
 
 

@@ -20,8 +20,9 @@ import numpy as np
 from .channel import ChannelParams, moment_derivatives, output_moments
 from .errors import SingularSystem
 from .probes import two_mode_moments, two_mode_r_min
-from .qfi import (_check_eta, _sld_qfi_batch, _two_mode_closed_raw, qfi_coherent,
-                  qfi_if_closed, qfi_squeezed_vacuum, qfi_tmsv)
+from .qfi import (_any, _as_output, _check_eta, _photons, _sld_qfi_batch,
+                  _two_mode_closed_raw, qfi_coherent, qfi_if_closed,
+                  qfi_squeezed_vacuum, qfi_tmsv)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -38,7 +39,11 @@ FAMILY_SQUEEZED = "squeezed_vacuum"
 
 @dataclass(frozen=True)
 class XiOptResult:
-    """Optimal squeezed fraction, its QFI, and which edge (if any) it sits on."""
+    """Optimal squeezed fraction, its QFI, and which edge (if any) it sits on.
+
+    From an array of photon numbers every field is an array of that shape,
+    `boundary` one of strings.
+    """
 
     xi_opt: float
     qfi_opt: float
@@ -51,7 +56,9 @@ class BandwidthPlan:
 
     ``m = math.inf`` denotes the broadband limit; `divergent` marks plans whose
     total QFI grows without bound (shadow term times an unbounded number of
-    copies in the bare thermal channel).
+    copies in the bare thermal channel).  A plan for an array of total photon
+    numbers holds arrays of that shape in every field but `probe_family`;
+    there `xi_opt` is NaN where a scalar plan has None.
     """
 
     total_photons: float
@@ -66,7 +73,12 @@ class BandwidthPlan:
 # derivative diagnostics of the zero-temperature single-mode QFI
 # ---------------------------------------------------------------------------
 
-def f1(eta: float, n_s: float) -> float:
+def _check_eta_domain(eta: float):
+    if not 0.0 <= eta < 1.0:
+        raise ValueError(f"eta must lie in [0, 1), got {eta}")
+
+
+def f1(eta: float, n_s: float | np.ndarray) -> float | np.ndarray:
     """Edge slope (1/4N_S) d/dxi of the N_B=0 QFI at xi=1.
 
     Explicitly,
@@ -76,17 +88,25 @@ def f1(eta: float, n_s: float) -> float:
 
     with ``e = eta^2``.  It is strictly decreasing in ``N_S``, tends to
     ``-1/(1-eta^2)`` as ``N_S -> infinity``, and its sign decides whether the
-    squeezed vacuum sits at the optimum.
+    squeezed vacuum sits at the optimum.  Broadcasts over `n_s`.  Raises
+    `ValueError` unless ``0 <= eta < 1`` and every `n_s` is finite and
+    non-negative.
     """
+    _check_eta_domain(eta)
+    n_s = _photons(n_s, "n_s")
     e2 = eta ** 2
     one = 1.0 - e2
-    first = (one ** 2 + e2 ** 2) / (one * (1.0 + 2.0 * n_s * e2 * one) ** 2)
-    second = 1.0 / (1.0 - 2.0 * e2 * (math.sqrt(n_s * (n_s + 1.0)) - n_s))
-    return first - second
+    # float_power is the libm pow of a Python float `**`: a squared array
+    # would be rounded differently
+    first = (one ** 2 + e2 ** 2) / (one * np.float_power(1.0 + 2.0 * n_s * e2 * one, 2))
+    second = 1.0 / (1.0 - 2.0 * e2 * (np.sqrt(n_s * (n_s + 1.0)) - n_s))
+    return _as_output(first - second)
 
 
 def g1(xi: float, n_s: float) -> float:
     """Low-transmission slope: 2(1-xi) sqrt(xi N_S (1+xi N_S)) - xi (1+2N_S)."""
+    if not (math.isfinite(xi) and math.isfinite(n_s)):
+        raise ValueError(f"xi and n_s must be finite, got xi = {xi}, n_s = {n_s}")
     return 2.0 * (1.0 - xi) * math.sqrt(xi * n_s * (1.0 + xi * n_s)) \
         - xi * (1.0 + 2.0 * n_s)
 
@@ -106,8 +126,10 @@ def g2(eta: float, n_b: float) -> float:
     ``1/[1+2N_B(1-eta^2)]``; for large ``N_B`` the flip sits close to
     ``eta = 1 - 3/(2 N_B)`` on an eta scale.
     """
-    if n_b <= 0:
-        raise ValueError("g2 is defined for the N_S << N_B regime; need n_b > 0")
+    _check_eta_domain(eta)
+    if not 0.0 < n_b < math.inf:
+        raise ValueError("g2 is defined for the N_S << N_B regime; need finite "
+                         f"n_b > 0, got {n_b}")
     e2 = eta ** 2
     one = 1.0 - e2
     a0 = one * n_b * (n_b + 1.0 - n_b * e2)
@@ -163,57 +185,86 @@ def threshold_constant_large_ns() -> float:
 # single-mode optimization
 # ---------------------------------------------------------------------------
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-8) -> float:
+def _golden_max(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+    """Golden-section maxima over the brackets ``[lo, hi]``, in lockstep.
+
+    `f(x)` evaluates every landscape at its own point of `x`.  A bracket
+    freezes as soon as ``hi - lo <= tol``, so brackets of different widths
+    take different numbers of steps; each step still evaluates all points,
+    frozen ones included, as one array.  Returns the bracket midpoints.
+    """
+    lo, hi = lo.copy(), hi.copy()
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
-    f1_, f2_ = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1_ < f2_:
-            lo, x1, f1_ = x1, x2, f2_
-            x2 = lo + GOLDEN * (hi - lo)
-            f2_ = f(x2)
-        else:
-            hi, x2, f2_ = x2, x1, f1_
-            x1 = hi - GOLDEN * (hi - lo)
-            f1_ = f(x1)
+    f1_, f2_ = f(np.stack([x1, x2]))
+    live = hi - lo > tol
+    while live.any():
+        up = f1_ < f2_
+        rise, fall = live & up, live & ~up
+        # rise: (lo, x1, f1) <- (x1, x2, f2); fall: (hi, x2, f2) <- (x2, x1, f1)
+        np.copyto(lo, x1, where=rise)
+        np.copyto(hi, x2, where=fall)
+        np.copyto(x1, x2, where=rise)
+        np.copyto(x2, x1, where=fall)
+        np.copyto(f1_, f2_, where=rise)
+        np.copyto(f2_, f1_, where=fall)
+        gap = GOLDEN * (hi - lo)
+        np.copyto(x2, lo + gap, where=rise)
+        np.copyto(x1, hi - gap, where=fall)
+        new = f(np.where(up, x2, x1))
+        np.copyto(f2_, new, where=rise)
+        np.copyto(f1_, new, where=fall)
+        live = hi - lo > tol
     return 0.5 * (lo + hi)
 
 
-def optimize_xi(n_s: float, p: ChannelParams, xi_tol: float = 1e-8) -> XiOptResult:
+def optimize_xi(n_s: float | np.ndarray, p: ChannelParams,
+                xi_tol: float = 1e-8) -> XiOptResult:
     """Maximize the idler-free QFI over the squeezed fraction xi in [0, 1].
 
     At ``N_B = 0`` the landscape is concave and the xi = 1 edge case is
     decided exactly by the sign of :func:`f1`; otherwise a 64-point scan
-    brackets the maximum before the golden-section refinement (the low-power
-    thermal landscape switches abruptly between the two edges).
+    brackets the maximum (its first maximum) before the golden-section
+    refinement (the low-power thermal landscape switches abruptly between the
+    two edges).  `n_s` may be an array: all points are searched together, one
+    closed-form evaluation per step, each with the values a scalar call gives.
     """
-    if not 0.0 < n_s < math.inf:
-        raise ValueError(f"n_s must be finite and positive, got {n_s}")
+    n_s = _photons(n_s, "n_s", positive=True)
     _check_eta(p)
+    ns = np.reshape(n_s, -1)
 
-    def value(xi):
-        return qfi_if_closed((1.0 - xi) * n_s, xi * n_s, p).total
+    def value(xi, n):
+        return qfi_if_closed((1.0 - xi) * n, xi * n, p).total
 
-    if p.n_b == 0.0 and p.eta > INV_SQRT2 and f1(p.eta, n_s) >= 0.0:
-        return XiOptResult(1.0, value(1.0), BOUNDARY_SQUEEZED)
-
+    squeezed = np.zeros(ns.shape, dtype=bool)
     if p.n_b == 0.0:
-        lo, hi = 0.0, 1.0
+        if p.eta > INV_SQRT2:
+            squeezed = f1(p.eta, ns) >= 0.0
+        lo, hi = np.zeros(ns.shape), np.ones(ns.shape)
     else:
         grid = np.linspace(0.0, 1.0, 64)
-        vals = [value(x) for x in grid]
-        best = int(np.argmax(vals))
-        lo = grid[max(best - 1, 0)]
-        hi = grid[min(best + 1, 63)]
-    xi_star = _golden_max(value, lo, hi, xi_tol)
-    q_star = value(xi_star)
+        best = np.argmax(value(grid, ns[:, None]), axis=1)
+        lo = grid[np.maximum(best - 1, 0)]
+        hi = grid[np.minimum(best + 1, 63)]
+    search = ~squeezed
+    xi_star = np.ones(ns.shape)
+    searched = ns[search]
+    xi_star[search] = _golden_max(lambda x: value(x, searched),
+                                  lo[search], hi[search], xi_tol)
+    q_star, q_coh, q_sq = value(np.stack([xi_star, np.zeros(ns.shape),
+                                          np.ones(ns.shape)]), ns)
 
-    q_coh, q_sq = value(0.0), value(1.0)
-    if q_coh >= q_star and q_coh >= q_sq:
-        return XiOptResult(0.0, q_coh, BOUNDARY_COHERENT)
-    if q_sq >= q_star:
-        return XiOptResult(1.0, q_sq, BOUNDARY_SQUEEZED)
-    return XiOptResult(float(xi_star), float(q_star), BOUNDARY_INTERIOR)
+    # the first edge that holds wins, else the interior point
+    edges = [search & (q_coh >= q_star) & (q_coh >= q_sq), squeezed | (q_sq >= q_star)]
+    xi_opt = np.select(edges, [0.0, 1.0], xi_star)
+    qfi_opt = np.select(edges, [q_coh, q_sq], q_star)
+    boundary = np.select(edges, [BOUNDARY_COHERENT, BOUNDARY_SQUEEZED],
+                         BOUNDARY_INTERIOR)
+    if isinstance(n_s, float):
+        return XiOptResult(float(xi_opt[0]), float(qfi_opt[0]), str(boundary[0]))
+    shape = n_s.shape
+    return XiOptResult(xi_opt.reshape(shape), qfi_opt.reshape(shape),
+                       boundary.reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +384,7 @@ def _broadband_limit(total_photons, p, family, xi):
     """``lim M->inf M I(total / M)`` for the TMSV or the idler-free family."""
     if p.n_b > 0.0 and not p.normalized:
         # shadow effect: every copy adds the power-independent vacuum term
-        return math.inf
+        return np.full(np.shape(total_photons), math.inf)
     e2 = p.eta ** 2
     if family == FAMILY_TMSV:
         return 4.0 * total_photons / (p.n_b + 1.0 - e2)
@@ -345,8 +396,8 @@ def _broadband_limit(total_photons, p, family, xi):
                                   + 2.0 * xi * e2 / (2.0 * nb * (nb + 1.0) + 1.0))
 
 
-def total_qfi(total_photons: float, m: float, p: ChannelParams,
-              family: str = FAMILY_IDLER_FREE, xi: float = 0.0) -> float:
+def total_qfi(total_photons: float | np.ndarray, m: float, p: ChannelParams,
+              family: str = FAMILY_IDLER_FREE, xi: float = 0.0) -> float | np.ndarray:
     """Total QFI ``M I(N_S = total / M)`` for a probe family and bandwidth M.
 
     `xi` in [0, 1] is the squeezed fraction of the idler-free family; the
@@ -354,13 +405,12 @@ def total_qfi(total_photons: float, m: float, p: ChannelParams,
     ``m = math.inf`` evaluates the closed-form broadband limits; in the bare
     thermal channel (``N_B > 0``, unnormalized) that limit diverges because
     every extra copy contributes the power-independent shadow term, and
-    ``math.inf`` is returned.
+    ``math.inf`` is returned.  Broadcasts over `total_photons`; a scalar
+    gives a float.
     """
     if family not in (FAMILY_IDLER_FREE, FAMILY_TMSV, FAMILY_COHERENT):
         raise ValueError(f"unknown probe family {family!r}")
-    if not 0.0 < total_photons < math.inf:
-        raise ValueError("total_photons must be finite and positive, "
-                         f"got {total_photons}")
+    total_photons = _photons(total_photons, "total_photons", positive=True)
     if not m >= 1:
         raise ValueError("m must be at least 1")
     if not 0.0 <= xi <= 1.0:
@@ -368,14 +418,14 @@ def total_qfi(total_photons: float, m: float, p: ChannelParams,
     if family == FAMILY_COHERENT:
         family, xi = FAMILY_IDLER_FREE, 0.0
     if math.isinf(m):
-        return _broadband_limit(total_photons, p, family, xi)
+        return _as_output(_broadband_limit(total_photons, p, family, xi))
     n_s = total_photons / m
     if family == FAMILY_TMSV:
         return m * qfi_tmsv(n_s, p)
     return m * qfi_if_closed((1.0 - xi) * n_s, xi * n_s, p).total
 
 
-def optimize_bandwidth(total_photons: float, p: ChannelParams,
+def optimize_bandwidth(total_photons: float | np.ndarray, p: ChannelParams,
                        family: str = FAMILY_IDLER_FREE) -> BandwidthPlan:
     """Choose the bandwidth (M = 1 vs the broadband limit) for a probe family.
 
@@ -387,37 +437,55 @@ def optimize_bandwidth(total_photons: float, p: ChannelParams,
     model the TMSV total increases with M and saturates the ultimate bound at
     M = infinity.  The idler-free family compares the jointly xi-optimized
     single-shot value against the better broadband edge, coherent
-    (``xi = 0``) or squeezed (``xi = 1``).
+    (``xi = 0``) or squeezed (``xi = 1``).  Broadcasts over `total_photons`,
+    with one lockstep :func:`optimize_xi` call for the idler-free family.
     """
+    t = np.reshape(np.asarray(total_photons, dtype=float), -1)
     if family == FAMILY_TMSV:
-        m = 1.0 if p.n_b == 0.0 else math.inf
-        total = total_qfi(total_photons, m, p, family)
-        return BandwidthPlan(total_photons, m, total, family,
-                             divergent=math.isinf(total))
-    if family == FAMILY_IDLER_FREE:
-        coh, sq = (total_qfi(total_photons, math.inf, p, family, xi)
-                   for xi in (0.0, 1.0))
-        xi_inf, broadband = (1.0, sq) if sq > coh else (0.0, coh)
+        m_tmsv = 1.0 if p.n_b == 0.0 else math.inf
+        total = total_qfi(t, m_tmsv, p, family)
+        m = np.full(t.shape, m_tmsv)
+        xi_opt = None
     else:
-        broadband = total_qfi(total_photons, math.inf, p, family)
-    if math.isinf(broadband):
-        return BandwidthPlan(total_photons, math.inf, math.inf, family,
-                             divergent=True)
-    if family == FAMILY_COHERENT:
-        return BandwidthPlan(total_photons, 1.0,
-                             total_qfi(total_photons, 1.0, p, family),
-                             family, xi_opt=0.0)
-    single = optimize_xi(total_photons, p)
-    if broadband > single.qfi_opt:
-        return BandwidthPlan(total_photons, math.inf, broadband, family,
-                             xi_opt=xi_inf)
-    return BandwidthPlan(total_photons, 1.0, single.qfi_opt, family,
-                         xi_opt=single.xi_opt)
+        if family == FAMILY_IDLER_FREE:
+            coh, sq = (total_qfi(t, math.inf, p, family, xi) for xi in (0.0, 1.0))
+            xi_inf = np.where(sq > coh, 1.0, 0.0)
+            total = np.where(sq > coh, sq, coh)
+        else:
+            total = total_qfi(t, math.inf, p, family)
+        # divergent points keep the broadband plan, with no xi
+        m = np.full(t.shape, math.inf)
+        xi_opt = np.full(t.shape, math.nan)
+        ok = ~np.isinf(total)
+        # an all-divergent plan evaluates nothing more, nor checks the eta guard
+        if ok.any() and family == FAMILY_COHERENT:
+            m[ok], xi_opt[ok] = 1.0, 0.0
+            total[ok] = total_qfi(t[ok], 1.0, p, family)
+        elif ok.any():
+            broadband = total[ok]
+            single = optimize_xi(t[ok], p)
+            wide = broadband > single.qfi_opt
+            m[ok] = np.where(wide, math.inf, 1.0)
+            total[ok] = np.where(wide, broadband, single.qfi_opt)
+            xi_opt[ok] = np.where(wide, xi_inf[ok], single.xi_opt)
+    divergent = np.isinf(total)
+    if np.ndim(total_photons) == 0:
+        xi_one = None if xi_opt is None or math.isnan(xi_opt[0]) else float(xi_opt[0])
+        return BandwidthPlan(float(total_photons), float(m[0]), float(total[0]),
+                             family, bool(divergent[0]), xi_one)
+    shape = np.shape(total_photons)
+    return BandwidthPlan(t.reshape(shape), m.reshape(shape), total.reshape(shape),
+                         family, divergent.reshape(shape),
+                         None if xi_opt is None else xi_opt.reshape(shape))
 
 
 def advantage_ratio(family_a: str, family_b: str, p: ChannelParams,
-                    n_s: float) -> float:
-    """Ratio of single-copy QFIs of two probe families at equal photon number."""
+                    n_s: float | np.ndarray) -> float | np.ndarray:
+    """Ratio of single-copy QFIs of two probe families at equal photon number.
+
+    Broadcasts over `n_s`; raises `ZeroDivisionError` if any reference QFI
+    vanishes.
+    """
     evaluators = {
         FAMILY_COHERENT: qfi_coherent,
         FAMILY_TMSV: qfi_tmsv,
@@ -428,6 +496,6 @@ def advantage_ratio(family_a: str, family_b: str, p: ChannelParams,
         den = evaluators[family_b](n_s, p)
     except KeyError as exc:
         raise ValueError(f"unknown probe family {exc.args[0]!r}") from None
-    if den == 0.0:
+    if _any(den == 0.0):
         raise ZeroDivisionError("reference QFI vanishes at these parameters")
-    return float(num / den)
+    return _as_output(num / den)

@@ -60,7 +60,8 @@ class QfiBreakdown:
 
     For the idler-free closed form, ``total`` is the sum of the displacement
     term, the squeezing term and the shadow term (the vacuum's metrological
-    power in a thermal background).
+    power in a thermal background).  The fields are arrays when the closed
+    form is evaluated on arrays of photon numbers.
     """
 
     total: float
@@ -75,6 +76,34 @@ def _check_eta(p: ChannelParams):
         raise EtaTooClose(
             f"eta = {p.eta} is inside the guard band (eta <= {1.0 - EPS_ETA}); "
             "use the asymptotic expressions for the eta -> 1 behaviour")
+
+
+def _photons(x, name: str, positive: bool = False):
+    """`x` as a float, or as a float array, with every entry finite and
+    non-negative (positive if `positive`); raises `ValueError` otherwise."""
+    if isinstance(x, (int, float)) or np.ndim(x) == 0:
+        x = low = high = float(x)
+    else:
+        x = np.asarray(x, dtype=float)
+        # NaN propagates through min and max, and fails both tests below
+        low, high = x.min(initial=math.inf), x.max(initial=-math.inf)
+    low_ok = (0.0 < low) if positive else (0.0 <= low)
+    if not (low_ok and high < math.inf):
+        kind = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be finite and {kind}, "
+                         f"got {high if low_ok else low}")
+    return x
+
+
+def _as_output(x):
+    """A result as a Python float when scalar; an array passes through."""
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
+
+
+def _any(mask) -> bool:
+    """Truth of an elementwise comparison on a float or an array; on a float
+    it costs a fraction of `np.any`, which keeps scalar closed forms cheap."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
 # The SLD kernel works through a stack in chunks of this many items, which
@@ -236,7 +265,8 @@ def qfi_fidelity_fd(probe: GaussianState, p: ChannelParams, deta: float = 1e-4) 
 # closed forms, idler-free
 # ---------------------------------------------------------------------------
 
-def qfi_if_closed(n_coh: float, n_sq: float, p: ChannelParams) -> QfiBreakdown:
+def qfi_if_closed(n_coh: float | np.ndarray, n_sq: float | np.ndarray,
+                  p: ChannelParams) -> QfiBreakdown:
     """Idler-free QFI as displacement + squeezing + shadow terms.
 
     Bare channel:  with ``A = (1-e)[N_B(N_B+1) + N_sq eta^2(2N_B+1) - N_B^2 eta^2]``
@@ -251,10 +281,13 @@ def qfi_if_closed(n_coh: float, n_sq: float, p: ChannelParams) -> QfiBreakdown:
     finite when ``A -> 0``.  In the normalized model the background is
     constant, the shadow term vanishes, and the denominators carry
     ``B = N_B(N_B+1) + N_sq eta^2 (2N_B+1) - N_sq eta^4`` instead.
+
+    Broadcasts over the photon numbers `n_coh` and `n_sq`: each field has the
+    shape of the arguments it depends on, and scalar arguments give floats.
+    Elementwise the values equal those of scalar calls, bit for bit.
     """
-    if not (0.0 <= n_coh < math.inf and 0.0 <= n_sq < math.inf):
-        raise ValueError("photon numbers must be finite and non-negative, "
-                         f"got n_coh = {n_coh}, n_sq = {n_sq}")
+    n_coh = _photons(n_coh, "n_coh")
+    n_sq = _photons(n_sq, "n_sq")
     _check_eta(p)
     e2 = p.eta ** 2
     one = 1.0 - e2
@@ -269,26 +302,26 @@ def qfi_if_closed(n_coh: float, n_sq: float, p: ChannelParams) -> QfiBreakdown:
     elif p.normalized:
         i_disp = 4.0 * n_coh / (r * e2 + 2.0 * nb + 1.0 - e2)
         b_den = nb * (nb + 1.0) + n_sq * e2 * (2.0 * nb + 1.0) - n_sq * e2 ** 2
-        if b_den <= 0.0:
-            raise DegenerateDenominator(f"B = {b_den} <= 0")
+        if _any(b_den <= 0.0):
+            raise DegenerateDenominator(f"B = {np.min(b_den)} <= 0")
         i_sq = (4.0 * n_sq * e2 / b_den) * (
             (n_sq + 1.0) * (2.0 * nb + 1.0) ** 2 / (2.0 * b_den + 1.0) - 1.0)
         i_shadow = 0.0
     else:
         i_disp = 4.0 * n_coh / (e2 * r + one * (2.0 * nb + 1.0))
         a_den = one * (nb * (nb + 1.0) + n_sq * e2 * (2.0 * nb + 1.0) - nb ** 2 * e2)
-        if a_den <= 0.0:
-            raise DegenerateDenominator(f"A = {a_den} <= 0")
+        if _any(a_den <= 0.0):
+            raise DegenerateDenominator(f"A = {np.min(a_den)} <= 0")
         i_sq = (4.0 * n_sq * e2 * (2.0 * nb + 1.0) / a_den) * (
             (n_sq + 1.0) * (2.0 * nb + 1.0) / (2.0 * a_den + 1.0) - 1.0)
         i_shadow = 4.0 * nb ** 2 * e2 / a_den
-    return QfiBreakdown(total=float(i_disp + i_sq + i_shadow),
-                        term_displacement=float(i_disp),
-                        term_squeeze=float(i_sq),
-                        term_shadow=float(i_shadow))
+    return QfiBreakdown(total=_as_output(i_disp + i_sq + i_shadow),
+                        term_displacement=_as_output(i_disp),
+                        term_squeeze=_as_output(i_sq),
+                        term_shadow=_as_output(i_shadow))
 
 
-def qfi_coherent(n_s: float, p: ChannelParams) -> float:
+def qfi_coherent(n_s: float | np.ndarray, p: ChannelParams) -> float | np.ndarray:
     """QFI of a coherent probe with `n_s` photons (shadow + displacement terms)."""
     return qfi_if_closed(n_s, 0.0, p).total
 
@@ -298,12 +331,13 @@ def qfi_shadow(p: ChannelParams) -> float:
     return qfi_if_closed(0.0, 0.0, p).total
 
 
-def qfi_squeezed_vacuum(n_s: float, p: ChannelParams) -> float:
+def qfi_squeezed_vacuum(n_s: float | np.ndarray,
+                        p: ChannelParams) -> float | np.ndarray:
     """QFI of a squeezed-vacuum probe with `n_s` photons."""
     return qfi_if_closed(0.0, n_s, p).total
 
 
-def qfi_tmsv(n_s: float, p: ChannelParams) -> float:
+def qfi_tmsv(n_s: float | np.ndarray, p: ChannelParams) -> float | np.ndarray:
     """QFI of the two-mode squeezed vacuum at `n_s` photons per signal mode.
 
     Bare channel (with ``g = N_S + N_B + 2 N_S N_B``):
@@ -312,19 +346,19 @@ def qfi_tmsv(n_s: float, p: ChannelParams) -> float:
 
     which collapses to ``4 N_S / (1 - eta^2)`` at ``N_B = 0``.  The normalized
     model replaces the ``(1-eta^2)`` structure by ``N_B + 1 - eta^2``.
+    Broadcasts over `n_s`; a scalar `n_s` gives a float.
     """
-    if not 0.0 <= n_s < math.inf:
-        raise ValueError(f"n_s must be finite and non-negative, got {n_s}")
+    n_s = _photons(n_s, "n_s")
     e2 = p.eta ** 2
     nb = p.n_b
     if p.normalized and nb > 0.0:
         # regular up to eta -> 1 thanks to the constant background
-        return float(4.0 * n_s * (nb + 1.0 + n_s * (nb + 1.0 - e2))
-                     / ((nb + 1.0 - e2) * (nb + 1.0 + n_s * (2.0 * nb + 1.0 - e2))))
+        return _as_output(4.0 * n_s * (nb + 1.0 + n_s * (nb + 1.0 - e2))
+                          / ((nb + 1.0 - e2) * (nb + 1.0 + n_s * (2.0 * nb + 1.0 - e2))))
     _check_eta(p)
     one = 1.0 - e2
     g = n_s + nb + 2.0 * n_s * nb
-    return float(4.0 * (n_s * (n_s + 1.0) * one + e2 * g) / (one * (1.0 + one * g)))
+    return _as_output(4.0 * (n_s * (n_s + 1.0) * one + e2 * g) / (one * (1.0 + one * g)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -97,20 +98,54 @@ def test_missing_required_flag_exits_2(capsys):
 
 
 def test_sweep_xi_matches_library(capsys):
-    code, out, _ = run_cli(capsys, ["sweep-xi", "--ns-grid", "0.01,1",
-                                    "--eta-grid", "0.5,0.9", "--nb", "0"])
+    for extra in (["--nb", "0"], ["--nb", "1"], ["--nb", "1", "--normalized"]):
+        code, out, _ = run_cli(capsys, ["sweep-xi", "--ns-grid", "0.01,1",
+                                        "--eta-grid", "0.5,0.9", *extra])
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "ns,eta,xi_opt,qfi_opt,boundary"
+        assert len(lines) == 5
+        # row-major: ns outer, eta inner
+        first = lines[1].split(",")
+        assert float(first[0]) == 0.01 and float(first[1]) == 0.5
+        for line in lines[1:]:
+            ns, eta, xi_opt, qfi_opt, boundary = line.split(",")
+            p = ChannelParams(float(eta), float(extra[1]), "--normalized" in extra)
+            res = optimize_xi(float(ns), p)
+            assert [xi_opt, qfi_opt] == [format(res.xi_opt, ".12g"),
+                                         format(res.qfi_opt, ".12g")]
+            assert boundary == res.boundary
+
+
+# SHA-256 of the stdout of the README command lines, plus sweep-xi at --nb 1;
+# the CLI output is required to stay byte-identical
+README_DIGESTS = {
+    "qfi --eta 0.7071 --nb 0 --probe tmsv --ns 1":
+        "bab419067036160bbf00e1d0e54070b494b7a11affd731d2a5a12325a52cf893",
+    "qfi --eta 0.6 --nb 1 --probe dsq --ns 2 --xi 0.5 --route sld":
+        "9758bd19dc95c985d4b54024667675bc17de622ce1ce6aeba2a5c72750669442",
+    "sweep-xi --ns-grid 0.01:100:25:log --eta-grid 0.05:0.95:19 --nb 0":
+        "aa2e7fd7dbf38092ae28afe1715b5ff6e6425b66c7b617dbc9783e96a4b81feb",
+    "sweep-twomode --ns 1 --eta 0.7071 --nb 1 --grid 64x64":
+        "377df84fc1773cb33c5c9fc2110ee898c816578cfc5343a987793962211c4783",
+    "sweep-total --total-ns-grid 0.01:10:13:log --eta-grid 0.3:0.95:14 --nb 0":
+        "49e436921865a26819f0b47022c893442c07fddae9419bddfa976c0e30f67c57",
+    "advantage --eta-grid 1e-4:0.1:13:log --ns-grid 0.01,1 --nb 1000 --normalized":
+        "726297582563147519830654801fa159ccfc059052b7bbc2b493d7e88b4d38ad",
+    "hypothesis --eta-plus 0.9 --eta-minus 0.8 --m 100 --probe coherent --ns 1":
+        "b4e7771398f0303d6fc6757f735bd4ad0f656035b70068f1e8debcb0fd034682",
+    "sweep-xi --ns-grid 0.01:100:25:log --eta-grid 0.05:0.95:19 --nb 1":
+        "bd7f1fd991c3bbc7a09a561b5091020752ddeefbd48b12ab0da3888ee91e2613",
+}
+
+
+@pytest.mark.filterwarnings("ignore:.*threshold approximation is unreliable")
+@pytest.mark.parametrize("command", list(README_DIGESTS), ids=[
+    f"{c.split()[0]}-{i}" for i, c in enumerate(README_DIGESTS)])
+def test_readme_output_is_pinned(capsys, command):
+    code, out, _ = run_cli(capsys, command.split())
     assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[0] == "ns,eta,xi_opt,qfi_opt,boundary"
-    assert len(lines) == 5
-    # row-major: ns outer, eta inner
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.01 and float(first[1]) == 0.5
-    for line in lines[1:]:
-        ns, eta, xi_opt, qfi_opt, boundary = line.split(",")
-        res = optimize_xi(float(ns), ChannelParams(float(eta), 0.0))
-        assert float(xi_opt) == pytest.approx(res.xi_opt, abs=1e-10)
-        assert boundary == res.boundary
+    assert hashlib.sha256(out.encode()).hexdigest() == README_DIGESTS[command]
 
 
 def test_sweep_twomode_argmax_and_markers(capsys):

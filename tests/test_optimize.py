@@ -1,11 +1,13 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from lossfish import (ChannelParams, EtaTooClose, advantage_ratio, f1, g1, g2,
                       homodyne_fisher, optimize_bandwidth, optimize_two_mode,
-                      optimize_xi, qfi_if_closed, qfi_shadow, qfi_squeezed_vacuum,
+                      optimize_xi, qfi_coherent, qfi_if_closed, qfi_shadow,
+                      qfi_squeezed_vacuum,
                       qfi_tmsv, threshold_constant_large_ns,
                       tmsv_stationarity_check, total_qfi, xi_threshold_nbar)
 from lossfish.optimize import (BOUNDARY_COHERENT, BOUNDARY_SQUEEZED,
@@ -105,6 +107,45 @@ def test_g2_is_the_low_power_squeezed_slope():
         assert g2(eta, nb) == pytest.approx(slope, rel=1e-4)
     with pytest.raises(ValueError):
         g2(0.5, 0.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_f1_rejects_non_finite(x):
+    for args in ((x, 1.0), (0.8, x), (0.8, np.array([1.0, x]))):
+        with pytest.raises(ValueError):
+            f1(*args)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_g1_rejects_non_finite(x):
+    for args in ((x, 1.0), (0.5, x)):
+        with pytest.raises(ValueError):
+            g1(*args)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_g2_rejects_non_finite(x):
+    for args in ((x, 1.0), (0.5, x)):
+        with pytest.raises(ValueError):
+            g2(*args)
+
+
+def f1_python(eta, n_s):
+    # the edge slope in Python floats: libm pow for the square, math.sqrt
+    e2 = eta ** 2
+    one = 1.0 - e2
+    first = (one ** 2 + e2 ** 2) / (one * (1.0 + 2.0 * n_s * e2 * one) ** 2)
+    return first - 1.0 / (1.0 - 2.0 * e2 * (math.sqrt(n_s * (n_s + 1.0)) - n_s))
+
+
+def test_f1_array_equals_python_float_arithmetic():
+    # an array square is rounded unlike Python's `**` in about one case per
+    # thousand; f1 must keep the Python-float values, bit for bit
+    rng = np.random.default_rng(5)
+    n_s = np.exp(rng.uniform(np.log(1e-4), np.log(1e4), 2000))
+    for eta in (0.72, 0.9, 0.999):
+        np.testing.assert_array_equal(f1(eta, n_s),
+                                      [f1_python(eta, float(n)) for n in n_s])
 
 
 def test_g2_crossing_matches_abrupt_transition():
@@ -418,9 +459,16 @@ P_NORM = ChannelParams(0.5, 1.0, normalized=True)
     lambda x: homodyne_fisher(x, 1.0, P_BARE),
     lambda x: qfi_if_closed(x, 0.0, P_BARE),
     lambda x: qfi_if_closed(0.0, x, P_BARE),
+    lambda x: optimize_xi(np.array([1.0, x]), P_BARE),
+    lambda x: total_qfi(np.array([1.0, x]), 1.0, P_BARE),
+    lambda x: optimize_bandwidth(np.array([1.0, x]), P_NORM),
+    lambda x: qfi_tmsv(np.array([1.0, x]), P_BARE),
+    lambda x: qfi_if_closed(np.array([1.0, x]), 0.0, P_BARE),
 ], ids=["optimize_xi", "total_qfi_photons", "total_qfi_m", "total_qfi_xi",
         "optimize_bandwidth", "tmsv_stationarity_check", "homodyne_fisher",
-        "qfi_if_closed_coh", "qfi_if_closed_sq"])
+        "qfi_if_closed_coh", "qfi_if_closed_sq", "optimize_xi_array",
+        "total_qfi_array", "optimize_bandwidth_array", "qfi_tmsv_array",
+        "qfi_if_closed_array"])
 def test_library_boundary_rejects_non_finite(call, x):
     with pytest.raises(ValueError):
         call(x)
@@ -479,3 +527,139 @@ def test_advantage_division_by_zero_flagged():
     with pytest.raises(ZeroDivisionError):
         advantage_ratio(FAMILY_COHERENT, "squeezed_vacuum",
                         ChannelParams(0.0, 10.0), 1.0)
+    with pytest.raises(ZeroDivisionError):
+        advantage_ratio(FAMILY_COHERENT, "squeezed_vacuum",
+                        ChannelParams(0.0, 10.0), np.array([1.0, 2.0]))
+
+
+# ---------------------------------------------------------------------------
+# array calls: every element equals the scalar call, bit for bit
+# ---------------------------------------------------------------------------
+
+CHANNELS = [ChannelParams(0.5, 0.0), ChannelParams(0.9, 0.0),
+            ChannelParams(0.6, 1.0), ChannelParams(0.95, 1.0),
+            ChannelParams(0.99, 100.0), ChannelParams(0.6, 1.0, normalized=True),
+            ChannelParams(0.95, 1.0, normalized=True)]
+CHANNEL_IDS = ["nb0-below", "nb0-above", "bare", "bare-squeezed-scan",
+               "bare-coherent-scan", "normalized", "normalized-squeezed-scan"]
+NS_WIDE = np.geomspace(1e-4, 1e3, 15)
+# N_S across the f1 edge of the xi search at eta = 0.9, N_B = 0
+NS_F1_EDGE = xi_threshold_nbar(0.9) * np.array([0.5, 0.999999, 1.0, 1.000001, 2.0])
+
+
+def reference_optimize_xi(n_s, p, xi_tol=1e-8):
+    # the per-point search in Python floats: f1 edge rule, 64-point scan with
+    # its first maximum, golden section, edge comparisons
+    def value(xi):
+        return qfi_if_closed((1.0 - xi) * n_s, xi * n_s, p).total
+
+    if p.n_b == 0.0 and p.eta > SQRT_HALF and f1_python(p.eta, n_s) >= 0.0:
+        return 1.0, value(1.0), BOUNDARY_SQUEEZED
+    if p.n_b == 0.0:
+        lo, hi = 0.0, 1.0
+    else:
+        grid = np.linspace(0.0, 1.0, 64)
+        best = int(np.argmax([value(x) for x in grid]))
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, 63)]
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+    f_1, f_2 = value(x1), value(x2)
+    while hi - lo > xi_tol:
+        if f_1 < f_2:
+            lo, x1, f_1 = x1, x2, f_2
+            x2 = lo + golden * (hi - lo)
+            f_2 = value(x2)
+        else:
+            hi, x2, f_2 = x2, x1, f_1
+            x1 = hi - golden * (hi - lo)
+            f_1 = value(x1)
+    xi_star = 0.5 * (lo + hi)
+    q_star, q_coh, q_sq = value(xi_star), value(0.0), value(1.0)
+    if q_coh >= q_star and q_coh >= q_sq:
+        return 0.0, q_coh, BOUNDARY_COHERENT
+    if q_sq >= q_star:
+        return 1.0, q_sq, BOUNDARY_SQUEEZED
+    return float(xi_star), float(q_star), "interior"
+
+
+def scan_argmax(n_s, p):
+    return int(np.argmax([if_qfi(n_s, x, p) for x in np.linspace(0.0, 1.0, 64)]))
+
+
+def test_exactness_cases_reach_every_branch():
+    # the cases below cross the f1 edge and put the scan maximum at both ends
+    assert [optimize_xi(n, ChannelParams(0.9, 0.0)).boundary
+            for n in NS_F1_EDGE[[1, 3]]] == [BOUNDARY_SQUEEZED, "interior"]
+    maxima = {scan_argmax(n, p) for p in CHANNELS if p.n_b > 0 for n in NS_WIDE}
+    assert {0, 63} <= maxima
+
+
+@pytest.mark.parametrize("p", CHANNELS, ids=CHANNEL_IDS)
+def test_optimize_xi_array_equals_scalar_calls(p):
+    n_s = np.concatenate([NS_WIDE, NS_F1_EDGE])
+    res = optimize_xi(n_s, p)
+    scalar = [astuple(optimize_xi(float(n), p)) for n in n_s]
+    assert scalar == [reference_optimize_xi(float(n), p) for n in n_s]
+    for k, field in enumerate(astuple(res)):
+        np.testing.assert_array_equal(field, [r[k] for r in scalar])
+    assert optimize_xi(n_s.reshape(4, 5), p).boundary.shape == (4, 5)
+
+
+@pytest.mark.parametrize("p", CHANNELS, ids=CHANNEL_IDS)
+def test_closed_forms_array_equal_scalar_calls(p):
+    parts = qfi_if_closed(NS_WIDE[:, None], NS_F1_EDGE[None, :], p)
+    assert parts.total.shape == (15, 5)
+    scalar = [[astuple(qfi_if_closed(float(a), float(b), p))[:4] for b in NS_F1_EDGE]
+              for a in NS_WIDE]
+    for k, field in enumerate(astuple(parts)[:4]):
+        # each term broadcasts over the photon numbers it depends on
+        np.testing.assert_array_equal(np.broadcast_to(field, (15, 5)),
+                                      [[row[k] for row in line] for line in scalar])
+    for fn in (qfi_tmsv, qfi_coherent, qfi_squeezed_vacuum):
+        np.testing.assert_array_equal(fn(NS_WIDE, p), [fn(float(n), p) for n in NS_WIDE])
+    np.testing.assert_array_equal(
+        advantage_ratio(FAMILY_TMSV, FAMILY_COHERENT, p, NS_WIDE),
+        [advantage_ratio(FAMILY_TMSV, FAMILY_COHERENT, p, float(n)) for n in NS_WIDE])
+
+
+@pytest.mark.parametrize("p", CHANNELS, ids=CHANNEL_IDS)
+def test_total_qfi_and_bandwidth_arrays_equal_scalar_calls(p):
+    totals = np.concatenate([NS_WIDE, NS_F1_EDGE])
+    for family in (FAMILY_IDLER_FREE, FAMILY_TMSV, FAMILY_COHERENT):
+        for m in (1.0, 3.0, math.inf):
+            for xi in (0.0, 0.3, 1.0):
+                np.testing.assert_array_equal(
+                    total_qfi(totals, m, p, family, xi),
+                    [total_qfi(float(t), m, p, family, xi) for t in totals])
+        plan = optimize_bandwidth(totals, p, family)
+        scalar = [optimize_bandwidth(float(t), p, family) for t in totals]
+        for field in ("total_photons", "m", "total_qfi", "divergent"):
+            np.testing.assert_array_equal(getattr(plan, field),
+                                          [getattr(s, field) for s in scalar])
+        if plan.xi_opt is None:
+            assert all(s.xi_opt is None for s in scalar)
+        else:
+            np.testing.assert_array_equal(
+                plan.xi_opt, [math.nan if s.xi_opt is None else s.xi_opt
+                              for s in scalar])
+
+
+def test_scalar_arguments_give_python_floats():
+    p = ChannelParams(0.6, 1.0)
+    values = [qfi_if_closed(1.0, 0.5, p).total, qfi_if_closed(1.0, 0.5, p).term_shadow,
+              qfi_tmsv(1.0, p), qfi_coherent(1.0, p), total_qfi(1.0, 2.0, p),
+              total_qfi(1.0, math.inf, ChannelParams(0.6, 1.0, normalized=True)),
+              total_qfi(1.0, math.inf, p), f1(0.9, 1.0),
+              advantage_ratio(FAMILY_TMSV, FAMILY_COHERENT, p, 1.0),
+              *astuple(optimize_xi(1.0, p))[:2]]
+    plan = optimize_bandwidth(1.0, ChannelParams(0.6, 0.0))
+    values += [plan.total_photons, plan.m, plan.total_qfi, plan.xi_opt]
+    assert all(type(v) is float for v in values)
+    assert type(optimize_xi(1.0, p).boundary) is str
+    assert type(plan.divergent) is bool
+
+
+def test_array_photon_numbers_must_be_positive():
+    for call in (lambda n: optimize_xi(n, P_BARE), lambda n: total_qfi(n, 1.0, P_BARE)):
+        with pytest.raises(ValueError):
+            call(np.array([1.0, 0.0]))

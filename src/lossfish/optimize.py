@@ -20,9 +20,9 @@ import numpy as np
 from .channel import ChannelParams, moment_derivatives, output_moments
 from .errors import SingularSystem
 from .probes import two_mode_moments, two_mode_r_min
-from .qfi import (_any, _as_output, _check_eta, _photons, _sld_qfi_batch,
-                  _two_mode_closed_raw, qfi_coherent, qfi_if_closed,
-                  qfi_squeezed_vacuum, qfi_tmsv)
+from .qfi import (_any, _as_output, _check_eta, _if_total, _photons,
+                  _sld_qfi_batch, _two_mode_closed_raw, qfi_coherent,
+                  qfi_if_closed, qfi_squeezed_vacuum, qfi_tmsv)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -228,13 +228,15 @@ def optimize_xi(n_s: float | np.ndarray, p: ChannelParams,
     refinement (the low-power thermal landscape switches abruptly between the
     two edges).  `n_s` may be an array: all points are searched together, one
     closed-form evaluation per step, each with the values a scalar call gives.
+    The inputs are checked once here; the search steps evaluate the closed
+    form's total without its checks.
     """
     n_s = _photons(n_s, "n_s", positive=True)
     _check_eta(p)
     ns = np.reshape(n_s, -1)
 
     def value(xi, n):
-        return qfi_if_closed((1.0 - xi) * n, xi * n, p).total
+        return _if_total((1.0 - xi) * n, xi * n, p)
 
     squeezed = np.zeros(ns.shape, dtype=bool)
     if p.n_b == 0.0:

@@ -38,7 +38,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import (ChannelParams, additive_noise, additive_noise_derivative,
-                      apply_channel, channel_derivative, gamma_to_eta)
+                      apply_channel, gamma_to_eta, moment_derivatives,
+                      output_moments)
 from .errors import DegenerateDenominator, EtaTooClose, SingularSystem
 from .fidelity import gaussian_fidelity
 from .probes import TwoModeProbe, squeeze_parameter
@@ -210,16 +211,11 @@ def _sld_qfi_batch(st, dst, ddt, raise_on_bad=True):
     return values
 
 
-def _output_moments(probe: GaussianState, p: ChannelParams):
-    out = apply_channel(probe, p)
-    d_dot, s_dot = channel_derivative(probe, p)
-    return out.d, out.sigma, d_dot, s_dot
-
-
 def qfi_sld(probe: GaussianState, p: ChannelParams) -> float:
     """QFI from the SLD linear system; works for 1- and 2-mode probes."""
     _check_eta(p)
-    _, st, ddt, dst = _output_moments(probe, p)
+    _, st = output_moments(probe.d, probe.sigma, p)
+    ddt, dst = moment_derivatives(probe.d, probe.sigma, p)
     return float(_sld_qfi_batch(st[None], dst[None], ddt[None])[0])
 
 
@@ -228,7 +224,8 @@ def qfi_single_mode_form(probe: GaussianState, p: ChannelParams) -> float:
     if probe.modes != 1:
         raise ValueError("the purity form applies to single-mode states")
     _check_eta(p)
-    dt, st, ddt, dst = _output_moments(probe, p)
+    _, st = output_moments(probe.d, probe.sigma, p)
+    ddt, dst = moment_derivatives(probe.d, probe.sigma, p)
     st_inv = np.linalg.inv(st)
     ratio = st_inv @ dst
     mu = (4.0 * np.linalg.det(st)) ** -0.5
@@ -265,30 +262,15 @@ def qfi_fidelity_fd(probe: GaussianState, p: ChannelParams, deta: float = 1e-4) 
 # closed forms, idler-free
 # ---------------------------------------------------------------------------
 
-def qfi_if_closed(n_coh: float | np.ndarray, n_sq: float | np.ndarray,
-                  p: ChannelParams) -> QfiBreakdown:
-    """Idler-free QFI as displacement + squeezing + shadow terms.
+def _if_total(n_coh, n_sq, p: ChannelParams):
+    """Total of :func:`qfi_if_closed` for checked inputs; arrays stay arrays."""
+    i_disp, i_sq, i_shadow = _if_terms(n_coh, n_sq, p)
+    return i_disp + i_sq + i_shadow
 
-    Bare channel:  with ``A = (1-e)[N_B(N_B+1) + N_sq eta^2(2N_B+1) - N_B^2 eta^2]``
-    and ``e = eta^2``,
 
-        I_disp   = 4 N_coh / [eta^2 r + (1-e)(2 N_B + 1)]
-        I_sq     = (4 N_sq eta^2 (2N_B+1)/A) [ (N_sq+1)(2N_B+1)/(2A+1) - 1 ]
-        I_shadow = 4 N_B^2 eta^2 / A
-
-    At ``N_B = 0`` the squeezing term reduces exactly to
-    ``4 N_sq [(1-e)^2 + e^2] / [(1-e)(2A+1)]``, which is used directly to stay
-    finite when ``A -> 0``.  In the normalized model the background is
-    constant, the shadow term vanishes, and the denominators carry
-    ``B = N_B(N_B+1) + N_sq eta^2 (2N_B+1) - N_sq eta^4`` instead.
-
-    Broadcasts over the photon numbers `n_coh` and `n_sq`: each field has the
-    shape of the arguments it depends on, and scalar arguments give floats.
-    Elementwise the values equal those of scalar calls, bit for bit.
-    """
-    n_coh = _photons(n_coh, "n_coh")
-    n_sq = _photons(n_sq, "n_sq")
-    _check_eta(p)
+def _if_terms(n_coh, n_sq, p: ChannelParams):
+    """The three terms of :func:`qfi_if_closed`; trusts `n_coh`, `n_sq` and
+    the eta guard, checks only the sign of the denominators."""
     e2 = p.eta ** 2
     one = 1.0 - e2
     nb = p.n_b
@@ -315,6 +297,34 @@ def qfi_if_closed(n_coh: float | np.ndarray, n_sq: float | np.ndarray,
         i_sq = (4.0 * n_sq * e2 * (2.0 * nb + 1.0) / a_den) * (
             (n_sq + 1.0) * (2.0 * nb + 1.0) / (2.0 * a_den + 1.0) - 1.0)
         i_shadow = 4.0 * nb ** 2 * e2 / a_den
+    return i_disp, i_sq, i_shadow
+
+
+def qfi_if_closed(n_coh: float | np.ndarray, n_sq: float | np.ndarray,
+                  p: ChannelParams) -> QfiBreakdown:
+    """Idler-free QFI as displacement + squeezing + shadow terms.
+
+    Bare channel:  with ``A = (1-e)[N_B(N_B+1) + N_sq eta^2(2N_B+1) - N_B^2 eta^2]``
+    and ``e = eta^2``,
+
+        I_disp   = 4 N_coh / [eta^2 r + (1-e)(2 N_B + 1)]
+        I_sq     = (4 N_sq eta^2 (2N_B+1)/A) [ (N_sq+1)(2N_B+1)/(2A+1) - 1 ]
+        I_shadow = 4 N_B^2 eta^2 / A
+
+    At ``N_B = 0`` the squeezing term reduces exactly to
+    ``4 N_sq [(1-e)^2 + e^2] / [(1-e)(2A+1)]``, which is used directly to stay
+    finite when ``A -> 0``.  In the normalized model the background is
+    constant, the shadow term vanishes, and the denominators carry
+    ``B = N_B(N_B+1) + N_sq eta^2 (2N_B+1) - N_sq eta^4`` instead.
+
+    Broadcasts over the photon numbers `n_coh` and `n_sq`: each field has the
+    shape of the arguments it depends on, and scalar arguments give floats.
+    Elementwise the values equal those of scalar calls, bit for bit.
+    """
+    n_coh = _photons(n_coh, "n_coh")
+    n_sq = _photons(n_sq, "n_sq")
+    _check_eta(p)
+    i_disp, i_sq, i_shadow = _if_terms(n_coh, n_sq, p)
     return QfiBreakdown(total=_as_output(i_disp + i_sq + i_shadow),
                         term_displacement=_as_output(i_disp),
                         term_squeeze=_as_output(i_sq),

@@ -14,6 +14,8 @@ A state is physical iff ``Sigma + i*Omega/2 >= 0``; purity is
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +41,9 @@ class GaussianState:
     """First moments `d` and covariance `sigma` of a 1- or 2-mode Gaussian state.
 
     Instances are produced by :func:`make_state`, which validates symmetry and
-    physicality; the stored arrays are read-only.
+    physicality at the boundary, or by the channel, whose outputs are built
+    trusted: a physical channel maps a physical state to a physical state, so
+    they are not checked again.  The stored arrays are read-only.
     """
 
     modes: int
@@ -60,14 +64,19 @@ class GaussianState:
 def make_state(d, sigma) -> GaussianState:
     """Validate moments and return an immutable :class:`GaussianState`.
 
+    This is the one public constructor and the boundary where states are
+    checked; states derived from a validated one by the channel are not
+    checked again.
+
     Raises
     ------
     DimensionMismatch
         If shapes are inconsistent or the mode count is not 1 or 2.
     NonPhysical
-        If `sigma` is not symmetric, violates the Heisenberg relation
-        ``Sigma + i*Omega/2 >= 0`` (margin below -1e-10), or has
-        ``det Sigma < (1/4)**modes - 1e-12`` (purity above 1).
+        If any entry of `d` or `sigma` is not finite, `sigma` is not
+        symmetric, violates the Heisenberg relation ``Sigma + i*Omega/2 >= 0``
+        (margin below -1e-10), or has ``det Sigma < (1/4)**modes - 1e-12``
+        (purity above 1).
     """
     d = np.asarray(d, dtype=float).reshape(-1).copy()
     sigma = np.asarray(sigma, dtype=float).copy()
@@ -77,22 +86,45 @@ def make_state(d, sigma) -> GaussianState:
     if sigma.shape != (2 * modes, 2 * modes):
         raise DimensionMismatch(
             f"covariance shape {sigma.shape} inconsistent with {modes} mode(s)")
+    if not (np.isfinite(d).all() and np.isfinite(sigma).all()):
+        raise NonPhysical("first moments and covariance must be finite")
     if np.max(np.abs(sigma - sigma.T)) > SYM_TOL:
         raise NonPhysical("covariance matrix is not symmetric")
     sigma = 0.5 * (sigma + sigma.T)
     margin = heisenberg_margin(sigma)
+    norm = float(np.linalg.norm(sigma))
     # eigenvalue roundoff scales with |Sigma|; bright states get matching slack
-    scale = max(1.0, float(np.linalg.norm(sigma)))
-    if margin < HEISENBERG_TOL * scale:
+    if margin < HEISENBERG_TOL * max(1.0, norm):
         raise NonPhysical(f"Heisenberg relation violated (margin {margin:.3e})")
     # determinant roundoff grows like |Sigma|^(2 modes); keep the purity check
     # meaningful for bright states
-    det_slack = DET_TOL * max(1.0, float(np.linalg.norm(sigma)) ** (2 * modes))
+    det_slack = DET_TOL * max(1.0, norm ** (2 * modes))
     if np.linalg.det(sigma) < 0.25 ** modes - det_slack:
         raise NonPhysical("det(Sigma) below the pure-state minimum")
+    return _trusted_state(d, sigma)
+
+
+def _trusted_state(d: np.ndarray, sigma: np.ndarray) -> GaussianState:
+    """A state from moments known to be physical, with no checks.
+
+    `d` and `sigma` must be float arrays of shapes ``(2m,)`` and
+    ``(2m, 2m)``, owned by the caller, with `sigma` exactly symmetric; they
+    are made read-only, not copied.
+    """
     d.setflags(write=False)
     sigma.setflags(write=False)
-    return GaussianState(modes=modes, d=d, sigma=sigma)
+    return GaussianState(modes=d.size // 2, d=d, sigma=sigma)
+
+
+@functools.cache
+def _embedding_template(n: int) -> np.ndarray:
+    """``[[0, -Omega/2], [Omega/2, 0]]`` for an n x n covariance, read-only."""
+    half_omega = 0.5 * symplectic_form(n // 2)
+    template = np.zeros((2 * n, 2 * n))
+    template[:n, n:] = -half_omega
+    template[n:, :n] = half_omega
+    template.setflags(write=False)
+    return template
 
 
 def heisenberg_margin(sigma) -> float:
@@ -100,12 +132,17 @@ def heisenberg_margin(sigma) -> float:
 
     The Hermitian matrix is diagonalized through its real embedding
     ``[[Sigma, -Omega/2], [Omega/2, Sigma]]``, whose spectrum doubles that of
-    ``Sigma + i*Omega/2``.
+    ``Sigma + i*Omega/2``.  Any even size works; other shapes raise
+    `DimensionMismatch`.
     """
     sigma = np.asarray(sigma, dtype=float)
-    modes = sigma.shape[0] // 2
-    half_omega = 0.5 * symplectic_form(modes)
-    embed = np.block([[sigma, -half_omega], [half_omega, sigma]])
+    n = sigma.shape[0] if sigma.ndim == 2 else 0
+    if n == 0 or n % 2 or sigma.shape != (n, n):
+        raise DimensionMismatch(
+            f"covariance must be square of even size, got shape {sigma.shape}")
+    embed = _embedding_template(n).copy()
+    embed[:n, :n] = sigma
+    embed[n:, n:] = sigma
     return float(np.linalg.eigvalsh(embed)[0])
 
 
@@ -122,6 +159,6 @@ def vacuum(modes: int = 1) -> GaussianState:
 
 def thermal(n_bar: float) -> GaussianState:
     """Single-mode thermal state with mean photon number `n_bar`."""
-    if n_bar < 0:
-        raise NonPhysical("thermal photon number must be non-negative")
+    if not 0.0 <= n_bar < math.inf:
+        raise NonPhysical(f"thermal photon number must be finite and >= 0, got {n_bar}")
     return make_state(np.zeros(2), (n_bar + 0.5) * np.eye(2))

@@ -8,9 +8,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from lossfish import ChannelParams, TwoModeProbe, build_two_mode  # noqa: E402
-from lossfish.qfi import (_output_moments, _sld_qfi_batch,  # noqa: E402
-                          _two_mode_closed_raw)
+from lossfish import (ChannelParams, SingleModeProbe, TwoModeProbe,  # noqa: E402
+                      apply_channel, build_single_mode, build_two_mode,
+                      make_state, tmsv)
+from lossfish.channel import moment_derivatives, output_moments  # noqa: E402
+from lossfish.qfi import _sld_qfi_batch, _two_mode_closed_raw  # noqa: E402
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -23,7 +25,34 @@ def test_sld_kernel_matches_two_mode_closed_form(eta, n_s, n_b, zeta, r_pos):
     r = math.exp((1.0 - r_pos) * math.log(r_min))
     p = ChannelParams(eta, n_b)
     probe = build_two_mode(TwoModeProbe(n_s, zeta, r))
-    _, sigma, ddt, dst = _output_moments(probe, p)
+    _, sigma = output_moments(probe.d, probe.sigma, p)
+    ddt, dst = moment_derivatives(probe.d, probe.sigma, p)
     value = _sld_qfi_batch(sigma[None], dst[None], ddt[None])[0]
     closed = _two_mode_closed_raw(n_s, zeta, r, 0.0, eta, n_b)
     assert value == pytest.approx(closed, rel=1e-8)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["single_mode", "tmsv", "two_mode"]),
+       n_s=st.floats(0.0, 1e3), mix=st.floats(0.0, 1.0),
+       r_pos=st.floats(0.0, 1.0), theta=st.floats(0.0, 2.0 * math.pi),
+       phi=st.floats(0.0, 2.0 * math.pi), eta=st.floats(0.0, 1.0 - 1e-7),
+       n_b=st.floats(0.0, 1e3), normalized=st.booleans())
+def test_channel_outputs_pass_make_state(kind, n_s, mix, r_pos, theta, phi,
+                                         eta, n_b, normalized):
+    # apply_channel skips validation; its output must be the state that
+    # make_state would build from the same moments, bit for bit
+    if kind == "single_mode":
+        state = build_single_mode(SingleModeProbe(n_s, mix, theta))
+    elif kind == "tmsv":
+        state = tmsv(n_s)
+    else:
+        # r log-uniform in [r_min, 1]
+        r = TwoModeProbe(n_s, mix, 1.0).r_min ** (1.0 - r_pos)
+        state = build_two_mode(TwoModeProbe(n_s, mix, r, theta, phi))
+    out = apply_channel(state, ChannelParams(eta, n_b, normalized))
+    checked = make_state(out.d, out.sigma)
+    assert out.modes == checked.modes == state.modes
+    assert out.d.tobytes() == checked.d.tobytes()
+    assert out.sigma.tobytes() == checked.sigma.tobytes()
+    assert not (out.d.flags.writeable or out.sigma.flags.writeable)

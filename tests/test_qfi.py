@@ -7,8 +7,8 @@ from lossfish import (ChannelParams, EtaTooClose, SingleModeProbe,
                       qfi_fidelity_fd, qfi_gamma, qfi_if_closed, qfi_shadow,
                       qfi_single_mode_form, qfi_sld, qfi_squeezed_vacuum,
                       qfi_tmsv, qfi_two_mode_closed, tmsv, vacuum)
-from lossfish.qfi import (SLD_CHUNK, _output_moments, _sld_qfi_batch,
-                          _two_mode_closed_raw)
+from lossfish.channel import moment_derivatives, output_moments
+from lossfish.qfi import SLD_CHUNK, _sld_qfi_batch, _two_mode_closed_raw
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -338,10 +338,12 @@ def test_qfi_gamma():
 
 def output_stack(probes, p):
     """Channel outputs (st, dst, ddt) of two-mode probes, stacked."""
-    moments = [_output_moments(build_two_mode(probe), p) for probe in probes]
-    return (np.stack([mom[1] for mom in moments]),
-            np.stack([mom[3] for mom in moments]),
-            np.stack([mom[2] for mom in moments]))
+    states = [build_two_mode(probe) for probe in probes]
+    d = np.stack([state.d for state in states])
+    sigma = np.stack([state.sigma for state in states])
+    _, st = output_moments(d, sigma, p)
+    ddt, dst = moment_derivatives(d, sigma, p)
+    return st, dst, ddt
 
 
 def random_two_mode_probes(rng, count):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from lossfish import (DimensionMismatch, NonPhysical, heisenberg_margin,
-                      make_state, purity, symplectic_form, thermal, vacuum)
+from lossfish import (ChannelParams, DimensionMismatch, NonPhysical,
+                      apply_channel, heisenberg_margin, make_state, purity,
+                      symplectic_form, thermal, tmsv, vacuum)
 
 
 def rotation(theta):
@@ -93,11 +94,88 @@ def test_random_accepted_states_have_nonnegative_margin():
 
 
 def test_states_are_immutable():
-    state = vacuum()
-    with pytest.raises(ValueError):
-        state.sigma[0, 0] = 2.0
-    with pytest.raises(ValueError):
-        state.d[0] = 1.0
+    # a validated state, and a channel output, which is built trusted
+    for state in (vacuum(), apply_channel(tmsv(1.0), ChannelParams(0.6, 0.4))):
+        with pytest.raises(ValueError):
+            state.sigma[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            state.d[0] = 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_covariance_rejected(bad):
+    with pytest.raises(NonPhysical, match="finite"):
+        make_state([0.0, 0.0], [[bad, 0.0], [0.0, bad]])
+    sigma = 0.5 * np.eye(4)
+    sigma[1, 3] = sigma[3, 1] = bad
+    with pytest.raises(NonPhysical, match="finite"):
+        make_state(np.zeros(4), sigma)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_first_moments_rejected(bad):
+    with pytest.raises(NonPhysical, match="finite"):
+        make_state([bad, 0.0], 0.5 * np.eye(2))
+    with pytest.raises(NonPhysical, match="finite"):
+        make_state([0.0, 0.0, 0.0, bad], 0.5 * np.eye(4))
+
+
+@pytest.mark.parametrize("n_bar", [np.nan, np.inf, -1.0])
+def test_thermal_rejects_out_of_domain_photons(n_bar):
+    with pytest.raises(NonPhysical):
+        thermal(n_bar)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4, 2), (2,), (0, 0), (2, 2, 2)])
+def test_heisenberg_margin_shape_errors_are_typed(shape):
+    with pytest.raises(DimensionMismatch):
+        heisenberg_margin(np.ones(shape))
+
+
+def test_heisenberg_margin_any_even_size():
+    assert heisenberg_margin(np.eye(6)) == 0.5
+    assert heisenberg_margin(0.5 * np.eye(8)) == pytest.approx(0.0, abs=1e-12)
+
+
+def block_margin(sigma):
+    """The margin from an embedding assembled with np.block."""
+    half_omega = 0.5 * symplectic_form(len(sigma) // 2)
+    embed = np.block([[sigma, -half_omega], [half_omega, sigma]])
+    return float(np.linalg.eigvalsh(embed)[0])
+
+
+def random_physical_covariance(rng, modes):
+    """S diag(nu_k, nu_k) S^T with a random symplectic S (squeezings and
+    rotations, a beam splitter between two modes); nu_k >= 1/2."""
+    nu = 0.5 + rng.exponential(10.0 ** rng.uniform(-3.0, 3.0), size=modes)
+    sigma = np.diag(np.repeat(nu, 2))
+    for _ in range(2):
+        symp = np.zeros((2 * modes, 2 * modes))
+        for k in range(modes):
+            r = np.exp(rng.uniform(-2.0, 2.0))
+            symp[2 * k:2 * k + 2, 2 * k:2 * k + 2] = \
+                rotation(rng.uniform(0, 2 * np.pi)) @ np.diag([r, 1.0 / r])
+        if modes == 2:
+            angle = rng.uniform(0, np.pi)
+            c, s = np.cos(angle), np.sin(angle)
+            mix = np.block([[c * np.eye(2), s * np.eye(2)],
+                            [-s * np.eye(2), c * np.eye(2)]])
+            symp = mix @ symp
+        sigma = symp @ sigma @ symp.T
+    return 0.5 * (sigma + sigma.T)
+
+
+def test_heisenberg_margin_equals_block_embedding_exactly():
+    rng = np.random.default_rng(17)
+    norms = []
+    for modes in (1, 2):
+        for _ in range(150):
+            sigma = make_state(np.zeros(2 * modes),
+                               random_physical_covariance(rng, modes)).sigma
+            norms.append(np.linalg.norm(sigma))
+            assert heisenberg_margin(sigma) == block_margin(sigma)
+    # bright covariances are covered
+    assert max(norms) > 1e5
 
 
 def test_mode_photons_bookkeeping():

@@ -35,7 +35,7 @@ class HypothesisSpec:
     def __post_init__(self):
         if not 0.0 <= self.eta_minus < self.eta_plus <= 1.0:
             raise ValueError("require 0 <= eta_minus < eta_plus <= 1")
-        if self.m < 1:
+        if not self.m >= 1:
             raise ValueError("m must be at least 1")
 
     @property
@@ -51,10 +51,15 @@ def fidelity_error_bound(spec: HypothesisSpec) -> float:
     return 0.5 * fid ** (spec.m / 2.0)
 
 
+def _check_args(d_eta: float, m: int, i_eta: float):
+    if not (0.0 <= d_eta < math.inf and 0.0 <= i_eta < math.inf and m >= 1):
+        raise ValueError("d_eta and i_eta must be finite and non-negative, "
+                         f"m >= 1; got d_eta = {d_eta}, m = {m}, i_eta = {i_eta}")
+
+
 def qfi_error_approx(d_eta: float, m: int, i_eta: float) -> float:
     """Small-separation form (1/2) exp(-M d_eta^2 I / 8) of the fidelity bound."""
-    if d_eta < 0 or m < 1 or i_eta < 0:
-        raise ValueError("d_eta and i_eta must be non-negative, m >= 1")
+    _check_args(d_eta, m, i_eta)
     if d_eta ** 2 * i_eta > 0.1:
         warnings.warn("d_eta^2 * I exceeds 0.1; the quadratic fidelity "
                       "expansion is inaccurate here", stacklevel=2)
@@ -67,8 +72,7 @@ def threshold_strategy_error(d_eta: float, m: int, i_eta: float) -> float:
     Valid for ``M d_eta^2 I`` large, where the estimator is Gaussian; the decay
     rate matches :func:`qfi_error_approx` (the erfc prefactor differs).
     """
-    if d_eta < 0 or m < 1 or i_eta < 0:
-        raise ValueError("d_eta and i_eta must be non-negative, m >= 1")
+    _check_args(d_eta, m, i_eta)
     arg = m * d_eta ** 2 * i_eta / 8.0
     if arg < 1.0:
         warnings.warn("M d_eta^2 I / 8 below 1; the Gaussian threshold "

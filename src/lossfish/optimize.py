@@ -26,6 +26,8 @@ from .qfi import (_any, _as_output, _check_eta, _if_total, _photons,
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+XI_TOL = 1e-8
+STATIONARITY_STEP = 1e-5
 
 BOUNDARY_INTERIOR = "interior"
 BOUNDARY_COHERENT = "coherent_edge"
@@ -169,16 +171,11 @@ def xi_threshold_nbar(eta: float) -> float:
 def threshold_constant_large_ns() -> float:
     """Root of c^3 = 128 + 64 c, the constant in eta_bar = 1 - 1/(c N_S).
 
-    Found by bisection; approximately 8.857.
+    The largest of the cubic's three real roots, in trigonometric form;
+    approximately 8.857.
     """
-    lo, hi = 1.0, 100.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid ** 3 - 64.0 * mid - 128.0 < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return 2.0 * math.sqrt(64.0 / 3.0) * math.cos(
+        math.acos(3.0 * math.sqrt(3.0 / 64.0)) / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +215,7 @@ def _golden_max(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def optimize_xi(n_s: float | np.ndarray, p: ChannelParams,
-                xi_tol: float = 1e-8) -> XiOptResult:
+def optimize_xi(n_s: float | np.ndarray, p: ChannelParams) -> XiOptResult:
     """Maximize the idler-free QFI over the squeezed fraction xi in [0, 1].
 
     At ``N_B = 0`` the landscape is concave and the xi = 1 edge case is
@@ -252,7 +248,7 @@ def optimize_xi(n_s: float | np.ndarray, p: ChannelParams,
     xi_star = np.ones(ns.shape)
     searched = ns[search]
     xi_star[search] = _golden_max(lambda x: value(x, searched),
-                                  lo[search], hi[search], xi_tol)
+                                  lo[search], hi[search], XI_TOL)
     q_star, q_coh, q_sq = value(np.stack([xi_star, np.zeros(ns.shape),
                                           np.ones(ns.shape)]), ns)
 
@@ -354,7 +350,7 @@ def optimize_two_mode(n_s: float, p: ChannelParams, grid=(64, 64)):
     return grid_argmax(*two_mode_grid(n_s, p, grid))
 
 
-def tmsv_stationarity_check(n_s: float, p: ChannelParams, step: float = 1e-5):
+def tmsv_stationarity_check(n_s: float, p: ChannelParams):
     """Central finite differences of the two-mode QFI at the TMSV corner (1, 1).
 
     Returns ``(d_r, d2_r, d_zeta)``; stationarity of the maximum demands
@@ -371,9 +367,11 @@ def tmsv_stationarity_check(n_s: float, p: ChannelParams, step: float = 1e-5):
     def value(zeta, r):
         return _two_mode_closed_raw(n_s, zeta, r, 0.0, p.eta, p.n_b)
 
+    step = STATIONARITY_STEP
     q0 = value(1.0, 1.0)
-    d_r = (value(1.0, 1.0 + step) - value(1.0, 1.0 - step)) / (2.0 * step)
-    d2_r = (value(1.0, 1.0 + step) - 2.0 * q0 + value(1.0, 1.0 - step)) / step ** 2
+    q_up, q_down = value(1.0, 1.0 + step), value(1.0, 1.0 - step)
+    d_r = (q_up - q_down) / (2.0 * step)
+    d2_r = (q_up - 2.0 * q0 + q_down) / step ** 2
     d_zeta = (value(1.0 + step, 1.0) - value(1.0 - step, 1.0)) / (2.0 * step)
     return float(d_r), float(d2_r), float(d_zeta)
 

@@ -28,6 +28,8 @@ import numpy as np
 from .errors import NotPure, NotTwoMode, ProbeRangeError
 from .states import GaussianState, make_state, purity
 
+PURITY_TOL = 1e-6
+
 
 def squeeze_parameter(n_sq: float) -> float:
     """Quadrature ratio r in (0, 1] that stores `n_sq` photons of squeezing."""
@@ -134,7 +136,7 @@ def tmsv(n_s: float) -> GaussianState:
     return build_two_mode(TwoModeProbe(n_s=n_s, zeta=1.0, r=1.0))
 
 
-def canonicalize(state: GaussianState, purity_tol: float = 1e-6) -> TwoModeProbe:
+def canonicalize(state: GaussianState) -> TwoModeProbe:
     """Reduce a pure two-mode state to canonical probe parameters.
 
     Applies, in order: (i) drop the idler displacement, (ii) rotate the idler
@@ -149,8 +151,8 @@ def canonicalize(state: GaussianState, purity_tol: float = 1e-6) -> TwoModeProbe
     if state.modes != 2:
         raise NotTwoMode("canonical form is defined for two-mode states")
     mu = purity(state)
-    if abs(mu - 1.0) > purity_tol:
-        raise NotPure(f"state purity {mu} is not 1 within {purity_tol}")
+    if abs(mu - 1.0) > PURITY_TOL:
+        raise NotPure(f"state purity {mu} is not 1 within {PURITY_TOL}")
 
     sig = state.sigma.copy()
 

@@ -56,10 +56,6 @@ class GaussianState:
         var = self.sigma[i, i] + self.sigma[i + 1, i + 1]
         return 0.5 * (var - 1.0) + 0.5 * (self.d[i] ** 2 + self.d[i + 1] ** 2)
 
-    def photons(self) -> float:
-        """Total mean photon number over all modes."""
-        return sum(self.mode_photons(m) for m in range(self.modes))
-
 
 def make_state(d, sigma) -> GaussianState:
     """Validate moments and return an immutable :class:`GaussianState`.
@@ -133,13 +129,15 @@ def heisenberg_margin(sigma) -> float:
     The Hermitian matrix is diagonalized through its real embedding
     ``[[Sigma, -Omega/2], [Omega/2, Sigma]]``, whose spectrum doubles that of
     ``Sigma + i*Omega/2``.  Any even size works; other shapes raise
-    `DimensionMismatch`.
+    `DimensionMismatch`, and a non-finite entry raises `NonPhysical`.
     """
     sigma = np.asarray(sigma, dtype=float)
     n = sigma.shape[0] if sigma.ndim == 2 else 0
     if n == 0 or n % 2 or sigma.shape != (n, n):
         raise DimensionMismatch(
             f"covariance must be square of even size, got shape {sigma.shape}")
+    if not np.isfinite(sigma).all():
+        raise NonPhysical("covariance must be finite")
     embed = _embedding_template(n).copy()
     embed[:n, :n] = sigma
     embed[n:, n:] = sigma

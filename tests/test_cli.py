@@ -58,7 +58,10 @@ def test_qfi_routes_consistent(capsys):
 @pytest.mark.parametrize("argv", [
     ["qfi", "--eta", "1.0", "--probe", "coherent", "--ns", "1"],
     ["sweep-twomode", "--ns", "1", "--eta", "0.99999999", "--nb", "1"],
-], ids=["qfi", "sweep-twomode"])
+    # eta + deta/2 is inside the guard band, though eta is not
+    ["qfi", "--eta", "0.99999", "--nb", "1", "--probe", "coherent", "--ns", "1",
+     "--route", "fidelity"],
+], ids=["qfi", "sweep-twomode", "qfi-fidelity-pair"])
 def test_qfi_guard_band_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 2

@@ -25,6 +25,8 @@ def test_spec_validation():
         make_spec(0.5, 0.5, 1, coherent_state(1.0))
     with pytest.raises(ValueError):
         make_spec(0.6, 0.5, 0, coherent_state(1.0))
+    with pytest.raises(ValueError):
+        make_spec(0.6, 0.5, math.nan, coherent_state(1.0))
 
 
 def test_bound_approaches_half_for_indistinguishable_hypotheses():
@@ -73,6 +75,17 @@ def test_threshold_strategy_values():
     # monotone decay with copies
     vals = [threshold_strategy_error(0.05, m, 8.0) for m in (500, 1000, 4000)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("error_form", [qfi_error_approx, threshold_strategy_error])
+@pytest.mark.parametrize("args", [
+    (math.nan, 10, 1.0), (math.inf, 10, 1.0), (0.1, 10, math.nan),
+    (0.1, 10, math.inf), (0.1, math.nan, 1.0), (-0.1, 10, 1.0), (0.1, 0, 1.0)],
+    ids=["d_eta-nan", "d_eta-inf", "i_eta-nan", "i_eta-inf", "m-nan",
+         "d_eta-negative", "m-zero"])
+def test_error_forms_reject_out_of_domain_arguments(error_form, args):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        error_form(*args)
 
 
 def test_bound_and_approx_agree_in_validity_regime():

@@ -86,6 +86,15 @@ def test_threshold_constant():
     c1 = threshold_constant_large_ns()
     assert abs(c1 ** 3 - 64 * c1 - 128) < 1e-9
     assert c1 == pytest.approx(8.86, abs=0.01)
+    # the closed-form root equals a bisection to the last bit
+    lo, hi = 1.0, 100.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid ** 3 - 64.0 * mid - 128.0 < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    assert c1 == 0.5 * (lo + hi)
 
 
 def test_g1_values():
@@ -325,6 +334,17 @@ def test_tmsv_stationarity_signs(n_s, eta, nb):
     assert abs(d_r) <= 1e-6 * abs(qfi)
     assert d2_r < 0
     assert d_zeta > 0
+
+    # the same bits as the stencil that evaluates every term on its own
+    def value(zeta, r):
+        return _two_mode_closed_raw(n_s, zeta, r, 0.0, eta, nb)
+
+    h = 1e-5
+    assert (d_r, d2_r, d_zeta) == (
+        float((value(1.0, 1.0 + h) - value(1.0, 1.0 - h)) / (2.0 * h)),
+        float((value(1.0, 1.0 + h) - 2.0 * value(1.0, 1.0)
+               + value(1.0, 1.0 - h)) / h ** 2),
+        float((value(1.0 + h, 1.0) - value(1.0 - h, 1.0)) / (2.0 * h)))
 
 
 # ---------------------------------------------------------------------------

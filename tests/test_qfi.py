@@ -106,6 +106,15 @@ def test_fidelity_fd_validates_step():
         qfi_fidelity_fd(vacuum(), ChannelParams(1e-7, 1.0), deta=1e-3)
 
 
+@pytest.mark.parametrize("eta", [0.99995, 1.0 - 1e-7])
+@pytest.mark.parametrize("probe", [single_mode_state(1.0, 0.0), tmsv(1.0)],
+                         ids=["coherent", "tmsv"])
+def test_fidelity_fd_pair_inside_guard_band_raises(probe, eta):
+    # the upper end eta + deta/2 of the centred pair is inside the band
+    with pytest.raises(EtaTooClose):
+        qfi_fidelity_fd(probe, ChannelParams(eta, 1.0))
+
+
 def test_eta_guard():
     with pytest.raises(EtaTooClose):
         qfi_sld(vacuum(), ChannelParams(1.0, 0.0))

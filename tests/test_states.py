@@ -104,12 +104,17 @@ def test_states_are_immutable():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_covariance_rejected(bad):
+    one_mode = [[bad, 0.0], [0.0, bad]]
     with pytest.raises(NonPhysical, match="finite"):
-        make_state([0.0, 0.0], [[bad, 0.0], [0.0, bad]])
+        make_state([0.0, 0.0], one_mode)
+    with pytest.raises(NonPhysical, match="finite"):
+        heisenberg_margin(one_mode)
     sigma = 0.5 * np.eye(4)
     sigma[1, 3] = sigma[3, 1] = bad
     with pytest.raises(NonPhysical, match="finite"):
         make_state(np.zeros(4), sigma)
+    with pytest.raises(NonPhysical, match="finite"):
+        heisenberg_margin(sigma)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

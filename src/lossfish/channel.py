@@ -27,19 +27,55 @@ from .states import GaussianState, _trusted_state
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Lossy-channel parameters: transmission `eta`, bath photons `n_b`, model flag."""
+    """Lossy-channel parameters: transmission `eta`, bath photons `n_b`, model flag.
 
-    eta: float
+    `eta` may be an array of transmissions, stored as a read-only float array
+    and checked elementwise (an error names the first entry that fails).  The
+    idler-free and TMSV closed forms, `f1`, `total_qfi`, `optimize_xi`,
+    `optimize_bandwidth` and `advantage_ratio` broadcast it against their
+    photon numbers; every other route needs one scalar `eta`.  `n_b` and
+    `normalized` are always scalars.
+    """
+
+    eta: float | np.ndarray
     n_b: float = 0.0
     normalized: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise NonPhysicalParams(f"eta must lie in [0, 1], got {self.eta}")
+        eta = self.eta
+        if not (isinstance(eta, (int, float)) or np.ndim(eta) == 0):
+            eta = np.array(eta, dtype=float)
+            eta.setflags(write=False)
+            object.__setattr__(self, "eta", eta)
+        bad = _first_failing(eta, (0.0 <= eta) & (eta <= 1.0))  # NaN fails too
+        if bad is not None:
+            raise NonPhysicalParams(f"eta must lie in [0, 1], got {bad}")
         if not 0.0 <= self.n_b < math.inf:
             raise NonPhysicalParams(f"n_b must be finite and >= 0, got {self.n_b}")
-        if self.normalized and self.eta == 1.0 and self.n_b > 0.0:
+        if self.normalized and self.n_b > 0.0 and _any(eta == 1.0):
             raise DivergentNoise("normalized bath N_B/(1-eta^2) diverges at eta = 1")
+
+
+def _any(mask) -> bool:
+    """Truth of an elementwise comparison on a float or an array; on a float
+    it costs a fraction of `np.any`, which keeps scalar closed forms cheap."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _first_failing(x, ok):
+    """None if the elementwise test `ok` holds everywhere, else the first
+    entry of `x` (a float, or an array of the shape of `ok`) that fails it."""
+    if isinstance(ok, np.ndarray):
+        return None if ok.all() else x[~ok][0]
+    return None if ok else x
+
+
+def _scalar_eta(p: ChannelParams):
+    """Raise `ValueError` if `p` holds an array of transmissions: the routes
+    that call this take one channel."""
+    if isinstance(p.eta, np.ndarray) and p.eta.ndim:
+        raise ValueError("this route takes one scalar eta; arrays of eta are "
+                         "for the idler-free and TMSV closed forms")
 
 
 def additive_noise(p: ChannelParams) -> float:
@@ -58,6 +94,7 @@ def additive_noise_derivative(p: ChannelParams) -> float:
 
 def effective_noise(p: ChannelParams) -> float:
     """Bath photon number seen by the signal: N_B, or N_B/(1-eta^2) if normalized."""
+    _scalar_eta(p)
     if not p.normalized:
         return p.n_b
     if p.eta == 1.0:
@@ -107,9 +144,11 @@ def apply_channel(state: GaussianState, p: ChannelParams) -> GaussianState:
     was validated when it was made and `p` when it was constructed, and a
     physical channel maps a physical state to a physical state.
     """
+    _scalar_eta(p)
     return _trusted_state(*output_moments(state.d, state.sigma, p))
 
 
 def channel_derivative(state: GaussianState, p: ChannelParams):
     """Analytic eta-derivative (d_dot, sigma_dot) of the channel output moments."""
+    _scalar_eta(p)
     return moment_derivatives(state.d, state.sigma, p)

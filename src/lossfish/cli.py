@@ -15,12 +15,15 @@ byte-identical output.  JSON output mirrors the CSV column names as keys with
 the same formatted values.  Grids are given as ``min:max:points`` (append
 ``:log`` for logarithmic spacing) or as a comma-separated list.
 
-Exit codes: 0 success, 2 invalid arguments or parameters, 3 numerical failure.
+Exit codes: 0 success, 2 invalid arguments or parameters, 3 numerical failure
+(including a floating-point overflow, division by zero or invalid operation
+in numpy, which the commands run under ``np.errstate(..., "raise")``).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -72,9 +75,15 @@ def parse_grid(spec: str) -> np.ndarray:
     return values
 
 
-def _channel(args, eta=None) -> ChannelParams:
-    return ChannelParams(eta=float(args.eta if eta is None else eta),
-                         n_b=args.nb, normalized=args.normalized)
+def _channel(args) -> ChannelParams:
+    return ChannelParams(eta=float(args.eta), n_b=args.nb, normalized=args.normalized)
+
+
+def _grid_rows(outer, inner, *columns):
+    """Rows ``[o, i, column values...]`` over an (outer, inner) grid, outer
+    index slowest; each column holds one value per grid point."""
+    return [[o, i, *values] for (o, i), *values in
+            zip(itertools.product(outer, inner), *(np.ravel(c) for c in columns))]
 
 
 def _probe(args):
@@ -128,11 +137,10 @@ def _cmd_qfi(args):
 def _cmd_sweep_xi(args):
     header = ["ns", "eta", "xi_opt", "qfi_opt", "boundary"]
     ns_grid, eta_grid = parse_grid(args.ns_grid), parse_grid(args.eta_grid)
-    # one lockstep search per eta over all of N_S; rows run N_S outer, eta inner
-    results = [optimize_xi(ns_grid, _channel(args, eta)) for eta in eta_grid]
-    rows = [[ns, eta, res.xi_opt[i], res.qfi_opt[i], res.boundary[i]]
-            for i, ns in enumerate(ns_grid) for eta, res in zip(eta_grid, results)]
-    return header, rows
+    # one lockstep search over the grid; rows run N_S outer, eta inner
+    p = ChannelParams(eta_grid, args.nb, args.normalized)
+    res = optimize_xi(ns_grid[:, None], p)
+    return header, _grid_rows(ns_grid, eta_grid, res.xi_opt, res.qfi_opt, res.boundary)
 
 
 def _parse_2d_grid(spec: str):
@@ -161,32 +169,26 @@ def _cmd_sweep_total(args):
     header = ["total_ns", "eta", "m_opt", "xi_opt", "total_qfi",
               "ratio_vs_coherent", "ratio_vs_tmsv"]
     tns_grid, eta_grid = parse_grid(args.total_ns_grid), parse_grid(args.eta_grid)
-    columns = []
-    for eta in eta_grid:
-        p = _channel(args, eta)
-        plan = optimize_bandwidth(tns_grid, p, FAMILY_IDLER_FREE)
-        if plan.divergent.any():
-            raise ValueError("total QFI diverges for the bare thermal channel; "
-                             "use --nb 0 or --normalized")
-        coh = total_qfi(tns_grid, 1.0, p, FAMILY_COHERENT)
-        best_tmsv = optimize_bandwidth(tns_grid, p, FAMILY_TMSV).total_qfi
-        columns.append((plan.m, plan.xi_opt, plan.total_qfi,
-                        plan.total_qfi / coh, plan.total_qfi / best_tmsv))
     # rows run total N_S outer, eta inner
-    rows = [[tns, eta, *(col[i] for col in cols)]
-            for i, tns in enumerate(tns_grid) for eta, cols in zip(eta_grid, columns)]
-    return header, rows
+    tns, p = tns_grid[:, None], ChannelParams(eta_grid, args.nb, args.normalized)
+    plan = optimize_bandwidth(tns, p, FAMILY_IDLER_FREE)
+    if plan.divergent.any():
+        raise ValueError("total QFI diverges for the bare thermal channel; "
+                         "use --nb 0 or --normalized")
+    coh = total_qfi(tns, 1.0, p, FAMILY_COHERENT)
+    best_tmsv = optimize_bandwidth(tns, p, FAMILY_TMSV).total_qfi
+    return header, _grid_rows(tns_grid, eta_grid, plan.m, plan.xi_opt, plan.total_qfi,
+                              plan.total_qfi / coh, plan.total_qfi / best_tmsv)
 
 
 def _cmd_advantage(args):
     header = ["eta", "ns", "ratio_tmsv_coh"]
     ns_grid = parse_grid(args.ns_grid)
-    rows = []
-    for eta in parse_grid(args.eta_grid):
-        ratios = advantage_ratio(FAMILY_TMSV, FAMILY_COHERENT,
-                                 _channel(args, eta), ns_grid)
-        rows.extend([eta, ns, ratio] for ns, ratio in zip(ns_grid, ratios))
-    return header, rows
+    eta_grid = parse_grid(args.eta_grid)
+    # rows run eta outer, N_S inner
+    p = ChannelParams(eta_grid[:, None], args.nb, args.normalized)
+    ratios = advantage_ratio(FAMILY_TMSV, FAMILY_COHERENT, p, ns_grid)
+    return header, _grid_rows(eta_grid, ns_grid, ratios)
 
 
 def _cmd_hypothesis(args):
@@ -299,8 +301,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        header, rows = args.handler(args)
-    except SingularSystem as exc:
+        # numpy overflow, division by zero and invalid results raise, so that
+        # they exit 3 instead of printing inf or nan; underflow stays silent
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            header, rows = args.handler(args)
+    except (SingularSystem, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (LossfishError, ValueError, ZeroDivisionError) as exc:

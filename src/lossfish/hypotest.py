@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
-from .channel import ChannelParams, apply_channel
+from .channel import ChannelParams, _scalar_eta, apply_channel
 from .fidelity import gaussian_fidelity
 from .states import GaussianState
 
@@ -37,6 +37,7 @@ class HypothesisSpec:
             raise ValueError("require 0 <= eta_minus < eta_plus <= 1")
         if not self.m >= 1:
             raise ValueError("m must be at least 1")
+        _scalar_eta(self.channel_base)
 
     @property
     def d_eta(self) -> float:

@@ -13,15 +13,16 @@ Covers the three optimization layers:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelParams, moment_derivatives, output_moments
+from .channel import (ChannelParams, _any, _first_failing, _scalar_eta,
+                      moment_derivatives, output_moments)
 from .errors import SingularSystem
 from .probes import two_mode_moments, two_mode_r_min
-from .qfi import (_any, _as_output, _check_eta, _if_total, _photons,
-                  _sld_qfi_batch, _two_mode_closed_raw, qfi_coherent,
+from .qfi import (_as_output, _check_eta, _if_total, _photons,
+                  _sld_qfi_batch, _sq, _two_mode_closed_raw, qfi_coherent,
                   qfi_if_closed, qfi_squeezed_vacuum, qfi_tmsv)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -43,8 +44,8 @@ FAMILY_SQUEEZED = "squeezed_vacuum"
 class XiOptResult:
     """Optimal squeezed fraction, its QFI, and which edge (if any) it sits on.
 
-    From an array of photon numbers every field is an array of that shape,
-    `boundary` one of strings.
+    From an array of photon numbers, or an array eta, every field is an array
+    of their broadcast shape, `boundary` one of strings.
     """
 
     xi_opt: float
@@ -59,8 +60,9 @@ class BandwidthPlan:
     ``m = math.inf`` denotes the broadband limit; `divergent` marks plans whose
     total QFI grows without bound (shadow term times an unbounded number of
     copies in the bare thermal channel).  A plan for an array of total photon
-    numbers holds arrays of that shape in every field but `probe_family`;
-    there `xi_opt` is NaN where a scalar plan has None.
+    numbers, or for an array eta, holds arrays of their broadcast shape in
+    every field but `probe_family`; there `xi_opt` is NaN where a scalar plan
+    has None.
     """
 
     total_photons: float
@@ -75,12 +77,24 @@ class BandwidthPlan:
 # derivative diagnostics of the zero-temperature single-mode QFI
 # ---------------------------------------------------------------------------
 
-def _check_eta_domain(eta: float):
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must lie in [0, 1), got {eta}")
+def _check_eta_domain(eta):
+    bad = _first_failing(eta, (0.0 <= eta) & (eta < 1.0))
+    if bad is not None:
+        raise ValueError(f"eta must lie in [0, 1), got {bad}")
 
 
-def f1(eta: float, n_s: float | np.ndarray) -> float | np.ndarray:
+def _flat_pairs(x, p: ChannelParams):
+    """`x` and ``p.eta`` broadcast against each other and flattened.
+
+    Returns their broadcast shape, the flat `x` and `p` holding the flat eta
+    array, so that the i-th entries of the two go together.
+    """
+    shape = np.broadcast_shapes(np.shape(x), np.shape(p.eta))
+    x, eta = (np.broadcast_to(a, shape).reshape(-1) for a in (x, p.eta))
+    return shape, x, replace(p, eta=eta)
+
+
+def f1(eta: float | np.ndarray, n_s: float | np.ndarray) -> float | np.ndarray:
     """Edge slope (1/4N_S) d/dxi of the N_B=0 QFI at xi=1.
 
     Explicitly,
@@ -90,17 +104,16 @@ def f1(eta: float, n_s: float | np.ndarray) -> float | np.ndarray:
 
     with ``e = eta^2``.  It is strictly decreasing in ``N_S``, tends to
     ``-1/(1-eta^2)`` as ``N_S -> infinity``, and its sign decides whether the
-    squeezed vacuum sits at the optimum.  Broadcasts over `n_s`.  Raises
-    `ValueError` unless ``0 <= eta < 1`` and every `n_s` is finite and
+    squeezed vacuum sits at the optimum.  Broadcasts over `eta` and `n_s`,
+    each element with the bits of the Python-float evaluation.  Raises
+    `ValueError` unless every ``0 <= eta < 1`` and every `n_s` is finite and
     non-negative.
     """
     _check_eta_domain(eta)
     n_s = _photons(n_s, "n_s")
-    e2 = eta ** 2
+    e2 = _sq(eta)
     one = 1.0 - e2
-    # float_power is the libm pow of a Python float `**`: a squared array
-    # would be rounded differently
-    first = (one ** 2 + e2 ** 2) / (one * np.float_power(1.0 + 2.0 * n_s * e2 * one, 2))
+    first = (_sq(one) + _sq(e2)) / (one * _sq(1.0 + 2.0 * n_s * e2 * one))
     second = 1.0 / (1.0 - 2.0 * e2 * (np.sqrt(n_s * (n_s + 1.0)) - n_s))
     return _as_output(first - second)
 
@@ -222,35 +235,39 @@ def optimize_xi(n_s: float | np.ndarray, p: ChannelParams) -> XiOptResult:
     decided exactly by the sign of :func:`f1`; otherwise a 64-point scan
     brackets the maximum (its first maximum) before the golden-section
     refinement (the low-power thermal landscape switches abruptly between the
-    two edges).  `n_s` may be an array: all points are searched together, one
-    closed-form evaluation per step, each with the values a scalar call gives.
-    The inputs are checked once here; the search steps evaluate the closed
-    form's total without its checks.
+    two edges).  `n_s` and ``p.eta`` may be arrays and broadcast against each
+    other, e.g. ``optimize_xi(ns[:, None], ChannelParams(etas, n_b))`` for an
+    (N_S, eta) grid: all points are searched together, one closed-form
+    evaluation per step, each with the values a scalar call gives.  The
+    inputs are checked once here; the search steps evaluate the closed form's
+    total without its checks.
     """
     n_s = _photons(n_s, "n_s", positive=True)
     _check_eta(p)
-    ns = np.reshape(n_s, -1)
+    shape, ns, p = _flat_pairs(n_s, p)
+    eta = p.eta
 
-    def value(xi, n):
-        return _if_total((1.0 - xi) * n, xi * n, p)
+    def value(xi, n, q):
+        return _if_total((1.0 - xi) * n, xi * n, q)
 
     squeezed = np.zeros(ns.shape, dtype=bool)
     if p.n_b == 0.0:
-        if p.eta > INV_SQRT2:
-            squeezed = f1(p.eta, ns) >= 0.0
+        above = eta > INV_SQRT2
+        squeezed[above] = f1(eta[above], ns[above]) >= 0.0
         lo, hi = np.zeros(ns.shape), np.ones(ns.shape)
     else:
         grid = np.linspace(0.0, 1.0, 64)
-        best = np.argmax(value(grid, ns[:, None]), axis=1)
+        scan = value(grid, ns[:, None], replace(p, eta=eta[:, None]))
+        best = np.argmax(scan, axis=1)
         lo = grid[np.maximum(best - 1, 0)]
         hi = grid[np.minimum(best + 1, 63)]
     search = ~squeezed
     xi_star = np.ones(ns.shape)
-    searched = ns[search]
-    xi_star[search] = _golden_max(lambda x: value(x, searched),
+    searched, q_search = ns[search], replace(p, eta=eta[search])
+    xi_star[search] = _golden_max(lambda x: value(x, searched, q_search),
                                   lo[search], hi[search], XI_TOL)
     q_star, q_coh, q_sq = value(np.stack([xi_star, np.zeros(ns.shape),
-                                          np.ones(ns.shape)]), ns)
+                                          np.ones(ns.shape)]), ns, p)
 
     # the first edge that holds wins, else the interior point
     edges = [search & (q_coh >= q_star) & (q_coh >= q_sq), squeezed | (q_sq >= q_star)]
@@ -258,9 +275,8 @@ def optimize_xi(n_s: float | np.ndarray, p: ChannelParams) -> XiOptResult:
     qfi_opt = np.select(edges, [q_coh, q_sq], q_star)
     boundary = np.select(edges, [BOUNDARY_COHERENT, BOUNDARY_SQUEEZED],
                          BOUNDARY_INTERIOR)
-    if isinstance(n_s, float):
+    if not shape:
         return XiOptResult(float(xi_opt[0]), float(qfi_opt[0]), str(boundary[0]))
-    shape = n_s.shape
     return XiOptResult(xi_opt.reshape(shape), qfi_opt.reshape(shape),
                        boundary.reshape(shape))
 
@@ -284,6 +300,7 @@ def _two_mode_grid_qfi(n_s: float, zetas: np.ndarray, r_grid: np.ndarray,
     its cancellation estimate stays below 1e-9.  Raises `EtaTooClose` inside
     the eta guard band.
     """
+    _scalar_eta(p)
     _check_eta(p)
     zz = np.repeat(zetas, r_grid.shape[1])
     rr = r_grid.reshape(-1)
@@ -362,6 +379,7 @@ def tmsv_stationarity_check(n_s: float, p: ChannelParams):
         raise ValueError(f"n_s must be finite and positive, got {n_s}")
     if p.normalized and p.n_b > 0:
         raise ValueError("stationarity check uses the bare-channel closed form")
+    _scalar_eta(p)
     _check_eta(p)
 
     def value(zeta, r):
@@ -381,16 +399,22 @@ def tmsv_stationarity_check(n_s: float, p: ChannelParams):
 # ---------------------------------------------------------------------------
 
 def _broadband_limit(total_photons, p, family, xi):
-    """``lim M->inf M I(total / M)`` for the TMSV or the idler-free family."""
+    """``lim M->inf M I(total / M)`` for the TMSV or the idler-free family.
+
+    The idler-free limit at ``N_B = 0`` divides by ``1 - eta^2`` and checks
+    the eta guard; the others are regular up to ``eta = 1``.
+    """
     if p.n_b > 0.0 and not p.normalized:
         # shadow effect: every copy adds the power-independent vacuum term
-        return np.full(np.shape(total_photons), math.inf)
-    e2 = p.eta ** 2
+        shape = np.broadcast_shapes(np.shape(total_photons), np.shape(p.eta))
+        return np.full(shape, math.inf)
+    e2 = _sq(p.eta)
     if family == FAMILY_TMSV:
         return 4.0 * total_photons / (p.n_b + 1.0 - e2)
     one = 1.0 - e2
     if p.n_b == 0.0:
-        return 4.0 * total_photons * ((1.0 - xi) + xi * (one ** 2 + e2 ** 2) / one)
+        _check_eta(p)
+        return 4.0 * total_photons * ((1.0 - xi) + xi * (_sq(one) + _sq(e2)) / one)
     nb = p.n_b
     return 4.0 * total_photons * ((1.0 - xi) / (2.0 * nb + 1.0)
                                   + 2.0 * xi * e2 / (2.0 * nb * (nb + 1.0) + 1.0))
@@ -405,8 +429,8 @@ def total_qfi(total_photons: float | np.ndarray, m: float, p: ChannelParams,
     ``m = math.inf`` evaluates the closed-form broadband limits; in the bare
     thermal channel (``N_B > 0``, unnormalized) that limit diverges because
     every extra copy contributes the power-independent shadow term, and
-    ``math.inf`` is returned.  Broadcasts over `total_photons`; a scalar
-    gives a float.
+    ``math.inf`` is returned.  Broadcasts over `total_photons` and an array
+    ``p.eta``; scalars give a float.
     """
     if family not in (FAMILY_IDLER_FREE, FAMILY_TMSV, FAMILY_COHERENT):
         raise ValueError(f"unknown probe family {family!r}")
@@ -437,10 +461,11 @@ def optimize_bandwidth(total_photons: float | np.ndarray, p: ChannelParams,
     model the TMSV total increases with M and saturates the ultimate bound at
     M = infinity.  The idler-free family compares the jointly xi-optimized
     single-shot value against the better broadband edge, coherent
-    (``xi = 0``) or squeezed (``xi = 1``).  Broadcasts over `total_photons`,
-    with one lockstep :func:`optimize_xi` call for the idler-free family.
+    (``xi = 0``) or squeezed (``xi = 1``).  Broadcasts over `total_photons`
+    and an array ``p.eta``, with one lockstep :func:`optimize_xi` call for
+    the idler-free family.
     """
-    t = np.reshape(np.asarray(total_photons, dtype=float), -1)
+    shape, t, p = _flat_pairs(np.asarray(total_photons, dtype=float), p)
     if family == FAMILY_TMSV:
         m_tmsv = 1.0 if p.n_b == 0.0 else math.inf
         total = total_qfi(t, m_tmsv, p, family)
@@ -458,22 +483,23 @@ def optimize_bandwidth(total_photons: float | np.ndarray, p: ChannelParams,
         xi_opt = np.full(t.shape, math.nan)
         ok = ~np.isinf(total)
         # an all-divergent plan evaluates nothing more, nor checks the eta guard
-        if ok.any() and family == FAMILY_COHERENT:
-            m[ok], xi_opt[ok] = 1.0, 0.0
-            total[ok] = total_qfi(t[ok], 1.0, p, family)
-        elif ok.any():
-            broadband = total[ok]
-            single = optimize_xi(t[ok], p)
-            wide = broadband > single.qfi_opt
-            m[ok] = np.where(wide, math.inf, 1.0)
-            total[ok] = np.where(wide, broadband, single.qfi_opt)
-            xi_opt[ok] = np.where(wide, xi_inf[ok], single.xi_opt)
+        if ok.any():
+            p_ok = replace(p, eta=p.eta[ok])
+            if family == FAMILY_COHERENT:
+                m[ok], xi_opt[ok] = 1.0, 0.0
+                total[ok] = total_qfi(t[ok], 1.0, p_ok, family)
+            else:
+                broadband = total[ok]
+                single = optimize_xi(t[ok], p_ok)
+                wide = broadband > single.qfi_opt
+                m[ok] = np.where(wide, math.inf, 1.0)
+                total[ok] = np.where(wide, broadband, single.qfi_opt)
+                xi_opt[ok] = np.where(wide, xi_inf[ok], single.xi_opt)
     divergent = np.isinf(total)
-    if np.ndim(total_photons) == 0:
+    if not shape:
         xi_one = None if xi_opt is None or math.isnan(xi_opt[0]) else float(xi_opt[0])
-        return BandwidthPlan(float(total_photons), float(m[0]), float(total[0]),
+        return BandwidthPlan(float(t[0]), float(m[0]), float(total[0]),
                              family, bool(divergent[0]), xi_one)
-    shape = np.shape(total_photons)
     return BandwidthPlan(t.reshape(shape), m.reshape(shape), total.reshape(shape),
                          family, divergent.reshape(shape),
                          None if xi_opt is None else xi_opt.reshape(shape))
@@ -483,8 +509,8 @@ def advantage_ratio(family_a: str, family_b: str, p: ChannelParams,
                     n_s: float | np.ndarray) -> float | np.ndarray:
     """Ratio of single-copy QFIs of two probe families at equal photon number.
 
-    Broadcasts over `n_s`; raises `ZeroDivisionError` if any reference QFI
-    vanishes.
+    Broadcasts over `n_s` and an array ``p.eta``; raises `ZeroDivisionError`
+    if any reference QFI vanishes.
     """
     evaluators = {
         FAMILY_COHERENT: qfi_coherent,

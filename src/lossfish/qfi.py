@@ -38,9 +38,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import (ChannelParams, additive_noise, additive_noise_derivative,
-                      apply_channel, gamma_to_eta, moment_derivatives,
-                      output_moments)
+from .channel import (ChannelParams, _any, _first_failing, _scalar_eta,
+                      additive_noise, additive_noise_derivative, apply_channel,
+                      gamma_to_eta, moment_derivatives, output_moments)
 from .errors import DegenerateDenominator, EtaTooClose, SingularSystem
 from .fidelity import gaussian_fidelity
 from .probes import TwoModeProbe, squeeze_parameter
@@ -68,10 +68,21 @@ class QfiBreakdown:
 
 
 def _check_eta(p: ChannelParams):
-    if p.eta > 1.0 - EPS_ETA:
+    """Raise `EtaTooClose` if `p.eta`, or any entry of it, is inside the guard
+    band; the error names the first such entry."""
+    close = _first_failing(p.eta, p.eta <= 1.0 - EPS_ETA)
+    if close is not None:
         raise EtaTooClose(
-            f"eta = {p.eta} is inside the guard band (eta <= {1.0 - EPS_ETA}); "
+            f"eta = {close} is inside the guard band (eta <= {1.0 - EPS_ETA}); "
             "use the asymptotic expressions for the eta -> 1 behaviour")
+
+
+def _sq(x):
+    """`x ** 2` by libm `pow`, for a float or an array.  A Python float squares
+    with `**`, which is `pow`; an array goes through `np.float_power`, the same
+    `pow`, because numpy's array `** 2` is a multiply and rounds differently
+    on about one input in a thousand."""
+    return np.float_power(x, 2) if isinstance(x, np.ndarray) else x ** 2
 
 
 def _photons(x, name: str, positive: bool = False):
@@ -94,12 +105,6 @@ def _photons(x, name: str, positive: bool = False):
 def _as_output(x):
     """A result as a Python float when scalar; an array passes through."""
     return x if isinstance(x, np.ndarray) and x.ndim else float(x)
-
-
-def _any(mask) -> bool:
-    """Truth of an elementwise comparison on a float or an array; on a float
-    it costs a fraction of `np.any`, which keeps scalar closed forms cheap."""
-    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
 # The SLD kernel works through a stack in chunks of this many items, which
@@ -208,6 +213,7 @@ def _sld_qfi_batch(st, dst, ddt, raise_on_bad=True):
 
 def qfi_sld(probe: GaussianState, p: ChannelParams) -> float:
     """QFI from the SLD linear system; works for 1- and 2-mode probes."""
+    _scalar_eta(p)
     _check_eta(p)
     _, st = output_moments(probe.d, probe.sigma, p)
     ddt, dst = moment_derivatives(probe.d, probe.sigma, p)
@@ -218,6 +224,7 @@ def qfi_single_mode_form(probe: GaussianState, p: ChannelParams) -> float:
     """Purity-form QFI, valid for single-mode probes only."""
     if probe.modes != 1:
         raise ValueError("the purity form applies to single-mode states")
+    _scalar_eta(p)
     _check_eta(p)
     _, st = output_moments(probe.d, probe.sigma, p)
     ddt, dst = moment_derivatives(probe.d, probe.sigma, p)
@@ -240,6 +247,7 @@ def qfi_fidelity_fd(probe: GaussianState, p: ChannelParams, deta: float = 1e-4) 
     1e-4 only for ``eta <= 0.95`` (acceptance criterion 01); closer to 1 its
     error grows past that tolerance.
     """
+    _scalar_eta(p)
     if not 1e-6 <= deta <= 1e-3:
         raise ValueError("deta must lie in [1e-6, 1e-3]")
     if p.eta - deta < 0:
@@ -266,8 +274,10 @@ def _if_total(n_coh, n_sq, p: ChannelParams):
 
 def _if_terms(n_coh, n_sq, p: ChannelParams):
     """The three terms of :func:`qfi_if_closed`; trusts `n_coh`, `n_sq` and
-    the eta guard, checks only the sign of the denominators."""
-    e2 = p.eta ** 2
+    the eta guard, checks only the sign of the denominators.  Every power of
+    an eta-dependent base goes through `_sq`, so an array eta gives the bits
+    of scalar calls."""
+    e2 = _sq(p.eta)
     one = 1.0 - e2
     nb = p.n_b
     r = squeeze_parameter(n_sq)
@@ -275,11 +285,11 @@ def _if_terms(n_coh, n_sq, p: ChannelParams):
         # bare and normalized models coincide
         i_disp = 4.0 * n_coh / (e2 * r + one)
         a_den = one * n_sq * e2
-        i_sq = 4.0 * n_sq * (one ** 2 + e2 ** 2) / (one * (2.0 * a_den + 1.0))
+        i_sq = 4.0 * n_sq * (_sq(one) + _sq(e2)) / (one * (2.0 * a_den + 1.0))
         i_shadow = 0.0
     elif p.normalized:
         i_disp = 4.0 * n_coh / (r * e2 + 2.0 * nb + 1.0 - e2)
-        b_den = nb * (nb + 1.0) + n_sq * e2 * (2.0 * nb + 1.0) - n_sq * e2 ** 2
+        b_den = nb * (nb + 1.0) + n_sq * e2 * (2.0 * nb + 1.0) - n_sq * _sq(e2)
         if _any(b_den <= 0.0):
             raise DegenerateDenominator(f"B = {np.min(b_den)} <= 0")
         i_sq = (4.0 * n_sq * e2 / b_den) * (
@@ -313,9 +323,10 @@ def qfi_if_closed(n_coh: float | np.ndarray, n_sq: float | np.ndarray,
     constant, the shadow term vanishes, and the denominators carry
     ``B = N_B(N_B+1) + N_sq eta^2 (2N_B+1) - N_sq eta^4`` instead.
 
-    Broadcasts over the photon numbers `n_coh` and `n_sq`: each field has the
-    shape of the arguments it depends on, and scalar arguments give floats.
-    Elementwise the values equal those of scalar calls, bit for bit.
+    Broadcasts over the photon numbers `n_coh` and `n_sq` and over an array
+    ``p.eta``: each field has the shape of the arguments it depends on, and
+    scalar arguments give floats.  Elementwise the values equal those of
+    scalar calls, bit for bit.
     """
     n_coh = _photons(n_coh, "n_coh")
     n_sq = _photons(n_sq, "n_sq")
@@ -352,10 +363,10 @@ def qfi_tmsv(n_s: float | np.ndarray, p: ChannelParams) -> float | np.ndarray:
 
     which collapses to ``4 N_S / (1 - eta^2)`` at ``N_B = 0``.  The normalized
     model replaces the ``(1-eta^2)`` structure by ``N_B + 1 - eta^2``.
-    Broadcasts over `n_s`; a scalar `n_s` gives a float.
+    Broadcasts over `n_s` and an array ``p.eta``; scalars give a float.
     """
     n_s = _photons(n_s, "n_s")
-    e2 = p.eta ** 2
+    e2 = _sq(p.eta)
     nb = p.n_b
     if p.normalized and nb > 0.0:
         # regular up to eta -> 1 thanks to the constant background
@@ -413,6 +424,7 @@ def qfi_two_mode_closed(probe: TwoModeProbe, p: ChannelParams) -> float:
     """
     if p.normalized and p.n_b > 0:
         raise ValueError("closed form covers the bare channel only; use qfi_sld")
+    _scalar_eta(p)
     _check_eta(p)
     if p.eta == 0.0:
         raise ValueError("closed form is indeterminate at eta = 0; use qfi_sld")
@@ -431,6 +443,7 @@ def homodyne_fisher(n_coh: float, r: float, p: ChannelParams) -> float:
     variance ``eta^2 r/2 + y(eta)``, so
     ``H = (dm)^2 / V + (dV)^2 / (2 V^2)``.
     """
+    _scalar_eta(p)
     if not 0.0 < r <= 1.0:
         raise ValueError("r must lie in (0, 1]")
     if not 0.0 <= n_coh < math.inf:

@@ -48,3 +48,21 @@ def test_harness_names_are_found():
                          sorted(set(traced_names() + workload_attributes())))
 def test_harness_name_exists(module, name):
     assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def dict_literal(path, name):
+    """The dict literal assigned to `name` at the top level of `path`."""
+    tree = ast.parse(path.read_text(), filename=path.name)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path.name} defines no {name}")
+
+
+def test_readme_digests_have_one_source():
+    # the Tier-1 pin in test_cli.py and the benchmark's output check hold
+    # the same README commands and digests
+    pinned = dict_literal(Path(__file__).with_name("test_cli.py"), "README_DIGESTS")
+    bench = dict_literal(PERFBENCH / "workloads.py", "README_DIGESTS")
+    assert pinned == bench and len(bench) == 8

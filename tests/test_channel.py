@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from lossfish import (ChannelParams, DivergentNoise, NonPhysicalParams,
-                      apply_channel, channel_derivative, effective_noise,
-                      gamma_to_eta, heisenberg_margin, make_state, thermal,
-                      tmsv, vacuum)
+from lossfish import (ChannelParams, DivergentNoise, EtaTooClose,
+                      HypothesisSpec, NonPhysicalParams, SingleModeProbe,
+                      TwoModeProbe, apply_channel, build_single_mode,
+                      channel_derivative, effective_noise, gamma_to_eta,
+                      heisenberg_margin, homodyne_fisher, make_state,
+                      optimize_two_mode, qfi_coherent, qfi_fidelity_fd,
+                      qfi_single_mode_form, qfi_sld, qfi_two_mode_closed,
+                      thermal, tmsv, tmsv_stationarity_check, vacuum)
 from lossfish.channel import moment_derivatives, output_moments
+from lossfish.optimize import two_mode_grid
 
 
 def test_param_validation():
@@ -20,6 +25,48 @@ def test_param_validation():
         ChannelParams(eta=1.0, n_b=1.0, normalized=True)
     # eta = 1 with zero background is fine in the normalized model
     ChannelParams(eta=1.0, n_b=0.0, normalized=True)
+
+
+def test_array_eta_validated_elementwise():
+    p = ChannelParams([0.2, 0.5], 1.0)
+    assert p.eta.dtype == float and not p.eta.flags.writeable
+    # the error names the first entry that fails, in C order
+    for etas, got in (([0.5, 1.2, -0.1], "1.2"), ([[0.5], [np.nan]], "nan"),
+                      ([0.5, -0.1, 1.2], "-0.1")):
+        with pytest.raises(NonPhysicalParams, match=f"got {got}$"):
+            ChannelParams(etas, 1.0)
+    with pytest.raises(DivergentNoise):
+        ChannelParams([0.5, 1.0], 1.0, normalized=True)
+    ChannelParams([0.5, 1.0], 0.0, normalized=True)
+    # the guard band names the first entry inside it
+    with pytest.raises(EtaTooClose, match="eta = 0.99999999 is inside"):
+        qfi_coherent(1.0, ChannelParams([0.5, 0.99999999, 1.0], 0.0))
+
+
+P_ARRAY = ChannelParams(np.array([0.5, 0.6]), 1.0)
+COHERENT = build_single_mode(SingleModeProbe(1.0, 0.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: qfi_sld(COHERENT, p),
+    lambda p: qfi_single_mode_form(COHERENT, p),
+    lambda p: qfi_fidelity_fd(COHERENT, p),
+    lambda p: apply_channel(COHERENT, p),
+    lambda p: channel_derivative(COHERENT, p),
+    lambda p: effective_noise(p),
+    lambda p: qfi_two_mode_closed(TwoModeProbe(1.0, 1.0, 1.0), p),
+    lambda p: two_mode_grid(1.0, p, grid=(32, 32)),
+    lambda p: optimize_two_mode(1.0, p, grid=(32, 32)),
+    lambda p: tmsv_stationarity_check(1.0, p),
+    lambda p: homodyne_fisher(1.0, 1.0, p),
+    lambda p: HypothesisSpec(0.9, 0.8, 10, COHERENT, p),
+], ids=["qfi_sld", "qfi_single_mode_form", "qfi_fidelity_fd", "apply_channel",
+        "channel_derivative", "effective_noise", "qfi_two_mode_closed",
+        "two_mode_grid", "optimize_two_mode", "tmsv_stationarity_check",
+        "homodyne_fisher", "HypothesisSpec"])
+def test_scalar_routes_reject_array_eta(call):
+    with pytest.raises(ValueError, match="one scalar eta"):
+        call(P_ARRAY)
 
 
 def test_identity_at_full_transmission():

@@ -151,6 +151,34 @@ def test_readme_output_is_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == README_DIGESTS[command]
 
 
+# SHA-256 of the stdout of grid sweeps outside the README: the normalized
+# model, an eta grid across 1/sqrt(2) and N_S across the f1 edge at N_B = 0,
+# advantage grids at N_B = 0 and 1, and JSON output
+SWEEP_DIGESTS = {
+    "sweep-xi --ns-grid 0.01:100:25:log --eta-grid 0.05:0.95:19 --nb 1 --normalized":
+        "cb5df5bf8ea33c8f27acd9e90e3ab7b27263b67a56a115586c08fd55b5dc2a6f",
+    "sweep-xi --ns-grid 0.01:1000:9:log --eta-grid 0.6:0.99:7 --nb 0":
+        "9ff21195ca0bc7fee0e4bb7724dedaefb82a9580fe381cacf26e420e44990e04",
+    "sweep-total --total-ns-grid 0.01:10:13:log --eta-grid 0.3:0.95:14 --nb 1 --normalized":
+        "7e1764e09f922239b8a33f550b8fed033f3ef4eb4245f9d9eaa7a6dbc26c5386",
+    "advantage --eta-grid 0.05:0.95:7 --ns-grid 0.01:100:5:log --nb 0":
+        "f0c3ebc64e19d2ba40bcac6c5d543ab4a75c53ac15a9537f0cb980f6c9502d9d",
+    "advantage --eta-grid 0.05:0.95:7 --ns-grid 0.01:100:5:log --nb 1":
+        "7d2975e2bca4c6cd0b5d6e5bb47118f04f37f0e692277ff1a360df1147ce15bb",
+    "sweep-total --total-ns-grid 0.1:10:4:log --eta-grid 0.5,0.9 --nb 0.5 "
+    "--normalized --format json":
+        "c304512e2c401f32add9b47de5b290bea57cac0aa16518d3d0997d56997abeed",
+}
+
+
+@pytest.mark.parametrize("command", list(SWEEP_DIGESTS), ids=[
+    f"{c.split()[0]}-{i}" for i, c in enumerate(SWEEP_DIGESTS)])
+def test_sweep_output_is_pinned(capsys, command):
+    code, out, _ = run_cli(capsys, command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGESTS[command]
+
+
 def test_sweep_twomode_argmax_and_markers(capsys):
     code, out, _ = run_cli(capsys, ["sweep-twomode", "--ns", "1", "--eta",
                                     "0.7071", "--nb", "1", "--grid", "32x32"])
@@ -284,3 +312,19 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
                                     "coherent", "--ns", "1", "--route", "sld"])
     assert code == 3
     assert "synthetic failure" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "sweep-total --total-ns-grid 1e300,1e306 --eta-grid 0.5 --nb 0",
+    "sweep-xi --ns-grid 1e300,1e306 --eta-grid 0.5 --nb 0",
+    "advantage --eta-grid 0.5 --ns-grid 1e300 --nb 0",
+    "qfi --nb 1e300 --route sld --eta 0.5 --probe coherent --ns 1",
+    "qfi --probe sq --ns 1e9 --route sld --eta 0.5 --nb 0",
+], ids=["sweep-total-overflow", "sweep-xi-overflow", "advantage-overflow",
+        "qfi-sld-overflow", "qfi-sld-divide"])
+def test_floating_point_failure_exits_3(capsys, argv):
+    # an overflowed or divided-by-zero intermediate must not reach stdout
+    code, out, err = run_cli(capsys, argv.split())
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and ("overflow" in err or "divide" in err)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -147,14 +147,38 @@ def f1_python(eta, n_s):
     return first - 1.0 / (1.0 - 2.0 * e2 * (math.sqrt(n_s * (n_s + 1.0)) - n_s))
 
 
+def pow_sensitive_etas():
+    # transmissions where a multiply squares eta, 1 - eta^2 or eta^2 to other
+    # bits than libm pow (Python's `**`), two for each base: an array `** 2`
+    # in place of np.float_power changes results on them
+    rng = np.random.default_rng(11)
+    found = {"eta": [], "one": [], "e2": []}
+    for eta in rng.uniform(0.05, 0.99, 50000):
+        eta = float(eta)
+        e2 = eta ** 2
+        for name, base in (("eta", eta), ("one", 1.0 - e2), ("e2", e2)):
+            if base * base != base ** 2 and len(found[name]) < 2:
+                found[name].append(eta)
+    assert all(len(v) == 2 for v in found.values())
+    return sorted(sum(found.values(), []))
+
+
+POW_ETAS = pow_sensitive_etas()
+
+
 def test_f1_array_equals_python_float_arithmetic():
     # an array square is rounded unlike Python's `**` in about one case per
-    # thousand; f1 must keep the Python-float values, bit for bit
+    # thousand; f1 must keep the Python-float values, bit for bit, for an
+    # array of n_s and for an (n_s, eta) grid
     rng = np.random.default_rng(5)
     n_s = np.exp(rng.uniform(np.log(1e-4), np.log(1e4), 2000))
     for eta in (0.72, 0.9, 0.999):
         np.testing.assert_array_equal(f1(eta, n_s),
                                       [f1_python(eta, float(n)) for n in n_s])
+    etas = np.array([0.05, *POW_ETAS, 0.72, 0.999])
+    np.testing.assert_array_equal(
+        f1(etas[None, :], n_s[:200, None]),
+        [[f1_python(float(e), float(n)) for e in etas] for n in n_s[:200]])
 
 
 def test_g2_crossing_matches_abrupt_transition():
@@ -559,12 +583,31 @@ def test_advantage_division_by_zero_flagged():
 CHANNELS = [ChannelParams(0.5, 0.0), ChannelParams(0.9, 0.0),
             ChannelParams(0.6, 1.0), ChannelParams(0.95, 1.0),
             ChannelParams(0.99, 100.0), ChannelParams(0.6, 1.0, normalized=True),
-            ChannelParams(0.95, 1.0, normalized=True)]
+            ChannelParams(0.95, 1.0, normalized=True), ChannelParams(0.6, 1e-3),
+            ChannelParams(0.6, 0.5, normalized=True),
+            ChannelParams(0.9, 1000.0, normalized=True)]
 CHANNEL_IDS = ["nb0-below", "nb0-above", "bare", "bare-squeezed-scan",
-               "bare-coherent-scan", "normalized", "normalized-squeezed-scan"]
+               "bare-coherent-scan", "normalized", "normalized-squeezed-scan",
+               "bare-weak", "normalized-weak", "normalized-strong"]
 NS_WIDE = np.geomspace(1e-4, 1e3, 15)
 # N_S across the f1 edge of the xi search at eta = 0.9, N_B = 0
 NS_F1_EDGE = xi_threshold_nbar(0.9) * np.array([0.5, 0.999999, 1.0, 1.000001, 2.0])
+# eta across 1/sqrt(2), where the N_B = 0 search turns its f1 rule on, and
+# the transmissions of the scan branches above
+ETAS = np.array([0.05, 0.5, np.nextafter(SQRT_HALF, 0.0), SQRT_HALF,
+                 np.nextafter(SQRT_HALF, 1.0), 0.9, 0.95, 0.99])
+
+
+def eta_grid(p, etas=ETAS):
+    """`p` with an array of transmissions instead of its scalar eta."""
+    return replace(p, eta=np.asarray(etas))
+
+
+def assert_columns_equal(grid, p, etas, call):
+    # column j of the array-eta `grid` equals `call` at the scalar etas[j]
+    assert grid.shape[-1] == len(etas)
+    for j, eta in enumerate(etas):
+        np.testing.assert_array_equal(grid[..., j], call(replace(p, eta=float(eta))))
 
 
 def reference_optimize_xi(n_s, p, xi_tol=1e-8):
@@ -624,6 +667,19 @@ def test_optimize_xi_array_equals_scalar_calls(p):
         np.testing.assert_array_equal(field, [r[k] for r in scalar])
     assert optimize_xi(n_s.reshape(4, 5), p).boundary.shape == (4, 5)
 
+    # one lockstep over the (N_S, eta) grid: each column equals the call at
+    # its scalar eta, and each point the per-point reference search
+    etas = np.append(ETAS, p.eta)
+    grid = optimize_xi(n_s[:, None], eta_grid(p, etas))
+    for k, field in enumerate(astuple(grid)):
+        assert field.shape == (len(n_s), len(etas))
+        assert_columns_equal(field, p, etas,
+                             lambda q: astuple(optimize_xi(n_s, q))[k])
+    reference = [[reference_optimize_xi(float(n), replace(p, eta=float(e)))
+                  for e in etas] for n in n_s]
+    for k, field in enumerate(astuple(grid)):
+        np.testing.assert_array_equal(field, [[r[k] for r in row] for row in reference])
+
 
 @pytest.mark.parametrize("p", CHANNELS, ids=CHANNEL_IDS)
 def test_closed_forms_array_equal_scalar_calls(p):
@@ -641,16 +697,33 @@ def test_closed_forms_array_equal_scalar_calls(p):
         advantage_ratio(FAMILY_TMSV, FAMILY_COHERENT, p, NS_WIDE),
         [advantage_ratio(FAMILY_TMSV, FAMILY_COHERENT, p, float(n)) for n in NS_WIDE])
 
+    # an array eta on a third axis: each column equals its scalar-eta call
+    etas = np.concatenate([ETAS, POW_ETAS])
+    parts = qfi_if_closed(NS_WIDE[:, None, None], NS_F1_EDGE[None, :, None],
+                          eta_grid(p, etas))
+    for k, field in enumerate(astuple(parts)[:4]):
+        assert_columns_equal(np.broadcast_to(field, (15, 5, len(etas))), p, etas,
+                             lambda q: np.broadcast_to(astuple(qfi_if_closed(
+                                 NS_WIDE[:, None], NS_F1_EDGE[None, :], q))[k], (15, 5)))
+    for fn in (qfi_tmsv, qfi_coherent, qfi_squeezed_vacuum,
+               lambda n, q: advantage_ratio(FAMILY_TMSV, FAMILY_COHERENT, q, n)):
+        assert_columns_equal(fn(NS_WIDE[:, None], eta_grid(p, etas)), p, etas,
+                             lambda q: fn(NS_WIDE, q))
+
 
 @pytest.mark.parametrize("p", CHANNELS, ids=CHANNEL_IDS)
 def test_total_qfi_and_bandwidth_arrays_equal_scalar_calls(p):
     totals = np.concatenate([NS_WIDE, NS_F1_EDGE])
+    etas = np.concatenate([ETAS, POW_ETAS])
     for family in (FAMILY_IDLER_FREE, FAMILY_TMSV, FAMILY_COHERENT):
         for m in (1.0, 3.0, math.inf):
             for xi in (0.0, 0.3, 1.0):
                 np.testing.assert_array_equal(
                     total_qfi(totals, m, p, family, xi),
                     [total_qfi(float(t), m, p, family, xi) for t in totals])
+                assert_columns_equal(
+                    total_qfi(totals[:, None], m, eta_grid(p, etas), family, xi),
+                    p, etas, lambda q: total_qfi(totals, m, q, family, xi))
         plan = optimize_bandwidth(totals, p, family)
         scalar = [optimize_bandwidth(float(t), p, family) for t in totals]
         for field in ("total_photons", "m", "total_qfi", "divergent"):
@@ -662,6 +735,13 @@ def test_total_qfi_and_bandwidth_arrays_equal_scalar_calls(p):
             np.testing.assert_array_equal(
                 plan.xi_opt, [math.nan if s.xi_opt is None else s.xi_opt
                               for s in scalar])
+        # an (N_S total, eta) grid plans every column as its scalar eta does
+        grid = optimize_bandwidth(totals[:, None], eta_grid(p), family)
+        for field in ("total_photons", "m", "total_qfi", "divergent", "xi_opt"):
+            if getattr(grid, field) is not None:  # a TMSV plan has no xi
+                assert_columns_equal(
+                    getattr(grid, field), p, ETAS,
+                    lambda q: getattr(optimize_bandwidth(totals, q, family), field))
 
 
 def test_scalar_arguments_give_python_floats():

@@ -34,7 +34,8 @@ class ChannelParams:
     idler-free and TMSV closed forms, `f1`, `total_qfi`, `optimize_xi`,
     `optimize_bandwidth` and `advantage_ratio` broadcast it against their
     photon numbers; every other route needs one scalar `eta`.  `n_b` and
-    `normalized` are always scalars.
+    `normalized` are always scalars.  Channels compare and hash by value, an
+    array `eta` by its shape and entries.
     """
 
     eta: float | np.ndarray
@@ -52,8 +53,33 @@ class ChannelParams:
             raise NonPhysicalParams(f"eta must lie in [0, 1], got {bad}")
         if not 0.0 <= self.n_b < math.inf:
             raise NonPhysicalParams(f"n_b must be finite and >= 0, got {self.n_b}")
-        if self.normalized and self.n_b > 0.0 and _any(eta == 1.0):
+        if _held_background(self) and _any(eta == 1.0):
             raise DivergentNoise("normalized bath N_B/(1-eta^2) diverges at eta = 1")
+
+    def _key(self):
+        """What `==` and `hash` compare: the shape and values of eta, n_b, the model."""
+        eta = self.eta
+        return np.shape(eta), tuple(np.ravel(eta).tolist()), self.n_b, self.normalized
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+def _shadow_diverges(p: ChannelParams) -> bool:
+    """True in the bare thermal channel (N_B > 0, not normalized): every probe
+    copy adds the power-independent shadow term, so broadband totals diverge."""
+    return p.n_b > 0.0 and not p.normalized
+
+
+def _held_background(p: ChannelParams) -> bool:
+    """True where the normalized model differs from the bare channel: it holds
+    a background N_B > 0 at N_B/(1-eta^2).  At N_B = 0 the two coincide."""
+    return p.normalized and p.n_b > 0.0
 
 
 def _any(mask) -> bool:
@@ -80,14 +106,14 @@ def _scalar_eta(p: ChannelParams):
 
 def additive_noise(p: ChannelParams) -> float:
     """Additive covariance noise y(eta) of the channel."""
-    if p.normalized:
+    if _held_background(p):
         return p.n_b + 0.5 * (1.0 - p.eta ** 2)
     return (1.0 - p.eta ** 2) * (p.n_b + 0.5)
 
 
 def additive_noise_derivative(p: ChannelParams) -> float:
     """d y / d eta, with the normalized substitution applied before differentiating."""
-    if p.normalized:
+    if _held_background(p):
         return -p.eta
     return -2.0 * p.eta * (p.n_b + 0.5)
 
@@ -95,12 +121,8 @@ def additive_noise_derivative(p: ChannelParams) -> float:
 def effective_noise(p: ChannelParams) -> float:
     """Bath photon number seen by the signal: N_B, or N_B/(1-eta^2) if normalized."""
     _scalar_eta(p)
-    if not p.normalized:
+    if not _held_background(p):
         return p.n_b
-    if p.eta == 1.0:
-        if p.n_b == 0.0:
-            return 0.0
-        raise DivergentNoise("N_B/(1-eta^2) diverges at eta = 1")
     return p.n_b / (1.0 - p.eta ** 2)
 
 

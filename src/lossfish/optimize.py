@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import (ChannelParams, _any, _first_failing, _scalar_eta,
-                      moment_derivatives, output_moments)
+from .channel import (ChannelParams, _any, _first_failing, _held_background, _scalar_eta,
+                      _shadow_diverges, moment_derivatives, output_moments)
 from .errors import SingularSystem
 from .probes import two_mode_moments, two_mode_r_min
 from .qfi import (_as_output, _check_eta, _if_total, _photons,
@@ -57,12 +57,13 @@ class XiOptResult:
 class BandwidthPlan:
     """Energy split over probe copies: `m` copies of `total_photons / m` each.
 
-    ``m = math.inf`` denotes the broadband limit; `divergent` marks plans whose
-    total QFI grows without bound (shadow term times an unbounded number of
-    copies in the bare thermal channel).  A plan for an array of total photon
-    numbers, or for an array eta, holds arrays of their broadcast shape in
-    every field but `probe_family`; there `xi_opt` is NaN where a scalar plan
-    has None.
+    ``m = math.inf`` denotes the broadband limit.  `divergent` marks the
+    shadow effect of the bare thermal channel (``N_B > 0``, unnormalized),
+    where the shadow term times an unbounded number of copies makes the total
+    QFI grow without bound; a finite budget whose total overflows to ``inf``
+    is not divergent.  A plan for an array of total photon numbers, or for
+    an array eta, holds arrays of their broadcast shape in every field but
+    `probe_family`; there `xi_opt` is NaN where a scalar plan has None.
     """
 
     total_photons: float
@@ -81,17 +82,6 @@ def _check_eta_domain(eta):
     bad = _first_failing(eta, (0.0 <= eta) & (eta < 1.0))
     if bad is not None:
         raise ValueError(f"eta must lie in [0, 1), got {bad}")
-
-
-def _flat_pairs(x, p: ChannelParams):
-    """`x` and ``p.eta`` broadcast against each other and flattened.
-
-    Returns their broadcast shape, the flat `x` and `p` holding the flat eta
-    array, so that the i-th entries of the two go together.
-    """
-    shape = np.broadcast_shapes(np.shape(x), np.shape(p.eta))
-    x, eta = (np.broadcast_to(a, shape).reshape(-1) for a in (x, p.eta))
-    return shape, x, replace(p, eta=eta)
 
 
 def f1(eta: float | np.ndarray, n_s: float | np.ndarray) -> float | np.ndarray:
@@ -244,8 +234,10 @@ def optimize_xi(n_s: float | np.ndarray, p: ChannelParams) -> XiOptResult:
     """
     n_s = _photons(n_s, "n_s", positive=True)
     _check_eta(p)
-    shape, ns, p = _flat_pairs(n_s, p)
-    eta = p.eta
+    # flat, broadcast (N_S, eta) pairs
+    shape = np.broadcast_shapes(np.shape(n_s), np.shape(p.eta))
+    ns, eta = (np.broadcast_to(a, shape).reshape(-1) for a in (n_s, p.eta))
+    p = replace(p, eta=eta)
 
     def value(xi, n, q):
         return _if_total((1.0 - xi) * n, xi * n, q)
@@ -310,7 +302,7 @@ def _two_mode_grid_qfi(n_s: float, zetas: np.ndarray, r_grid: np.ndarray,
 
     values, bad = _sld_qfi_batch(st, dst, ddt, raise_on_bad=False)
     if np.any(bad):
-        if p.normalized:
+        if _held_background(p):
             raise SingularSystem("SLD solve ill-conditioned and no closed-form "
                                  "fallback exists for the normalized model")
         val = _two_mode_closed_raw(n_s, zz[bad], rr[bad], 0.0, p.eta, p.n_b)
@@ -377,7 +369,7 @@ def tmsv_stationarity_check(n_s: float, p: ChannelParams):
     """
     if not 0.0 < n_s < math.inf:
         raise ValueError(f"n_s must be finite and positive, got {n_s}")
-    if p.normalized and p.n_b > 0:
+    if _held_background(p):
         raise ValueError("stationarity check uses the bare-channel closed form")
     _scalar_eta(p)
     _check_eta(p)
@@ -404,7 +396,7 @@ def _broadband_limit(total_photons, p, family, xi):
     The idler-free limit at ``N_B = 0`` divides by ``1 - eta^2`` and checks
     the eta guard; the others are regular up to ``eta = 1``.
     """
-    if p.n_b > 0.0 and not p.normalized:
+    if _shadow_diverges(p):
         # shadow effect: every copy adds the power-independent vacuum term
         shape = np.broadcast_shapes(np.shape(total_photons), np.shape(p.eta))
         return np.full(shape, math.inf)
@@ -453,56 +445,49 @@ def optimize_bandwidth(total_photons: float | np.ndarray, p: ChannelParams,
                        family: str = FAMILY_IDLER_FREE) -> BandwidthPlan:
     """Choose the bandwidth (M = 1 vs the broadband limit) for a probe family.
 
-    Every total comes from :func:`total_qfi`.  Where the broadband
-    (``m = math.inf``) total diverges, i.e. in the bare thermal channel where
-    every family rides the shadow term, the plan is the divergent
-    M = infinity one.  Otherwise the coherent total, and the TMSV total at
-    ``N_B = 0``, are M-independent (reported as M = 1); in the normalized
-    model the TMSV total increases with M and saturates the ultimate bound at
-    M = infinity.  The idler-free family compares the jointly xi-optimized
-    single-shot value against the better broadband edge, coherent
-    (``xi = 0``) or squeezed (``xi = 1``).  Broadcasts over `total_photons`
-    and an array ``p.eta``, with one lockstep :func:`optimize_xi` call for
-    the idler-free family.
+    In the bare thermal channel (``N_B > 0``, unnormalized) every family
+    rides the shadow term, whose broadband total diverges: the plan is the
+    divergent M = infinity one, and nothing is evaluated.  Otherwise every
+    total comes from :func:`total_qfi`, and the plan is not divergent, even
+    where a huge finite budget overflows its total to ``inf``.  The coherent
+    total, and the TMSV total at ``N_B = 0``, are M-independent (reported as
+    M = 1); in the normalized model the TMSV total increases with M and
+    saturates the ultimate bound at M = infinity.  The idler-free family
+    compares the jointly xi-optimized single-shot value against the better
+    broadband edge, coherent (``xi = 0``) or squeezed (``xi = 1``).
+    Broadcasts over `total_photons` and an array ``p.eta``, with one lockstep
+    :func:`optimize_xi` call for the idler-free family.
     """
-    shape, t, p = _flat_pairs(np.asarray(total_photons, dtype=float), p)
-    if family == FAMILY_TMSV:
-        m_tmsv = 1.0 if p.n_b == 0.0 else math.inf
-        total = total_qfi(t, m_tmsv, p, family)
-        m = np.full(t.shape, m_tmsv)
-        xi_opt = None
+    if family not in (FAMILY_IDLER_FREE, FAMILY_TMSV, FAMILY_COHERENT):
+        raise ValueError(f"unknown probe family {family!r}")
+    t = _photons(total_photons, "total_photons", positive=True)
+    shape = np.broadcast_shapes(np.shape(t), np.shape(p.eta))
+    divergent = _shadow_diverges(p)
+    xi_opt = math.nan
+    if divergent:
+        m = total = math.inf
+    elif family == FAMILY_TMSV:
+        m = 1.0 if p.n_b == 0.0 else math.inf
+        total = total_qfi(t, m, p, family)
+    elif family == FAMILY_COHERENT:
+        m, xi_opt = 1.0, 0.0
+        total = total_qfi(t, m, p, family)
     else:
-        if family == FAMILY_IDLER_FREE:
-            coh, sq = (total_qfi(t, math.inf, p, family, xi) for xi in (0.0, 1.0))
-            xi_inf = np.where(sq > coh, 1.0, 0.0)
-            total = np.where(sq > coh, sq, coh)
-        else:
-            total = total_qfi(t, math.inf, p, family)
-        # divergent points keep the broadband plan, with no xi
-        m = np.full(t.shape, math.inf)
-        xi_opt = np.full(t.shape, math.nan)
-        ok = ~np.isinf(total)
-        # an all-divergent plan evaluates nothing more, nor checks the eta guard
-        if ok.any():
-            p_ok = replace(p, eta=p.eta[ok])
-            if family == FAMILY_COHERENT:
-                m[ok], xi_opt[ok] = 1.0, 0.0
-                total[ok] = total_qfi(t[ok], 1.0, p_ok, family)
-            else:
-                broadband = total[ok]
-                single = optimize_xi(t[ok], p_ok)
-                wide = broadband > single.qfi_opt
-                m[ok] = np.where(wide, math.inf, 1.0)
-                total[ok] = np.where(wide, broadband, single.qfi_opt)
-                xi_opt[ok] = np.where(wide, xi_inf[ok], single.xi_opt)
-    divergent = np.isinf(total)
+        coh, sq = (total_qfi(t, math.inf, p, family, xi) for xi in (0.0, 1.0))
+        broadband = np.where(sq > coh, sq, coh)
+        single = optimize_xi(t, p)
+        wide = broadband > single.qfi_opt
+        m = np.where(wide, math.inf, 1.0)
+        total = np.where(wide, broadband, single.qfi_opt)
+        xi_opt = np.where(wide, np.where(sq > coh, 1.0, 0.0), single.xi_opt)
     if not shape:
-        xi_one = None if xi_opt is None or math.isnan(xi_opt[0]) else float(xi_opt[0])
-        return BandwidthPlan(float(t[0]), float(m[0]), float(total[0]),
-                             family, bool(divergent[0]), xi_one)
-    return BandwidthPlan(t.reshape(shape), m.reshape(shape), total.reshape(shape),
-                         family, divergent.reshape(shape),
-                         None if xi_opt is None else xi_opt.reshape(shape))
+        xi_one = None if family == FAMILY_TMSV or math.isnan(xi_opt) else float(xi_opt)
+        return BandwidthPlan(float(t), float(m), float(total), family, bool(divergent),
+                             xi_one)
+    t, m, total, xi_opt = (np.array(np.broadcast_to(x, shape), dtype=float)
+                           for x in (t, m, total, xi_opt))
+    return BandwidthPlan(t, m, total, family, np.full(shape, divergent),
+                         None if family == FAMILY_TMSV else xi_opt)
 
 
 def advantage_ratio(family_a: str, family_b: str, p: ChannelParams,

@@ -20,7 +20,7 @@ alongside, for both the bare channel and the constant-background normalized
 model.  All routes must agree; the test suite enforces this on dense grids.
 
 The engine guards ``eta <= 1 - 1e-7`` (the fidelity route guards the upper
-end ``eta + deta/2`` of its pair): at ``eta -> 1`` the output state turns
+end ``eta + FD_STEP/2`` of its pair): at ``eta -> 1`` the output state turns
 pure, the SLD system degenerates and the purity form divides by ``1 - mu^4``.
 Behaviour at ``eta = 1`` is only meaningful through asymptotic expansions.
 
@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import (ChannelParams, _any, _first_failing, _scalar_eta,
+from .channel import (ChannelParams, _any, _first_failing, _held_background, _scalar_eta,
                       additive_noise, additive_noise_derivative, apply_channel,
                       gamma_to_eta, moment_derivatives, output_moments)
 from .errors import DegenerateDenominator, EtaTooClose, SingularSystem
@@ -47,6 +47,7 @@ from .probes import TwoModeProbe, squeeze_parameter
 from .states import GaussianState, symplectic_form
 
 EPS_ETA = 1e-7
+FD_STEP = 1e-4
 SLD_RESIDUAL_TOL = 1e-8
 EPS_MACHINE = np.finfo(float).eps
 
@@ -238,28 +239,27 @@ def qfi_single_mode_form(probe: GaussianState, p: ChannelParams) -> float:
     return float(term1 + term2 + term3)
 
 
-def qfi_fidelity_fd(probe: GaussianState, p: ChannelParams, deta: float = 1e-4) -> float:
+def qfi_fidelity_fd(probe: GaussianState, p: ChannelParams) -> float:
     """QFI from the fidelity drop between outputs at nearby transmissions.
 
-    Evaluates ``8 (1 - sqrt(F)) / deta^2`` on the centred pair ``eta -/+ deta/2``
-    (quadratic-order accurate); raises `EtaTooClose` when ``eta + deta/2``
-    enters the guard band.  The route is cross-checked against the SLD to
-    1e-4 only for ``eta <= 0.95`` (acceptance criterion 01); closer to 1 its
-    error grows past that tolerance.
+    Evaluates ``8 (1 - sqrt(F)) / h^2`` on the centred pair ``eta -/+ h/2``
+    with the fixed step ``h = FD_STEP`` (quadratic-order accurate); raises
+    `EtaTooClose` when ``eta + h/2`` enters the guard band.  The route is
+    cross-checked against the SLD to 1e-4 only for ``eta <= 0.95``
+    (acceptance criterion 01); closer to 1 its error grows past that
+    tolerance.
     """
     _scalar_eta(p)
-    if not 1e-6 <= deta <= 1e-3:
-        raise ValueError("deta must lie in [1e-6, 1e-3]")
-    if p.eta - deta < 0:
-        raise ValueError("eta - deta must be non-negative")
-    hi = p.eta + 0.5 * deta
+    if p.eta - FD_STEP < 0:
+        raise ValueError("eta - FD_STEP must be non-negative")
+    hi = p.eta + 0.5 * FD_STEP
     if hi > 1.0 - EPS_ETA:
-        raise EtaTooClose(f"eta + deta/2 = {hi} is inside the guard band "
-                          f"(eta + deta/2 <= {1.0 - EPS_ETA})")
-    out_lo = apply_channel(probe, replace(p, eta=p.eta - 0.5 * deta))
+        raise EtaTooClose(f"eta + FD_STEP/2 = {hi} is inside the guard band "
+                          f"(eta + FD_STEP/2 <= {1.0 - EPS_ETA})")
+    out_lo = apply_channel(probe, replace(p, eta=p.eta - 0.5 * FD_STEP))
     out_hi = apply_channel(probe, replace(p, eta=hi))
     fid = gaussian_fidelity(out_lo, out_hi)
-    return float(8.0 * (1.0 - math.sqrt(fid)) / deta ** 2)
+    return float(8.0 * (1.0 - math.sqrt(fid)) / FD_STEP ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +287,7 @@ def _if_terms(n_coh, n_sq, p: ChannelParams):
         a_den = one * n_sq * e2
         i_sq = 4.0 * n_sq * (_sq(one) + _sq(e2)) / (one * (2.0 * a_den + 1.0))
         i_shadow = 0.0
-    elif p.normalized:
+    elif _held_background(p):
         i_disp = 4.0 * n_coh / (r * e2 + 2.0 * nb + 1.0 - e2)
         b_den = nb * (nb + 1.0) + n_sq * e2 * (2.0 * nb + 1.0) - n_sq * _sq(e2)
         if _any(b_den <= 0.0):
@@ -368,7 +368,7 @@ def qfi_tmsv(n_s: float | np.ndarray, p: ChannelParams) -> float | np.ndarray:
     n_s = _photons(n_s, "n_s")
     e2 = _sq(p.eta)
     nb = p.n_b
-    if p.normalized and nb > 0.0:
+    if _held_background(p):
         # regular up to eta -> 1 thanks to the constant background
         return _as_output(4.0 * n_s * (nb + 1.0 + n_s * (nb + 1.0 - e2))
                           / ((nb + 1.0 - e2) * (nb + 1.0 + n_s * (2.0 * nb + 1.0 - e2))))
@@ -422,7 +422,7 @@ def qfi_two_mode_closed(probe: TwoModeProbe, p: ChannelParams) -> float:
     Independent of the probe's `phi`.  For the normalized model or eta = 0 use
     :func:`qfi_sld` on the built state.
     """
-    if p.normalized and p.n_b > 0:
+    if _held_background(p):
         raise ValueError("closed form covers the bare channel only; use qfi_sld")
     _scalar_eta(p)
     _check_eta(p)

@@ -54,7 +54,7 @@ def test_criterion_01_three_route_agreement():
                     state = probe_state(kind, n_s)
                     closed = probe_closed_form(kind, n_s, p)
                     sld = lf.qfi_sld(state, p)
-                    fd = lf.qfi_fidelity_fd(state, p, deta=1e-4)
+                    fd = lf.qfi_fidelity_fd(state, p)
                     worst_closed = max(worst_closed, abs(sld - closed) / closed)
                     worst_fd = max(worst_fd, abs(fd - sld) / sld)
     elapsed = time.monotonic() - t0

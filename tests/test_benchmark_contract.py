@@ -66,3 +66,21 @@ def test_readme_digests_have_one_source():
     pinned = dict_literal(Path(__file__).with_name("test_cli.py"), "README_DIGESTS")
     bench = dict_literal(PERFBENCH / "workloads.py", "README_DIGESTS")
     assert pinned == bench and len(bench) == 8
+
+
+def readme_commands():
+    """The ``lossfish ...`` lines of README.md's command block, prefix dropped."""
+    text = (PERFBENCH.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.removeprefix("lossfish ") for line in block.splitlines()
+            if line.startswith("lossfish ")]
+
+
+def test_readme_commands_are_pinned():
+    # every README command has a pinned digest; the pin holds one more run,
+    # sweep-xi with a thermal background
+    commands = readme_commands()
+    pinned = dict_literal(Path(__file__).with_name("test_cli.py"), "README_DIGESTS")
+    assert len(commands) == 7 and set(commands) <= set(pinned)
+    assert set(pinned) - set(commands) == {
+        "sweep-xi --ns-grid 0.01:100:25:log --eta-grid 0.05:0.95:19 --nb 1"}

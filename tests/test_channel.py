@@ -161,6 +161,35 @@ def test_effective_noise():
     assert effective_noise(ChannelParams(0.5, 1.0, normalized=True)) == \
         pytest.approx(4.0 / 3.0, rel=1e-14)
     assert effective_noise(ChannelParams(1.0, 0.0, normalized=True)) == 0.0
+    for eta in (0.0, 0.5, 1.0):
+        for n_b in (0.0, 2.0):
+            assert effective_noise(ChannelParams(eta, n_b)) == n_b
+            if n_b > 0 and eta == 1.0:
+                with pytest.raises(DivergentNoise):
+                    ChannelParams(eta, n_b, normalized=True)
+            else:
+                want = n_b / (1.0 - eta ** 2) if n_b > 0 else 0.0
+                assert effective_noise(ChannelParams(eta, n_b, normalized=True)) == want
+
+
+def test_array_eta_compares_and_hashes_by_value():
+    p = ChannelParams([0.5, 0.6], 1.0)
+    assert p == ChannelParams(np.array([0.5, 0.6]), 1.0)
+    assert hash(p) == hash(ChannelParams(np.array([0.5, 0.6]), 1.0))
+    for other in (ChannelParams([0.5, 0.7], 1.0), ChannelParams([[0.5, 0.6]], 1.0),
+                  ChannelParams([0.5, 0.6], 2.0),
+                  ChannelParams([0.5, 0.6], 1.0, normalized=True),
+                  ChannelParams(0.5, 1.0)):
+        assert p != other
+    zero, minus_zero = ChannelParams([0.0, 0.5], 0.0), ChannelParams([-0.0, 0.5], 0.0)
+    assert zero == minus_zero and hash(zero) == hash(minus_zero)
+    assert len({p, ChannelParams([0.5, 0.6], 1.0), zero, minus_zero}) == 2
+    # scalar eta: as a plain dataclass of floats
+    assert ChannelParams(0.5, 1.0) == ChannelParams(0.5, 1)
+    assert hash(ChannelParams(0.5, 1.0)) == hash(ChannelParams(0.5, 1))
+    assert ChannelParams(0.0, 0.0) == ChannelParams(-0.0, 0.0)
+    assert hash(ChannelParams(np.array(0.5), 1.0)) == hash(ChannelParams(0.5, 1.0))
+    assert ChannelParams(0.5, 1.0).__eq__("channel") is NotImplemented
 
 
 def test_gamma_to_eta():

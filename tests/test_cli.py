@@ -58,7 +58,7 @@ def test_qfi_routes_consistent(capsys):
 @pytest.mark.parametrize("argv", [
     ["qfi", "--eta", "1.0", "--probe", "coherent", "--ns", "1"],
     ["sweep-twomode", "--ns", "1", "--eta", "0.99999999", "--nb", "1"],
-    # eta + deta/2 is inside the guard band, though eta is not
+    # eta + FD_STEP/2 is inside the guard band, though eta is not
     ["qfi", "--eta", "0.99999", "--nb", "1", "--probe", "coherent", "--ns", "1",
      "--route", "fidelity"],
 ], ids=["qfi", "sweep-twomode", "qfi-fidelity-pair"])
@@ -195,6 +195,13 @@ def test_sweep_twomode_argmax_and_markers(capsys):
     # the markers are the grid rows at (0, 1), (1, r_min) and (1, 1)
     grid = lines[1:1 + 32 * 32]
     assert lines[-3:] == [grid[31], grid[31 * 32], grid[-1]]
+
+
+def test_sweep_twomode_normalized_without_background_is_bare(capsys):
+    argv = ["sweep-twomode", "--ns", "1000", "--eta", "0.999", "--nb", "0"]
+    code, bare, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert run_cli(capsys, argv + ["--normalized"]) == (0, bare, "")
 
 
 def test_sweep_twomode_grid_refinement_keeps_argmax(capsys):

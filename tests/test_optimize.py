@@ -1,5 +1,6 @@
+import hashlib
 import math
-from dataclasses import astuple, replace
+from dataclasses import astuple, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from lossfish import (ChannelParams, EtaTooClose, advantage_ratio, f1, g1, g2,
                       qfi_tmsv, threshold_constant_large_ns,
                       tmsv_stationarity_check, total_qfi, xi_threshold_nbar)
 from lossfish.optimize import (BOUNDARY_COHERENT, BOUNDARY_SQUEEZED,
-                               FAMILY_COHERENT, FAMILY_IDLER_FREE, FAMILY_TMSV,
-                               grid_argmax, two_mode_grid)
+                               FAMILY_COHERENT, FAMILY_IDLER_FREE, FAMILY_SQUEEZED,
+                               FAMILY_TMSV, grid_argmax, two_mode_grid)
 from lossfish.channel import moment_derivatives, output_moments
 from lossfish.probes import two_mode_moments
 from lossfish.qfi import _sld_qfi_batch, _two_mode_closed_raw
@@ -326,6 +327,20 @@ def test_two_mode_grid_rejects_non_finite_power():
             two_mode_grid(n_s, ChannelParams(0.5, 1.0), grid=(32, 32))
 
 
+@pytest.mark.parametrize("n_s,eta", [(1e3, 0.999), (1.0, 0.7071), (1e3, 0.5)])
+def test_two_mode_grid_normalized_without_background_is_bare(n_s, eta):
+    # at N_B = 0 the two models are one channel, closed-form fallback included
+    bare = two_mode_grid(n_s, ChannelParams(eta, 0.0))
+    held = two_mode_grid(n_s, ChannelParams(eta, 0.0, normalized=True))
+    for a, b in zip(bare, held):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_optimize_two_mode_normalized_without_background():
+    assert optimize_two_mode(1e3, ChannelParams(0.999, 0.0, normalized=True)) == \
+        (1.0, 1.0, 2001000.5001022117)
+
+
 def test_grid_fallback_is_the_scalar_closed_form():
     # bright probes at eta -> 1: the SLD residual check sends many points to
     # the closed form, which the grid evaluates on all of them at once
@@ -433,6 +448,21 @@ def test_optimize_bandwidth_divergent_region():
     for family in (FAMILY_IDLER_FREE, FAMILY_TMSV, FAMILY_COHERENT):
         plan = optimize_bandwidth(4.0, ChannelParams(0.5, 1.0), family)
         assert plan.divergent and math.isinf(plan.m) and math.isinf(plan.total_qfi)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("normalized", [False, True], ids=["bare", "normalized"])
+@pytest.mark.parametrize("family", [FAMILY_IDLER_FREE, FAMILY_TMSV, FAMILY_COHERENT])
+def test_optimize_bandwidth_overflow_is_not_divergent(family, normalized):
+    # without a background no shadow term diverges; a huge finite budget
+    # only overflows its total
+    for eta in (0.5, 0.9999):
+        plan = optimize_bandwidth(1e306, ChannelParams(eta, 0.0, normalized), family)
+        assert plan.divergent is False
+    grid = optimize_bandwidth(np.array([1.0, 1e306]),
+                              ChannelParams(np.array([[0.5], [0.9999]]), 0.0, normalized),
+                              family)
+    np.testing.assert_array_equal(grid.divergent, np.zeros((2, 2), dtype=bool))
 
 
 def test_optimize_bandwidth_normalized_tmsv_prefers_broadband():
@@ -763,3 +793,109 @@ def test_array_photon_numbers_must_be_positive():
     for call in (lambda n: optimize_xi(n, P_BARE), lambda n: total_qfi(n, 1.0, P_BARE)):
         with pytest.raises(ValueError):
             call(np.array([1.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# the plan layer, pinned: SHA-256 of every outcome on a fixed grid
+# ---------------------------------------------------------------------------
+
+PIN_ETAS = np.concatenate([np.linspace(0.05, 0.95, 19), [0.99, 0.9999, 1.0 - 2e-7]])
+PIN_TOTALS = np.geomspace(1e-3, 1e3, 13)
+PIN_CALLS = {
+    "plan": [lambda t, p, family=family: optimize_bandwidth(t, p, family)
+             for family in (FAMILY_IDLER_FREE, FAMILY_TMSV, FAMILY_COHERENT)],
+    "total": [lambda t, p, m=m, family=family, xi=xi: total_qfi(t, m, p, family, xi)
+              for family in (FAMILY_IDLER_FREE, FAMILY_TMSV, FAMILY_COHERENT)
+              for m in (1.0, 3.0, math.inf) for xi in (0.0, 0.3, 1.0)],
+    "ratio": [lambda t, p, pair=pair: advantage_ratio(*pair, p, t)
+              for pair in ((FAMILY_TMSV, FAMILY_COHERENT),
+                           (FAMILY_SQUEEZED, FAMILY_COHERENT))],
+}
+
+
+def outcome(call):
+    """The shape and `float.hex` of every field of `call()`, or the type and
+    message of the exception it raises."""
+    try:
+        result = call()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    fields = astuple(result) if is_dataclass(result) else (result,)
+    return repr([x if x is None or isinstance(x, str) else
+                 (np.shape(x), [float(v).hex() for v in np.ravel(x)])
+                 for x in fields])
+
+
+def pin_digest(kind, n_b, normalized):
+    """Digest of every `kind` call on the (total, eta) grid: one scalar call
+    per point, then one call on the whole (total, eta) array."""
+    lines = []
+    for call in PIN_CALLS[kind]:
+        for eta in PIN_ETAS:
+            for t in PIN_TOTALS:
+                p = ChannelParams(float(eta), n_b, normalized)
+                lines.append(outcome(lambda: call(float(t), p)))
+        p = ChannelParams(PIN_ETAS[None, :], n_b, normalized)
+        lines.append(outcome(lambda: call(PIN_TOTALS[:, None], p)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# recorded before the plan layer was rewritten around the channel's
+# shadow-effect predicate; every value must stay as it was
+PLAN_DIGESTS = {
+    ('plan', 0.0, False):
+        "651139d2b83fbc4aa4e26a8406da2c2bc0aca74eca9aceb86e54646a195a201a",
+    ('plan', 0.0, True):
+        "651139d2b83fbc4aa4e26a8406da2c2bc0aca74eca9aceb86e54646a195a201a",
+    ('plan', 0.001, False):
+        "937886564783e3be099c8342a2a815894c82efd956ebf12f7e187b97c5a731c2",
+    ('plan', 0.001, True):
+        "8a26acad2fdeefe4eed77c7e486b0318e8e2808ccbaa69c579ab0bcdbb01d713",
+    ('plan', 1.0, False):
+        "937886564783e3be099c8342a2a815894c82efd956ebf12f7e187b97c5a731c2",
+    ('plan', 1.0, True):
+        "730fbdd7fd2baaa91c1801b64da7b74b6fc08f5665aa9fe00b86aa921f75b9e7",
+    ('plan', 100.0, False):
+        "937886564783e3be099c8342a2a815894c82efd956ebf12f7e187b97c5a731c2",
+    ('plan', 100.0, True):
+        "18d101f9447654423199ae5b7f1890e7997e99ca6bcc639d86cc90ea5b5302ea",
+    ('total', 0.0, False):
+        "77b5cf57ca8bdc5c7093b858fd4f1c733d15eb92697e8d41bc0b1e43e0dfbfef",
+    ('total', 0.0, True):
+        "77b5cf57ca8bdc5c7093b858fd4f1c733d15eb92697e8d41bc0b1e43e0dfbfef",
+    ('total', 0.001, False):
+        "dfd31171e2ae8f15255e98ef2ed1e3811c8577b2a6aed37aeb0e1bfc6446328b",
+    ('total', 0.001, True):
+        "8524cbac0049f370f038a646010e23e2200050f92fb81ffec4238d9c1dab2889",
+    ('total', 1.0, False):
+        "98a29262b4683add7c573f904dbd606d25db58aec8ea682506d8768b0508a673",
+    ('total', 1.0, True):
+        "2f9821c14eacae85507b35263d4c84dc983396ab91f1b761df0b83acb5cb459c",
+    ('total', 100.0, False):
+        "7dcddaa66226ebb1f1db8f21dcb81ff1d946625fd41009d0d245c1398688ab58",
+    ('total', 100.0, True):
+        "a573543f24749991fa3254d49bba696f11a32cc7072d72ffb5527baa74ef4512",
+    ('ratio', 0.0, False):
+        "4a19b0b7a7a27636b441dbb101b513d0e848466eb397eabbe4d9729a130d3cf3",
+    ('ratio', 0.0, True):
+        "4a19b0b7a7a27636b441dbb101b513d0e848466eb397eabbe4d9729a130d3cf3",
+    ('ratio', 0.001, False):
+        "f601ff4180015065eed5a26efec399eac2e9c999a378b4a33ef4322774c8a4d7",
+    ('ratio', 0.001, True):
+        "2f1865ad0c1a34f426861fcbafc5ee01a9182e22c61cac374f09c8c501f4bcfa",
+    ('ratio', 1.0, False):
+        "5bf024dcca1a65754cd08f221d09e6da4d7f3d04479e827ae35f32e08dae9ac7",
+    ('ratio', 1.0, True):
+        "ac9a66a011ec12cef513b9bf9602e35c7787e3a66d0ba76fac12d1ce5e0f4f79",
+    ('ratio', 100.0, False):
+        "b7c70b1a58eade08ea9a4014decc21d6d1c31513b116a24afcb3788d001a032e",
+    ('ratio', 100.0, True):
+        "7182377eee3b4422d26b29e8221b7a8c47d946fa3235f7748343e87040fda540",
+}
+
+
+@pytest.mark.parametrize("normalized", [False, True], ids=["bare", "normalized"])
+@pytest.mark.parametrize("n_b", [0.0, 1e-3, 1.0, 100.0])
+@pytest.mark.parametrize("kind", list(PIN_CALLS))
+def test_plan_layer_is_pinned(kind, n_b, normalized):
+    assert pin_digest(kind, n_b, normalized) == PLAN_DIGESTS[kind, n_b, normalized]

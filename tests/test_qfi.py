@@ -96,21 +96,20 @@ def test_fidelity_fd_matches_sld():
     ]
     for state, p in cases:
         ref = qfi_sld(state, p)
-        assert qfi_fidelity_fd(state, p, deta=1e-4) == pytest.approx(ref, rel=1e-4)
+        assert qfi_fidelity_fd(state, p) == pytest.approx(ref, rel=1e-4)
 
 
 def test_fidelity_fd_validates_step():
+    # the lower end of the pair must stay at a physical transmission
     with pytest.raises(ValueError):
-        qfi_fidelity_fd(vacuum(), ChannelParams(0.5, 1.0), deta=1e-2)
-    with pytest.raises(ValueError):
-        qfi_fidelity_fd(vacuum(), ChannelParams(1e-7, 1.0), deta=1e-3)
+        qfi_fidelity_fd(vacuum(), ChannelParams(1e-7, 1.0))
 
 
 @pytest.mark.parametrize("eta", [0.99995, 1.0 - 1e-7])
 @pytest.mark.parametrize("probe", [single_mode_state(1.0, 0.0), tmsv(1.0)],
                          ids=["coherent", "tmsv"])
 def test_fidelity_fd_pair_inside_guard_band_raises(probe, eta):
-    # the upper end eta + deta/2 of the centred pair is inside the band
+    # the upper end eta + FD_STEP/2 of the centred pair is inside the band
     with pytest.raises(EtaTooClose):
         qfi_fidelity_fd(probe, ChannelParams(eta, 1.0))
 
@@ -161,7 +160,7 @@ def test_three_routes_agree(kind):
             n_s = 1.0
             closed = closed_form_for(kind, n_s, p)
             sld = qfi_sld(state_for(kind, n_s), p)
-            fd = qfi_fidelity_fd(state_for(kind, n_s), p, deta=1e-4)
+            fd = qfi_fidelity_fd(state_for(kind, n_s), p)
             assert sld == pytest.approx(closed, rel=1e-8)
             assert fd == pytest.approx(sld, rel=1e-4)
 

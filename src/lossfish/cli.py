@@ -23,6 +23,7 @@ in numpy, which the commands run under ``np.errstate(..., "raise")``).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -235,7 +236,9 @@ def _add_probe_flags(sub):
     sub.add_argument("--phi", type=float, default=0.0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `lossfish` argument parser, built once and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="lossfish",
         description="QFI of the thermal-loss channel with Gaussian probes")

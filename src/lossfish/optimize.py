@@ -329,8 +329,12 @@ def two_mode_grid(n_s: float, p: ChannelParams, grid=(64, 64)):
     if not 0.0 <= n_s < math.inf:
         raise ValueError(f"n_s must be finite and non-negative, got {n_s}")
     zetas = np.linspace(0.0, 1.0, n_zeta)
-    r_grid = np.stack([np.geomspace(two_mode_r_min(n_s, z), 1.0, n_r)
-                       for z in zetas])
+    r_min = two_mode_r_min(n_s, zetas)
+    # one geomspace over the rows that span a range: a zero-step row (r_min
+    # = 1, at zeta = 0) would switch numpy to another rounding for them all
+    live = r_min != 1.0
+    r_grid = np.ones((n_zeta, n_r))
+    r_grid[live] = np.geomspace(r_min[live], 1.0, n_r, axis=1)
     return zetas, r_grid, _two_mode_grid_qfi(n_s, zetas, r_grid, p)
 
 

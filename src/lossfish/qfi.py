@@ -114,7 +114,7 @@ SLD_CHUNK = 512
 
 
 @functools.cache
-def _sld_system(m: int):
+def _sld_system(m: int, split: bool):
     """Index tables and constant terms of the SLD system for `m` quadratures.
 
     ``L`` is expanded over ``B_l = E_ij + E_ji`` (``E_ii`` on the diagonal),
@@ -131,8 +131,15 @@ def _sld_system(m: int):
     scaled the same way.  Returns ``(pick, sqrt_w, take, scale, wbw)``:
     ``pick`` holds the flat indices of the entries ``(i_k, j_k)`` and
     ``take`` those of the four ``S`` factors.
+
+    With `split`, the tables keep only the same-parity pairs (x-x and p-p,
+    ``i = j`` mod 2): 6 of the 10 unknowns for two modes, 2 of 3 for one.
+    When ``S`` and ``dS`` have no x-p entries, the system is block diagonal
+    between these and the mixed pairs, and the mixed block has a zero
+    right-hand side, so its unknowns are 0 and these tables hold the rest.
     """
-    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    pairs = [(i, j) for i in range(m) for j in range(i, m)
+             if not split or (i - j) % 2 == 0]
     rows = np.array([i for i, _ in pairs])
     cols = np.array([j for _, j in pairs])
     sqrt_w = np.sqrt(np.where(rows == cols, 1.0, 2.0))
@@ -152,9 +159,17 @@ def _sld_system(m: int):
 
 
 def _sld_chunk(st, dst, ddt):
-    """QFI values and relative SLD residuals for one chunk of the stack."""
+    """QFI values and relative SLD residuals for one chunk of the stack.
+
+    The chunk is solved on its same-parity block (see `_sld_system`) when
+    every ``S`` and ``dS`` in it has exactly zero x-p entries, as for the
+    canonical probes, and on the full system otherwise.  Either way the rank
+    cutoff counts all ``m(m+1)/2`` unknowns, so the split cuts the same
+    eigen-directions as the full system.
+    """
     count, m, _ = st.shape
-    pick, sqrt_w, take, scale, wbw = _sld_system(m)
+    split = not (st[:, 0::2, 1::2].any() or dst[:, 0::2, 1::2].any())
+    pick, sqrt_w, take, scale, wbw = _sld_system(m, split)
     s = st.reshape(count, -1)[:, take]
     a_sym = scale * (s[:, 0] * s[:, 1] + s[:, 2] * s[:, 3]) + wbw
     ds = dst.reshape(count, -1)[:, pick]
@@ -164,7 +179,8 @@ def _sld_chunk(st, dst, ddt):
     # pseudoinverse with the least-squares rank cutoff k eps max|lambda|
     vals, vecs = np.linalg.eigh(a_sym)
     mag = np.abs(vals)
-    keep = mag > len(pick) * EPS_MACHINE * mag.max(axis=1, keepdims=True)
+    cutoff = (m * (m + 1) // 2) * EPS_MACHINE
+    keep = mag > cutoff * mag.max(axis=1, keepdims=True)
     inv = np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)[..., None]
     vecs_t = vecs.transpose(0, 2, 1)
 
@@ -189,7 +205,11 @@ def _sld_qfi_batch(st, dst, ddt, raise_on_bad=True):
     Solves the SLD system over the basis of symmetric matrices for every item
     at once, with a pseudoinverse from a batched eigendecomposition of the
     symmetrized system matrix (see `_sld_system`), followed by two steps of
-    iterative refinement.  Singular items, such as pure output modes, get the
+    iterative refinement.  A chunk whose ``S`` and ``dS`` all have exactly
+    zero x-p entries (canonical probes through the phase-covariant channel)
+    is solved on its same-parity block alone, 6 of 10 unknowns for two
+    modes; its mixed unknowns are 0, the minimum-norm value.  Any other chunk
+    takes the full system.  Singular items, such as pure output modes, get the
     minimum-norm solution; as ``dS`` is orthogonal to the kernel of the SLD
     operator, the QFI does not depend on which solution is picked.  An item
     whose relative residual stays above ``SLD_RESIDUAL_TOL`` is bad: it raises

@@ -301,6 +301,20 @@ def test_determinism_stdout_and_files(tmp_path, capsys):
     assert f1.read_text().encode() == out1.encode()
 
 
+def test_repeated_calls_share_one_parser(capsys):
+    # the parser is built once per process; a rejected flag must not leave
+    # state behind that changes the next call
+    good = ["qfi", "--eta", "0.6", "--nb", "1", "--probe", "dsq", "--ns", "2",
+            "--xi", "0.5", "--route", "sld"]
+    bad = ["qfi", "--eta", "0.6", "--probe", "dsq", "--ns", "2", "--bogus"]
+    first = run_cli(capsys, good)
+    rejected = run_cli(capsys, bad)
+    assert first[0] == 0 and rejected[0] == 2
+    for _ in range(2):
+        assert run_cli(capsys, bad) == rejected
+        assert run_cli(capsys, good) == first
+
+
 def test_numbers_use_12_significant_digits(capsys):
     _, out, _ = run_cli(capsys, ["qfi", "--eta", "0.7071", "--probe", "tmsv",
                                  "--ns", "1"])

@@ -15,7 +15,7 @@ from lossfish.optimize import (BOUNDARY_COHERENT, BOUNDARY_SQUEEZED,
                                FAMILY_COHERENT, FAMILY_IDLER_FREE, FAMILY_SQUEEZED,
                                FAMILY_TMSV, grid_argmax, two_mode_grid)
 from lossfish.channel import moment_derivatives, output_moments
-from lossfish.probes import two_mode_moments
+from lossfish.probes import two_mode_moments, two_mode_r_min
 from lossfish.qfi import _sld_qfi_batch, _two_mode_closed_raw
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -336,9 +336,21 @@ def test_two_mode_grid_normalized_without_background_is_bare(n_s, eta):
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("n_s", [1e-3, 0.37, 1.0, 5.5, 1e3])
+def test_two_mode_r_grid_matches_row_by_row_build(n_s):
+    zetas, r_grid, _ = two_mode_grid(n_s, ChannelParams(0.5, 1.0))
+    rows = np.stack([np.geomspace(two_mode_r_min(n_s, z), 1.0, 64) for z in zetas])
+    np.testing.assert_array_equal(r_grid, rows)
+
+
 def test_optimize_two_mode_normalized_without_background():
-    assert optimize_two_mode(1e3, ChannelParams(0.999, 0.0, normalized=True)) == \
-        (1.0, 1.0, 2001000.5001022117)
+    # the grid is ill-conditioned at eta = 0.999, so hold the value to the
+    # bare channel exactly and to the TMSV closed form within its accuracy
+    held = optimize_two_mode(1e3, ChannelParams(0.999, 0.0, normalized=True))
+    assert held == optimize_two_mode(1e3, ChannelParams(0.999, 0.0))
+    assert held[:2] == (1.0, 1.0)
+    exact = qfi_tmsv(1e3, ChannelParams(0.999, 0.0))
+    assert abs(held[2] - exact) <= 1e-10 * exact
 
 
 def test_grid_fallback_is_the_scalar_closed_form():

@@ -3,12 +3,14 @@ import pytest
 
 from lossfish import (ChannelParams, EtaTooClose, SingleModeProbe,
                       TwoModeProbe, build_single_mode, build_two_mode,
-                      homodyne_fisher, optimize_two_mode, qfi_coherent,
-                      qfi_fidelity_fd, qfi_gamma, qfi_if_closed, qfi_shadow,
-                      qfi_single_mode_form, qfi_sld, qfi_squeezed_vacuum,
-                      qfi_tmsv, qfi_two_mode_closed, tmsv, vacuum)
+                      homodyne_fisher, make_state, optimize_two_mode,
+                      qfi_coherent, qfi_fidelity_fd, qfi_gamma, qfi_if_closed,
+                      qfi_shadow, qfi_single_mode_form, qfi_sld,
+                      qfi_squeezed_vacuum, qfi_tmsv, qfi_two_mode_closed, tmsv,
+                      vacuum)
 from lossfish.channel import moment_derivatives, output_moments
-from lossfish.qfi import SLD_CHUNK, _sld_qfi_batch, _two_mode_closed_raw
+from lossfish.qfi import (SLD_CHUNK, _sld_qfi_batch, _sld_system,
+                          _two_mode_closed_raw)
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -408,3 +410,60 @@ def test_singular_item_leaves_other_items_unchanged():
     after = _sld_qfi_batch(st, dst, ddt)
     np.testing.assert_allclose(np.delete(after, 7), before, rtol=1e-12)
     assert after[7] == pytest.approx(qfi_coherent(1.0, p), rel=1e-9)
+
+
+def test_decoupled_system_splits_by_parity():
+    # canonical probes keep S and dS free of x-p entries through the channel;
+    # the full system then couples no same-parity unknown to a mixed one
+    p = ChannelParams(0.6, 0.7)
+    st, dst, _ = output_stack(random_two_mode_probes(np.random.default_rng(3),
+                                                     64), p)
+    assert not st[:, 0::2, 1::2].any() and not dst[:, 0::2, 1::2].any()
+    pick, sqrt_w, take, scale, wbw = _sld_system(4, False)
+    s = st.reshape(len(st), -1)[:, take]
+    a_sym = scale * (s[:, 0] * s[:, 1] + s[:, 2] * s[:, 3]) + wbw
+    rhs = sqrt_w * 2.0 * dst.reshape(len(st), -1)[:, pick]
+    rows, cols = np.divmod(pick, 4)
+    same = (rows - cols) % 2 == 0
+    assert same.sum() == 6
+    assert not a_sym[:, same][:, :, ~same].any()
+    assert not a_sym[:, ~same][:, :, same].any()
+    assert not rhs[:, ~same].any()
+    # the split tables are the same-parity block of the full ones
+    split_pick, _, split_take, split_scale, split_wbw = _sld_system(4, True)
+    np.testing.assert_array_equal(split_pick, pick[same])
+    s = st.reshape(len(st), -1)[:, split_take]
+    np.testing.assert_array_equal(
+        split_scale * (s[:, 0] * s[:, 1] + s[:, 2] * s[:, 3]) + split_wbw,
+        a_sym[:, same][:, :, same])
+
+
+def rotate_signal(state, angle):
+    """The state after a phase rotation of its first mode, built by make_state."""
+    rot = np.eye(len(state.d))
+    rot[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+    return make_state(rot @ state.d, rot @ state.sigma @ rot.T)
+
+
+@pytest.mark.parametrize("modes", [1, 2])
+def test_split_solve_is_phase_covariant(modes):
+    # the channel commutes with a signal rotation, which leaves the QFI alone
+    # but fills the x-p entries, so the rotated state takes the full system
+    rng = np.random.default_rng(11 + modes)
+    for k in range(100):
+        n_s = rng.uniform(0.1, 5.0)
+        if modes == 1:
+            state = single_mode_state(n_s, rng.uniform(0.0, 1.0),
+                                      rng.uniform(0.0, np.pi))
+        else:
+            zeta = rng.uniform(0.0, 1.0)
+            r_min = TwoModeProbe(n_s, zeta, 1.0).r_min
+            r = r_min if k % 4 == 0 else r_min ** rng.uniform(0.0, 1.0)
+            state = build_two_mode(TwoModeProbe(n_s, zeta, r,
+                                                theta=rng.uniform(0.0, np.pi)))
+        n_b = 0.0 if k % 3 == 0 else rng.uniform(0.1, 10.0)
+        p = ChannelParams(rng.uniform(0.05, 0.95), n_b, normalized=k % 2 == 1)
+        rotated = rotate_signal(state, rng.uniform(0.1, 2.0 * np.pi - 0.1))
+        assert not output_moments(state.d, state.sigma, p)[1][0::2, 1::2].any()
+        assert output_moments(rotated.d, rotated.sigma, p)[1][0::2, 1::2].any()
+        assert qfi_sld(state, p) == pytest.approx(qfi_sld(rotated, p), rel=1e-12)

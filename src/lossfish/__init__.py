@@ -9,10 +9,9 @@ in quantum illumination and quantum reading.
 
 from .channel import (ChannelParams, apply_channel, channel_derivative,
                       effective_noise, gamma_to_eta)
-from .errors import (DegenerateDenominator, DimensionMismatch, DivergentNoise,
-                     EtaTooClose, LossfishError, NonPhysical,
-                     NonPhysicalParams, NotPure, NotTwoMode, ProbeRangeError,
-                     SingularSystem)
+from .errors import (DimensionMismatch, DivergentNoise, EtaTooClose,
+                     LossfishError, NonPhysical, NonPhysicalParams, NotPure,
+                     NotTwoMode, ProbeRangeError, SingularSystem)
 from .fidelity import gaussian_fidelity
 from .hypotest import (HypothesisSpec, fidelity_error_bound, qfi_error_approx,
                        threshold_strategy_error)
@@ -32,8 +31,8 @@ from .states import (GaussianState, heisenberg_margin, make_state, purity,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandwidthPlan", "ChannelParams", "DegenerateDenominator",
-    "DimensionMismatch", "DivergentNoise", "EtaTooClose", "GaussianState",
+    "BandwidthPlan", "ChannelParams", "DimensionMismatch", "DivergentNoise",
+    "EtaTooClose", "GaussianState",
     "HypothesisSpec", "LossfishError", "NonPhysical", "NonPhysicalParams",
     "NotPure", "NotTwoMode", "ProbeRangeError", "QfiBreakdown",
     "SingleModeProbe", "SingularSystem", "TwoModeProbe", "XiOptResult",

@@ -24,6 +24,9 @@ import numpy as np
 from .errors import DivergentNoise, NonPhysicalParams
 from .states import GaussianState, _trusted_state
 
+# smallest normal float: the least nonzero bath occupation a channel takes
+_TINY = float(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -34,7 +37,9 @@ class ChannelParams:
     idler-free and TMSV closed forms, `f1`, `total_qfi`, `optimize_xi`,
     `optimize_bandwidth` and `advantage_ratio` broadcast it against their
     photon numbers; every other route needs one scalar `eta`.  `n_b` and
-    `normalized` are always scalars.  Channels compare and hash by value, an
+    `normalized` are always scalars.  `n_b` is 0 or at least the smallest
+    normal float, ``np.finfo(float).tiny``: a subnormal bath would underflow
+    the closed forms' denominators.  Channels compare and hash by value, an
     array `eta` by its shape and entries.
     """
 
@@ -53,6 +58,8 @@ class ChannelParams:
             raise NonPhysicalParams(f"eta must lie in [0, 1], got {bad}")
         if not 0.0 <= self.n_b < math.inf:
             raise NonPhysicalParams(f"n_b must be finite and >= 0, got {self.n_b}")
+        if 0.0 < self.n_b < _TINY:
+            raise NonPhysicalParams(f"n_b must be 0 or >= {_TINY}, got {self.n_b}")
         if _held_background(self) and _any(eta == 1.0):
             raise DivergentNoise("normalized bath N_B/(1-eta^2) diverges at eta = 1")
 

@@ -46,10 +46,7 @@ from .qfi import qfi_fidelity_fd, qfi_if_closed, qfi_sld, qfi_tmsv, qfi_two_mode
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
-    v = float(value)
-    if math.isinf(v):
-        return "inf"
-    return format(v, ".12g")
+    return format(float(value), ".12g")
 
 
 def parse_grid(spec: str) -> np.ndarray:

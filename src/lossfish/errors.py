@@ -39,7 +39,3 @@ class EtaTooClose(LossfishError):
 
 class SingularSystem(LossfishError):
     """The SLD linear system could not be solved to the required residual."""
-
-
-class DegenerateDenominator(LossfishError):
-    """Closed-form denominator vanished for a non-physical parameter combination."""

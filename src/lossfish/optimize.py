@@ -92,19 +92,21 @@ def f1(eta: float | np.ndarray, n_s: float | np.ndarray) -> float | np.ndarray:
         f1 = [(1-e)^2 + e^2] / {(1-e) [1 + 2 N_S e (1-e)]^2}
              - 1 / [1 - 2 e (sqrt(N_S(N_S+1)) - N_S)]
 
-    with ``e = eta^2``.  It is strictly decreasing in ``N_S``, tends to
-    ``-1/(1-eta^2)`` as ``N_S -> infinity``, and its sign decides whether the
-    squeezed vacuum sits at the optimum.  Broadcasts over `eta` and `n_s`,
-    each element with the bits of the Python-float evaluation.  Raises
-    `ValueError` unless every ``0 <= eta < 1`` and every `n_s` is finite and
-    non-negative.
+    with ``e = eta^2``; ``sqrt(N_S(N_S+1)) - N_S`` is evaluated as
+    ``sqrt(N_S) / (sqrt(N_S+1) + sqrt(N_S))``, which does not cancel.  It is
+    strictly decreasing in ``N_S``, tends to ``-1/(1-eta^2)`` as
+    ``N_S -> infinity``, and its sign decides whether the squeezed vacuum
+    sits at the optimum.  Broadcasts over `eta` and `n_s`, each element with
+    the bits of the Python-float evaluation.  Raises `ValueError` unless every
+    ``0 <= eta < 1`` and every `n_s` is finite and non-negative.
     """
     _check_eta_domain(eta)
     n_s = _photons(n_s, "n_s")
     e2 = _sq(eta)
     one = 1.0 - e2
     first = (_sq(one) + _sq(e2)) / (one * _sq(1.0 + 2.0 * n_s * e2 * one))
-    second = 1.0 / (1.0 - 2.0 * e2 * (np.sqrt(n_s * (n_s + 1.0)) - n_s))
+    root = np.sqrt(n_s)
+    second = 1.0 / (1.0 - 2.0 * e2 * (root / (np.sqrt(n_s + 1.0) + root)))
     return _as_output(first - second)
 
 
@@ -156,10 +158,8 @@ def xi_threshold_nbar(eta: float) -> float:
         return 0.0
     lo = 0.0
     hi = 1e-6
-    while f1(eta, hi) > 0.0:
+    while f1(eta, hi) > 0.0:  # stops: f1 -> -1/(1-eta^2) < 0
         hi *= 2.0
-        if hi > 1e30:  # unreachable: f1 -> -1/(1-eta^2) < 0
-            raise ArithmeticError("no sign change found for f1")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if f1(eta, mid) > 0.0:

@@ -38,10 +38,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import (ChannelParams, _any, _first_failing, _held_background, _scalar_eta,
+from .channel import (ChannelParams, _first_failing, _held_background, _scalar_eta,
                       additive_noise, additive_noise_derivative, apply_channel,
                       gamma_to_eta, moment_derivatives, output_moments)
-from .errors import DegenerateDenominator, EtaTooClose, SingularSystem
+from .errors import EtaTooClose, SingularSystem
 from .fidelity import gaussian_fidelity
 from .probes import TwoModeProbe, squeeze_parameter
 from .states import GaussianState, symplectic_form
@@ -294,9 +294,10 @@ def _if_total(n_coh, n_sq, p: ChannelParams):
 
 def _if_terms(n_coh, n_sq, p: ChannelParams):
     """The three terms of :func:`qfi_if_closed`; trusts `n_coh`, `n_sq` and
-    the eta guard, checks only the sign of the denominators.  Every power of
-    an eta-dependent base goes through `_sq`, so an array eta gives the bits
-    of scalar calls."""
+    the eta guard.  The denominators are positive for every channel
+    `ChannelParams` admits (N_B is 0 or a normal float).  Every power of an
+    eta-dependent base goes through `_sq`, so an array eta gives the bits of
+    scalar calls."""
     e2 = _sq(p.eta)
     one = 1.0 - e2
     nb = p.n_b
@@ -310,16 +311,12 @@ def _if_terms(n_coh, n_sq, p: ChannelParams):
     elif _held_background(p):
         i_disp = 4.0 * n_coh / (r * e2 + 2.0 * nb + 1.0 - e2)
         b_den = nb * (nb + 1.0) + n_sq * e2 * (2.0 * nb + 1.0) - n_sq * _sq(e2)
-        if _any(b_den <= 0.0):
-            raise DegenerateDenominator(f"B = {np.min(b_den)} <= 0")
         i_sq = (4.0 * n_sq * e2 / b_den) * (
             (n_sq + 1.0) * (2.0 * nb + 1.0) ** 2 / (2.0 * b_den + 1.0) - 1.0)
         i_shadow = 0.0
     else:
         i_disp = 4.0 * n_coh / (e2 * r + one * (2.0 * nb + 1.0))
         a_den = one * (nb * (nb + 1.0) + n_sq * e2 * (2.0 * nb + 1.0) - nb ** 2 * e2)
-        if _any(a_den <= 0.0):
-            raise DegenerateDenominator(f"A = {np.min(a_den)} <= 0")
         i_sq = (4.0 * n_sq * e2 * (2.0 * nb + 1.0) / a_den) * (
             (n_sq + 1.0) * (2.0 * nb + 1.0) / (2.0 * a_den + 1.0) - 1.0)
         i_shadow = 4.0 * nb ** 2 * e2 / a_den

@@ -18,9 +18,11 @@ def test_param_validation():
         ChannelParams(eta=1.2)
     with pytest.raises(NonPhysicalParams):
         ChannelParams(eta=-0.1)
-    for n_b in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(NonPhysicalParams):
+    for n_b in (-1.0, float("nan"), float("inf"), 5e-324, 1e-320):
+        with pytest.raises(NonPhysicalParams, match=f"got {n_b}$"):
             ChannelParams(eta=0.5, n_b=n_b)
+    # a bath is 0 or at least the smallest normal float
+    ChannelParams(eta=0.5, n_b=np.finfo(float).tiny)
     with pytest.raises(DivergentNoise):
         ChannelParams(eta=1.0, n_b=1.0, normalized=True)
     # eta = 1 with zero background is fine in the normalized model

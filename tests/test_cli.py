@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lossfish import ChannelParams, SingularSystem, optimize_xi, qfi_tmsv
-from lossfish.cli import main, parse_grid
+from lossfish.cli import _fmt, main, parse_grid
 
 
 def run_cli(capsys, argv):
@@ -67,6 +67,14 @@ def test_qfi_guard_band_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+def test_subnormal_background_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["qfi", "--eta", "0.9", "--nb", "5e-324",
+                                      "--probe", "coherent", "--ns", "1"])
+    assert code == 2
+    assert out == ""
+    assert "n_b must be 0 or >=" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -320,6 +328,11 @@ def test_numbers_use_12_significant_digits(capsys):
                                  "--ns", "1"])
     value = out.strip().split("\n")[1].split(",")[5]
     assert len(value.replace(".", "").replace("-", "").lstrip("0")) == 12
+
+
+def test_fmt_keeps_the_sign_of_infinity():
+    assert _fmt(float("inf")) == "inf"
+    assert _fmt(-float("inf")) == "-inf"
 
 
 def test_numerical_failure_exits_3(monkeypatch, capsys):

@@ -76,6 +76,15 @@ def test_threshold_large_ns_asymptote():
     assert xi_threshold_nbar(eta) == pytest.approx(1.0 / (c1 * (1 - eta)), rel=0.02)
 
 
+@pytest.mark.parametrize("gap", [1e-7, 1e-9, 1e-12])
+def test_threshold_follows_large_ns_asymptote_near_unit_eta(gap):
+    # f1 is free of cancellation at large N_S, so the root keeps following
+    # 1/(c (1 - eta)) as eta -> 1 instead of stalling near 3.4e7
+    c1 = threshold_constant_large_ns()
+    eta = 1.0 - gap
+    assert xi_threshold_nbar(eta) == pytest.approx(1.0 / (c1 * (1.0 - eta)), rel=1e-4)
+
+
 def test_threshold_small_ns_asymptote():
     # eta_bar ~ (1 + sqrt(N_S)/2)/sqrt(2) inverts to N_S at the 5% level
     n_s = 1e-3
@@ -145,7 +154,8 @@ def f1_python(eta, n_s):
     e2 = eta ** 2
     one = 1.0 - e2
     first = (one ** 2 + e2 ** 2) / (one * (1.0 + 2.0 * n_s * e2 * one) ** 2)
-    return first - 1.0 / (1.0 - 2.0 * e2 * (math.sqrt(n_s * (n_s + 1.0)) - n_s))
+    root = math.sqrt(n_s)
+    return first - 1.0 / (1.0 - 2.0 * e2 * (root / (math.sqrt(n_s + 1.0) + root)))
 
 
 def pow_sensitive_etas():

@@ -1,7 +1,9 @@
 """Property-based checks over random physical parameters."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -10,9 +12,16 @@ from hypothesis import strategies as st  # noqa: E402
 
 from lossfish import (ChannelParams, SingleModeProbe, TwoModeProbe,  # noqa: E402
                       apply_channel, build_single_mode, build_two_mode,
-                      make_state, tmsv)
+                      make_state, qfi_if_closed, tmsv)
 from lossfish.channel import moment_derivatives, output_moments  # noqa: E402
 from lossfish.qfi import _sld_qfi_batch, _two_mode_closed_raw  # noqa: E402
+
+TINY = float(np.finfo(float).tiny)
+
+
+def flush_subnormal(n_b):
+    """A drawn bath occupation, with subnormals (which no channel takes) as 0."""
+    return n_b if n_b >= TINY else 0.0
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -37,7 +46,7 @@ def test_sld_kernel_matches_two_mode_closed_form(eta, n_s, n_b, zeta, r_pos):
        n_s=st.floats(0.0, 1e3), mix=st.floats(0.0, 1.0),
        r_pos=st.floats(0.0, 1.0), theta=st.floats(0.0, 2.0 * math.pi),
        phi=st.floats(0.0, 2.0 * math.pi), eta=st.floats(0.0, 1.0 - 1e-7),
-       n_b=st.floats(0.0, 1e3), normalized=st.booleans())
+       n_b=st.floats(0.0, 1e3).map(flush_subnormal), normalized=st.booleans())
 def test_channel_outputs_pass_make_state(kind, n_s, mix, r_pos, theta, phi,
                                          eta, n_b, normalized):
     # apply_channel skips validation; its output must be the state that
@@ -56,3 +65,25 @@ def test_channel_outputs_pass_make_state(kind, n_s, mix, r_pos, theta, phi,
     assert out.d.tobytes() == checked.d.tobytes()
     assert out.sigma.tobytes() == checked.sigma.tobytes()
     assert not (out.d.flags.writeable or out.sigma.flags.writeable)
+
+
+def zero_or_log_uniform(lo, hi):
+    """0, or a float log-uniform in [lo, hi] (clamped against exp's rounding)."""
+    draw = st.floats(math.log(lo), math.log(hi)).map(
+        lambda u: min(max(math.exp(u), lo), hi))
+    return st.one_of(st.just(0.0), draw)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(n_b=zero_or_log_uniform(TINY, 1e100),
+       n_coh=zero_or_log_uniform(1e-300, 1e100),
+       n_sq=zero_or_log_uniform(1e-300, 1e6),
+       eta=st.floats(0.0, 1.0 - 1e-7), normalized=st.booleans())
+def test_idler_free_terms_are_finite(n_b, n_coh, n_sq, eta, normalized):
+    # the closed forms' denominators A and B stay positive for every bath a
+    # channel admits (0 or a normal float), so no term is inf or nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = qfi_if_closed(n_coh, n_sq, ChannelParams(eta, n_b, normalized))
+    for term in (q.term_displacement, q.term_squeeze, q.term_shadow, q.total):
+        assert math.isfinite(term)

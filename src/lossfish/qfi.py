@@ -6,7 +6,12 @@ Routes
     Generic Gaussian-state QFI: solve the symmetric-logarithmic-derivative
     equation ``4 S L S + W L W = 2 dS`` for the quadratic SLD form ``L`` (with
     ``S`` the output covariance, ``W`` the symplectic form) and evaluate
-    ``Tr[L dS] + dd^T S^+ dd``.
+    ``Tr[L dS] + dd^T S^+ dd``.  When ``S`` and ``dS`` have no x-p entries,
+    as for every canonical probe, the equation is a 2x2 Stein equation,
+    diagonal in the symplectic eigenbasis, and is solved there by explicit
+    arithmetic; an item whose residual stays above ``SLD_RESIDUAL_TOL``, and
+    any other state, takes a batched eigendecomposition of the linear
+    system.  One kernel, `_sld_qfi_batch`, serves single states and stacks.
 ``qfi_single_mode_form``
     Purity form for one mode:
     ``Tr[(S^-1 dS)^2] / (2 (1 + mu^2)) + 2 mu'^2 / (1 - mu^4) + dd^T S^-1 dd``.
@@ -34,14 +39,16 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from .channel import (ChannelParams, _first_failing, _held_background, _scalar_eta,
                       additive_noise, additive_noise_derivative, apply_channel,
                       gamma_to_eta, moment_derivatives, output_moments)
-from .errors import EtaTooClose, SingularSystem
+from .errors import EtaTooClose, NonPhysical, SingularSystem
 from .fidelity import gaussian_fidelity
 from .probes import TwoModeProbe, squeeze_parameter
 from .states import GaussianState, symplectic_form
@@ -108,9 +115,180 @@ def _as_output(x):
     return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
-# The SLD kernel works through a stack in chunks of this many items, which
-# bounds the memory its batched eigendecompositions take.
+# Items the Stein route does not settle go through the eigh kernel in chunks
+# of this many, which bounds the memory its batched eigendecompositions take.
 SLD_CHUNK = 512
+
+
+def _pick_arrays(cond, new, old):
+    """`old`, its arrays overwritten in place with those of `new` where
+    `cond` holds; the Stein route allocates every array it passes here."""
+    for target, source in zip(old, new):
+        np.copyto(target, source, where=cond)
+    return old
+
+
+# The Stein route's elementary functions, on Python floats for a batch of one
+# and on numpy arrays across a stack.  ``cutoff(den, tol)`` is ``1/den``, or 0
+# where ``|den| <= tol``; ``pick(cond, new, old)`` is the tuple of entries of
+# `new` where `cond` holds and of `old` elsewhere.
+_FLOAT_OPS = SimpleNamespace(
+    sqrt=math.sqrt, hypot=math.hypot, atan2=math.atan2, cos=math.cos,
+    sin=math.sin, cutoff=lambda den, tol: 0.0 if abs(den) <= tol else 1.0 / den,
+    pick=lambda cond, new, old: new if cond else old)
+_ARRAY_OPS = SimpleNamespace(
+    sqrt=np.sqrt, hypot=np.hypot, atan2=np.arctan2, cos=np.cos, sin=np.sin,
+    cutoff=lambda den, tol: np.divide(1.0, den, out=np.zeros_like(den),
+                                      where=~(np.abs(den) <= tol)),
+    pick=_pick_arrays)
+# Each lam carries an error of about eps lam_1, so 16 lam_i lam_j - 1 counts
+# as 0 within _LAM_TOL lam_1 (lam_i + lam_j): six times that error.
+_LAM_TOL = 6.0 * EPS_MACHINE * 16.0
+
+
+def _congruence(m, x):
+    """``M X M^T`` for ``M = ((m[0], m[1]), (m[2], m[3]))`` and the symmetric
+    ``X = ((x[0], x[1]), (x[1], x[2]))``, as the triple of its entries."""
+    m11, m12, m21, m22 = m
+    x11, x12, x22 = x
+    r11, r12 = m11 * x11 + m12 * x12, m11 * x12 + m12 * x22
+    r21, r22 = m21 * x11 + m22 * x12, m21 * x12 + m22 * x22
+    return r11 * m11 + r12 * m12, r11 * m21 + r12 * m22, r21 * m21 + r22 * m22
+
+
+def _inverse_form(s, d1, d2):
+    """``d^T S^-1 d`` for the symmetric 2x2 ``S`` with entries `s`, by
+    ``S = L D L^T``."""
+    t = s[1] / s[0]
+    e = d2 - t * d1
+    return d1 * d1 / s[0] + e * e / (s[2] - t * s[1])
+
+
+def _one_mode_system(ops, s, ds, dd):
+    """`_stein`'s system for one mode, where ``S_x = a`` and ``S_p = c`` are
+    scalars and ``L_p = (b_x + 4 a^2 b_p) / (16 a^2 c^2 - 1)``."""
+    a, c = s[0][0], s[1][1]
+    aa, cc = (2.0 * a) * (2.0 * a), (2.0 * c) * (2.0 * c)
+    lam = a * c
+    w = ops.cutoff(16.0 * lam * lam - 1.0, _LAM_TOL * lam * 2.0 * lam)
+
+    def solve(r):
+        lp = (r[0] + aa * r[1]) * w
+        return cc * lp - r[1], lp
+
+    def apply(l):
+        return aa * l[0] - l[1], cc * l[1] - l[0]
+
+    disp = dd[0] * dd[0] / a + dd[1] * dd[1] / c
+    return solve, apply, (ds[0][0], ds[1][1]), (2.0, 2.0), disp
+
+
+def _two_mode_system(ops, s, ds, dd):
+    """`_stein`'s system for two modes, on the entries ``(11, 12, 22)`` of
+    the x and p blocks.
+
+    With ``S_x = C C^T`` and ``C^T S_p C = U diag(lam) U^T``, ``V = C U``
+    turns the Stein equation diagonal:
+    ``L_p = V [(V^-1 R V^-T) o W] V^T`` with ``W_ij = 1/(16 lam_i lam_j - 1)``.
+    """
+    sx, sp = (s[0][0], s[0][2], s[2][2]), (s[1][1], s[1][3], s[3][3])
+    mx, mp = (sx[0], sx[1], sx[1], sx[2]), (sp[0], sp[1], sp[1], sp[2])
+    c11 = ops.sqrt(sx[0])
+    c21 = sx[1] / c11
+    c22 = ops.sqrt(sx[2] - c21 * c21)
+    p11, p12, p22 = _congruence((c11, c21, 0.0, c22), sp)
+    half = 0.5 * (p11 - p22)
+    lam1 = 0.5 * (p11 + p22) + ops.hypot(half, p12)
+    lam2 = (p11 * p22 - p12 * p12) / lam1
+    angle = 0.5 * ops.atan2(p12, half)
+    cos, sin = ops.cos(angle), ops.sin(angle)
+    inv11, inv22 = 1.0 / c11, 1.0 / c22
+    inv21 = -c21 * inv11 * inv22
+    v = (c11 * cos, -c11 * sin, c21 * cos + c22 * sin, c22 * cos - c21 * sin)
+    v_inv = (cos * inv11 + sin * inv21, sin * inv22,
+             cos * inv21 - sin * inv11, cos * inv22)
+    w11 = ops.cutoff(16.0 * lam1 * lam1 - 1.0, _LAM_TOL * lam1 * 2.0 * lam1)
+    w12 = ops.cutoff(16.0 * lam1 * lam2 - 1.0, _LAM_TOL * lam1 * (lam1 + lam2))
+    w22 = ops.cutoff(16.0 * lam2 * lam2 - 1.0, _LAM_TOL * lam1 * 2.0 * lam2)
+
+    def solve(r):
+        q = _congruence(mx, r[3:])
+        y = _congruence(v_inv, (r[0] + 4.0 * q[0], r[1] + 4.0 * q[1],
+                                r[2] + 4.0 * q[2]))
+        lp = _congruence(v, (y[0] * w11, y[1] * w12, y[2] * w22))
+        q = _congruence(mp, lp)
+        return (4.0 * q[0] - r[3], 4.0 * q[1] - r[4], 4.0 * q[2] - r[5]) + lp
+
+    def apply(l):
+        qx, qp = _congruence(mx, l[:3]), _congruence(mp, l[3:])
+        return (4.0 * qx[0] - l[3], 4.0 * qx[1] - l[4], 4.0 * qx[2] - l[5],
+                4.0 * qp[0] - l[0], 4.0 * qp[1] - l[1], 4.0 * qp[2] - l[2])
+
+    b = (ds[0][0], ds[0][2], ds[2][2], ds[1][1], ds[1][3], ds[3][3])
+    disp = _inverse_form(sx, dd[0], dd[2]) + _inverse_form(sp, dd[1], dd[3])
+    # 2 Tr[X dS] counts each off-diagonal entry twice
+    return solve, apply, b, (2.0, 4.0, 2.0, 2.0, 4.0, 2.0), disp
+
+
+def _dot(x, y):
+    """``sum(x[k] * y[k])`` over two sequences of entries."""
+    return sum(map(operator.mul, x, y), 0.0)
+
+
+def _stein(ops, s, ds, dd):
+    """QFI values and relative SLD residuals by the Stein route.
+
+    For ``S`` and ``dS`` with no x-p entries, the same-parity SLD system is
+    two coupled equations on the x and p blocks (x the quadratures ``0::2``,
+    p ``1::2``): ``4 S_x L_x S_x - L_p = b_x`` and ``4 S_p L_p S_p - L_x = b_p``
+    with ``b = 2 dS``.  Eliminating ``L_x`` leaves the Stein equation
+    ``16 M L_p M^T - L_p = R``, with ``M = S_x S_p`` and
+    ``R = b_x + 4 S_x b_p S_x``, and ``L_x`` follows from the second equation.
+    `_one_mode_system` and `_two_mode_system` solve it in the eigenbasis of
+    ``M``, whose eigenvalues ``lam`` are the squared symplectic eigenvalues.
+    A pure mode (``lam = 1/4``) zeroes a denominator ``16 lam_i lam_j - 1``
+    over a zero numerator; its ``1/den`` is set to 0 where ``den`` is within
+    ``6 eps 16 lam_1 (lam_i + lam_j)``, six times the error it inherits from
+    ``lam``, which drops that direction from ``L_p``.
+
+    Two steps of refinement on the coupled equations follow.  A step that
+    does not lower the residual is dropped: near a pure mode the Stein
+    solve amplifies the rounding noise of the residual.  The relative
+    residual is that of the same-parity equations, as in `_sld_chunk`.
+    ``s[i][j]``, ``ds[i][j]`` and ``dd[i]`` are entries: Python floats for
+    one item, or arrays across a stack, with the elementary functions of
+    `ops` to match.
+
+    The route solves for ``X = L/2``, whose right-hand side is ``dS``
+    itself, so that it copies no entry of ``dS``; scaling by 2 is exact, so
+    the values are those of a solve for ``L``.  Each system returns
+    ``(solve, apply, b, weights, disp)``, with the unknowns and equations
+    flattened as the x block then the p block (their distinct entries):
+    ``apply(X)`` is the left-hand side, ``solve(r)`` solves it for the
+    right-hand side ``r`` by the Stein equation, ``b`` is ``dS``,
+    ``Tr[L dS] = sum(weights * X * b)`` and ``disp = dd^T S^-1 dd``.
+    """
+    system = _one_mode_system if len(dd) == 2 else _two_mode_system
+    solve, apply, b, weights, disp = system(ops, s, ds, dd)
+    n = len(b)
+
+    def state(x):
+        """``X``, then its residual ``b - apply(X)``, then the residual's norm^2."""
+        gap = tuple(map(operator.sub, b, apply(x)))
+        return x + gap + (_dot(gap, gap),)
+
+    def refine(best):
+        # a function, so that a stack frees each step's arrays before the next
+        step = state(tuple(map(operator.add, best[:n], solve(best[n:2 * n]))))
+        # a step that does not lower the residual adds only noise: drop it
+        return ops.pick(step[-1] < best[-1], step, best)
+
+    best = state(solve(b))
+    for _ in range(2):  # iterative refinement for ill-conditioned corners
+        best = refine(best)
+    # X = 0 where b = 0, so the relative residual is 0 there
+    rel = ops.sqrt(best[-1]) * ops.cutoff(ops.sqrt(_dot(b, b)), 0.0)
+    return _dot(map(operator.mul, weights, best[:n]), b) + disp, rel
 
 
 @functools.cache
@@ -137,6 +315,9 @@ def _sld_system(m: int, split: bool):
     When ``S`` and ``dS`` have no x-p entries, the system is block diagonal
     between these and the mixed pairs, and the mixed block has a zero
     right-hand side, so its unknowns are 0 and these tables hold the rest.
+    The tables serve `_sld_chunk` alone: the split ones for the items the
+    Stein route leaves above the residual tolerance, the full ones for
+    states with x-p entries.
     """
     pairs = [(i, j) for i in range(m) for j in range(i, m)
              if not split or (i - j) % 2 == 0]
@@ -202,26 +383,44 @@ def _sld_chunk(st, dst, ddt):
 def _sld_qfi_batch(st, dst, ddt, raise_on_bad=True):
     """QFI for a stack of channel outputs (st, dst, ddt); shape (G, m, m)/(G, m).
 
-    Solves the SLD system over the basis of symmetric matrices for every item
-    at once, with a pseudoinverse from a batched eigendecomposition of the
-    symmetrized system matrix (see `_sld_system`), followed by two steps of
-    iterative refinement.  A chunk whose ``S`` and ``dS`` all have exactly
-    zero x-p entries (canonical probes through the phase-covariant channel)
-    is solved on its same-parity block alone, 6 of 10 unknowns for two
-    modes; its mixed unknowns are 0, the minimum-norm value.  Any other chunk
-    takes the full system.  Singular items, such as pure output modes, get the
-    minimum-norm solution; as ``dS`` is orthogonal to the kernel of the SLD
-    operator, the QFI does not depend on which solution is picked.  An item
-    whose relative residual stays above ``SLD_RESIDUAL_TOL`` is bad: it raises
-    `SingularSystem`, or with ``raise_on_bad=False`` the call returns
-    ``(values, bad_mask)`` instead, letting callers route ill-conditioned items
-    to another evaluator.  The stack is processed in chunks of ``SLD_CHUNK``.
+    A non-finite entry raises `NonPhysical`, naming the first such item,
+    before any solve.  A stack whose ``S`` and ``dS`` all have exactly zero
+    x-p entries (canonical probes through the phase-covariant channel) is
+    solved by the Stein route (`_stein`): explicit 2x2 arithmetic in one
+    pass over the stack, or on Python floats for a batch of one.  Items it
+    leaves above ``SLD_RESIDUAL_TOL``, and every item of any other stack, go
+    to the eigh kernel (`_sld_chunk`) in chunks of ``SLD_CHUNK``.  Singular
+    items, such as pure output modes, get a solution without the singular
+    directions on either route; as ``dS`` is orthogonal to the kernel of the
+    SLD operator, the QFI does not depend on which solution is picked.  An
+    item whose kernel residual stays above ``SLD_RESIDUAL_TOL`` too is bad:
+    it raises `SingularSystem`, or with ``raise_on_bad=False`` the call
+    returns ``(values, bad_mask)`` instead, letting callers route
+    ill-conditioned items to another evaluator.
     """
-    grid = len(st)
-    values = np.empty(grid)
-    rel = np.empty(grid)
-    for lo in range(0, grid, SLD_CHUNK):
-        part = slice(lo, lo + SLD_CHUNK)
+    count = len(st)
+    finite = (np.isfinite(st).all(axis=(1, 2)) & np.isfinite(dst).all(axis=(1, 2))
+              & np.isfinite(ddt).all(axis=1))
+    if not finite.all():
+        raise NonPhysical(f"SLD stack item {np.argmin(finite)} has a non-finite "
+                          "moment or derivative")
+    if st[:, 0::2, 1::2].any() or dst[:, 0::2, 1::2].any():
+        values, rel = np.empty(count), np.full(count, math.inf)
+    elif count == 1:
+        try:
+            value, rel = _stein(_FLOAT_OPS, st[0].tolist(), dst[0].tolist(),
+                                ddt[0].tolist())
+        except (ArithmeticError, ValueError):  # a domain error: the kernel decides
+            value, rel = 0.0, math.inf
+        values, rel = np.array([value]), np.array([rel])
+    else:
+        # an inf or nan met on the way fails the residual test below
+        with np.errstate(all="ignore"):
+            values, rel = _stein(_ARRAY_OPS, st.transpose(1, 2, 0),
+                                 dst.transpose(1, 2, 0), ddt.T)
+    fall = np.flatnonzero(~(rel <= SLD_RESIDUAL_TOL))
+    for lo in range(0, len(fall), SLD_CHUNK):
+        part = fall[lo:lo + SLD_CHUNK]
         values[part], rel[part] = _sld_chunk(st[part], dst[part], ddt[part])
     bad = ~(rel <= SLD_RESIDUAL_TOL)
     if not raise_on_bad:

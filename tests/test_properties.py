@@ -14,7 +14,8 @@ from lossfish import (ChannelParams, SingleModeProbe, TwoModeProbe,  # noqa: E40
                       apply_channel, build_single_mode, build_two_mode,
                       make_state, qfi_if_closed, tmsv)
 from lossfish.channel import moment_derivatives, output_moments  # noqa: E402
-from lossfish.qfi import _sld_qfi_batch, _two_mode_closed_raw  # noqa: E402
+from lossfish.qfi import (_FLOAT_OPS, SLD_RESIDUAL_TOL, _sld_chunk,  # noqa: E402
+                          _sld_qfi_batch, _stein, _two_mode_closed_raw)
 
 TINY = float(np.finfo(float).tiny)
 
@@ -39,6 +40,26 @@ def test_sld_kernel_matches_two_mode_closed_form(eta, n_s, n_b, zeta, r_pos):
     value = _sld_qfi_batch(sigma[None], dst[None], ddt[None])[0]
     closed = _two_mode_closed_raw(n_s, zeta, r, 0.0, eta, n_b)
     assert value == pytest.approx(closed, rel=1e-8)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n_s=st.floats(0.1, 10.0), eta=st.floats(0.05, 0.95),
+       n_b=st.one_of(st.just(0.0), st.floats(0.1, 100.0)),
+       normalized=st.booleans(), zeta=st.floats(0.0, 1.0),
+       r_pos=st.floats(0.0, 1.0), theta=st.floats(0.0, math.pi))
+def test_stein_route_matches_eigh_kernel(n_s, eta, n_b, normalized, zeta,
+                                         r_pos, theta):
+    # a value the Stein route accepts is the eigh kernel's, to 1e-12
+    r = TwoModeProbe(n_s, zeta, 1.0).r_min ** (1.0 - r_pos)
+    probe = build_two_mode(TwoModeProbe(n_s, zeta, r, theta))
+    p = ChannelParams(eta, n_b, normalized)
+    _, sigma = output_moments(probe.d, probe.sigma, p)
+    ddt, dst = moment_derivatives(probe.d, probe.sigma, p)
+    value, rel = _stein(_FLOAT_OPS, sigma.tolist(), dst.tolist(), ddt.tolist())
+    kernel, kernel_rel = _sld_chunk(sigma[None], dst[None], ddt[None])
+    assert kernel_rel[0] <= SLD_RESIDUAL_TOL
+    if rel <= SLD_RESIDUAL_TOL:
+        assert value == pytest.approx(kernel[0], rel=1e-12)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)

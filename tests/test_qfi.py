@@ -1,13 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from lossfish import (ChannelParams, EtaTooClose, SingleModeProbe,
-                      TwoModeProbe, build_single_mode, build_two_mode,
-                      homodyne_fisher, make_state, optimize_two_mode,
-                      qfi_coherent, qfi_fidelity_fd, qfi_gamma, qfi_if_closed,
-                      qfi_shadow, qfi_single_mode_form, qfi_sld,
-                      qfi_squeezed_vacuum, qfi_tmsv, qfi_two_mode_closed, tmsv,
-                      vacuum)
+from lossfish import (ChannelParams, EtaTooClose, NonPhysical,
+                      SingleModeProbe, TwoModeProbe, build_single_mode,
+                      build_two_mode, homodyne_fisher, make_state,
+                      optimize_two_mode, qfi_coherent, qfi_fidelity_fd,
+                      qfi_gamma, qfi_if_closed, qfi_shadow,
+                      qfi_single_mode_form, qfi_sld, qfi_squeezed_vacuum,
+                      qfi_tmsv, qfi_two_mode_closed, tmsv, vacuum)
 from lossfish.channel import moment_derivatives, output_moments
 from lossfish.qfi import (SLD_CHUNK, _sld_qfi_batch, _sld_system,
                           _two_mode_closed_raw)
@@ -356,6 +358,15 @@ def output_stack(probes, p):
     return st, dst, ddt
 
 
+def single_mode_stack(states, p):
+    """Channel outputs (st, dst, ddt) of single-mode states, stacked."""
+    d = np.stack([state.d for state in states])
+    sigma = np.stack([state.sigma for state in states])
+    _, st = output_moments(d, sigma, p)
+    ddt, dst = moment_derivatives(d, sigma, p)
+    return st, dst, ddt
+
+
 def random_two_mode_probes(rng, count):
     probes = []
     for _ in range(count):
@@ -384,19 +395,60 @@ def test_grid_with_singular_row_never_calls_lstsq(monkeypatch):
     assert calls == []
 
 
-def test_kernel_values_do_not_depend_on_chunking():
+@pytest.mark.parametrize("n_s,eta,n_b", [
+    (1.0, 0.7071, 1.0),   # the README sweep-twomode grid
+    (1.0, 0.5, 1.0),      # a criterion-07 grid
+    (1e3, 0.5, 0.0),      # a pure-loss output: one symplectic eigenvalue 1/2
+])
+def test_canonical_grid_never_calls_eigh(monkeypatch, n_s, eta, n_b):
+    # the Stein route settles every item, so none reaches the eigh kernel
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return real_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    zeta, r, _ = optimize_two_mode(n_s, ChannelParams(eta, n_b), grid=(64, 64))
+    assert (zeta, r) == (1.0, 1.0)
+    assert calls == []
+
+
+def test_non_finite_stack_raises_nonphysical():
+    # the kernel checks its input once, before any solve, and names the item
     p = ChannelParams(0.6, 0.7)
-    st, dst, ddt = output_stack(random_two_mode_probes(np.random.default_rng(5),
-                                                       1000), p)
-    assert len(st) % SLD_CHUNK != 0
-    whole = _sld_qfi_batch(st, dst, ddt)
-    # a copy per item: BLAS may round differently at another memory alignment
-    singles = [_sld_qfi_batch(st[g:g + 1].copy(), dst[g:g + 1].copy(),
-                              ddt[g:g + 1].copy())[0] for g in range(len(st))]
-    np.testing.assert_allclose(whole, singles, rtol=1e-12)
-    head = _sld_qfi_batch(st[:SLD_CHUNK + 1], dst[:SLD_CHUNK + 1],
-                          ddt[:SLD_CHUNK + 1])
-    np.testing.assert_allclose(head, whole[:SLD_CHUNK + 1], rtol=1e-12)
+    stack = output_stack(random_two_mode_probes(np.random.default_rng(4), 8), p)
+    for which in range(3):
+        bad = [moments.copy() for moments in stack]
+        bad[which][5].flat[0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPhysical, match="item 5"):
+                _sld_qfi_batch(*bad)
+
+
+def test_kernel_values_do_not_depend_on_chunking():
+    # a stack takes the Stein route's array path, a batch of one its float
+    # path, and a stack of SLD_CHUNK + 1 items the same array path again
+    p = ChannelParams(0.6, 0.7)
+    rng = np.random.default_rng(5)
+    two_mode = output_stack(random_two_mode_probes(rng, 1000), p)
+    one_mode = single_mode_stack([single_mode_state(rng.uniform(0.1, 5.0),
+                                                    rng.uniform(0.0, 1.0),
+                                                    rng.uniform(0.0, np.pi))
+                                  for _ in range(1000)], p)
+    for st, dst, ddt in (two_mode, one_mode):
+        assert len(st) % SLD_CHUNK != 0
+        assert not (st[:, 0::2, 1::2].any() or dst[:, 0::2, 1::2].any())
+        whole = _sld_qfi_batch(st, dst, ddt)
+        # a copy per item: BLAS may round differently at another memory alignment
+        singles = [_sld_qfi_batch(st[g:g + 1].copy(), dst[g:g + 1].copy(),
+                                  ddt[g:g + 1].copy())[0] for g in range(len(st))]
+        np.testing.assert_allclose(whole, singles, rtol=1e-12)
+        head = _sld_qfi_batch(st[:SLD_CHUNK + 1], dst[:SLD_CHUNK + 1],
+                              ddt[:SLD_CHUNK + 1])
+        np.testing.assert_allclose(head, whole[:SLD_CHUNK + 1], rtol=1e-12)
 
 
 def test_singular_item_leaves_other_items_unchanged():

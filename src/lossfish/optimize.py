@@ -1,6 +1,6 @@
 """Probe optimization, optimality thresholds and total-QFI bandwidth planning.
 
-Covers the three optimization layers:
+Search and planning only (`qfi` routes every value), in three layers:
 
 * single-mode squeezed fraction ``xi`` at fixed ``N_S`` (golden-section search,
   the zero-temperature landscape being concave in ``xi``),
@@ -18,12 +18,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import (ChannelParams, _any, _first_failing, _held_background, _scalar_eta,
-                      _shadow_diverges, moment_derivatives, output_moments)
-from .errors import SingularSystem
-from .probes import two_mode_moments, two_mode_r_min
-from .qfi import (_as_output, _check_eta, _if_total, _photons,
-                  _sld_qfi_batch, _sq, _two_mode_closed_raw, qfi_coherent,
-                  qfi_if_closed, qfi_squeezed_vacuum, qfi_tmsv)
+                      _shadow_diverges)
+from .errors import ProbeRangeError
+from .probes import two_mode_r_min
+from .qfi import (_as_output, _check_eta, _if_total, _photons, _sq, _two_mode_closed_raw,
+                  _two_mode_qfi, qfi_coherent, qfi_if_closed, qfi_squeezed_vacuum,
+                  qfi_tmsv)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -277,51 +277,13 @@ def optimize_xi(n_s: float | np.ndarray, p: ChannelParams) -> XiOptResult:
 # two-mode optimization
 # ---------------------------------------------------------------------------
 
-def _two_mode_grid_qfi(n_s: float, zetas: np.ndarray, r_grid: np.ndarray,
-                       p: ChannelParams) -> np.ndarray:
-    """QFI on a (zeta, r) grid, vectorized over grid points.
-
-    `r_grid` has shape (len(zetas), n_r), one row of r values per zeta.  The
-    canonical probe moments, then the channel output and its eta-derivative,
-    go through one batched SLD kernel call, singular points (a pure idler at
-    r_min) included.  The SLD route is primary: the closed form loses up to
-    ~4 digits to cancellation at small eta with bright backgrounds, enough to
-    corrupt an argmax over a nearly flat landscape.  Points whose SLD residual
-    stays above tolerance (bright probes at eta -> 1, where the closed form is
-    well-behaved) fall back to the closed form, in one array call, provided
-    its cancellation estimate stays below 1e-9.  Raises `EtaTooClose` inside
-    the eta guard band.
-    """
-    _scalar_eta(p)
-    _check_eta(p)
-    zz = np.repeat(zetas, r_grid.shape[1])
-    rr = r_grid.reshape(-1)
-    d, sigma = two_mode_moments(n_s, zz, rr)
-    _, st = output_moments(d, sigma, p)
-    ddt, dst = moment_derivatives(d, sigma, p)
-
-    values, bad = _sld_qfi_batch(st, dst, ddt, raise_on_bad=False)
-    if np.any(bad):
-        if _held_background(p):
-            raise SingularSystem("SLD solve ill-conditioned and no closed-form "
-                                 "fallback exists for the normalized model")
-        val = _two_mode_closed_raw(n_s, zz[bad], rr[bad], 0.0, p.eta, p.n_b)
-        # leading-term cancellation estimate of the closed form; the output
-        # idler block is a * I
-        lead = (4.0 * st[bad, 2, 2] ** 2 + 1.0) / p.eta ** 2 \
-            + 2.0 * p.eta ** 2 / (1.0 - p.eta ** 2) ** 2
-        if np.any(~np.isfinite(val) | (np.abs(val) < 1e-15 * lead * 1e7)):
-            raise SingularSystem("no well-conditioned QFI route at this grid point")
-        values[bad] = val
-    return values.reshape(len(zetas), -1)
-
-
 def two_mode_grid(n_s: float, p: ChannelParams, grid=(64, 64)):
     """QFI over the exhaustive (zeta, r) search grid.
 
     Uses a linear zeta grid on [0, 1] and, for each zeta, a logarithmic r grid
     on [r_min(zeta), 1].  Returns ``(zetas, r_grid, qfi)``, with `r_grid` and
-    `qfi` of shape ``grid``, one row per zeta.
+    `qfi` of shape ``grid``, one row per zeta; `qfi` routes the values.
+    Raises `ProbeRangeError` if some r_min rounds to 0, as at n_s = 1e8.
     """
     n_zeta, n_r = grid
     if n_zeta < 32 or n_r < 32:
@@ -330,12 +292,15 @@ def two_mode_grid(n_s: float, p: ChannelParams, grid=(64, 64)):
         raise ValueError(f"n_s must be finite and non-negative, got {n_s}")
     zetas = np.linspace(0.0, 1.0, n_zeta)
     r_min = two_mode_r_min(n_s, zetas)
+    if np.any(r_min <= 0.0):
+        raise ProbeRangeError(f"n_s = {n_s} is too large: r_min rounds to 0")
     # one geomspace over the rows that span a range: a zero-step row (r_min
     # = 1, at zeta = 0) would switch numpy to another rounding for them all
     live = r_min != 1.0
     r_grid = np.ones((n_zeta, n_r))
     r_grid[live] = np.geomspace(r_min[live], 1.0, n_r, axis=1)
-    return zetas, r_grid, _two_mode_grid_qfi(n_s, zetas, r_grid, p)
+    qfi = _two_mode_qfi(n_s, np.repeat(zetas, n_r), r_grid.reshape(-1), p)
+    return zetas, r_grid, qfi.reshape(n_zeta, n_r)
 
 
 def grid_argmax(zetas: np.ndarray, r_grid: np.ndarray, qfi: np.ndarray):

@@ -11,7 +11,9 @@ Routes
     diagonal in the symplectic eigenbasis, and is solved there by explicit
     arithmetic; an item whose residual stays above ``SLD_RESIDUAL_TOL``, and
     any other state, takes a batched eigendecomposition of the linear
-    system.  One kernel, `_sld_qfi_batch`, serves single states and stacks.
+    system.  One kernel, `_sld_qfi_batch`, serves single states and stacks and
+    returns values with residuals: `qfi_sld` raises `SingularSystem` on a miss,
+    the two-mode grid (`_two_mode_qfi`) falls back to the closed form if safe.
 ``qfi_single_mode_form``
     Purity form for one mode:
     ``Tr[(S^-1 dS)^2] / (2 (1 + mu^2)) + 2 mu'^2 / (1 - mu^4) + dd^T S^-1 dd``.
@@ -50,7 +52,7 @@ from .channel import (ChannelParams, _first_failing, _held_background, _scalar_e
                       gamma_to_eta, moment_derivatives, output_moments)
 from .errors import EtaTooClose, NonPhysical, SingularSystem
 from .fidelity import gaussian_fidelity
-from .probes import TwoModeProbe, squeeze_parameter
+from .probes import TwoModeProbe, squeeze_parameter, two_mode_moments
 from .states import GaussianState, symplectic_form
 
 EPS_ETA = 1e-7
@@ -380,8 +382,8 @@ def _sld_chunk(st, dst, ddt):
     return trace_term + np.einsum("gi,gi->g", ddt, disp), rel
 
 
-def _sld_qfi_batch(st, dst, ddt, raise_on_bad=True):
-    """QFI for a stack of channel outputs (st, dst, ddt); shape (G, m, m)/(G, m).
+def _sld_qfi_batch(st, dst, ddt):
+    """``(values, rel)`` for a stack of channel outputs; shape (G, m, m)/(G, m).
 
     A non-finite entry raises `NonPhysical`, naming the first such item,
     before any solve.  A stack whose ``S`` and ``dS`` all have exactly zero
@@ -392,11 +394,10 @@ def _sld_qfi_batch(st, dst, ddt, raise_on_bad=True):
     to the eigh kernel (`_sld_chunk`) in chunks of ``SLD_CHUNK``.  Singular
     items, such as pure output modes, get a solution without the singular
     directions on either route; as ``dS`` is orthogonal to the kernel of the
-    SLD operator, the QFI does not depend on which solution is picked.  An
-    item whose kernel residual stays above ``SLD_RESIDUAL_TOL`` too is bad:
-    it raises `SingularSystem`, or with ``raise_on_bad=False`` the call
-    returns ``(values, bad_mask)`` instead, letting callers route
-    ill-conditioned items to another evaluator.
+    SLD operator, the QFI does not depend on which solution is picked.
+    `rel` holds the relative residuals.  An item whose kernel residual stays
+    above ``SLD_RESIDUAL_TOL`` too is bad; the caller decides whether to
+    raise `SingularSystem` or to fall back to another evaluator.
     """
     count = len(st)
     finite = (np.isfinite(st).all(axis=(1, 2)) & np.isfinite(dst).all(axis=(1, 2))
@@ -422,22 +423,56 @@ def _sld_qfi_batch(st, dst, ddt, raise_on_bad=True):
     for lo in range(0, len(fall), SLD_CHUNK):
         part = fall[lo:lo + SLD_CHUNK]
         values[part], rel[part] = _sld_chunk(st[part], dst[part], ddt[part])
-    bad = ~(rel <= SLD_RESIDUAL_TOL)
-    if not raise_on_bad:
-        return values, bad
-    if bad.any():
-        raise SingularSystem(f"SLD solve residual {rel[np.argmax(bad)]:.3e} "
-                             f"exceeds {SLD_RESIDUAL_TOL}")
-    return values
+    return values, rel
 
 
 def qfi_sld(probe: GaussianState, p: ChannelParams) -> float:
-    """QFI from the SLD linear system; works for 1- and 2-mode probes."""
+    """QFI from the SLD linear system, for 1- and 2-mode probes; raises
+    `SingularSystem` where the solve misses ``SLD_RESIDUAL_TOL``."""
     _scalar_eta(p)
     _check_eta(p)
     _, st = output_moments(probe.d, probe.sigma, p)
     ddt, dst = moment_derivatives(probe.d, probe.sigma, p)
-    return float(_sld_qfi_batch(st[None], dst[None], ddt[None])[0])
+    (value,), (rel,) = _sld_qfi_batch(st[None], dst[None], ddt[None])
+    if not rel <= SLD_RESIDUAL_TOL:
+        raise SingularSystem(f"SLD solve residual {rel:.3e} exceeds {SLD_RESIDUAL_TOL}")
+    return float(value)
+
+
+def _two_mode_qfi(n_s: float, zeta: np.ndarray, r: np.ndarray, p: ChannelParams):
+    """QFI of the canonical two-mode probes ``(n_s, zeta[k], r[k])``.
+
+    `zeta` and `r` are flat; one `_sld_qfi_batch` call takes every point,
+    singular ones (a pure idler at r_min) included.  The SLD route is
+    primary: the closed form loses up to ~4 digits to cancellation at small
+    eta with bright backgrounds, enough to corrupt an argmax over a nearly
+    flat landscape.  Points whose SLD residual stays above tolerance (bright
+    probes at eta -> 1, where the closed form is well-behaved) fall back to
+    the closed form, in one array call, provided its cancellation estimate
+    stays below 1e-9.  Raises `EtaTooClose` inside the eta guard band, and
+    `SingularSystem` in the normalized model, which has no closed form, or
+    where the estimate refuses the closed form.
+    """
+    _scalar_eta(p)
+    _check_eta(p)
+    d, sigma = two_mode_moments(n_s, zeta, r)
+    _, st = output_moments(d, sigma, p)
+    ddt, dst = moment_derivatives(d, sigma, p)
+    values, rel = _sld_qfi_batch(st, dst, ddt)
+    bad = ~(rel <= SLD_RESIDUAL_TOL)
+    if np.any(bad):
+        if _held_background(p):
+            raise SingularSystem("SLD solve ill-conditioned and no closed-form "
+                                 "fallback exists for the normalized model")
+        val = _two_mode_closed_raw(n_s, zeta[bad], r[bad], 0.0, p.eta, p.n_b)
+        # leading-term cancellation estimate of the closed form; the output
+        # idler block is a * I
+        lead = (4.0 * st[bad, 2, 2] ** 2 + 1.0) / p.eta ** 2 \
+            + 2.0 * p.eta ** 2 / (1.0 - p.eta ** 2) ** 2
+        if np.any(~np.isfinite(val) | (np.abs(val) < 1e-15 * lead * 1e7)):
+            raise SingularSystem("no well-conditioned QFI route at this grid point")
+        values[bad] = val
+    return values
 
 
 def qfi_single_mode_form(probe: GaussianState, p: ChannelParams) -> float:

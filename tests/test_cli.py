@@ -348,6 +348,31 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     assert "synthetic failure" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    ("qfi --eta 0.999 --nb 0.001 --probe tmsv --ns 1000 --route sld",
+     "SLD solve residual 7.755e-07 exceeds 1e-08"),
+    ("sweep-twomode --ns 1000 --eta 0.999 --nb 0.001 --normalized",
+     "SLD solve ill-conditioned and no closed-form fallback exists for the "
+     "normalized model"),
+], ids=["qfi-sld", "sweep-twomode-normalized"])
+def test_singular_system_exits_3(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv.split())
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+def test_closed_route_answers_where_the_sld_route_exits_3(capsys):
+    code, out, _ = run_cli(capsys, "qfi --eta 0.999 --nb 0.001 --probe tmsv "
+                                   "--ns 1000 --route closed".split())
+    assert code == 0
+    assert out.split("\n")[1] == "0.999,0.001,tmsv,1000,closed,1999665.83425"
+
+
+def test_sweep_twomode_r_min_rounded_to_zero_exits_2(capsys):
+    code, out, err = run_cli(capsys, "sweep-twomode --ns 1e8 --eta 0.5 --nb 1".split())
+    assert (code, out) == (2, "")
+    assert err == "error: n_s = 100000000.0 is too large: r_min rounds to 0\n"
+
+
 @pytest.mark.parametrize("argv", [
     "sweep-total --total-ns-grid 1e300,1e306 --eta-grid 0.5 --nb 0",
     "sweep-xi --ns-grid 1e300,1e306 --eta-grid 0.5 --nb 0",

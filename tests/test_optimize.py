@@ -5,7 +5,8 @@ from dataclasses import astuple, is_dataclass, replace
 import numpy as np
 import pytest
 
-from lossfish import (ChannelParams, EtaTooClose, advantage_ratio, f1, g1, g2,
+from lossfish import (ChannelParams, EtaTooClose, ProbeRangeError, SingularSystem,
+                      advantage_ratio, f1, g1, g2,
                       homodyne_fisher, optimize_bandwidth, optimize_two_mode,
                       optimize_xi, qfi_coherent, qfi_if_closed, qfi_shadow,
                       qfi_squeezed_vacuum,
@@ -16,7 +17,7 @@ from lossfish.optimize import (BOUNDARY_COHERENT, BOUNDARY_SQUEEZED,
                                FAMILY_TMSV, grid_argmax, two_mode_grid)
 from lossfish.channel import moment_derivatives, output_moments
 from lossfish.probes import two_mode_moments, two_mode_r_min
-from lossfish.qfi import _sld_qfi_batch, _two_mode_closed_raw
+from lossfish.qfi import SLD_RESIDUAL_TOL, _sld_qfi_batch, _two_mode_closed_raw
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -363,6 +364,26 @@ def test_optimize_two_mode_normalized_without_background():
     assert abs(held[2] - exact) <= 1e-10 * exact
 
 
+def test_normalized_grid_with_unsettled_items_raises():
+    # the normalized model has no closed form to take the items that the
+    # SLD route leaves above the tolerance
+    with pytest.raises(SingularSystem, match="normalized model"):
+        optimize_two_mode(1e3, ChannelParams(0.999, 1e-3, normalized=True))
+
+
+@pytest.mark.xfail(strict=True, raises=SingularSystem,
+                   reason="the closed-form fallback's cancellation estimate refuses "
+                          "3 items on which the SLD route and the closed form agree")
+def test_zero_temperature_small_eta_grid_argmax_is_tmsv():
+    assert optimize_two_mode(1e-3, ChannelParams(1e-3, 0.0))[:2] == (1.0, 1.0)
+
+
+def test_two_mode_grid_rejects_r_min_rounded_to_zero():
+    # squeeze_parameter cancels to exactly 0 at N = 1e8
+    with pytest.raises(ProbeRangeError, match=r"^n_s = 100000000\.0 is too large"):
+        optimize_two_mode(1e8, ChannelParams(0.5, 1.0))
+
+
 def test_grid_fallback_is_the_scalar_closed_form():
     # bright probes at eta -> 1: the SLD residual check sends many points to
     # the closed form, which the grid evaluates on all of them at once
@@ -372,7 +393,8 @@ def test_grid_fallback_is_the_scalar_closed_form():
     d, sigma = two_mode_moments(n_s, zz, rr)
     _, st = output_moments(d, sigma, p)
     ddt, dst = moment_derivatives(d, sigma, p)
-    _, bad = _sld_qfi_batch(st, dst, ddt, raise_on_bad=False)
+    _, rel = _sld_qfi_batch(st, dst, ddt)
+    bad = ~(rel <= SLD_RESIDUAL_TOL)
     assert bad.sum() > 0
     scalar = [_two_mode_closed_raw(n_s, float(z), float(r), 0.0, p.eta, p.n_b)
               for z, r in zip(zz[bad], rr[bad])]

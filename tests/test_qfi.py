@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lossfish import (ChannelParams, EtaTooClose, NonPhysical,
+from lossfish import (ChannelParams, EtaTooClose, NonPhysical, SingularSystem,
                       SingleModeProbe, TwoModeProbe, build_single_mode,
                       build_two_mode, homodyne_fisher, make_state,
                       optimize_two_mode, qfi_coherent, qfi_fidelity_fd,
@@ -11,8 +11,8 @@ from lossfish import (ChannelParams, EtaTooClose, NonPhysical,
                       qfi_single_mode_form, qfi_sld, qfi_squeezed_vacuum,
                       qfi_tmsv, qfi_two_mode_closed, tmsv, vacuum)
 from lossfish.channel import moment_derivatives, output_moments
-from lossfish.qfi import (SLD_CHUNK, _sld_qfi_batch, _sld_system,
-                          _two_mode_closed_raw)
+from lossfish.qfi import (SLD_CHUNK, SLD_RESIDUAL_TOL, _sld_qfi_batch,
+                          _sld_system, _two_mode_closed_raw)
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -428,6 +428,13 @@ def test_non_finite_stack_raises_nonphysical():
                 _sld_qfi_batch(*bad)
 
 
+def settled(st, dst, ddt):
+    """The kernel's values for a stack that it settles to the tolerance."""
+    values, rel = _sld_qfi_batch(st, dst, ddt)
+    assert (rel <= SLD_RESIDUAL_TOL).all()
+    return values
+
+
 def test_kernel_values_do_not_depend_on_chunking():
     # a stack takes the Stein route's array path, a batch of one its float
     # path, and a stack of SLD_CHUNK + 1 items the same array path again
@@ -441,27 +448,34 @@ def test_kernel_values_do_not_depend_on_chunking():
     for st, dst, ddt in (two_mode, one_mode):
         assert len(st) % SLD_CHUNK != 0
         assert not (st[:, 0::2, 1::2].any() or dst[:, 0::2, 1::2].any())
-        whole = _sld_qfi_batch(st, dst, ddt)
+        whole = settled(st, dst, ddt)
         # a copy per item: BLAS may round differently at another memory alignment
-        singles = [_sld_qfi_batch(st[g:g + 1].copy(), dst[g:g + 1].copy(),
-                                  ddt[g:g + 1].copy())[0] for g in range(len(st))]
+        singles = [settled(st[g:g + 1].copy(), dst[g:g + 1].copy(),
+                           ddt[g:g + 1].copy())[0] for g in range(len(st))]
         np.testing.assert_allclose(whole, singles, rtol=1e-12)
-        head = _sld_qfi_batch(st[:SLD_CHUNK + 1], dst[:SLD_CHUNK + 1],
-                              ddt[:SLD_CHUNK + 1])
+        head = settled(st[:SLD_CHUNK + 1], dst[:SLD_CHUNK + 1], ddt[:SLD_CHUNK + 1])
         np.testing.assert_allclose(head, whole[:SLD_CHUNK + 1], rtol=1e-12)
 
 
 def test_singular_item_leaves_other_items_unchanged():
     p = ChannelParams(0.8, 0.3)
     probes = random_two_mode_probes(np.random.default_rng(8), 20)
-    before = _sld_qfi_batch(*output_stack(probes, p))
+    before = settled(*output_stack(probes, p))
     # coherent signal with a vacuum idler: the idler output is exactly pure
     singular = TwoModeProbe(1.0, 0.0, 1.0)
     st, dst, ddt = output_stack(probes[:7] + [singular] + probes[7:], p)
     np.testing.assert_array_equal(st[7, 2:, 2:], 0.5 * np.eye(2))
-    after = _sld_qfi_batch(st, dst, ddt)
+    after = settled(st, dst, ddt)
     np.testing.assert_allclose(np.delete(after, 7), before, rtol=1e-12)
     assert after[7] == pytest.approx(qfi_coherent(1.0, p), rel=1e-9)
+
+
+def test_sld_route_raises_where_its_solve_misses_the_tolerance():
+    # a bright TMSV at eta -> 1: the Stein route and the eigh kernel both
+    # leave its residual above SLD_RESIDUAL_TOL
+    with pytest.raises(SingularSystem,
+                       match=r"^SLD solve residual 7\.755e-07 exceeds 1e-08$"):
+        qfi_sld(tmsv(1e3), ChannelParams(0.999, 1e-3))
 
 
 def test_decoupled_system_splits_by_parity():

@@ -12,12 +12,16 @@ hypothesis     discrimination error bounds for an (eta_plus, eta_minus) pair
 Numbers are printed with 12 significant digits, '.' decimal separator and
 '\\n' line endings, header row first; identical invocations produce
 byte-identical output.  JSON output mirrors the CSV column names as keys with
-the same formatted values.  Grids are given as ``min:max:points`` (append
-``:log`` for logarithmic spacing) or as a comma-separated list.
+the same formatted values.  Each command handler returns its table as
+``(header, columns)``, one array (or one-element list) per column, and the
+CSV and JSON paths format every cell with the one constant `CELL`.  Grids
+are given as ``min:max:points`` (append ``:log`` for logarithmic spacing) or
+as a comma-separated list.
 
 Exit codes: 0 success, 2 invalid arguments or parameters, 3 numerical failure
 (including a floating-point overflow, division by zero or invalid operation
-in numpy, which the commands run under ``np.errstate(..., "raise")``).
+in numpy, which the commands run under ``np.errstate(..., "raise")``, and a
+Python-float overflow such as ``nb ** 2`` at ``--nb 1e200``).
 """
 
 from __future__ import annotations
@@ -43,10 +47,13 @@ from .probes import (SingleModeProbe, TwoModeProbe, build_single_mode,
 from .qfi import qfi_fidelity_fd, qfi_if_closed, qfi_sld, qfi_tmsv, qfi_two_mode_closed
 
 
+# the format of one numeric cell, in CSV and JSON alike;
+# "%.12g" % x == format(float(x), ".12g") for every double
+CELL = "%.12g"
+
+
 def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    return format(float(value), ".12g")
+    return value if isinstance(value, str) else CELL % float(value)
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -77,11 +84,11 @@ def _channel(args) -> ChannelParams:
     return ChannelParams(eta=float(args.eta), n_b=args.nb, normalized=args.normalized)
 
 
-def _grid_rows(outer, inner, *columns):
-    """Rows ``[o, i, column values...]`` over an (outer, inner) grid, outer
+def _grid_columns(outer, inner, *columns):
+    """Columns ``o, i, column values...`` over an (outer, inner) grid, outer
     index slowest; each column holds one value per grid point."""
-    return [[o, i, *values] for (o, i), *values in
-            zip(itertools.product(outer, inner), *(np.ravel(c) for c in columns))]
+    o, i = np.meshgrid(outer, inner, indexing="ij")
+    return [o.ravel(), i.ravel(), *(np.ravel(c) for c in columns)]
 
 
 def _probe(args):
@@ -129,7 +136,7 @@ def _cmd_qfi(args):
     else:
         value = qfi_fidelity_fd(_build_probe_state(args), p)
     header = ["eta", "nb", "probe", "ns", "route", "qfi"]
-    return header, [[p.eta, p.n_b, args.probe, args.ns, args.route, value]]
+    return header, [[v] for v in (p.eta, p.n_b, args.probe, args.ns, args.route, value)]
 
 
 def _cmd_sweep_xi(args):
@@ -138,7 +145,7 @@ def _cmd_sweep_xi(args):
     # one lockstep search over the grid; rows run N_S outer, eta inner
     p = ChannelParams(eta_grid, args.nb, args.normalized)
     res = optimize_xi(ns_grid[:, None], p)
-    return header, _grid_rows(ns_grid, eta_grid, res.xi_opt, res.qfi_opt, res.boundary)
+    return header, _grid_columns(ns_grid, eta_grid, res.xi_opt, res.qfi_opt, res.boundary)
 
 
 def _parse_2d_grid(spec: str):
@@ -152,15 +159,14 @@ def _parse_2d_grid(spec: str):
 def _cmd_sweep_twomode(args):
     p = _channel(args)
     zetas, r_grid, qfi = two_mode_grid(args.ns, p, _parse_2d_grid(args.grid))
-    header = ["zeta", "r", "qfi"]
-    rows = [[z, r, q] for z, r_row, q_row in zip(zetas, r_grid, qfi)
-            for r, q in zip(r_row, q_row)]
-    rows.append(list(grid_argmax(zetas, r_grid, qfi)))  # argmax summary
-    # reference markers, grid corners: coherent (0, 1), squeezed vacuum
+    # grid rows, zeta slowest; then the argmax summary and the reference
+    # markers at the grid corners: coherent (0, 1), squeezed vacuum
     # (1, r_min), TMSV (1, 1)
-    rows.extend([zetas[iz], r_grid[iz, ir], qfi[iz, ir]]
-                for iz, ir in ((0, -1), (-1, 0), (-1, -1)))
-    return header, rows
+    tail = np.array([grid_argmax(zetas, r_grid, qfi),
+                     *([zetas[iz], r_grid[iz, ir], qfi[iz, ir]]
+                       for iz, ir in ((0, -1), (-1, 0), (-1, -1)))])
+    grid = (np.repeat(zetas, r_grid.shape[1]), r_grid.ravel(), qfi.ravel())
+    return ["zeta", "r", "qfi"], [np.concatenate(c) for c in zip(grid, tail.T)]
 
 
 def _cmd_sweep_total(args):
@@ -175,8 +181,8 @@ def _cmd_sweep_total(args):
                          "use --nb 0 or --normalized")
     coh = total_qfi(tns, 1.0, p, FAMILY_COHERENT)
     best_tmsv = optimize_bandwidth(tns, p, FAMILY_TMSV).total_qfi
-    return header, _grid_rows(tns_grid, eta_grid, plan.m, plan.xi_opt, plan.total_qfi,
-                              plan.total_qfi / coh, plan.total_qfi / best_tmsv)
+    return header, _grid_columns(tns_grid, eta_grid, plan.m, plan.xi_opt, plan.total_qfi,
+                                 plan.total_qfi / coh, plan.total_qfi / best_tmsv)
 
 
 def _cmd_advantage(args):
@@ -186,7 +192,7 @@ def _cmd_advantage(args):
     # rows run eta outer, N_S inner
     p = ChannelParams(eta_grid[:, None], args.nb, args.normalized)
     ratios = advantage_ratio(FAMILY_TMSV, FAMILY_COHERENT, p, ns_grid)
-    return header, _grid_rows(eta_grid, ns_grid, ratios)
+    return header, _grid_columns(eta_grid, ns_grid, ratios)
 
 
 def _cmd_hypothesis(args):
@@ -201,17 +207,20 @@ def _cmd_hypothesis(args):
     thresh = threshold_strategy_error(spec.d_eta, args.m, i_mid)
     header = ["eta_plus", "eta_minus", "m", "fid_bound", "qfi_approx",
               "threshold_approx"]
-    return header, [[args.eta_plus, args.eta_minus, float(args.m),
-                     fid_bound, approx, thresh]]
+    return header, [[v] for v in (args.eta_plus, args.eta_minus, float(args.m),
+                                  fid_bound, approx, thresh)]
 
 
-def _render(header, rows, fmt: str) -> str:
+def _render(header, columns, fmt: str) -> str:
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    rows = zip(*cols)
     if fmt == "json":
-        payload = [{k: _fmt(v) for k, v in zip(header, row)} for row in rows]
+        payload = [dict(zip(header, map(_fmt, row))) for row in rows]
         return json.dumps(payload, indent=2) + "\n"
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    # one %-format over the whole table, so no Python call per cell
+    line = ",".join("%s" if isinstance(c[0], str) else CELL for c in cols) + "\n"
+    body = (line * len(cols[0])) % tuple(itertools.chain.from_iterable(rows))
+    return ",".join(header) + "\n" + body
 
 
 def _add_common(sub):
@@ -304,14 +313,14 @@ def main(argv=None) -> int:
         # numpy overflow, division by zero and invalid results raise, so that
         # they exit 3 instead of printing inf or nan; underflow stays silent
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            header, rows = args.handler(args)
-    except (SingularSystem, FloatingPointError) as exc:
+            header, columns = args.handler(args)
+    except (SingularSystem, FloatingPointError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (LossfishError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = _render(header, rows, args.format)
+    text = _render(header, columns, args.format)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)

@@ -176,15 +176,44 @@ SWEEP_DIGESTS = {
     "sweep-total --total-ns-grid 0.1:10:4:log --eta-grid 0.5,0.9 --nb 0.5 "
     "--normalized --format json":
         "c304512e2c401f32add9b47de5b290bea57cac0aa16518d3d0997d56997abeed",
+    # non-square (zeta, r) grids, which pin the row order of the grid columns
+    "sweep-twomode --ns 5 --eta 0.2 --nb 3 --normalized --grid 40x33":
+        "23e782107cc48c248a3d939ea6a8ab8dbb9e553d4a85db32eb0de92f41707f17",
+    "sweep-twomode --ns 1 --eta 0.7071 --nb 1 --grid 33x40 --format json":
+        "21cd51157e1bf43e4bc55229ab6d351e1a9bebb446ba65fa8e8356a57eaaa923",
+    "sweep-total --total-ns-grid 0.01:10:5:log --eta-grid 0.3:0.95:4 --nb 0 "
+    "--format json":
+        "f190ee8bca1717052c25919e5991ca5528298b5d4b3db1cfa61eda5a8a0dd054",
+    # single-row commands, as JSON
+    "qfi --eta 0.6 --nb 1 --probe dsq --ns 2 --xi 0.5 --route sld --format json":
+        "e5816909e9afb58643010838b83a3758e9e8325f8c0fa87d95d1ebabc96bd53c",
+    "hypothesis --eta-plus 0.9 --eta-minus 0.8 --m 100 --probe coherent --ns 1 "
+    "--format json":
+        "2ca4db2dc2e01e1635e0a48596a861dc7d88cb9a4a038dc626ed7643edb461b4",
 }
 
 
+@pytest.mark.filterwarnings("ignore:.*threshold approximation is unreliable")
 @pytest.mark.parametrize("command", list(SWEEP_DIGESTS), ids=[
     f"{c.split()[0]}-{i}" for i, c in enumerate(SWEEP_DIGESTS)])
 def test_sweep_output_is_pinned(capsys, command):
     code, out, _ = run_cli(capsys, command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGESTS[command]
+
+
+@pytest.mark.filterwarnings("ignore:.*threshold approximation is unreliable")
+@pytest.mark.parametrize("command", list(README_DIGESTS), ids=[
+    f"{c.split()[0]}-{i}" for i, c in enumerate(README_DIGESTS)])
+def test_json_values_are_the_csv_cells(capsys, command):
+    code, csv_out, _ = run_cli(capsys, command.split())
+    assert code == 0
+    code, json_out, _ = run_cli(capsys, command.split() + ["--format", "json"])
+    assert code == 0
+    header, *rows = (line.split(",") for line in csv_out.splitlines())
+    payload = json.loads(json_out)
+    assert [list(item) for item in payload] == [header] * len(rows)
+    assert [list(item.values()) for item in payload] == rows
 
 
 def test_sweep_twomode_argmax_and_markers(capsys):
@@ -387,3 +416,15 @@ def test_floating_point_failure_exits_3(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and ("overflow" in err or "divide" in err)
+
+
+@pytest.mark.parametrize("argv", [
+    "qfi --eta 0.5 --nb 1e200 --probe coherent --ns 1",
+    "sweep-xi --ns-grid 1,2 --eta-grid 0.5,0.6 --nb 1e200",
+    "sweep-total --total-ns-grid 1,2 --eta-grid 0.5 --nb 1e200 --normalized",
+], ids=["qfi", "sweep-xi", "sweep-total"])
+def test_python_float_overflow_exits_3(capsys, argv):
+    # nb ** 2 on a Python float raises OverflowError, not a numpy error
+    code, out, err = run_cli(capsys, argv.split())
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "out of range" in err

@@ -1,8 +1,9 @@
-"""The SLD route chain lives in one module.
+"""The SLD route chain lives in one module, and no module imports dead names.
 
 `qfi.py` holds the QFI routes, their fallbacks and their failure exits;
 `optimize.py` only searches and plans.  The sources under `src/lossfish` are
-read with `ast`, so a kernel name that leaks into another module fails here.
+read with `ast`, so a kernel name that leaks into another module, or an
+import that nothing reads, fails here.
 """
 
 import ast
@@ -49,3 +50,22 @@ def test_only_qfi_names_the_sld_kernel():
 
 def test_optimize_builds_no_moments_and_raises_no_solver_error():
     assert not imported("optimize.py") & ROUTE_PARTS
+
+
+def test_every_import_is_read():
+    # no linter runs on the sources, so this stands in for an unused-import
+    # check; a name re-exported through `lossfish.__all__` counts as read
+    exported = set(lossfish.__all__)
+    unused = {}
+    for path in SOURCES.glob("*.py"):
+        bound, read = set(), set()
+        for node in nodes(path.name):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+        if bound - read - exported:
+            unused[path.name] = sorted(bound - read - exported)
+    assert unused == {}

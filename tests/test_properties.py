@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from lossfish import (ChannelParams, SingleModeProbe, TwoModeProbe,  # noqa: E402
                       apply_channel, build_single_mode, build_two_mode,
                       make_state, qfi_if_closed, tmsv)
 from lossfish.channel import moment_derivatives, output_moments  # noqa: E402
+from lossfish.cli import _fmt, _render  # noqa: E402
 from lossfish.qfi import (_FLOAT_OPS, SLD_RESIDUAL_TOL, _sld_chunk,  # noqa: E402
                           _sld_qfi_batch, _stein, _two_mode_closed_raw)
 
@@ -109,3 +110,25 @@ def test_idler_free_terms_are_finite(n_b, n_coh, n_sq, eta, normalized):
         q = qfi_if_closed(n_coh, n_sq, ChannelParams(eta, n_b, normalized))
     for term in (q.term_displacement, q.term_squeeze, q.term_shadow, q.total):
         assert math.isfinite(term)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(x=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(math.nan).via("nan")
+@example(math.inf).via("inf")
+@example(-math.inf).via("-inf")
+@example(0.0).via("+0")
+@example(-0.0).via("-0")
+@example(5e-324).via("smallest subnormal")
+@example(TINY).via("smallest normal")
+@example(1.7976931348623157e308).via("largest double")
+@example(100000000000.5).via("12-digit rounding tie, round down")
+@example(100000000001.5).via("12-digit rounding tie, round up")
+def test_csv_cell_is_format_12g(x):
+    # the CSV table is one %-format over the whole table, while a JSON cell
+    # goes through _fmt; both must equal format(x, ".12g") for every double
+    want = format(x, ".12g")
+    for column in ([x], [np.float64(x)], np.array([x]), np.array([x, x])):
+        cells = _render(["x"], [column], "csv").split("\n")[1:-1]
+        assert cells == [want] * len(column)
+    assert _fmt(x) == _fmt(np.float64(x)) == want

@@ -11,17 +11,16 @@ hypothesis     discrimination error bounds for an (eta_plus, eta_minus) pair
 
 Numbers are printed with 12 significant digits, '.' decimal separator and
 '\\n' line endings, header row first; identical invocations produce
-byte-identical output.  JSON output mirrors the CSV column names as keys with
-the same formatted values.  Each command handler returns its table as
-``(header, columns)``, one array (or one-element list) per column, and the
-CSV and JSON paths format every cell with the one constant `CELL`.  Grids
-are given as ``min:max:points`` (append ``:log`` for logarithmic spacing) or
-as a comma-separated list.
+byte-identical output.  Each command handler returns its table as
+``(header, columns)``, one array (or one-element list) per column, and one
+%-format pass with the cell format `CELL` renders it; JSON output reuses
+those CSV cells, keyed by the CSV column names.  Grids are given as
+``min:max:points`` (append ``:log`` for logarithmic spacing) or a comma list.
 
 Exit codes: 0 success, 2 invalid arguments or parameters, 3 numerical failure
-(including a floating-point overflow, division by zero or invalid operation
-in numpy, which the commands run under ``np.errstate(..., "raise")``, and a
-Python-float overflow such as ``nb ** 2`` at ``--nb 1e200``).
+(a floating-point overflow, division by zero or invalid operation in numpy,
+whose commands run under ``np.errstate(..., "raise")``, a Python-float
+overflow such as ``nb ** 2`` at ``--nb 1e200``, or numpy's ``LinAlgError``).
 """
 
 from __future__ import annotations
@@ -42,18 +41,13 @@ from .hypotest import (HypothesisSpec, fidelity_error_bound, qfi_error_approx,
 from .optimize import (FAMILY_COHERENT, FAMILY_IDLER_FREE, FAMILY_TMSV,
                        advantage_ratio, grid_argmax, optimize_bandwidth,
                        optimize_xi, total_qfi, two_mode_grid)
-from .probes import (SingleModeProbe, TwoModeProbe, build_single_mode,
-                     build_two_mode, tmsv)
+from .probes import SingleModeProbe, TwoModeProbe, build_single_mode, build_two_mode
 from .qfi import qfi_fidelity_fd, qfi_if_closed, qfi_sld, qfi_tmsv, qfi_two_mode_closed
 
 
 # the format of one numeric cell, in CSV and JSON alike;
 # "%.12g" % x == format(float(x), ".12g") for every double
 CELL = "%.12g"
-
-
-def _fmt(value) -> str:
-    return value if isinstance(value, str) else CELL % float(value)
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -92,10 +86,10 @@ def _grid_columns(outer, inner, *columns):
 
 
 def _probe(args):
-    """The probe the flags describe: a SingleModeProbe, a TwoModeProbe or "tmsv"."""
+    """The probe the flags describe: a SingleModeProbe or a TwoModeProbe."""
     kind = args.probe
     if kind == "tmsv":
-        return "tmsv"
+        return TwoModeProbe(args.ns, 1.0, 1.0)
     if kind == "twomode":
         if args.zeta is None or args.r is None:
             raise ValueError("--zeta and --r are required for probe 'twomode'")
@@ -111,17 +105,15 @@ def _probe(args):
 
 def _build_probe_state(args):
     probe = _probe(args)
-    if probe == "tmsv":
-        return tmsv(args.ns)
     if isinstance(probe, TwoModeProbe):
         return build_two_mode(probe)
     return build_single_mode(probe)
 
 
 def _closed_form_qfi(args, p: ChannelParams) -> float:
-    probe = _probe(args)
-    if probe == "tmsv":
+    if args.probe == "tmsv":
         return qfi_tmsv(args.ns, p)
+    probe = _probe(args)
     if isinstance(probe, TwoModeProbe):
         return qfi_two_mode_closed(probe, p)
     return qfi_if_closed(probe.n_coh, probe.n_sq, p).total
@@ -213,19 +205,20 @@ def _cmd_hypothesis(args):
 
 def _render(header, columns, fmt: str) -> str:
     cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    rows = zip(*cols)
-    if fmt == "json":
-        payload = [dict(zip(header, map(_fmt, row))) for row in rows]
-        return json.dumps(payload, indent=2) + "\n"
     # one %-format over the whole table, so no Python call per cell
     line = ",".join("%s" if isinstance(c[0], str) else CELL for c in cols) + "\n"
-    body = (line * len(cols[0])) % tuple(itertools.chain.from_iterable(rows))
+    body = (line * len(cols[0])) % tuple(itertools.chain.from_iterable(zip(*cols)))
+    if fmt == "json":
+        # the CSV cells themselves; no string cell holds a comma
+        payload = [dict(zip(header, row.split(","))) for row in body.splitlines()]
+        return json.dumps(payload, indent=2) + "\n"
     return ",".join(header) + "\n" + body
 
 
 def _add_common(sub):
     sub.add_argument("--out", default=None, help="write output to this path")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--nb", type=float, default=0.0)
     sub.add_argument("--normalized", action="store_true",
                      help="hold the background at N_B/(1-eta^2)")
 
@@ -252,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("qfi", help="single-point QFI")
     s.add_argument("--eta", type=float, required=True)
-    s.add_argument("--nb", type=float, default=0.0)
     _add_probe_flags(s)
     s.add_argument("--route", choices=("sld", "closed", "fidelity"),
                    default="closed")
@@ -262,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("sweep-xi", help="optimal xi over an (N_S, eta) grid")
     s.add_argument("--ns-grid", required=True)
     s.add_argument("--eta-grid", required=True)
-    s.add_argument("--nb", type=float, default=0.0)
     _add_common(s)
     s.set_defaults(handler=_cmd_sweep_xi)
 
@@ -271,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "then argmax, then coherent/squeezed/TMSV markers")
     s.add_argument("--ns", type=float, required=True)
     s.add_argument("--eta", type=float, required=True)
-    s.add_argument("--nb", type=float, default=0.0)
     s.add_argument("--grid", default="64x64")
     _add_common(s)
     s.set_defaults(handler=_cmd_sweep_twomode)
@@ -280,14 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bandwidth-optimized total QFI (N_B = 0 or normalized)")
     s.add_argument("--total-ns-grid", required=True)
     s.add_argument("--eta-grid", required=True)
-    s.add_argument("--nb", type=float, default=0.0)
     _add_common(s)
     s.set_defaults(handler=_cmd_sweep_total)
 
     s = subs.add_parser("advantage", help="TMSV / coherent QFI ratio grid")
     s.add_argument("--eta-grid", required=True)
     s.add_argument("--ns-grid", required=True)
-    s.add_argument("--nb", type=float, default=0.0)
     _add_common(s)
     s.set_defaults(handler=_cmd_advantage)
 
@@ -295,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--eta-plus", type=float, required=True)
     s.add_argument("--eta-minus", type=float, required=True)
     s.add_argument("--m", type=int, required=True)
-    s.add_argument("--nb", type=float, default=0.0)
     _add_probe_flags(s)
     _add_common(s)
     s.set_defaults(handler=_cmd_hypothesis)
@@ -314,7 +301,8 @@ def main(argv=None) -> int:
         # they exit 3 instead of printing inf or nan; underflow stays silent
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             header, columns = args.handler(args)
-    except (SingularSystem, FloatingPointError, OverflowError) as exc:
+    except (SingularSystem, np.linalg.LinAlgError, FloatingPointError,
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (LossfishError, ValueError, ZeroDivisionError) as exc:

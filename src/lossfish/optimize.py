@@ -343,6 +343,8 @@ def tmsv_stationarity_check(n_s: float, p: ChannelParams):
     _scalar_eta(p)
     _check_eta(p)
 
+    n_s = np.float64(n_s)  # a numpy float, so that an overflow signals
+
     def value(zeta, r):
         return _two_mode_closed_raw(n_s, zeta, r, 0.0, p.eta, p.n_b)
 
@@ -406,8 +408,11 @@ def total_qfi(total_photons: float | np.ndarray, m: float, p: ChannelParams,
         return _as_output(_broadband_limit(total_photons, p, family, xi))
     n_s = total_photons / m
     if family == FAMILY_TMSV:
-        return m * qfi_tmsv(n_s, p)
-    return m * qfi_if_closed((1.0 - xi) * n_s, xi * n_s, p).total
+        single = qfi_tmsv(n_s, p)
+    else:
+        single = qfi_if_closed((1.0 - xi) * n_s, xi * n_s, p).total
+    # m as a numpy float, so that an overflow signals (see `_photons`)
+    return _as_output(np.float64(m) * single)
 
 
 def optimize_bandwidth(total_photons: float | np.ndarray, p: ChannelParams,

@@ -96,10 +96,12 @@ def _sq(x):
 
 
 def _photons(x, name: str, positive: bool = False):
-    """`x` as a float, or as a float array, with every entry finite and
-    non-negative (positive if `positive`); raises `ValueError` otherwise."""
+    """`x` as a numpy float, or as a float array, with every entry finite and
+    non-negative (positive if `positive`); raises `ValueError` otherwise.  A
+    scalar is an `np.float64`, not a Python float, so that an overflow in the
+    closed forms signals as it does on arrays instead of passing silently."""
     if isinstance(x, (int, float)) or np.ndim(x) == 0:
-        x = low = high = float(x)
+        x = low = high = np.float64(x)
     else:
         x = np.asarray(x, dtype=float)
         # NaN propagates through min and max, and fails both tests below
@@ -378,7 +380,17 @@ def _sld_chunk(st, dst, ddt):
     rel = np.divide(resid, b_norm, out=resid.copy(), where=b_norm > 0)
 
     trace_term = (y[..., 0] * sqrt_w * ds).sum(axis=1)  # Tr[L dS]
-    disp = np.linalg.solve(st, ddt[..., None])[..., 0]
+    try:
+        disp = np.linalg.solve(st, ddt[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # an exactly singular S: solve item by item, each with the bits of the
+        # batched solve, and mark the singular items bad
+        disp = np.full_like(ddt, math.nan)
+        for k in range(count):
+            try:
+                disp[k] = np.linalg.solve(st[k], ddt[k, :, None])[:, 0]
+            except np.linalg.LinAlgError:
+                rel[k] = math.inf
     return trace_term + np.einsum("gi,gi->g", ddt, disp), rel
 
 
@@ -396,8 +408,9 @@ def _sld_qfi_batch(st, dst, ddt):
     directions on either route; as ``dS`` is orthogonal to the kernel of the
     SLD operator, the QFI does not depend on which solution is picked.
     `rel` holds the relative residuals.  An item whose kernel residual stays
-    above ``SLD_RESIDUAL_TOL`` too is bad; the caller decides whether to
-    raise `SingularSystem` or to fall back to another evaluator.
+    above ``SLD_RESIDUAL_TOL`` too is bad, and so is one whose ``S`` the
+    kernel's LU solve finds singular (``rel = inf``); the caller decides
+    whether to raise `SingularSystem` or to fall back to another evaluator.
     """
     count = len(st)
     finite = (np.isfinite(st).all(axis=(1, 2)) & np.isfinite(dst).all(axis=(1, 2))
@@ -679,7 +692,8 @@ def qfi_two_mode_closed(probe: TwoModeProbe, p: ChannelParams) -> float:
     _check_eta(p)
     if p.eta == 0.0:
         raise ValueError("closed form is indeterminate at eta = 0; use qfi_sld")
-    return float(_two_mode_closed_raw(probe.n_s, probe.zeta, probe.r,
+    # n_s as a numpy float, so that an overflow signals (see `_photons`)
+    return float(_two_mode_closed_raw(np.float64(probe.n_s), probe.zeta, probe.r,
                                       probe.theta, p.eta, p.n_b))
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lossfish import ChannelParams, SingularSystem, optimize_xi, qfi_tmsv
-from lossfish.cli import _fmt, main, parse_grid
+from lossfish.cli import _render, main, parse_grid
 
 
 def run_cli(capsys, argv):
@@ -28,6 +28,15 @@ def test_parse_grid_forms():
     for spec in ("0:inf:3", "nan", "1,inf"):
         with pytest.raises(ValueError):
             parse_grid(spec)
+    with pytest.raises(ValueError, match="bad grid spec '1:2'"):
+        parse_grid("1:2")
+    with pytest.raises(ValueError, match="unknown grid scale 'lin'"):
+        parse_grid("0.1:1:3:lin")
+
+
+def test_sweep_twomode_bad_grid_exits_2(capsys):
+    assert run_cli(capsys, "sweep-twomode --ns 1 --eta 0.5 --grid 64".split()) == (
+        2, "", "error: bad grid '64': want NxM, e.g. 64x64\n")
 
 
 def test_qfi_tmsv_row(capsys):
@@ -104,6 +113,11 @@ def test_missing_required_flag_exits_2(capsys):
     code, _, _ = run_cli(capsys, ["qfi", "--eta", "0.5", "--probe", "dsq",
                                   "--ns", "1"])  # no --xi
     assert code == 2
+    for flag in ("--zeta", "--r"):
+        argv = "qfi --eta 0.5 --probe twomode --ns 1 --zeta 0.5 --r 0.5".split()
+        del argv[argv.index(flag):argv.index(flag) + 2]
+        assert run_cli(capsys, argv) == (
+            2, "", "error: --zeta and --r are required for probe 'twomode'\n")
     code, _, _ = run_cli(capsys, ["qfi", "--eta", "0.5"])
     assert code == 2
 
@@ -190,6 +204,13 @@ SWEEP_DIGESTS = {
     "hypothesis --eta-plus 0.9 --eta-minus 0.8 --m 100 --probe coherent --ns 1 "
     "--format json":
         "2ca4db2dc2e01e1635e0a48596a861dc7d88cb9a4a038dc626ed7643edb461b4",
+    # the twomode and tmsv probes through the closed and SLD routes
+    "qfi --eta 0.7 --nb 0.5 --probe twomode --ns 2 --zeta 0.6 --r 0.7 --route closed":
+        "6a9beff8166afdc4370fd824c04043b758d2bfb7b05d91da1f0a5742f78c7c55",
+    "qfi --eta 0.7 --nb 0.5 --probe twomode --ns 2 --zeta 0.6 --r 0.7 --route sld":
+        "f4dd0ca917a272bf4ab5dd94539b3dbd22566f9dc1156bd2a987d82a78105811",
+    "qfi --eta 0.7071 --nb 1 --probe tmsv --ns 1 --route sld":
+        "813b8b378f9b9f0e4e68d4d36460619a97b8d1b02ea8a38d2ff0c428caf6fbbb",
 }
 
 
@@ -359,22 +380,25 @@ def test_numbers_use_12_significant_digits(capsys):
     assert len(value.replace(".", "").replace("-", "").lstrip("0")) == 12
 
 
-def test_fmt_keeps_the_sign_of_infinity():
-    assert _fmt(float("inf")) == "inf"
-    assert _fmt(-float("inf")) == "-inf"
+def test_cells_keep_the_sign_of_infinity():
+    column = [float("inf"), -float("inf")]
+    assert _render(["x"], [column], "csv") == "x\ninf\n-inf\n"
+    assert json.loads(_render(["x"], [column], "json")) == [{"x": "inf"}, {"x": "-inf"}]
 
 
 def test_numerical_failure_exits_3(monkeypatch, capsys):
     import lossfish.cli as cli_mod
 
-    def boom(*args, **kwargs):
-        raise SingularSystem("synthetic failure")
+    # numpy's LinAlgError is a ValueError, but a numerical failure
+    for error in (SingularSystem, np.linalg.LinAlgError):
+        def boom(*args, **kwargs):
+            raise error("synthetic failure")
 
-    monkeypatch.setattr(cli_mod, "qfi_sld", boom)
-    code, _, err = run_cli(capsys, ["qfi", "--eta", "0.5", "--probe",
-                                    "coherent", "--ns", "1", "--route", "sld"])
-    assert code == 3
-    assert "synthetic failure" in err
+        monkeypatch.setattr(cli_mod, "qfi_sld", boom)
+        code, _, err = run_cli(capsys, ["qfi", "--eta", "0.5", "--probe",
+                                        "coherent", "--ns", "1", "--route", "sld"])
+        assert code == 3
+        assert "synthetic failure" in err
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -383,7 +407,15 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     ("sweep-twomode --ns 1000 --eta 0.999 --nb 0.001 --normalized",
      "SLD solve ill-conditioned and no closed-form fallback exists for the "
      "normalized model"),
-], ids=["qfi-sld", "sweep-twomode-normalized"])
+    # output covariances that the solve finds singular: bad items
+    ("qfi --eta 0.999 --nb 0 --probe tmsv --ns 1e14 --route sld",
+     "SLD solve residual inf exceeds 1e-08"),
+    ("qfi --eta 0.999 --nb 1 --probe twomode --zeta 1 --r 1 --ns 1e15 --route sld",
+     "SLD solve residual inf exceeds 1e-08"),
+    ("hypothesis --eta-plus 0.9995 --eta-minus 0.9985 --m 10 --probe tmsv --ns 1e14",
+     "SLD solve residual inf exceeds 1e-08"),
+], ids=["qfi-sld", "sweep-twomode-normalized", "qfi-sld-singular-tmsv",
+        "qfi-sld-singular-twomode", "hypothesis-singular"])
 def test_singular_system_exits_3(capsys, argv, message):
     code, out, err = run_cli(capsys, argv.split())
     assert (code, out, err) == (3, "", f"error: {message}\n")
@@ -408,8 +440,17 @@ def test_sweep_twomode_r_min_rounded_to_zero_exits_2(capsys):
     "advantage --eta-grid 0.5 --ns-grid 1e300 --nb 0",
     "qfi --nb 1e300 --route sld --eta 0.5 --probe coherent --ns 1",
     "qfi --probe sq --ns 1e9 --route sld --eta 0.5 --nb 0",
+    # scalar closed forms, on numpy floats
+    "qfi --eta 0.5 --nb 0 --probe tmsv --ns 1e306",
+    "qfi --eta 0.5 --nb 1 --probe tmsv --ns 1e306",
+    "qfi --eta 0.5 --nb 2 --normalized --probe tmsv --ns 1e306",
+    "qfi --eta 0.5 --nb 0 --probe twomode --zeta 0.5 --r 1 --ns 1e306",
+    # r = -inf on the way once printed a finite value here
+    "qfi --eta 0.5 --nb 1 --probe dsq --xi 0.5 --ns 1e306",
 ], ids=["sweep-total-overflow", "sweep-xi-overflow", "advantage-overflow",
-        "qfi-sld-overflow", "qfi-sld-divide"])
+        "qfi-sld-overflow", "qfi-sld-divide", "qfi-tmsv-overflow",
+        "qfi-tmsv-thermal-overflow", "qfi-tmsv-normalized-overflow",
+        "qfi-twomode-overflow", "qfi-dsq-overflow"])
 def test_floating_point_failure_exits_3(capsys, argv):
     # an overflowed or divided-by-zero intermediate must not reach stdout
     code, out, err = run_cli(capsys, argv.split())
@@ -428,3 +469,4 @@ def test_python_float_overflow_exits_3(capsys, argv):
     code, out, err = run_cli(capsys, argv.split())
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and "out of range" in err
+

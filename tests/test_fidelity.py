@@ -4,6 +4,8 @@ import pytest
 from lossfish import (ChannelParams, DimensionMismatch, apply_channel,
                       gaussian_fidelity, make_state, thermal, tmsv, vacuum)
 
+from lossfish.states import GaussianState
+
 from fock_oracle import (fock_fidelity, moments, one_mode_rho,
                          two_mode_squeezed_thermal_rho)
 
@@ -20,6 +22,12 @@ def test_self_fidelity_is_one():
 def test_mode_count_mismatch():
     with pytest.raises(DimensionMismatch):
         gaussian_fidelity(vacuum(), tmsv(1.0))
+
+
+def test_three_modes_rejected():
+    state = GaussianState(3, np.zeros(6), 0.5 * np.eye(6))
+    with pytest.raises(DimensionMismatch, match="1 and 2 modes only"):
+        gaussian_fidelity(state, state)
 
 
 def test_coherent_displacement_law():

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from lossfish import (ChannelParams, EtaTooClose, ProbeRangeError, SingularSystem,
-                      advantage_ratio, f1, g1, g2,
+                      TwoModeProbe, advantage_ratio, f1, g1, g2,
                       homodyne_fisher, optimize_bandwidth, optimize_two_mode,
                       optimize_xi, qfi_coherent, qfi_if_closed, qfi_shadow,
-                      qfi_squeezed_vacuum,
-                      qfi_tmsv, threshold_constant_large_ns,
+                      qfi_squeezed_vacuum, qfi_tmsv, qfi_two_mode_closed,
+                      threshold_constant_large_ns,
                       tmsv_stationarity_check, total_qfi, xi_threshold_nbar)
 from lossfish.optimize import (BOUNDARY_COHERENT, BOUNDARY_SQUEEZED,
                                FAMILY_COHERENT, FAMILY_IDLER_FREE, FAMILY_SQUEEZED,
@@ -56,6 +56,13 @@ def test_f1_decreasing_in_ns_and_large_ns_limit():
     values = [f1(eta, n) for n in np.geomspace(1e-3, 1e3, 25)]
     assert all(b < a for a, b in zip(values, values[1:]))
     assert f1(0.9, 1e6) == pytest.approx(-1.0 / (1 - 0.81), rel=1e-3)
+
+
+def test_out_of_domain_calls_rejected():
+    with pytest.raises(ValueError, match=r"eta must lie in \(0, 1\)"):
+        xi_threshold_nbar(1.0)
+    with pytest.raises(ValueError, match="bare-channel closed form"):
+        tmsv_stationarity_check(1.0, ChannelParams(0.5, 1.0, normalized=True))
 
 
 def test_threshold_below_sqrt_half_is_zero():
@@ -509,6 +516,28 @@ def test_optimize_bandwidth_overflow_is_not_divergent(family, normalized):
     np.testing.assert_array_equal(grid.divergent, np.zeros((2, 2), dtype=bool))
 
 
+@pytest.mark.parametrize("call", [
+    lambda p: qfi_if_closed(1e306, 1e306, p),
+    lambda p: qfi_tmsv(1e306, p),
+    lambda p: qfi_two_mode_closed(TwoModeProbe(1e306, 0.5, 1.0), p),
+    lambda p: tmsv_stationarity_check(1e306, p),
+    lambda p: f1(p.eta, 1e306),
+    lambda p: optimize_xi(1e306, p),
+    lambda p: total_qfi(1e306, 1.0, p, FAMILY_TMSV),
+    # the copies' total overflows, each copy's QFI does not
+    lambda p: total_qfi(1e305, 1e152, p, FAMILY_TMSV),
+    lambda p: optimize_bandwidth(1e306, p, FAMILY_TMSV),
+], ids=["qfi_if_closed", "qfi_tmsv", "qfi_two_mode_closed",
+        "tmsv_stationarity_check", "f1", "optimize_xi", "total_qfi",
+        "total_qfi-copies", "optimize_bandwidth"])
+def test_scalar_overflow_signals(call):
+    # a scalar photon number enters the closed forms as a numpy float, so its
+    # overflow signals as on arrays; on Python floats a product overflows to
+    # inf silently, so a single-point search step must not use them
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        call(ChannelParams(0.9999, 0.0))
+
+
 def test_optimize_bandwidth_normalized_tmsv_prefers_broadband():
     plan = optimize_bandwidth(1.0, ChannelParams(0.5, 1.0, normalized=True),
                               FAMILY_TMSV)
@@ -560,6 +589,8 @@ def test_unknown_family_rejected_in_every_model(p):
     for m in (1.0, math.inf):
         with pytest.raises(ValueError, match="unknown probe family"):
             total_qfi(1.0, m, p, "bogus")
+    with pytest.raises(ValueError, match="unknown probe family 'bogus'"):
+        advantage_ratio("bogus", FAMILY_COHERENT, p, 1.0)
 
 
 P_BARE = ChannelParams(0.5, 1.0)

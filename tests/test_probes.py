@@ -4,7 +4,7 @@ import pytest
 from lossfish import (ChannelParams, NotPure, NotTwoMode, ProbeRangeError,
                       SingleModeProbe, TwoModeProbe, build_single_mode,
                       build_two_mode, canonicalize, make_state, purity,
-                      qfi_sld, thermal, tmsv, two_mode_r_min)
+                      qfi_sld, thermal, tmsv, two_mode_r_min, vacuum)
 from lossfish.probes import two_mode_moments
 
 
@@ -91,6 +91,8 @@ def test_two_mode_purity_photons_and_invariant(n_s, zeta):
 def test_r_outside_range_rejected():
     with pytest.raises(ProbeRangeError):
         TwoModeProbe(1.0, 1.0, 1.2)
+    with pytest.raises(ProbeRangeError, match="zeta must lie in"):
+        TwoModeProbe(1.0, 1.5, 1.0)
     with pytest.raises(ProbeRangeError):
         TwoModeProbe(1.0, 1.0, 0.9 * two_mode_r_min(1.0, 1.0))
     with pytest.raises(ProbeRangeError):
@@ -164,6 +166,10 @@ def test_canonicalize_random_local_ops_preserve_qfi():
         rebuilt = build_two_mode(probe)
         # the local operations commute with the channel: QFI must be unchanged
         assert qfi_sld(rebuilt, p) == pytest.approx(qfi_sld(state, p), rel=1e-9)
+
+
+def test_canonicalize_two_mode_vacuum_is_the_zero_energy_probe():
+    assert canonicalize(vacuum(2)) == TwoModeProbe(0.0, 0.0, 1.0)
 
 
 def test_canonicalize_rejects_bad_inputs():

@@ -1,5 +1,6 @@
 """Property-based checks over random physical parameters."""
 
+import json
 import math
 import warnings
 
@@ -14,7 +15,7 @@ from lossfish import (ChannelParams, SingleModeProbe, TwoModeProbe,  # noqa: E40
                       apply_channel, build_single_mode, build_two_mode,
                       make_state, qfi_if_closed, tmsv)
 from lossfish.channel import moment_derivatives, output_moments  # noqa: E402
-from lossfish.cli import _fmt, _render  # noqa: E402
+from lossfish.cli import _render  # noqa: E402
 from lossfish.qfi import (_FLOAT_OPS, SLD_RESIDUAL_TOL, _sld_chunk,  # noqa: E402
                           _sld_qfi_batch, _stein, _two_mode_closed_raw)
 
@@ -125,10 +126,11 @@ def test_idler_free_terms_are_finite(n_b, n_coh, n_sq, eta, normalized):
 @example(100000000000.5).via("12-digit rounding tie, round down")
 @example(100000000001.5).via("12-digit rounding tie, round up")
 def test_csv_cell_is_format_12g(x):
-    # the CSV table is one %-format over the whole table, while a JSON cell
-    # goes through _fmt; both must equal format(x, ".12g") for every double
+    # the CSV table is one %-format over the whole table, and a JSON cell is
+    # that table's cell; both must equal format(x, ".12g") for every double
     want = format(x, ".12g")
     for column in ([x], [np.float64(x)], np.array([x]), np.array([x, x])):
         cells = _render(["x"], [column], "csv").split("\n")[1:-1]
         assert cells == [want] * len(column)
-    assert _fmt(x) == _fmt(np.float64(x)) == want
+    for column in ([x], [np.float64(x)], np.array([x])):
+        assert json.loads(_render(["x"], [column], "json")) == [{"x": want}]

@@ -156,6 +156,19 @@ def state_for(kind, n_s):
     return tmsv(n_s)
 
 
+def test_routes_reject_out_of_domain_calls():
+    p = ChannelParams(0.5, 1.0)
+    with pytest.raises(ValueError, match="single-mode states"):
+        qfi_single_mode_form(tmsv(1.0), p)
+    probe = TwoModeProbe(1.0, 0.5, 1.0)
+    with pytest.raises(ValueError, match="bare channel only"):
+        qfi_two_mode_closed(probe, ChannelParams(0.5, 1.0, normalized=True))
+    with pytest.raises(ValueError, match="indeterminate at eta = 0"):
+        qfi_two_mode_closed(probe, ChannelParams(0.0, 1.0))
+    with pytest.raises(ValueError, match=r"r must lie in \(0, 1\]"):
+        homodyne_fisher(1.0, 1.5, p)
+
+
 @pytest.mark.parametrize("kind", ["coherent", "squeezed", "displaced_squeezed", "tmsv"])
 def test_three_routes_agree(kind):
     for eta in (0.2, SQRT_HALF, 0.9):
@@ -468,6 +481,35 @@ def test_singular_item_leaves_other_items_unchanged():
     after = settled(st, dst, ddt)
     np.testing.assert_allclose(np.delete(after, 7), before, rtol=1e-12)
     assert after[7] == pytest.approx(qfi_coherent(1.0, p), rel=1e-9)
+
+
+def test_exactly_singular_output_is_a_bad_item():
+    # at N_S = 1e14 and eta = 0.999 the output S of a TMSV is exactly singular
+    # to the LU solve of the displacement term: the kernel marks that item
+    # bad and leaves every other item's bits as they were
+    p = ChannelParams(0.999, 0.0)
+    # rotated idlers (phi != 0) send the whole stack to the eigh kernel
+    probes = [TwoModeProbe(q.n_s, q.zeta, q.r, q.theta, 0.3)
+              for q in random_two_mode_probes(np.random.default_rng(9), 6)]
+    values, rel = _sld_qfi_batch(*output_stack(probes, p))
+    stack = output_stack(probes[:3] + [TwoModeProbe(1e14, 1.0, 1.0)] + probes[3:], p)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(stack[0][3], stack[2][3])
+    after_values, after_rel = _sld_qfi_batch(*stack)
+    assert after_rel[3] == np.inf
+    np.testing.assert_array_equal(np.delete(after_values, 3), values)
+    np.testing.assert_array_equal(np.delete(after_rel, 3), rel)
+
+
+@pytest.mark.parametrize("n_s,eta", [
+    (1e12, 0.99999),  # the float Stein route divides by zero
+    (1e14, 0.999),    # a math domain error, then a singular LU solve
+    (1e15, 0.999),
+    (1e16, 0.999),
+])
+def test_sld_route_failures_raise_singular_system(n_s, eta):
+    with pytest.raises(SingularSystem, match=r"^SLD solve residual"):
+        qfi_sld(tmsv(n_s), ChannelParams(eta, 0.0))
 
 
 def test_sld_route_raises_where_its_solve_misses_the_tolerance():

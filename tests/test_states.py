@@ -27,6 +27,9 @@ def test_vacuum_is_valid_and_saturates_heisenberg():
 def test_below_vacuum_variance_rejected():
     with pytest.raises(NonPhysical):
         make_state([0.0, 0.0], 0.4 * np.eye(2))
+    # a Heisenberg margin of -1e-11 passes its tolerance; the determinant not
+    with pytest.raises(NonPhysical, match="det\\(Sigma\\) below the pure-state minimum"):
+        make_state(np.zeros(2), (0.5 - 1e-11) * np.eye(2))
 
 
 def test_tmsv_covariance_is_valid_two_mode_pure_state():

@@ -19,8 +19,10 @@ those CSV cells, keyed by the CSV column names.  Grids are given as
 
 Exit codes: 0 success, 2 invalid arguments or parameters, 3 numerical failure
 (a floating-point overflow, division by zero or invalid operation in numpy,
-whose commands run under ``np.errstate(..., "raise")``, a Python-float
-overflow such as ``nb ** 2`` at ``--nb 1e200``, or numpy's ``LinAlgError``).
+whose commands run under ``np.errstate(..., "raise")``, or numpy's
+``LinAlgError``).  The idler-free and two-mode closed forms take N_B as a
+numpy float, so ``nb ** 2`` at ``--nb 1e200`` is a numpy overflow; an
+``OverflowError`` from a power of Python floats exits 3 too.
 """
 
 from __future__ import annotations

@@ -21,9 +21,9 @@ from .channel import (ChannelParams, _any, _first_failing, _held_background, _sc
                       _shadow_diverges)
 from .errors import ProbeRangeError
 from .probes import two_mode_r_min
-from .qfi import (_as_output, _check_eta, _if_total, _photons, _sq, _two_mode_closed_raw,
-                  _two_mode_qfi, qfi_coherent, qfi_if_closed, qfi_squeezed_vacuum,
-                  qfi_tmsv)
+from .qfi import (_as_output, _check_eta, _if_channel, _if_total, _photons, _sq, _take,
+                  _two_mode_closed_raw, _two_mode_qfi, qfi_coherent, qfi_if_closed,
+                  qfi_squeezed_vacuum, qfi_tmsv)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -185,37 +185,42 @@ def threshold_constant_large_ns() -> float:
 # single-mode optimization
 # ---------------------------------------------------------------------------
 
-def _golden_max(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+def _golden_max(landscape, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
     """Golden-section maxima over the brackets ``[lo, hi]``, in lockstep.
 
-    `f(x)` evaluates every landscape at its own point of `x`.  A bracket
-    freezes as soon as ``hi - lo <= tol``, so brackets of different widths
-    take different numbers of steps; each step still evaluates all points,
-    frozen ones included, as one array.  Returns the bracket midpoints.
+    `landscape(live)` returns the function that evaluates the landscapes of
+    the brackets `live` (indices into `lo`), each at its own point of an
+    array; it is called again whenever the live set shrinks.  A bracket
+    freezes as soon as ``hi - lo <= tol``: its midpoint goes to the result
+    and it leaves the search, so brackets of different widths take different
+    numbers of steps and each step evaluates the live brackets only.
+    Returns the bracket midpoints.
     """
-    lo, hi = lo.copy(), hi.copy()
+    mid = 0.5 * (lo + hi)
+    live = np.flatnonzero(hi - lo > tol)
+    lo, hi = lo[live], hi[live]
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
+    f = landscape(live)
     f1_, f2_ = f(np.stack([x1, x2]))
-    live = hi - lo > tol
-    while live.any():
+    while live.size:
         up = f1_ < f2_
-        rise, fall = live & up, live & ~up
         # rise: (lo, x1, f1) <- (x1, x2, f2); fall: (hi, x2, f2) <- (x2, x1, f1)
-        np.copyto(lo, x1, where=rise)
-        np.copyto(hi, x2, where=fall)
-        np.copyto(x1, x2, where=rise)
-        np.copyto(x2, x1, where=fall)
-        np.copyto(f1_, f2_, where=rise)
-        np.copyto(f2_, f1_, where=fall)
+        lo = np.where(up, x1, lo)
+        hi = np.where(up, hi, x2)
         gap = GOLDEN * (hi - lo)
-        np.copyto(x2, lo + gap, where=rise)
-        np.copyto(x1, hi - gap, where=fall)
-        new = f(np.where(up, x2, x1))
-        np.copyto(f2_, new, where=rise)
-        np.copyto(f1_, new, where=fall)
-        live = hi - lo > tol
-    return 0.5 * (lo + hi)
+        x = np.where(up, lo + gap, hi - gap)
+        x1, x2 = np.where(up, x2, x), np.where(up, x, x1)
+        new = f(x)
+        f1_, f2_ = np.where(up, f2_, new), np.where(up, new, f1_)
+        done = hi - lo <= tol
+        if done.any():
+            mid[live[done]] = 0.5 * (lo[done] + hi[done])
+            keep = ~done
+            live, lo, hi, x1, x2, f1_, f2_ = (a[keep] for a in
+                                              (live, lo, hi, x1, x2, f1_, f2_))
+            f = landscape(live)
+    return mid
 
 
 def optimize_xi(n_s: float | np.ndarray, p: ChannelParams) -> XiOptResult:
@@ -228,19 +233,20 @@ def optimize_xi(n_s: float | np.ndarray, p: ChannelParams) -> XiOptResult:
     two edges).  `n_s` and ``p.eta`` may be arrays and broadcast against each
     other, e.g. ``optimize_xi(ns[:, None], ChannelParams(etas, n_b))`` for an
     (N_S, eta) grid: all points are searched together, one closed-form
-    evaluation per step, each with the values a scalar call gives.  The
-    inputs are checked once here; the search steps evaluate the closed form's
-    total without its checks.
+    evaluation of the unfinished points per step, each with the values a
+    scalar call gives.  The inputs are checked once here, and the closed
+    form's channel factors are computed once; the scan and the search steps
+    evaluate the closed form's total without its checks.
     """
     n_s = _photons(n_s, "n_s", positive=True)
     _check_eta(p)
     # flat, broadcast (N_S, eta) pairs
     shape = np.broadcast_shapes(np.shape(n_s), np.shape(p.eta))
     ns, eta = (np.broadcast_to(a, shape).reshape(-1) for a in (n_s, p.eta))
-    p = replace(p, eta=eta)
+    c = _if_channel(replace(p, eta=eta))
 
-    def value(xi, n, q):
-        return _if_total((1.0 - xi) * n, xi * n, q)
+    def value(xi, n, factors):
+        return _if_total((1.0 - xi) * n, xi * n, factors)
 
     squeezed = np.zeros(ns.shape, dtype=bool)
     if p.n_b == 0.0:
@@ -249,17 +255,21 @@ def optimize_xi(n_s: float | np.ndarray, p: ChannelParams) -> XiOptResult:
         lo, hi = np.zeros(ns.shape), np.ones(ns.shape)
     else:
         grid = np.linspace(0.0, 1.0, 64)
-        scan = value(grid, ns[:, None], replace(p, eta=eta[:, None]))
+        scan = value(grid, ns[:, None], _take(c, np.s_[:, None]))
         best = np.argmax(scan, axis=1)
         lo = grid[np.maximum(best - 1, 0)]
         hi = grid[np.minimum(best + 1, 63)]
     search = ~squeezed
+    at = np.flatnonzero(search)
+
+    def landscape(live):
+        n, c_live = ns[at[live]], _take(c, at[live])
+        return lambda xi: value(xi, n, c_live)
+
     xi_star = np.ones(ns.shape)
-    searched, q_search = ns[search], replace(p, eta=eta[search])
-    xi_star[search] = _golden_max(lambda x: value(x, searched, q_search),
-                                  lo[search], hi[search], XI_TOL)
+    xi_star[at] = _golden_max(landscape, lo[at], hi[at], XI_TOL)
     q_star, q_coh, q_sq = value(np.stack([xi_star, np.zeros(ns.shape),
-                                          np.ones(ns.shape)]), ns, p)
+                                          np.ones(ns.shape)]), ns, c)
 
     # the first edge that holds wins, else the interior point
     edges = [search & (q_coh >= q_star) & (q_coh >= q_sq), squeezed | (q_sq >= q_star)]

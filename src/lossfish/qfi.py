@@ -533,40 +533,75 @@ def qfi_fidelity_fd(probe: GaussianState, p: ChannelParams) -> float:
 # closed forms, idler-free
 # ---------------------------------------------------------------------------
 
-def _if_total(n_coh, n_sq, p: ChannelParams):
-    """Total of :func:`qfi_if_closed` for checked inputs; arrays stay arrays."""
-    i_disp, i_sq, i_shadow = _if_terms(n_coh, n_sq, p)
+# the branches of `_if_terms`, each the first entry of the factors of `_if_channel`
+_VACUUM, _HELD, _BARE = range(3)
+
+
+def _if_channel(p: ChannelParams):
+    """The factors of the idler-free closed form that depend on the channel
+    alone, for :func:`_if_terms`; a search computes them once, not per step.
+
+    A plain tuple, cheap to build on every scalar call: the branch, then the
+    factors that :func:`_if_terms` unpacks for it.  Each factor is a
+    subexpression that the closed form evaluates as one unit, in the same
+    order, so splitting it out keeps every bit.  N_B is a numpy float, so
+    that a huge bath overflows with a numpy signal (see `_photons`).
+    """
+    e2 = _sq(p.eta)
+    one = 1.0 - e2
+    if p.n_b == 0.0:
+        # bare and normalized models coincide
+        return _VACUUM, e2, one, _sq(one) + _sq(e2)
+    nb = np.float64(p.n_b)
+    nb_nb1 = nb * (nb + 1.0)
+    tnb1 = 2.0 * nb + 1.0
+    if _held_background(p):
+        return _HELD, e2, _sq(e2), 2.0 * nb, nb_nb1, tnb1, _sq(tnb1)
+    nb_sq = _sq(nb)
+    return _BARE, e2, one, nb_nb1, tnb1, one * tnb1, nb_sq * e2, 4.0 * nb_sq * e2
+
+
+def _take(c, index):
+    """The channel factors `c` of an array eta at `index` (any numpy index)."""
+    return tuple(v[index] if isinstance(v, np.ndarray) else v for v in c)
+
+
+def _if_total(n_coh, n_sq, c):
+    """Total of :func:`qfi_if_closed` for checked inputs and the channel
+    factors `c` of :func:`_if_channel`; arrays stay arrays."""
+    i_disp, i_sq, i_shadow = _if_terms(n_coh, n_sq, c)
     return i_disp + i_sq + i_shadow
 
 
-def _if_terms(n_coh, n_sq, p: ChannelParams):
-    """The three terms of :func:`qfi_if_closed`; trusts `n_coh`, `n_sq` and
-    the eta guard.  The denominators are positive for every channel
+def _if_terms(n_coh, n_sq, c):
+    """The three terms of :func:`qfi_if_closed` from the photon numbers and
+    the channel factors `c` of :func:`_if_channel`; trusts `n_coh`, `n_sq`
+    and the eta guard.  The denominators are positive for every channel
     `ChannelParams` admits (N_B is 0 or a normal float).  Every power of an
     eta-dependent base goes through `_sq`, so an array eta gives the bits of
     scalar calls."""
-    e2 = _sq(p.eta)
-    one = 1.0 - e2
-    nb = p.n_b
     r = squeeze_parameter(n_sq)
-    if nb == 0.0:
-        # bare and normalized models coincide
+    if c[0] == _VACUUM:
+        _, e2, one, sq_gain = c
         i_disp = 4.0 * n_coh / (e2 * r + one)
         a_den = one * n_sq * e2
-        i_sq = 4.0 * n_sq * (_sq(one) + _sq(e2)) / (one * (2.0 * a_den + 1.0))
+        i_sq = 4.0 * n_sq * sq_gain / (one * (2.0 * a_den + 1.0))
         i_shadow = 0.0
-    elif _held_background(p):
-        i_disp = 4.0 * n_coh / (r * e2 + 2.0 * nb + 1.0 - e2)
-        b_den = nb * (nb + 1.0) + n_sq * e2 * (2.0 * nb + 1.0) - n_sq * _sq(e2)
+    elif c[0] == _HELD:
+        _, e2, e4, two_nb, nb_nb1, tnb1, tnb1_sq = c
+        # not r*e2 + (2N_B + 1 - e2): the sum rounds left to right
+        i_disp = 4.0 * n_coh / (r * e2 + two_nb + 1.0 - e2)
+        b_den = nb_nb1 + n_sq * e2 * tnb1 - n_sq * e4
         i_sq = (4.0 * n_sq * e2 / b_den) * (
-            (n_sq + 1.0) * (2.0 * nb + 1.0) ** 2 / (2.0 * b_den + 1.0) - 1.0)
+            (n_sq + 1.0) * tnb1_sq / (2.0 * b_den + 1.0) - 1.0)
         i_shadow = 0.0
     else:
-        i_disp = 4.0 * n_coh / (e2 * r + one * (2.0 * nb + 1.0))
-        a_den = one * (nb * (nb + 1.0) + n_sq * e2 * (2.0 * nb + 1.0) - nb ** 2 * e2)
-        i_sq = (4.0 * n_sq * e2 * (2.0 * nb + 1.0) / a_den) * (
-            (n_sq + 1.0) * (2.0 * nb + 1.0) / (2.0 * a_den + 1.0) - 1.0)
-        i_shadow = 4.0 * nb ** 2 * e2 / a_den
+        _, e2, one, nb_nb1, tnb1, one_tnb1, nb_sq_e2, shadow = c
+        i_disp = 4.0 * n_coh / (e2 * r + one_tnb1)
+        a_den = one * (nb_nb1 + n_sq * e2 * tnb1 - nb_sq_e2)
+        i_sq = (4.0 * n_sq * e2 * tnb1 / a_den) * (
+            (n_sq + 1.0) * tnb1 / (2.0 * a_den + 1.0) - 1.0)
+        i_shadow = shadow / a_den
     return i_disp, i_sq, i_shadow
 
 
@@ -595,7 +630,7 @@ def qfi_if_closed(n_coh: float | np.ndarray, n_sq: float | np.ndarray,
     n_coh = _photons(n_coh, "n_coh")
     n_sq = _photons(n_sq, "n_sq")
     _check_eta(p)
-    i_disp, i_sq, i_shadow = _if_terms(n_coh, n_sq, p)
+    i_disp, i_sq, i_shadow = _if_terms(n_coh, n_sq, _if_channel(p))
     return QfiBreakdown(total=_as_output(i_disp + i_sq + i_shadow),
                         term_displacement=_as_output(i_disp),
                         term_squeeze=_as_output(i_sq),
@@ -660,23 +695,26 @@ def _two_mode_closed_raw(n_s, zeta, r, theta, eta, nb):
     n_coh = n_s * (1.0 - zeta ** 2)
     a = (2.0 * x + 1.0) / (r + 1.0 / r)
     a2 = a * a
-    trace_term = (4.0 * a2 + 1.0) / e2 + 2.0 * e2 / one ** 2
-    pref = r / (e2 * (1.0 - nb * (nb + 1.0) * (4.0 * a2 - 1.0) * one ** 2))
-    num1 = one * nb * (nb + 1.0) * (4.0 * a2 * one + e2 + 1.0) ** 2 \
-        * (4.0 * a2 * (1.0 + 2.0 * nb) ** 2 - 1.0)
-    den1 = 2.0 * a * e2 * (1.0 + r * r) * (1.0 + 2.0 * nb) \
-        + r * (one * (4.0 * a2 * (1.0 + 2.0 * nb) ** 2 - 1.0) - 2.0 * e2)
+    # subexpressions that each recur as one unit of the terms below
+    a4, e2x2, one_sq = 4.0 * a2, 2.0 * e2, one ** 2
+    tnb = 1.0 + 2.0 * nb
+    nb_poly = 2.0 * nb ** 2 + 2.0 * nb + 1.0
+    a4p = a4 + 1.0
+    w = a4 * tnb ** 2 - 1.0
+    g = 2.0 * a * e2 * (1.0 + r * r) * tnb
+    h = 2.0 * a * one * tnb
+    trace_term = a4p / e2 + e2x2 / one_sq
+    pref = r / (e2 * (1.0 - nb * (nb + 1.0) * (a4 - 1.0) * one_sq))
+    num1 = one * nb * (nb + 1.0) * (a4 * one + e2 + 1.0) ** 2 * w
+    den1 = g + r * (one * w - e2x2)
     # the fraction carries a factor N_B(N_B+1) and vanishes identically; where
     # its denominator hits zero too (a = 1/2, r = 1, N_B = 0) it becomes 0/1
     den1 = den1 + ((num1 == 0.0) & (den1 == 0.0))
-    num2 = (one * (4.0 * a2 + 1.0) * (2.0 * nb ** 2 + 2.0 * nb + 1.0)
-            + 2.0 * e2 / one) ** 2 - 16.0 * a2 * e2 ** 2 * (2.0 * nb + 1.0) ** 2
-    den2 = 2.0 * a * e2 * (1.0 + r * r) * (1.0 + 2.0 * nb) * one \
-        + r * (one ** 2 * (4.0 * a2 + 1.0) * (2.0 * nb ** 2 + 2.0 * nb + 1.0) + 2.0 * e2)
+    num2 = (one * a4p * nb_poly + e2x2 / one) ** 2 - 16.0 * a2 * e2 ** 2 * tnb ** 2
+    den2 = g * one + r * (one_sq * a4p * nb_poly + e2x2)
     trace_term += pref * (num1 / den1 - num2 / den2)
-    disp_term = 8.0 * n_coh * a * (
-        np.cos(theta) ** 2 / (2.0 * a * one * (1.0 + 2.0 * nb) + r * e2)
-        + np.sin(theta) ** 2 / (2.0 * a * one * (1.0 + 2.0 * nb) + e2 / r))
+    disp_term = 8.0 * n_coh * a * (np.cos(theta) ** 2 / (h + r * e2)
+                                   + np.sin(theta) ** 2 / (h + e2 / r))
     return trace_term + disp_term
 
 
@@ -692,9 +730,9 @@ def qfi_two_mode_closed(probe: TwoModeProbe, p: ChannelParams) -> float:
     _check_eta(p)
     if p.eta == 0.0:
         raise ValueError("closed form is indeterminate at eta = 0; use qfi_sld")
-    # n_s as a numpy float, so that an overflow signals (see `_photons`)
+    # n_s and N_B as numpy floats, so that an overflow signals (see `_photons`)
     return float(_two_mode_closed_raw(np.float64(probe.n_s), probe.zeta, probe.r,
-                                      probe.theta, p.eta, p.n_b))
+                                      probe.theta, p.eta, np.float64(p.n_b)))
 
 
 # ---------------------------------------------------------------------------

@@ -463,10 +463,13 @@ def test_floating_point_failure_exits_3(capsys, argv):
     "qfi --eta 0.5 --nb 1e200 --probe coherent --ns 1",
     "sweep-xi --ns-grid 1,2 --eta-grid 0.5,0.6 --nb 1e200",
     "sweep-total --total-ns-grid 1,2 --eta-grid 0.5 --nb 1e200 --normalized",
-], ids=["qfi", "sweep-xi", "sweep-total"])
+    "advantage --eta-grid 0.5 --ns-grid 1 --nb 1e200",
+    "qfi --eta 0.5 --nb 1e200 --probe twomode --ns 1 --zeta 0.5 --r 1",
+], ids=["qfi", "sweep-xi", "sweep-total", "advantage", "twomode"])
 def test_python_float_overflow_exits_3(capsys, argv):
-    # nb ** 2 on a Python float raises OverflowError, not a numpy error
+    # N_B enters the closed forms as a numpy float: nb ** 2 overflows with a
+    # numpy signal, not with a bare Python OverflowError
     code, out, err = run_cli(capsys, argv.split())
     assert (code, out) == (3, "")
-    assert err.startswith("error: ") and "out of range" in err
+    assert err.startswith("error: ") and "overflow" in err
 

@@ -14,7 +14,7 @@ from lossfish import (ChannelParams, EtaTooClose, ProbeRangeError, SingularSyste
                       tmsv_stationarity_check, total_qfi, xi_threshold_nbar)
 from lossfish.optimize import (BOUNDARY_COHERENT, BOUNDARY_SQUEEZED,
                                FAMILY_COHERENT, FAMILY_IDLER_FREE, FAMILY_SQUEEZED,
-                               FAMILY_TMSV, grid_argmax, two_mode_grid)
+                               FAMILY_TMSV, _golden_max, grid_argmax, two_mode_grid)
 from lossfish.channel import moment_derivatives, output_moments
 from lossfish.probes import two_mode_moments, two_mode_r_min
 from lossfish.qfi import SLD_RESIDUAL_TOL, _sld_qfi_batch, _two_mode_closed_raw
@@ -715,6 +715,28 @@ def assert_columns_equal(grid, p, etas, call):
         np.testing.assert_array_equal(grid[..., j], call(replace(p, eta=float(eta))))
 
 
+def golden_python(f, lo, hi, tol):
+    # one bracket's golden-section search in Python floats: its midpoint and
+    # the number of points it evaluates (none if it starts within tol)
+    if not hi - lo > tol:
+        return 0.5 * (lo + hi), 0
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+    f_1, f_2 = f(x1), f(x2)
+    count = 2
+    while hi - lo > tol:
+        if f_1 < f_2:
+            lo, x1, f_1 = x1, x2, f_2
+            x2 = lo + golden * (hi - lo)
+            f_2 = f(x2)
+        else:
+            hi, x2, f_2 = x2, x1, f_1
+            x1 = hi - golden * (hi - lo)
+            f_1 = f(x1)
+        count += 1
+    return 0.5 * (lo + hi), count
+
+
 def reference_optimize_xi(n_s, p, xi_tol=1e-8):
     # the per-point search in Python floats: f1 edge rule, 64-point scan with
     # its first maximum, golden section, edge comparisons
@@ -729,19 +751,7 @@ def reference_optimize_xi(n_s, p, xi_tol=1e-8):
         grid = np.linspace(0.0, 1.0, 64)
         best = int(np.argmax([value(x) for x in grid]))
         lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, 63)]
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
-    f_1, f_2 = value(x1), value(x2)
-    while hi - lo > xi_tol:
-        if f_1 < f_2:
-            lo, x1, f_1 = x1, x2, f_2
-            x2 = lo + golden * (hi - lo)
-            f_2 = value(x2)
-        else:
-            hi, x2, f_2 = x2, x1, f_1
-            x1 = hi - golden * (hi - lo)
-            f_1 = value(x1)
-    xi_star = 0.5 * (lo + hi)
+    xi_star, _ = golden_python(value, float(lo), float(hi), xi_tol)
     q_star, q_coh, q_sq = value(xi_star), value(0.0), value(1.0)
     if q_coh >= q_star and q_coh >= q_sq:
         return 0.0, q_coh, BOUNDARY_COHERENT
@@ -784,6 +794,47 @@ def test_optimize_xi_array_equals_scalar_calls(p):
                   for e in etas] for n in n_s]
     for k, field in enumerate(astuple(grid)):
         np.testing.assert_array_equal(field, [[r[k] for r in row] for row in reference])
+
+
+def test_golden_max_steps_only_live_brackets():
+    # brackets of the scan's widths (1/63, 2/63), the N_B = 0 search's [0, 1]
+    # and two already within tol, in one lockstep: every midpoint has the bits
+    # of its own Python-float search, and the landscape evaluates each bracket
+    # as often as that search does, so a frozen bracket is never evaluated
+    tol = 1e-8
+    lo = np.array([0.0, 20 / 63, 40 / 63, 0.0, 0.3, 0.5])
+    hi = np.array([1.0, 21 / 63, 42 / 63, 1.0, 0.3 + 0.5 * tol, 0.5])
+    peaks = np.array([0.3, 0.2, 0.65, 1.5, 0.3, 0.1])
+    evaluated = []
+
+    def landscape(live):
+        def f(x):
+            assert x.shape[-1] == live.size
+            evaluated.append(x.size)
+            return -(x - peaks[live]) * (x - peaks[live])
+        return f
+
+    reference = [golden_python(lambda x, t=t: -(x - t) * (x - t), a, b, tol)
+                 for a, b, t in zip(lo.tolist(), hi.tolist(), peaks.tolist())]
+    np.testing.assert_array_equal(_golden_max(landscape, lo, hi, tol),
+                                  [mid for mid, _ in reference])
+    assert sum(evaluated) == sum(count for _, count in reference)
+    assert [count for _, count in reference][-2:] == [0, 0]
+    assert len({count for _, count in reference}) == 4
+
+    # an empty live set returns at once
+    evaluated.clear()
+    np.testing.assert_array_equal(_golden_max(landscape, lo[4:], hi[4:], tol),
+                                  0.5 * (lo[4:] + hi[4:]))
+    assert sum(evaluated) == 0
+
+
+def test_optimize_xi_without_search_points():
+    # N_B = 0 and every point below the f1 threshold: all take the squeezed
+    # edge, and the golden-section search gets no bracket at all
+    res = optimize_xi(np.array([[1e-3], [1e-2]]), ChannelParams([0.95, 0.99], 0.0))
+    assert (res.boundary == BOUNDARY_SQUEEZED).all()
+    np.testing.assert_array_equal(res.xi_opt, np.ones((2, 2)))
 
 
 @pytest.mark.parametrize("p", CHANNELS, ids=CHANNEL_IDS)

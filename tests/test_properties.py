@@ -13,11 +13,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 from lossfish import (ChannelParams, SingleModeProbe, TwoModeProbe,  # noqa: E402
                       apply_channel, build_single_mode, build_two_mode,
-                      make_state, qfi_if_closed, tmsv)
+                      make_state, optimize_xi, qfi_if_closed, tmsv)
 from lossfish.channel import moment_derivatives, output_moments  # noqa: E402
 from lossfish.cli import _render  # noqa: E402
 from lossfish.qfi import (_FLOAT_OPS, SLD_RESIDUAL_TOL, _sld_chunk,  # noqa: E402
                           _sld_qfi_batch, _stein, _two_mode_closed_raw)
+from test_optimize import reference_optimize_xi  # noqa: E402
 
 TINY = float(np.finfo(float).tiny)
 
@@ -91,11 +92,15 @@ def test_channel_outputs_pass_make_state(kind, n_s, mix, r_pos, theta, phi,
     assert not (out.d.flags.writeable or out.sigma.flags.writeable)
 
 
-def zero_or_log_uniform(lo, hi):
-    """0, or a float log-uniform in [lo, hi] (clamped against exp's rounding)."""
-    draw = st.floats(math.log(lo), math.log(hi)).map(
+def log_uniform(lo, hi):
+    """A float log-uniform in [lo, hi] (clamped against exp's rounding)."""
+    return st.floats(math.log(lo), math.log(hi)).map(
         lambda u: min(max(math.exp(u), lo), hi))
-    return st.one_of(st.just(0.0), draw)
+
+
+def zero_or_log_uniform(lo, hi):
+    """0, or a float log-uniform in [lo, hi]."""
+    return st.one_of(st.just(0.0), log_uniform(lo, hi))
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
@@ -111,6 +116,23 @@ def test_idler_free_terms_are_finite(n_b, n_coh, n_sq, eta, normalized):
         q = qfi_if_closed(n_coh, n_sq, ChannelParams(eta, n_b, normalized))
     for term in (q.term_displacement, q.term_squeeze, q.term_shadow, q.total):
         assert math.isfinite(term)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(points=st.lists(st.tuples(log_uniform(1e-4, 1e4),
+                                 st.floats(0.0, 1.0 - 1e-7)), min_size=1, max_size=6),
+       n_b=zero_or_log_uniform(1e-3, 1e3),
+       normalized=st.booleans())
+def test_optimize_xi_is_the_per_point_search(points, n_b, normalized):
+    # one lockstep over random (N_S, eta) pairs, with the channel factors
+    # computed once and frozen brackets dropped, gives each point the bits of
+    # the per-point Python-float search
+    n_s, eta = (np.array(column) for column in zip(*points))
+    p = ChannelParams(eta, n_b, normalized)
+    res = optimize_xi(n_s, p)
+    for k, (n, e) in enumerate(points):
+        assert (res.xi_opt[k], res.qfi_opt[k], res.boundary[k]) == \
+            reference_optimize_xi(n, ChannelParams(e, n_b, normalized))
 
 
 @settings(max_examples=2000, deadline=None, derandomize=True, database=None)

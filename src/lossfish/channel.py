@@ -140,29 +140,42 @@ def gamma_to_eta(gamma: float, t: float) -> float:
     return float(np.exp(-0.5 * gamma * t))
 
 
+_EYE2 = np.eye(2)
+_EYE2.setflags(write=False)
+
+
+def _eye2(sigma):
+    """The 2x2 identity, shaped to broadcast against ``sigma[:2, :2]``."""
+    return _EYE2.reshape((2, 2) + (1,) * (np.ndim(sigma) - 2))
+
+
 def output_moments(d, sigma, p: ChannelParams):
-    """Output moments ``(d_out, sigma_out)`` for input arrays of shape
-    ``(..., m)`` and ``(..., m, m)``, m = 2 or 4: one state or a stack."""
+    """Output moments ``(d_out, sigma_out)`` of one state or a stack, m = 2 or 4.
+
+    One state has ``d`` of shape ``(m,)`` and ``sigma`` of shape ``(m, m)``.
+    A stack puts its item axes last, ``(m,) + G`` and ``(m, m) + G``, so that
+    each entry ``sigma[i, j]`` is one contiguous array over the items.
+    """
     eta = p.eta
     d_out = np.array(d, dtype=float)
-    d_out[..., :2] *= eta
+    d_out[:2] *= eta
     sigma_out = np.array(sigma, dtype=float)
-    sigma_out[..., :2, :2] = eta ** 2 * sigma_out[..., :2, :2] \
-        + additive_noise(p) * np.eye(2)
-    sigma_out[..., :2, 2:] *= eta
-    sigma_out[..., 2:, :2] *= eta
+    sigma_out[:2, :2] = eta ** 2 * sigma_out[:2, :2] + additive_noise(p) * _eye2(sigma)
+    sigma_out[:2, 2:] *= eta
+    sigma_out[2:, :2] *= eta
     return d_out, sigma_out
 
 
 def moment_derivatives(d, sigma, p: ChannelParams):
-    """Analytic eta-derivative ``(d_dot, sigma_dot)`` of :func:`output_moments`."""
+    """Analytic eta-derivative ``(d_dot, sigma_dot)`` of :func:`output_moments`,
+    in the same layout: one state, or a stack with its item axes last."""
     d_dot = np.zeros_like(d)
-    d_dot[..., :2] = d[..., :2]
+    d_dot[:2] = d[:2]
     sigma_dot = np.zeros_like(sigma)
-    sigma_dot[..., :2, :2] = 2.0 * p.eta * sigma[..., :2, :2] \
-        + additive_noise_derivative(p) * np.eye(2)
-    sigma_dot[..., :2, 2:] = sigma[..., :2, 2:]
-    sigma_dot[..., 2:, :2] = sigma[..., 2:, :2]
+    sigma_dot[:2, :2] = 2.0 * p.eta * sigma[:2, :2] \
+        + additive_noise_derivative(p) * _eye2(sigma)
+    sigma_dot[:2, 2:] = sigma[:2, 2:]
+    sigma_dot[2:, :2] = sigma[2:, :2]
     return d_dot, sigma_dot
 
 

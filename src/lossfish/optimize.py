@@ -131,19 +131,26 @@ def g2(eta: float, n_b: float) -> float:
     QFI in the squeezed photon number.  The optimal low-power probe flips
     abruptly from coherent to squeezed vacuum where ``g2`` crosses
     ``1/[1+2N_B(1-eta^2)]``; for large ``N_B`` the flip sits close to
-    ``eta = 1 - 3/(2 N_B)`` on an eta scale.
+    ``eta = 1 - 3/(2 N_B)`` on an eta scale.  N_B enters as a numpy float,
+    and an overflow, a division by zero or an invalid operation (``0/0``
+    where ``A0^2`` underflows to 0, below N_B ~ 1e-162) raises
+    `FloatingPointError`, never a warning with an inf, a nan or a term
+    silently lost.
     """
     _check_eta_domain(eta)
     if not 0.0 < n_b < math.inf:
         raise ValueError("g2 is defined for the N_S << N_B regime; need finite "
                          f"n_b > 0, got {n_b}")
+    n_b = np.float64(n_b)
     e2 = eta ** 2
     one = 1.0 - e2
-    a0 = one * n_b * (n_b + 1.0 - n_b * e2)
-    a1 = one * e2 * (2.0 * n_b + 1.0)
-    first = e2 * (2.0 * n_b + 1.0) / a0 * ((2.0 * n_b + 1.0) / (2.0 * a0 + 1.0) - 1.0)
-    second = -n_b ** 2 * e2 * a1 / a0 ** 2
-    return first + second
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        a0 = one * n_b * (n_b + 1.0 - n_b * e2)
+        a1 = one * e2 * (2.0 * n_b + 1.0)
+        first = e2 * (2.0 * n_b + 1.0) / a0 * ((2.0 * n_b + 1.0) / (2.0 * a0 + 1.0)
+                                              - 1.0)
+        second = -n_b ** 2 * e2 * a1 / a0 ** 2
+        return float(first + second)
 
 
 def xi_threshold_nbar(eta: float) -> float:
@@ -293,7 +300,8 @@ def two_mode_grid(n_s: float, p: ChannelParams, grid=(64, 64)):
     Uses a linear zeta grid on [0, 1] and, for each zeta, a logarithmic r grid
     on [r_min(zeta), 1].  Returns ``(zetas, r_grid, qfi)``, with `r_grid` and
     `qfi` of shape ``grid``, one row per zeta; `qfi` routes the values.
-    Raises `ProbeRangeError` if some r_min rounds to 0, as at n_s = 1e8.
+    Raises `ProbeRangeError` if some r_min rounds to 0, as at n_s = 1e8, or
+    overflows to -inf or nan, as at n_s = 1e300 and 1e308.
     """
     n_zeta, n_r = grid
     if n_zeta < 32 or n_r < 32:
@@ -301,8 +309,10 @@ def two_mode_grid(n_s: float, p: ChannelParams, grid=(64, 64)):
     if not 0.0 <= n_s < math.inf:
         raise ValueError(f"n_s must be finite and non-negative, got {n_s}")
     zetas = np.linspace(0.0, 1.0, n_zeta)
-    r_min = two_mode_r_min(n_s, zetas)
-    if np.any(r_min <= 0.0):
+    # an overflow in r_min is a probe out of range, reported as such below
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_min = two_mode_r_min(n_s, zetas)
+    if not np.all(r_min > 0.0):  # NaN fails too
         raise ProbeRangeError(f"n_s = {n_s} is too large: r_min rounds to 0")
     # one geomspace over the rows that span a range: a zero-step row (r_min
     # = 1, at zeta = 0) would switch numpy to another rounding for them all

@@ -104,25 +104,31 @@ def build_single_mode(p: SingleModeProbe) -> GaussianState:
 
 
 def two_mode_moments(n_s, zeta, r, theta=0.0, phi=0.0):
-    """Moments ``(d, sigma)`` of canonical two-mode probes, shapes ``(..., 4)``
-    and ``(..., 4, 4)``; broadcasts over arrays and checks no ranges."""
+    """Moments ``(d, sigma)`` of canonical two-mode probes; broadcasts over
+    arrays and checks no ranges.
+
+    The item axes come last: a stack of probes of shape ``G`` gives ``d`` of
+    shape ``(4,) + G`` and ``sigma`` of shape ``(4, 4) + G``, so that each
+    entry ``sigma[i, j]`` is one contiguous array over the stack.  Scalar
+    arguments give one probe's ``(4,)`` and ``(4, 4)`` moments.
+    """
     x = n_s * zeta ** 2
     a = (2.0 * x + 1.0) / (r + 1.0 / r)
     c = np.sqrt(np.maximum(a ** 2 - 0.25, 0.0))
     sr, si = np.sqrt(r), np.sqrt(1.0 / r)
     shape = np.broadcast_shapes(np.shape(a), np.shape(theta), np.shape(phi))
-    sigma = np.zeros(shape + (4, 4))
-    sigma[..., 0, 0] = a * r
-    sigma[..., 1, 1] = a / r
-    sigma[..., 2, 2] = sigma[..., 3, 3] = a
-    sigma[..., 0, 2] = sigma[..., 2, 0] = c * (sr * np.cos(phi))
-    sigma[..., 0, 3] = sigma[..., 3, 0] = c * (sr * np.sin(phi))
-    sigma[..., 1, 2] = sigma[..., 2, 1] = c * (si * np.sin(phi))
-    sigma[..., 1, 3] = sigma[..., 3, 1] = c * (-si * np.cos(phi))
-    d = np.zeros(shape + (4,))
+    sigma = np.zeros((4, 4) + shape)
+    sigma[0, 0] = a * r
+    sigma[1, 1] = a / r
+    sigma[2, 2] = sigma[3, 3] = a
+    sigma[0, 2] = sigma[2, 0] = c * (sr * np.cos(phi))
+    sigma[0, 3] = sigma[3, 0] = c * (sr * np.sin(phi))
+    sigma[1, 2] = sigma[2, 1] = c * (si * np.sin(phi))
+    sigma[1, 3] = sigma[3, 1] = c * (-si * np.cos(phi))
+    d = np.zeros((4,) + shape)
     amp = np.sqrt(2.0 * (n_s * (1.0 - zeta ** 2)))
-    d[..., 0] = amp * np.cos(theta)
-    d[..., 1] = amp * np.sin(theta)
+    d[0] = amp * np.cos(theta)
+    d[1] = amp * np.sin(theta)
     return d, sigma
 
 

@@ -14,6 +14,10 @@ Routes
     system.  One kernel, `_sld_qfi_batch`, serves single states and stacks and
     returns values with residuals: `qfi_sld` raises `SingularSystem` on a miss,
     the two-mode grid (`_two_mode_qfi`) falls back to the closed form if safe.
+    Stacks of moments put the item axis last, ``(m, m, G)`` and ``(m, G)``,
+    so that each entry the Stein route reads is one contiguous row; a single
+    state keeps its ``(m, m)`` and ``(m,)`` arrays and is the stack of one
+    ``st[..., None]``.
 ``qfi_single_mode_form``
     Purity form for one mode:
     ``Tr[(S^-1 dS)^2] / (2 (1 + mu^2)) + 2 mu'^2 / (1 - mu^4) + dd^T S^-1 dd``.
@@ -260,8 +264,8 @@ def _stein(ops, s, ds, dd):
     solve amplifies the rounding noise of the residual.  The relative
     residual is that of the same-parity equations, as in `_sld_chunk`.
     ``s[i][j]``, ``ds[i][j]`` and ``dd[i]`` are entries: Python floats for
-    one item, or arrays across a stack, with the elementary functions of
-    `ops` to match.
+    one item, or arrays across a stack (the contiguous rows of an item-last
+    stack), with the elementary functions of `ops` to match.
 
     The route solves for ``X = L/2``, whose right-hand side is ``dS``
     itself, so that it copies no entry of ``dS``; scaling by 2 is exact, so
@@ -344,7 +348,8 @@ def _sld_system(m: int, split: bool):
 
 
 def _sld_chunk(st, dst, ddt):
-    """QFI values and relative SLD residuals for one chunk of the stack.
+    """QFI values and relative SLD residuals for one chunk of the stack,
+    item axis first: ``st`` and ``dst`` of shape (k, m, m), ``ddt`` (k, m).
 
     The chunk is solved on its same-parity block (see `_sld_system`) when
     every ``S`` and ``dS`` in it has exactly zero x-p entries, as for the
@@ -395,15 +400,19 @@ def _sld_chunk(st, dst, ddt):
 
 
 def _sld_qfi_batch(st, dst, ddt):
-    """``(values, rel)`` for a stack of channel outputs; shape (G, m, m)/(G, m).
+    """``(values, rel)`` for a stack of channel outputs, item axis last:
+    ``st`` and ``dst`` of shape (m, m, G), ``ddt`` of shape (m, G).
 
-    A non-finite entry raises `NonPhysical`, naming the first such item,
-    before any solve.  A stack whose ``S`` and ``dS`` all have exactly zero
+    Each entry ``st[i, j]`` is then one contiguous row of G floats, which is
+    what the Stein route reads; one state is the stack ``st[..., None]``.  A
+    non-finite entry raises `NonPhysical`, naming the first such item, before
+    any solve.  A stack whose ``S`` and ``dS`` all have exactly zero
     x-p entries (canonical probes through the phase-covariant channel) is
     solved by the Stein route (`_stein`): explicit 2x2 arithmetic in one
     pass over the stack, or on Python floats for a batch of one.  Items it
     leaves above ``SLD_RESIDUAL_TOL``, and every item of any other stack, go
-    to the eigh kernel (`_sld_chunk`) in chunks of ``SLD_CHUNK``.  Singular
+    to the eigh kernel (`_sld_chunk`) in chunks of ``SLD_CHUNK``, each chunk
+    copied to the item-first layout (k, m, m) that kernel takes.  Singular
     items, such as pure output modes, get a solution without the singular
     directions on either route; as ``dS`` is orthogonal to the kernel of the
     SLD operator, the QFI does not depend on which solution is picked.
@@ -412,30 +421,30 @@ def _sld_qfi_batch(st, dst, ddt):
     kernel's LU solve finds singular (``rel = inf``); the caller decides
     whether to raise `SingularSystem` or to fall back to another evaluator.
     """
-    count = len(st)
-    finite = (np.isfinite(st).all(axis=(1, 2)) & np.isfinite(dst).all(axis=(1, 2))
-              & np.isfinite(ddt).all(axis=1))
+    count = st.shape[-1]
+    finite = (np.isfinite(st).all(axis=(0, 1)) & np.isfinite(dst).all(axis=(0, 1))
+              & np.isfinite(ddt).all(axis=0))
     if not finite.all():
         raise NonPhysical(f"SLD stack item {np.argmin(finite)} has a non-finite "
                           "moment or derivative")
-    if st[:, 0::2, 1::2].any() or dst[:, 0::2, 1::2].any():
+    if st[0::2, 1::2].any() or dst[0::2, 1::2].any():
         values, rel = np.empty(count), np.full(count, math.inf)
     elif count == 1:
         try:
-            value, rel = _stein(_FLOAT_OPS, st[0].tolist(), dst[0].tolist(),
-                                ddt[0].tolist())
+            value, rel = _stein(_FLOAT_OPS, st[..., 0].tolist(), dst[..., 0].tolist(),
+                                ddt[..., 0].tolist())
         except (ArithmeticError, ValueError):  # a domain error: the kernel decides
             value, rel = 0.0, math.inf
         values, rel = np.array([value]), np.array([rel])
     else:
         # an inf or nan met on the way fails the residual test below
         with np.errstate(all="ignore"):
-            values, rel = _stein(_ARRAY_OPS, st.transpose(1, 2, 0),
-                                 dst.transpose(1, 2, 0), ddt.T)
+            values, rel = _stein(_ARRAY_OPS, st, dst, ddt)
     fall = np.flatnonzero(~(rel <= SLD_RESIDUAL_TOL))
     for lo in range(0, len(fall), SLD_CHUNK):
         part = fall[lo:lo + SLD_CHUNK]
-        values[part], rel[part] = _sld_chunk(st[part], dst[part], ddt[part])
+        values[part], rel[part] = _sld_chunk(
+            *(np.moveaxis(x[..., part], -1, 0).copy() for x in (st, dst, ddt)))
     return values, rel
 
 
@@ -446,7 +455,8 @@ def qfi_sld(probe: GaussianState, p: ChannelParams) -> float:
     _check_eta(p)
     _, st = output_moments(probe.d, probe.sigma, p)
     ddt, dst = moment_derivatives(probe.d, probe.sigma, p)
-    (value,), (rel,) = _sld_qfi_batch(st[None], dst[None], ddt[None])
+    (value,), (rel,) = _sld_qfi_batch(st[..., None], dst[..., None],
+                                       ddt[..., None])
     if not rel <= SLD_RESIDUAL_TOL:
         raise SingularSystem(f"SLD solve residual {rel:.3e} exceeds {SLD_RESIDUAL_TOL}")
     return float(value)
@@ -480,7 +490,7 @@ def _two_mode_qfi(n_s: float, zeta: np.ndarray, r: np.ndarray, p: ChannelParams)
         val = _two_mode_closed_raw(n_s, zeta[bad], r[bad], 0.0, p.eta, p.n_b)
         # leading-term cancellation estimate of the closed form; the output
         # idler block is a * I
-        lead = (4.0 * st[bad, 2, 2] ** 2 + 1.0) / p.eta ** 2 \
+        lead = (4.0 * st[2, 2, bad] ** 2 + 1.0) / p.eta ** 2 \
             + 2.0 * p.eta ** 2 / (1.0 - p.eta ** 2) ** 2
         if np.any(~np.isfinite(val) | (np.abs(val) < 1e-15 * lead * 1e7)):
             raise SingularSystem("no well-conditioned QFI route at this grid point")
@@ -744,17 +754,20 @@ def homodyne_fisher(n_coh: float, r: float, p: ChannelParams) -> float:
 
     The measured quadrature is Gaussian with mean ``eta sqrt(2 n_coh)`` and
     variance ``eta^2 r/2 + y(eta)``, so
-    ``H = (dm)^2 / V + (dV)^2 / (2 V^2)``.
+    ``H = (dm)^2 / V + (dV)^2 / (2 V^2)``.  ``V`` and ``dV`` are numpy
+    floats, and an overflow or invalid operation in ``H`` raises
+    `FloatingPointError`, never a warning with an inf or a nan.
     """
     _scalar_eta(p)
     if not 0.0 < r <= 1.0:
         raise ValueError("r must lie in (0, 1]")
     if not 0.0 <= n_coh < math.inf:
         raise ValueError(f"n_coh must be finite and non-negative, got {n_coh}")
-    var = 0.5 * p.eta ** 2 * r + additive_noise(p)
-    dvar = p.eta * r + additive_noise_derivative(p)
+    var = np.float64(0.5 * p.eta ** 2 * r + additive_noise(p))
+    dvar = np.float64(p.eta * r + additive_noise_derivative(p))
     dmean_sq = 2.0 * n_coh
-    return float(dmean_sq / var + 0.5 * dvar ** 2 / var ** 2)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        return float(dmean_sq / var + 0.5 * dvar ** 2 / var ** 2)
 
 
 def qfi_gamma(gamma: float, t: float, probe: GaussianState,

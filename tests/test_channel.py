@@ -217,15 +217,16 @@ def test_stacked_moments_match_per_state_channel(modes, normalized):
     rng = np.random.default_rng(7 + modes)
     states = random_states(rng, modes, 20)
     p = ChannelParams(0.63, 1.7, normalized)
-    d = np.stack([s.d for s in states]).reshape(4, 5, 2 * modes)
-    sigma = np.stack([s.sigma for s in states]).reshape(4, 5, 2 * modes, 2 * modes)
+    d = np.stack([s.d for s in states], axis=-1).reshape(2 * modes, 4, 5)
+    sigma = np.stack([s.sigma for s in states], axis=-1).reshape(2 * modes, 2 * modes,
+                                                                  4, 5)
     d_out, sigma_out = output_moments(d, sigma, p)
     d_dot, sigma_dot = moment_derivatives(d, sigma, p)
     for k, state in enumerate(states):
         item = np.unravel_index(k, (4, 5))
         out = apply_channel(state, p)
-        np.testing.assert_array_equal(d_out[item], out.d)
-        np.testing.assert_array_equal(sigma_out[item], out.sigma)
+        np.testing.assert_array_equal(d_out[..., *item], out.d)
+        np.testing.assert_array_equal(sigma_out[..., *item], out.sigma)
         dd, ds = channel_derivative(state, p)
-        np.testing.assert_array_equal(d_dot[item], dd)
-        np.testing.assert_array_equal(sigma_dot[item], ds)
+        np.testing.assert_array_equal(d_dot[..., *item], dd)
+        np.testing.assert_array_equal(sigma_dot[..., *item], ds)

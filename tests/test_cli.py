@@ -434,6 +434,13 @@ def test_sweep_twomode_r_min_rounded_to_zero_exits_2(capsys):
     assert err == "error: n_s = 100000000.0 is too large: r_min rounds to 0\n"
 
 
+def test_sweep_twomode_r_min_overflow_exits_2(capsys):
+    code, out, err = run_cli(capsys,
+                             "sweep-twomode --ns 1e300 --eta 0.5 --nb 1".split())
+    assert (code, out) == (2, "")
+    assert err == "error: n_s = 1e+300 is too large: r_min rounds to 0\n"
+
+
 @pytest.mark.parametrize("argv", [
     "sweep-total --total-ns-grid 1e300,1e306 --eta-grid 0.5 --nb 0",
     "sweep-xi --ns-grid 1e300,1e306 --eta-grid 0.5 --nb 0",

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from dataclasses import astuple, is_dataclass, replace
 
 import numpy as np
@@ -391,6 +392,15 @@ def test_two_mode_grid_rejects_r_min_rounded_to_zero():
         optimize_two_mode(1e8, ChannelParams(0.5, 1.0))
 
 
+@pytest.mark.parametrize("n_s", [1e300, 1e308])
+def test_two_mode_grid_rejects_r_min_overflow_without_a_warning(n_s):
+    # r_min overflows to -inf at 1e300 and to nan at 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ProbeRangeError, match=r"is too large: r_min rounds to 0$"):
+            optimize_two_mode(n_s, ChannelParams(0.5, 1.0))
+
+
 def test_grid_fallback_is_the_scalar_closed_form():
     # bright probes at eta -> 1: the SLD residual check sends many points to
     # the closed form, which the grid evaluates on all of them at once
@@ -527,15 +537,28 @@ def test_optimize_bandwidth_overflow_is_not_divergent(family, normalized):
     # the copies' total overflows, each copy's QFI does not
     lambda p: total_qfi(1e305, 1e152, p, FAMILY_TMSV),
     lambda p: optimize_bandwidth(1e306, p, FAMILY_TMSV),
+    # a huge bath enters g2 and homodyne_fisher as a numpy float too
+    lambda p: g2(p.eta, 1e200),
+    lambda p: homodyne_fisher(1.0, 0.5, replace(p, n_b=1e200)),
 ], ids=["qfi_if_closed", "qfi_tmsv", "qfi_two_mode_closed",
         "tmsv_stationarity_check", "f1", "optimize_xi", "total_qfi",
-        "total_qfi-copies", "optimize_bandwidth"])
+        "total_qfi-copies", "optimize_bandwidth", "g2", "homodyne_fisher"])
 def test_scalar_overflow_signals(call):
     # a scalar photon number enters the closed forms as a numpy float, so its
     # overflow signals as on arrays; on Python floats a product overflows to
     # inf silently, so a single-point search step must not use them
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
         call(ChannelParams(0.9999, 0.0))
+
+
+@pytest.mark.parametrize("n_b,kind", [(1e-200, "invalid value"), (1e100, "overflow")])
+def test_g2_out_of_double_range_raises_without_a_warning(n_b, kind):
+    # A0^2 underflows to 0 at a tiny bath (0/0) and overflows at a large one; either
+    # way g2 raises, with no warning and no nan or inf returned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match=kind):
+            g2(0.5, n_b)
 
 
 def test_optimize_bandwidth_normalized_tmsv_prefers_broadband():

@@ -203,9 +203,9 @@ def test_two_mode_moments_stack_matches_built_states():
     fields = [np.array([getattr(p, f) for p in probes]).reshape(6, 4)
               for f in ("n_s", "zeta", "r", "theta", "phi")]
     d, sigma = two_mode_moments(*fields)
-    assert d.shape == (6, 4, 4) and sigma.shape == (6, 4, 4, 4)
+    assert d.shape == (4, 6, 4) and sigma.shape == (4, 4, 6, 4)
     for k, probe in enumerate(probes):
         item = np.unravel_index(k, (6, 4))
         state = build_two_mode(probe)
-        np.testing.assert_array_equal(d[item], state.d)
-        np.testing.assert_array_equal(sigma[item], state.sigma)
+        np.testing.assert_array_equal(d[..., *item], state.d)
+        np.testing.assert_array_equal(sigma[..., *item], state.sigma)

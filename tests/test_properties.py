@@ -40,7 +40,7 @@ def test_sld_kernel_matches_two_mode_closed_form(eta, n_s, n_b, zeta, r_pos):
     probe = build_two_mode(TwoModeProbe(n_s, zeta, r))
     _, sigma = output_moments(probe.d, probe.sigma, p)
     ddt, dst = moment_derivatives(probe.d, probe.sigma, p)
-    (value,), (rel,) = _sld_qfi_batch(sigma[None], dst[None], ddt[None])
+    (value,), (rel,) = _sld_qfi_batch(sigma[..., None], dst[..., None], ddt[..., None])
     assert rel <= SLD_RESIDUAL_TOL
     closed = _two_mode_closed_raw(n_s, zeta, r, 0.0, eta, n_b)
     assert value == pytest.approx(closed, rel=1e-8)

@@ -10,7 +10,9 @@ from lossfish import (ChannelParams, EtaTooClose, NonPhysical, SingularSystem,
                       qfi_gamma, qfi_if_closed, qfi_shadow,
                       qfi_single_mode_form, qfi_sld, qfi_squeezed_vacuum,
                       qfi_tmsv, qfi_two_mode_closed, tmsv, vacuum)
+import lossfish.qfi as qfi
 from lossfish.channel import moment_derivatives, output_moments
+from lossfish.probes import two_mode_moments
 from lossfish.qfi import (SLD_CHUNK, SLD_RESIDUAL_TOL, _sld_qfi_batch,
                           _sld_system, _two_mode_closed_raw)
 
@@ -364,8 +366,8 @@ def test_qfi_gamma():
 def output_stack(probes, p):
     """Channel outputs (st, dst, ddt) of two-mode probes, stacked."""
     states = [build_two_mode(probe) for probe in probes]
-    d = np.stack([state.d for state in states])
-    sigma = np.stack([state.sigma for state in states])
+    d = np.stack([state.d for state in states], axis=-1)
+    sigma = np.stack([state.sigma for state in states], axis=-1)
     _, st = output_moments(d, sigma, p)
     ddt, dst = moment_derivatives(d, sigma, p)
     return st, dst, ddt
@@ -373,8 +375,8 @@ def output_stack(probes, p):
 
 def single_mode_stack(states, p):
     """Channel outputs (st, dst, ddt) of single-mode states, stacked."""
-    d = np.stack([state.d for state in states])
-    sigma = np.stack([state.sigma for state in states])
+    d = np.stack([state.d for state in states], axis=-1)
+    sigma = np.stack([state.sigma for state in states], axis=-1)
     _, st = output_moments(d, sigma, p)
     ddt, dst = moment_derivatives(d, sigma, p)
     return st, dst, ddt
@@ -434,7 +436,7 @@ def test_non_finite_stack_raises_nonphysical():
     stack = output_stack(random_two_mode_probes(np.random.default_rng(4), 8), p)
     for which in range(3):
         bad = [moments.copy() for moments in stack]
-        bad[which][5].flat[0] = np.inf
+        bad[which][..., 5].flat[0] = np.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonPhysical, match="item 5"):
@@ -459,14 +461,15 @@ def test_kernel_values_do_not_depend_on_chunking():
                                                     rng.uniform(0.0, np.pi))
                                   for _ in range(1000)], p)
     for st, dst, ddt in (two_mode, one_mode):
-        assert len(st) % SLD_CHUNK != 0
-        assert not (st[:, 0::2, 1::2].any() or dst[:, 0::2, 1::2].any())
+        assert st.shape[-1] % SLD_CHUNK != 0
+        assert not (st[0::2, 1::2].any() or dst[0::2, 1::2].any())
         whole = settled(st, dst, ddt)
         # a copy per item: BLAS may round differently at another memory alignment
-        singles = [settled(st[g:g + 1].copy(), dst[g:g + 1].copy(),
-                           ddt[g:g + 1].copy())[0] for g in range(len(st))]
+        singles = [settled(st[..., g:g + 1].copy(), dst[..., g:g + 1].copy(),
+                           ddt[..., g:g + 1].copy())[0] for g in range(st.shape[-1])]
         np.testing.assert_allclose(whole, singles, rtol=1e-12)
-        head = settled(st[:SLD_CHUNK + 1], dst[:SLD_CHUNK + 1], ddt[:SLD_CHUNK + 1])
+        head = settled(st[..., :SLD_CHUNK + 1], dst[..., :SLD_CHUNK + 1],
+                       ddt[..., :SLD_CHUNK + 1])
         np.testing.assert_allclose(head, whole[:SLD_CHUNK + 1], rtol=1e-12)
 
 
@@ -477,7 +480,7 @@ def test_singular_item_leaves_other_items_unchanged():
     # coherent signal with a vacuum idler: the idler output is exactly pure
     singular = TwoModeProbe(1.0, 0.0, 1.0)
     st, dst, ddt = output_stack(probes[:7] + [singular] + probes[7:], p)
-    np.testing.assert_array_equal(st[7, 2:, 2:], 0.5 * np.eye(2))
+    np.testing.assert_array_equal(st[2:, 2:, 7], 0.5 * np.eye(2))
     after = settled(st, dst, ddt)
     np.testing.assert_allclose(np.delete(after, 7), before, rtol=1e-12)
     assert after[7] == pytest.approx(qfi_coherent(1.0, p), rel=1e-9)
@@ -494,7 +497,7 @@ def test_exactly_singular_output_is_a_bad_item():
     values, rel = _sld_qfi_batch(*output_stack(probes, p))
     stack = output_stack(probes[:3] + [TwoModeProbe(1e14, 1.0, 1.0)] + probes[3:], p)
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(stack[0][3], stack[2][3])
+        np.linalg.solve(stack[0][..., 3], stack[2][..., 3])
     after_values, after_rel = _sld_qfi_batch(*stack)
     assert after_rel[3] == np.inf
     np.testing.assert_array_equal(np.delete(after_values, 3), values)
@@ -526,6 +529,8 @@ def test_decoupled_system_splits_by_parity():
     p = ChannelParams(0.6, 0.7)
     st, dst, _ = output_stack(random_two_mode_probes(np.random.default_rng(3),
                                                      64), p)
+    # the tables index the item-first layout that `_sld_chunk` takes
+    st, dst = np.moveaxis(st, -1, 0), np.moveaxis(dst, -1, 0)
     assert not st[:, 0::2, 1::2].any() and not dst[:, 0::2, 1::2].any()
     pick, sqrt_w, take, scale, wbw = _sld_system(4, False)
     s = st.reshape(len(st), -1)[:, take]
@@ -544,6 +549,32 @@ def test_decoupled_system_splits_by_parity():
     np.testing.assert_array_equal(
         split_scale * (s[:, 0] * s[:, 1] + s[:, 2] * s[:, 3]) + split_wbw,
         a_sym[:, same][:, :, same])
+
+
+def test_stacks_put_the_item_axis_last(monkeypatch):
+    # the Stein route reads each entry of S, dS and dd as one contiguous row
+    # over the stack; a transposed (item-first) stack would give it views
+    # strided across items
+    p = ChannelParams(0.6, 0.7)
+    zeta, r = np.linspace(0.1, 1.0, 5), np.linspace(0.5, 1.0, 5)
+    d, sigma = two_mode_moments(1.0, zeta, r)
+    _, st = output_moments(d, sigma, p)
+    ddt, dst = moment_derivatives(d, sigma, p)
+    assert d.shape == ddt.shape == (4, 5)
+    assert sigma.shape == st.shape == dst.shape == (4, 4, 5)
+    rows = []
+    stein = qfi._stein
+
+    def spy(ops, s, ds, dd):
+        rows.extend([s[i][j] for i in range(4) for j in range(4)]
+                    + [ds[i][j] for i in range(4) for j in range(4)] + list(dd))
+        return stein(ops, s, ds, dd)
+
+    monkeypatch.setattr(qfi, "_stein", spy)
+    qfi._two_mode_qfi(1.0, zeta, r, p)
+    assert len(rows) == 36
+    for row in rows:
+        assert row.shape == (5,) and row.flags.c_contiguous
 
 
 def rotate_signal(state, angle):

@@ -38,4 +38,4 @@ class EtaTooClose(LossfishError):
 
 
 class SingularSystem(LossfishError):
-    """The SLD linear system could not be solved to the required residual."""
+    """The SLD route cannot vouch for a QFI value to its 1e-8 tolerance."""

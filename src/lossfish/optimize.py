@@ -131,11 +131,21 @@ def g2(eta: float, n_b: float) -> float:
     QFI in the squeezed photon number.  The optimal low-power probe flips
     abruptly from coherent to squeezed vacuum where ``g2`` crosses
     ``1/[1+2N_B(1-eta^2)]``; for large ``N_B`` the flip sits close to
-    ``eta = 1 - 3/(2 N_B)`` on an eta scale.  N_B enters as a numpy float,
-    and an overflow, a division by zero or an invalid operation (``0/0``
-    where ``A0^2`` underflows to 0, below N_B ~ 1e-162) raises
-    `FloatingPointError`, never a warning with an inf, a nan or a term
-    silently lost.
+    ``eta = 1 - 3/(2 N_B)`` on an eta scale.
+
+    ``A0 = (1-eta^2) N_B B`` with ``B = N_B+1-N_B eta^2``, and
+    ``(2N_B+1)/(2A0+1) - 1 = 2 N_B (eta^2 - (1-eta^2)^2 N_B)/(2A0+1)``, so
+    the factor N_B cancels from both terms before any rounding:
+
+        g2 = 2 eta^2 (2N_B+1)(eta^2 - (1-eta^2)^2 N_B) / [(1-eta^2) B (2A0+1)]
+             - eta^4 (2N_B+1) / [(1-eta^2) B^2]
+
+    which tends to ``eta^4/(1-eta^2)`` as N_B -> 0 and keeps every digit
+    down to the smallest normal N_B.  The literal form loses the first term
+    to cancellation below N_B ~ 1e-8 (its bracket rounds to 0 below
+    ~1e-16).  N_B enters as a numpy float, and an overflow (``A0`` and
+    ``B^2`` pass the double range near N_B ~ 1e154) raises
+    `FloatingPointError`, never a warning with an inf or a nan.
     """
     _check_eta_domain(eta)
     if not 0.0 < n_b < math.inf:
@@ -145,11 +155,11 @@ def g2(eta: float, n_b: float) -> float:
     e2 = eta ** 2
     one = 1.0 - e2
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        a0 = one * n_b * (n_b + 1.0 - n_b * e2)
-        a1 = one * e2 * (2.0 * n_b + 1.0)
-        first = e2 * (2.0 * n_b + 1.0) / a0 * ((2.0 * n_b + 1.0) / (2.0 * a0 + 1.0)
-                                              - 1.0)
-        second = -n_b ** 2 * e2 * a1 / a0 ** 2
+        b = n_b + 1.0 - n_b * e2
+        tnb1 = 2.0 * n_b + 1.0
+        first = 2.0 * e2 * tnb1 * (e2 - one * one * n_b) / (
+            one * b * (2.0 * one * n_b * b + 1.0))
+        second = -e2 * e2 * tnb1 / (one * b * b)
         return float(first + second)
 
 
@@ -312,7 +322,9 @@ def two_mode_grid(n_s: float, p: ChannelParams, grid=(64, 64)):
     # an overflow in r_min is a probe out of range, reported as such below
     with np.errstate(over="ignore", invalid="ignore"):
         r_min = two_mode_r_min(n_s, zetas)
-    if not np.all(r_min > 0.0):  # NaN fails too
+    if not np.isfinite(r_min).all():
+        raise ProbeRangeError(f"n_s = {n_s} is too large: r_min is not finite")
+    if not np.all(r_min > 0.0):
         raise ProbeRangeError(f"n_s = {n_s} is too large: r_min rounds to 0")
     # one geomspace over the rows that span a range: a zero-step row (r_min
     # = 1, at zeta = 0) would switch numpy to another rounding for them all

@@ -6,14 +6,17 @@ Routes
     Generic Gaussian-state QFI: solve the symmetric-logarithmic-derivative
     equation ``4 S L S + W L W = 2 dS`` for the quadratic SLD form ``L`` (with
     ``S`` the output covariance, ``W`` the symplectic form) and evaluate
-    ``Tr[L dS] + dd^T S^+ dd``.  When ``S`` and ``dS`` have no x-p entries,
+    ``Tr[L dS] + dd^T S^-1 dd``.  When ``S`` and ``dS`` have no x-p entries,
     as for every canonical probe, the equation is a 2x2 Stein equation,
     diagonal in the symplectic eigenbasis, and is solved there by explicit
-    arithmetic; an item whose residual stays above ``SLD_RESIDUAL_TOL``, and
-    any other state, takes a batched eigendecomposition of the linear
-    system.  One kernel, `_sld_qfi_batch`, serves single states and stacks and
-    returns values with residuals: `qfi_sld` raises `SingularSystem` on a miss,
-    the two-mode grid (`_two_mode_qfi`) falls back to the closed form if safe.
+    arithmetic.  An item whose residual stays above ``SLD_RESIDUAL_TOL``
+    takes ``Tr[L dS]`` as a sum of non-negative terms, one per pair of modes,
+    in that Williamson basis ``S = T D T^T``; any other state takes the same
+    sum in a basis built by two batched eigendecompositions.  The sum is
+    certified from its basis alone, by an error bound.  One kernel,
+    `_sld_qfi_batch`, serves single states and stacks, and raises
+    `SingularSystem` for the first item it cannot certify; `qfi_sld` and the
+    two-mode grid (`_two_mode_qfi`) only call it.
     Stacks of moments put the item axis last, ``(m, m, G)`` and ``(m, G)``,
     so that each entry the Stein route reads is one contiguous row; a single
     state keeps its ``(m, m)`` and ``(m,)`` arrays and is the stack of one
@@ -123,11 +126,6 @@ def _as_output(x):
     return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
-# Items the Stein route does not settle go through the eigh kernel in chunks
-# of this many, which bounds the memory its batched eigendecompositions take.
-SLD_CHUNK = 512
-
-
 def _pick_arrays(cond, new, old):
     """`old`, its arrays overwritten in place with those of `new` where
     `cond` holds; the Stein route allocates every array it passes here."""
@@ -136,22 +134,26 @@ def _pick_arrays(cond, new, old):
     return old
 
 
-# The Stein route's elementary functions, on Python floats for a batch of one
+# The SLD route's elementary functions, on Python floats for a batch of one
 # and on numpy arrays across a stack.  ``cutoff(den, tol)`` is ``1/den``, or 0
 # where ``|den| <= tol``; ``pick(cond, new, old)`` is the tuple of entries of
 # `new` where `cond` holds and of `old` elsewhere.
 _FLOAT_OPS = SimpleNamespace(
     sqrt=math.sqrt, hypot=math.hypot, atan2=math.atan2, cos=math.cos,
-    sin=math.sin, cutoff=lambda den, tol: 0.0 if abs(den) <= tol else 1.0 / den,
+    sin=math.sin, max=max,
+    cutoff=lambda den, tol: 0.0 if abs(den) <= tol else 1.0 / den,
     pick=lambda cond, new, old: new if cond else old)
 _ARRAY_OPS = SimpleNamespace(
     sqrt=np.sqrt, hypot=np.hypot, atan2=np.arctan2, cos=np.cos, sin=np.sin,
+    max=np.maximum,
     cutoff=lambda den, tol: np.divide(1.0, den, out=np.zeros_like(den),
                                       where=~(np.abs(den) <= tol)),
     pick=_pick_arrays)
 # Each lam carries an error of about eps lam_1, so 16 lam_i lam_j - 1 counts
 # as 0 within _LAM_TOL lam_1 (lam_i + lam_j): six times that error.
 _LAM_TOL = 6.0 * EPS_MACHINE * 16.0
+# The largest symplectic eigenvalue whose g = 4 nu^2 stays a finite double
+_NU_MAX = 0.5 * math.sqrt(np.finfo(float).max)
 
 
 def _congruence(m, x):
@@ -172,9 +174,58 @@ def _inverse_form(s, d1, d2):
     return d1 * d1 / s[0] + e * e / (s[2] - t * s[1])
 
 
+def _pair_terms(ops, nu_j, nu_k, nu_max, ra, rd, rb=0.0, rc=0.0):
+    """Share of the mode pair (j, k) in ``Tr[L dS]``, in a Williamson basis.
+
+    With ``S = T D T^T`` (T symplectic, D the symplectic eigenvalues nu), the
+    SLD equation turns into ``4 D L' D + W L' W = R`` for ``L' = T^T L T``
+    and ``R = 2 T^-1 dS T^-T``, which splits into one 2x2 block per pair.
+    For the block ``R_jk = ((ra, rb), (rc, rd))`` and ``g = 4 nu_j nu_k``::
+
+        1/4 [((ra+rd)^2 + (rb-rc)^2)/(g-1) + ((ra-rd)^2 + (rb+rc)^2)/(g+1)]
+
+    Every term is non-negative.  ``g - 1`` vanishes only for two pure modes;
+    it is dropped within `_stein`'s cut on ``16 lam_j lam_k - 1 = g^2 - 1``
+    (``lam = nu^2``, ``nu_max`` the largest nu).  Returns four values that
+    broadcast as the arguments do: the share; the share with its ``g - 1``
+    term weighted by ``g/(g - 1)``, which bounds how far a relative error
+    in nu moves it (see `_certified`); the numerator that the cut dropped,
+    0 elsewhere; and the sum of both numerators, ``2 |R_jk|^2``.
+    """
+    g = 4.0 * nu_j * nu_k
+    minus = (ra + rd) * (ra + rd) + (rb - rc) * (rb - rc)
+    plus = (ra - rd) * (ra - rd) + (rb + rc) * (rb + rc)
+    # nu_j^2 / (g + 1) before nu_max^2, which stays finite for every nu
+    # below _NU_MAX
+    inv = ops.cutoff(g - 1.0, _LAM_TOL * nu_max * nu_max * (
+        nu_j / (g + 1.0) * nu_j + nu_k / (g + 1.0) * nu_k))
+    near, far = 0.25 * minus * inv, 0.25 * plus / (g + 1.0)
+    return near + far, near * g * inv + far, minus * (inv == 0.0), minus + plus
+
+
+def _certified(ops, terms, disp, err):
+    """``(value, bound, dropped, norm)`` of the Williamson-basis sum, from the
+    `_pair_terms` summed over the pairs, the displacement term and `err`.
+
+    `err` is the relative accuracy of the basis: with ``Y = D^-1/2 T^-1``,
+    which takes ``S`` to ``I``, the largest entry of ``|Y S Y^T - I|`` (how
+    well ``T D T^T`` reconstructs ``S``) plus ``eps |Y| |S| |Y|^T`` (how far
+    the rounding of the entries of ``S`` moves it).  A relative error `err`
+    in nu moves each ``g - 1`` term by ``2 err g/(g - 1)`` of itself, so
+    ``bound = err * (weighted terms + disp) / value``, at least `err`,
+    estimates the value's relative error to first order, and errors
+    measured against 50-digit references stay below it.
+    """
+    trace, weighted, dropped, norm = terms
+    value = trace + disp
+    return (value, err * ops.max(1.0, (weighted + disp) * ops.cutoff(value, 0.0)),
+            dropped, norm)
+
+
 def _one_mode_system(ops, s, ds, dd):
     """`_stein`'s system for one mode, where ``S_x = a`` and ``S_p = c`` are
-    scalars and ``L_p = (b_x + 4 a^2 b_p) / (16 a^2 c^2 - 1)``."""
+    scalars and ``L_p = (b_x + 4 a^2 b_p) / (16 a^2 c^2 - 1)``.  Stein's basis
+    is ``V = a^1/2``, with ``lam = a c``."""
     a, c = s[0][0], s[1][1]
     aa, cc = (2.0 * a) * (2.0 * a), (2.0 * c) * (2.0 * c)
     lam = a * c
@@ -187,8 +238,15 @@ def _one_mode_system(ops, s, ds, dd):
     def apply(l):
         return aa * l[0] - l[1], cc * l[1] - l[0]
 
+    def williamson():
+        nu = ops.sqrt(lam)
+        # Y = diag(a^-1/2, a^1/2 / nu) takes S to I up to one rounding, and
+        # |Y| |S| |Y|^T is Y S Y^T
+        return (_pair_terms(ops, nu, nu, nu, 2.0 * ds[0][0] * nu / a,
+                            2.0 * ds[1][1] * a / nu), 2.0 * EPS_MACHINE)
+
     disp = dd[0] * dd[0] / a + dd[1] * dd[1] / c
-    return solve, apply, (ds[0][0], ds[1][1]), (2.0, 2.0), disp
+    return solve, apply, (ds[0][0], ds[1][1]), (2.0, 2.0), disp, williamson
 
 
 def _two_mode_system(ops, s, ds, dd):
@@ -198,6 +256,7 @@ def _two_mode_system(ops, s, ds, dd):
     With ``S_x = C C^T`` and ``C^T S_p C = U diag(lam) U^T``, ``V = C U``
     turns the Stein equation diagonal:
     ``L_p = V [(V^-1 R V^-T) o W] V^T`` with ``W_ij = 1/(16 lam_i lam_j - 1)``.
+    It is Stein's basis: ``V V^T = S_x`` and ``V^T S_p V = diag(lam)``.
     """
     sx, sp = (s[0][0], s[0][2], s[2][2]), (s[1][1], s[1][3], s[3][3])
     mx, mp = (sx[0], sx[1], sx[1], sx[2]), (sp[0], sp[1], sp[1], sp[2])
@@ -232,10 +291,33 @@ def _two_mode_system(ops, s, ds, dd):
         return (4.0 * qx[0] - l[3], 4.0 * qx[1] - l[4], 4.0 * qx[2] - l[5],
                 4.0 * qp[0] - l[0], 4.0 * qp[1] - l[1], 4.0 * qp[2] - l[2])
 
+    def williamson():
+        # R_jk = (nu_j nu_k)^1/2 u_jk on the x entries and w_jk / (nu_j nu_k)^1/2
+        # on the p entries, with u = V^-1 (2 dS_x) V^-T and w = V^T (2 dS_p) V
+        u = _congruence(v_inv, tuple(2.0 * x for x in b[:3]))
+        w = _congruence((v[0], v[2], v[1], v[3]), tuple(2.0 * x for x in b[3:]))
+        nu1, nu2 = ops.sqrt(lam1), ops.sqrt(lam2)
+        root = ops.sqrt(nu1 * nu2)
+        terms = [_pair_terms(ops, nu1, nu1, nu1, nu1 * u[0], w[0] / nu1),
+                 _pair_terms(ops, nu1, nu2, nu1, root * u[1], w[1] / root),
+                 _pair_terms(ops, nu2, nu2, nu1, nu2 * u[2], w[2] / nu2)]
+        # the pair (1, 2) stands for (2, 1) too
+        total = tuple(one + 2.0 * both + two for one, both, two in zip(*terms))
+        # Y = V^-1 (+) nu^-1 V^T takes S_x to I and S_p to I
+        vt = (v[0], v[2], v[1], v[3])
+        reduced = _congruence(v_inv, sx) + _congruence(vt, sp)
+        size = (_congruence(tuple(map(abs, v_inv)), tuple(map(abs, sx)))
+                + _congruence(tuple(map(abs, vt)), tuple(map(abs, sp))))
+        scale = (1.0, 1.0, 1.0, lam1, nu1 * nu2, lam2)
+        err = functools.reduce(ops.max, (
+            (abs(x - exact) + EPS_MACHINE * y) / unit for x, y, exact, unit
+            in zip(reduced, size, (1.0, 0.0, 1.0, lam1, 0.0, lam2), scale)))
+        return total, err
+
     b = (ds[0][0], ds[0][2], ds[2][2], ds[1][1], ds[1][3], ds[3][3])
     disp = _inverse_form(sx, dd[0], dd[2]) + _inverse_form(sp, dd[1], dd[3])
     # 2 Tr[X dS] counts each off-diagonal entry twice
-    return solve, apply, b, (2.0, 4.0, 2.0, 2.0, 4.0, 2.0), disp
+    return solve, apply, b, (2.0, 4.0, 2.0, 2.0, 4.0, 2.0), disp, williamson
 
 
 def _dot(x, y):
@@ -244,7 +326,8 @@ def _dot(x, y):
 
 
 def _stein(ops, s, ds, dd):
-    """QFI values and relative SLD residuals by the Stein route.
+    """QFI values and relative SLD residuals by the Stein route, and the
+    Williamson-basis sum of the same items.
 
     For ``S`` and ``dS`` with no x-p entries, the same-parity SLD system is
     two coupled equations on the x and p blocks (x the quadratures ``0::2``,
@@ -262,22 +345,28 @@ def _stein(ops, s, ds, dd):
     Two steps of refinement on the coupled equations follow.  A step that
     does not lower the residual is dropped: near a pure mode the Stein
     solve amplifies the rounding noise of the residual.  The relative
-    residual is that of the same-parity equations, as in `_sld_chunk`.
-    ``s[i][j]``, ``ds[i][j]`` and ``dd[i]`` are entries: Python floats for
-    one item, or arrays across a stack (the contiguous rows of an item-last
-    stack), with the elementary functions of `ops` to match.
+    residual is that of the same-parity equations.  ``s[i][j]``,
+    ``ds[i][j]`` and ``dd[i]`` are entries: Python floats for one item, or
+    arrays across a stack (the contiguous rows of an item-last stack), with
+    the elementary functions of `ops` to match.
 
     The route solves for ``X = L/2``, whose right-hand side is ``dS``
     itself, so that it copies no entry of ``dS``; scaling by 2 is exact, so
     the values are those of a solve for ``L``.  Each system returns
-    ``(solve, apply, b, weights, disp)``, with the unknowns and equations
-    flattened as the x block then the p block (their distinct entries):
-    ``apply(X)`` is the left-hand side, ``solve(r)`` solves it for the
-    right-hand side ``r`` by the Stein equation, ``b`` is ``dS``,
+    ``(solve, apply, b, weights, disp, williamson)``, with the unknowns and
+    equations flattened as the x block then the p block (their distinct
+    entries): ``apply(X)`` is the left-hand side, ``solve(r)`` solves it for
+    the right-hand side ``r`` by the Stein equation, ``b`` is ``dS``,
     ``Tr[L dS] = sum(weights * X * b)`` and ``disp = dd^T S^-1 dd``.
+    ``williamson()`` evaluates `_pair_terms` in Stein's basis, which is a
+    Williamson basis ``T = V nu^-1/2 (+) V^-T nu^1/2``, and returns them
+    summed over the pairs with the accuracy of the basis.  `_stein` returns
+    ``(values, rel, sums)``, where ``sums()`` is `_certified`'s
+    ``(values, bound, dropped, norm)`` for that sum, with the same
+    displacement term.
     """
     system = _one_mode_system if len(dd) == 2 else _two_mode_system
-    solve, apply, b, weights, disp = system(ops, s, ds, dd)
+    solve, apply, b, weights, disp, williamson = system(ops, s, ds, dd)
     n = len(b)
 
     def state(x):
@@ -291,135 +380,100 @@ def _stein(ops, s, ds, dd):
         # a step that does not lower the residual adds only noise: drop it
         return ops.pick(step[-1] < best[-1], step, best)
 
+    def sums():
+        terms, err = williamson()
+        return _certified(ops, terms, disp, err)
+
     best = state(solve(b))
     for _ in range(2):  # iterative refinement for ill-conditioned corners
         best = refine(best)
     # X = 0 where b = 0, so the relative residual is 0 there
     rel = ops.sqrt(best[-1]) * ops.cutoff(ops.sqrt(_dot(b, b)), 0.0)
-    return _dot(map(operator.mul, weights, best[:n]), b) + disp, rel
+    return _dot(map(operator.mul, weights, best[:n]), b) + disp, rel, sums
 
 
-@functools.cache
-def _sld_system(m: int, split: bool):
-    """Index tables and constant terms of the SLD system for `m` quadratures.
+def _williamson(st, dst, ddt):
+    """``(values, bound, dropped, norm)`` of `_certified` for any stack.
 
-    ``L`` is expanded over ``B_l = E_ij + E_ji`` (``E_ii`` on the diagonal),
-    one per pair ``i <= j``, and equation ``k`` is entry ``(i_k, j_k)`` of
-    ``4 S L S + W L W = 2 dS``.  With ``w`` the Frobenius norms
-    ``<B_l, B_l>`` (2 off the diagonal, 1 on it) and ``D = diag(w)``, the
-    system matrix ``A`` turns symmetric as ``D^1/2 A D^-1/2``:
-
-        (D^1/2 A D^-1/2)[k, l] = scale[k, l] (S[i_k, i_l] S[j_k, j_l]
-                                              + S[i_k, j_l] S[i_l, j_k])
-                                 + wbw[k, l]
-
-    with ``scale = 2 w^1/2 (w^1/2)^T`` and ``wbw`` the entries of ``W B_l W``
-    scaled the same way.  Returns ``(pick, sqrt_w, take, scale, wbw)``:
-    ``pick`` holds the flat indices of the entries ``(i_k, j_k)`` and
-    ``take`` those of the four ``S`` factors.
-
-    With `split`, the tables keep only the same-parity pairs (x-x and p-p,
-    ``i = j`` mod 2): 6 of the 10 unknowns for two modes, 2 of 3 for one.
-    When ``S`` and ``dS`` have no x-p entries, the system is block diagonal
-    between these and the mixed pairs, and the mixed block has a zero
-    right-hand side, so its unknowns are 0 and these tables hold the rest.
-    The tables serve `_sld_chunk` alone: the split ones for the items the
-    Stein route leaves above the residual tolerance, the full ones for
-    states with x-p entries.
+    Builds a Williamson basis from two batched `eigh` calls.
+    ``S = Q diag(s) Q^T`` gives ``S^-1/2``; the Hermitian
+    ``i S^-1/2 W S^-1/2`` has the eigenvalues ``+-1/nu``, and the real and
+    imaginary parts of the eigenvectors of ``+1/nu`` give an orthogonal
+    ``O`` with ``O^T S^-1/2 W S^-1/2 O = D^-1/2 W D^-1/2``.  Then
+    ``T = S^1/2 O D^-1/2`` is symplectic with ``S = T D T^T``, and
+    ``Y = D^-1/2 T^-1 = O^T S^-1/2``.  The displacement term is
+    ``|S^-1/2 dd|^2``.  An item with ``s_min <= eps s_max``, whose
+    ``S^-1/2`` carries no digit, gets ``I`` in its place, so that no
+    non-finite entry reaches the second `eigh`, and an infinite bound.
     """
-    pairs = [(i, j) for i in range(m) for j in range(i, m)
-             if not split or (i - j) % 2 == 0]
-    rows = np.array([i for i, _ in pairs])
-    cols = np.array([j for _, j in pairs])
-    sqrt_w = np.sqrt(np.where(rows == cols, 1.0, 2.0))
-    omega = symplectic_form(m // 2)
-    wbw = np.empty((len(pairs), len(pairs)))
-    for l, (i, j) in enumerate(pairs):
-        basis = np.zeros((m, m))
-        basis[i, j] = basis[j, i] = 1.0
-        wbw[:, l] = (omega @ basis @ omega)[rows, cols]
-    take = np.stack([rows[:, None] * m + rows, cols[:, None] * m + cols,
-                     rows[:, None] * m + cols, rows * m + cols[:, None]])
-    tables = (rows * m + cols, sqrt_w, take, 2.0 * np.outer(sqrt_w, sqrt_w),
-              sqrt_w[:, None] * wbw / sqrt_w)
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    s_t, ds_t, dd_t = (np.moveaxis(x, -1, 0) for x in (st, dst, ddt))
+    count, m, _ = s_t.shape
+    s, q = np.linalg.eigh(s_t)
+    sound = s[:, 0] > EPS_MACHINE * s[:, -1]
+    inv_half = np.where(sound[:, None, None],
+                        (q / np.sqrt(np.where(sound[:, None], s, 1.0))[:, None, :])
+                        @ q.transpose(0, 2, 1), np.eye(m))
+    mu, z = np.linalg.eigh(1j * (inv_half @ symplectic_form(m // 2) @ inv_half))
+    nu = 1.0 / mu[:, m // 2:]
+    z = math.sqrt(2.0) * z[:, :, m // 2:]
+    o = np.empty((count, m, m))
+    o[:, :, 0::2], o[:, :, 1::2] = z.imag, z.real
+    y = o.transpose(0, 2, 1) @ inv_half
+    y_t = y.transpose(0, 2, 1)
+    err = (np.abs(y @ s_t @ y_t - np.eye(m))
+           + EPS_MACHINE * (np.abs(y) @ np.abs(s_t) @ np.abs(y_t))).max(axis=(1, 2))
+    t_inv = np.repeat(np.sqrt(nu), 2, axis=1)[:, :, None] * y
+    r = t_inv @ (2.0 * ds_t) @ t_inv.transpose(0, 2, 1)
+    terms = _pair_terms(_ARRAY_OPS, nu[:, :, None], nu[:, None, :],
+                        nu.max(axis=1)[:, None, None], r[:, 0::2, 0::2],
+                        r[:, 1::2, 1::2], r[:, 0::2, 1::2], r[:, 1::2, 0::2])
+    disp = np.einsum("gij,gj->gi", inv_half, dd_t)
+    return _certified(_ARRAY_OPS, [t.sum(axis=(1, 2)) for t in terms],
+                      np.einsum("gi,gi->g", disp, disp),
+                      np.where(sound, err, math.inf))
 
 
-def _sld_chunk(st, dst, ddt):
-    """QFI values and relative SLD residuals for one chunk of the stack,
-    item axis first: ``st`` and ``dst`` of shape (k, m, m), ``ddt`` (k, m).
-
-    The chunk is solved on its same-parity block (see `_sld_system`) when
-    every ``S`` and ``dS`` in it has exactly zero x-p entries, as for the
-    canonical probes, and on the full system otherwise.  Either way the rank
-    cutoff counts all ``m(m+1)/2`` unknowns, so the split cuts the same
-    eigen-directions as the full system.
-    """
-    count, m, _ = st.shape
-    split = not (st[:, 0::2, 1::2].any() or dst[:, 0::2, 1::2].any())
-    pick, sqrt_w, take, scale, wbw = _sld_system(m, split)
-    s = st.reshape(count, -1)[:, take]
-    a_sym = scale * (s[:, 0] * s[:, 1] + s[:, 2] * s[:, 3]) + wbw
-    ds = dst.reshape(count, -1)[:, pick]
-    b_vec = 2.0 * ds
-    rhs = (sqrt_w * b_vec)[..., None]
-
-    # pseudoinverse with the least-squares rank cutoff k eps max|lambda|
-    vals, vecs = np.linalg.eigh(a_sym)
-    mag = np.abs(vals)
-    cutoff = (m * (m + 1) // 2) * EPS_MACHINE
-    keep = mag > cutoff * mag.max(axis=1, keepdims=True)
-    inv = np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)[..., None]
-    vecs_t = vecs.transpose(0, 2, 1)
-
-    y = vecs @ (inv * (vecs_t @ rhs))
-    for _ in range(2):  # iterative refinement for ill-conditioned corners
-        y = y + vecs @ (inv * (vecs_t @ (rhs - a_sym @ y)))
-    # the residual check runs on the unscaled system A x = b
-    x = y[..., 0] / sqrt_w
-    gap = np.einsum("gkl,gl->gk", a_sym * (sqrt_w / sqrt_w[:, None]), x) - b_vec
-    resid = np.sqrt(np.einsum("gk,gk->g", gap, gap))
-    b_norm = np.sqrt(np.einsum("gk,gk->g", b_vec, b_vec))
-    rel = np.divide(resid, b_norm, out=resid.copy(), where=b_norm > 0)
-
-    trace_term = (y[..., 0] * sqrt_w * ds).sum(axis=1)  # Tr[L dS]
-    try:
-        disp = np.linalg.solve(st, ddt[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # an exactly singular S: solve item by item, each with the bits of the
-        # batched solve, and mark the singular items bad
-        disp = np.full_like(ddt, math.nan)
-        for k in range(count):
-            try:
-                disp[k] = np.linalg.solve(st[k], ddt[k, :, None])[:, 0]
-            except np.linalg.LinAlgError:
-                rel[k] = math.inf
-    return trace_term + np.einsum("gi,gi->g", ddt, disp), rel
+def _stein_route(ops, s, ds, dd):
+    """``(values, items, checks)`` of `_stein` over a stack of canonical
+    outputs: the items it leaves above ``SLD_RESIDUAL_TOL`` take the sum in
+    Stein's basis, and `items` are their indices, with the arrays
+    ``checks = (bound, dropped, norm)`` of that sum."""
+    values, rel, sums = _stein(ops, s, ds, dd)
+    values, rel = np.atleast_1d(values), np.atleast_1d(rel)
+    items = np.flatnonzero(~(rel <= SLD_RESIDUAL_TOL))
+    if not items.size:
+        return values, items, ()
+    values[items], *checks = (np.atleast_1d(x)[items] for x in sums())
+    return values, items, checks
 
 
 def _sld_qfi_batch(st, dst, ddt):
-    """``(values, rel)`` for a stack of channel outputs, item axis last:
-    ``st`` and ``dst`` of shape (m, m, G), ``ddt`` of shape (m, G).
+    """QFI values for a stack of channel outputs, item axis last: ``st`` and
+    ``dst`` of shape (m, m, G), ``ddt`` of shape (m, G).
 
     Each entry ``st[i, j]`` is then one contiguous row of G floats, which is
     what the Stein route reads; one state is the stack ``st[..., None]``.  A
     non-finite entry raises `NonPhysical`, naming the first such item, before
-    any solve.  A stack whose ``S`` and ``dS`` all have exactly zero
-    x-p entries (canonical probes through the phase-covariant channel) is
-    solved by the Stein route (`_stein`): explicit 2x2 arithmetic in one
-    pass over the stack, or on Python floats for a batch of one.  Items it
-    leaves above ``SLD_RESIDUAL_TOL``, and every item of any other stack, go
-    to the eigh kernel (`_sld_chunk`) in chunks of ``SLD_CHUNK``, each chunk
-    copied to the item-first layout (k, m, m) that kernel takes.  Singular
-    items, such as pure output modes, get a solution without the singular
-    directions on either route; as ``dS`` is orthogonal to the kernel of the
-    SLD operator, the QFI does not depend on which solution is picked.
-    `rel` holds the relative residuals.  An item whose kernel residual stays
-    above ``SLD_RESIDUAL_TOL`` too is bad, and so is one whose ``S`` the
-    kernel's LU solve finds singular (``rel = inf``); the caller decides
-    whether to raise `SingularSystem` or to fall back to another evaluator.
+    any solve.  A stack whose ``S`` and ``dS`` all have exactly zero x-p
+    entries (canonical probes through the phase-covariant channel) is solved
+    by the Stein route (`_stein`): explicit 2x2 arithmetic in one pass over
+    the stack, or on Python floats for a batch of one (a domain error there
+    reruns it on arrays, where it becomes an inf or a nan).  Items that it
+    settles to ``SLD_RESIDUAL_TOL`` keep its values; the others take the
+    Williamson-basis sum (`_pair_terms`) in Stein's basis.  Every item of
+    any other stack takes that sum in the basis that `_williamson` builds.
+    Pure output modes drop out on either route: a cut ``g - 1`` term has a
+    zero numerator, as ``dS`` is orthogonal to the kernel of the SLD
+    operator.
+
+    The sum has no residual, so the decomposition alone certifies its
+    items (`_certified`): the basis and the value are finite; the error
+    bound, the accuracy of the basis times the weight of the ``g - 1``
+    terms, is at most ``SLD_RESIDUAL_TOL``; and the numerators that the cut
+    dropped sum to at most ``SLD_RESIDUAL_TOL^2`` times all numerators, or
+    the QFI diverges (a pure mode whose purity changes with eta).  The
+    first item that fails raises `SingularSystem`, and so does, before any
+    solve, an ``S`` so large that ``g = 4 nu_j nu_k`` would overflow.
     """
     count = st.shape[-1]
     finite = (np.isfinite(st).all(axis=(0, 1)) & np.isfinite(dst).all(axis=(0, 1))
@@ -427,38 +481,50 @@ def _sld_qfi_batch(st, dst, ddt):
     if not finite.all():
         raise NonPhysical(f"SLD stack item {np.argmin(finite)} has a non-finite "
                           "moment or derivative")
-    if st[0::2, 1::2].any() or dst[0::2, 1::2].any():
-        values, rel = np.empty(count), np.full(count, math.inf)
-    elif count == 1:
-        try:
-            value, rel = _stein(_FLOAT_OPS, st[..., 0].tolist(), dst[..., 0].tolist(),
-                                ddt[..., 0].tolist())
-        except (ArithmeticError, ValueError):  # a domain error: the kernel decides
-            value, rel = 0.0, math.inf
-        values, rel = np.array([value]), np.array([rel])
-    else:
-        # an inf or nan met on the way fails the residual test below
-        with np.errstate(all="ignore"):
-            values, rel = _stein(_ARRAY_OPS, st, dst, ddt)
-    fall = np.flatnonzero(~(rel <= SLD_RESIDUAL_TOL))
-    for lo in range(0, len(fall), SLD_CHUNK):
-        part = fall[lo:lo + SLD_CHUNK]
-        values[part], rel[part] = _sld_chunk(
-            *(np.moveaxis(x[..., part], -1, 0).copy() for x in (st, dst, ddt)))
-    return values, rel
+    # nu <= |S| <= m max|S_ij|, and g = 4 nu_j nu_k must be a finite double
+    fits = len(st) * np.abs(st).max(axis=(0, 1)) < _NU_MAX
+    if not fits.all():
+        raise SingularSystem(f"SLD item {np.argmin(fits)}: S is so large that "
+                             "g = 4 nu_j nu_k overflows")
+    # an inf or nan met on the way fails the checks below
+    with np.errstate(all="ignore"):
+        if st[0::2, 1::2].any() or dst[0::2, 1::2].any():
+            values, *checks = _williamson(st, dst, ddt)
+            items = np.arange(count)
+        elif count == 1:
+            try:
+                values, items, checks = _stein_route(
+                    _FLOAT_OPS, *(x[..., 0].tolist() for x in (st, dst, ddt)))
+            except (ArithmeticError, ValueError):  # a domain error
+                values, items, checks = _stein_route(_ARRAY_OPS, st, dst, ddt)
+        else:
+            values, items, checks = _stein_route(_ARRAY_OPS, st, dst, ddt)
+        if not items.size:
+            return values
+        bound, dropped, norm = checks
+        diverges = ~(dropped <= SLD_RESIDUAL_TOL ** 2 * norm)
+    finite = np.isfinite(bound) & np.isfinite(values[items])
+    bad = ~finite | diverges | ~(bound <= SLD_RESIDUAL_TOL)
+    if bad.any():
+        k = np.argmax(bad)
+        if not finite[k]:
+            raise SingularSystem(f"SLD item {items[k]} has no finite Williamson basis")
+        if not bound[k] <= SLD_RESIDUAL_TOL:
+            raise SingularSystem(f"SLD item {items[k]}: error bound {bound[k]:.3e} "
+                                 f"exceeds {SLD_RESIDUAL_TOL}")
+        raise SingularSystem(f"SLD item {items[k]} has a pure mode whose purity "
+                             "changes with eta: the QFI diverges")
+    return values
 
 
 def qfi_sld(probe: GaussianState, p: ChannelParams) -> float:
-    """QFI from the SLD linear system, for 1- and 2-mode probes; raises
-    `SingularSystem` where the solve misses ``SLD_RESIDUAL_TOL``."""
+    """QFI from the SLD equation, for 1- and 2-mode probes; raises
+    `SingularSystem` for a state that `_sld_qfi_batch` does not certify."""
     _scalar_eta(p)
     _check_eta(p)
     _, st = output_moments(probe.d, probe.sigma, p)
     ddt, dst = moment_derivatives(probe.d, probe.sigma, p)
-    (value,), (rel,) = _sld_qfi_batch(st[..., None], dst[..., None],
-                                       ddt[..., None])
-    if not rel <= SLD_RESIDUAL_TOL:
-        raise SingularSystem(f"SLD solve residual {rel:.3e} exceeds {SLD_RESIDUAL_TOL}")
+    (value,) = _sld_qfi_batch(st[..., None], dst[..., None], ddt[..., None])
     return float(value)
 
 
@@ -466,36 +532,19 @@ def _two_mode_qfi(n_s: float, zeta: np.ndarray, r: np.ndarray, p: ChannelParams)
     """QFI of the canonical two-mode probes ``(n_s, zeta[k], r[k])``.
 
     `zeta` and `r` are flat; one `_sld_qfi_batch` call takes every point,
-    singular ones (a pure idler at r_min) included.  The SLD route is
-    primary: the closed form loses up to ~4 digits to cancellation at small
-    eta with bright backgrounds, enough to corrupt an argmax over a nearly
-    flat landscape.  Points whose SLD residual stays above tolerance (bright
-    probes at eta -> 1, where the closed form is well-behaved) fall back to
-    the closed form, in one array call, provided its cancellation estimate
-    stays below 1e-9.  Raises `EtaTooClose` inside the eta guard band, and
-    `SingularSystem` in the normalized model, which has no closed form, or
-    where the estimate refuses the closed form.
+    singular ones (a pure idler at r_min) included, and raises
+    `SingularSystem` for the first point it does not certify.  The SLD
+    route is the only one: the closed form loses up to ~4 digits to
+    cancellation at small eta with bright backgrounds, enough to corrupt an
+    argmax over a nearly flat landscape, and the normalized model has none.
+    Raises `EtaTooClose` inside the eta guard band.
     """
     _scalar_eta(p)
     _check_eta(p)
     d, sigma = two_mode_moments(n_s, zeta, r)
     _, st = output_moments(d, sigma, p)
     ddt, dst = moment_derivatives(d, sigma, p)
-    values, rel = _sld_qfi_batch(st, dst, ddt)
-    bad = ~(rel <= SLD_RESIDUAL_TOL)
-    if np.any(bad):
-        if _held_background(p):
-            raise SingularSystem("SLD solve ill-conditioned and no closed-form "
-                                 "fallback exists for the normalized model")
-        val = _two_mode_closed_raw(n_s, zeta[bad], r[bad], 0.0, p.eta, p.n_b)
-        # leading-term cancellation estimate of the closed form; the output
-        # idler block is a * I
-        lead = (4.0 * st[2, 2, bad] ** 2 + 1.0) / p.eta ** 2 \
-            + 2.0 * p.eta ** 2 / (1.0 - p.eta ** 2) ** 2
-        if np.any(~np.isfinite(val) | (np.abs(val) < 1e-15 * lead * 1e7)):
-            raise SingularSystem("no well-conditioned QFI route at this grid point")
-        values[bad] = val
-    return values
+    return _sld_qfi_batch(st, dst, ddt)
 
 
 def qfi_single_mode_form(probe: GaussianState, p: ChannelParams) -> float:

@@ -402,23 +402,37 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    ("qfi --eta 0.999 --nb 0.001 --probe tmsv --ns 1000 --route sld",
-     "SLD solve residual 7.755e-07 exceeds 1e-08"),
-    ("sweep-twomode --ns 1000 --eta 0.999 --nb 0.001 --normalized",
-     "SLD solve ill-conditioned and no closed-form fallback exists for the "
-     "normalized model"),
-    # output covariances that the solve finds singular: bad items
+    # output covariances whose Williamson basis the rounding of S leaves
+    # without a finite digit
     ("qfi --eta 0.999 --nb 0 --probe tmsv --ns 1e14 --route sld",
-     "SLD solve residual inf exceeds 1e-08"),
+     "SLD item 0 has no finite Williamson basis"),
     ("qfi --eta 0.999 --nb 1 --probe twomode --zeta 1 --r 1 --ns 1e15 --route sld",
-     "SLD solve residual inf exceeds 1e-08"),
+     "SLD item 0 has no finite Williamson basis"),
     ("hypothesis --eta-plus 0.9995 --eta-minus 0.9985 --m 10 --probe tmsv --ns 1e14",
-     "SLD solve residual inf exceeds 1e-08"),
-], ids=["qfi-sld", "sweep-twomode-normalized", "qfi-sld-singular-tmsv",
-        "qfi-sld-singular-twomode", "hypothesis-singular"])
+     "SLD item 0 has no finite Williamson basis"),
+], ids=["qfi-sld-singular-tmsv", "qfi-sld-singular-twomode", "hypothesis-singular"])
 def test_singular_system_exits_3(capsys, argv, message):
     code, out, err = run_cli(capsys, argv.split())
     assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,row,tmsv_params", [
+    ("qfi --eta 0.999 --nb 0.001 --probe tmsv --ns 1000 --route sld",
+     "0.999,0.001,tmsv,1000,sld,1999665.83402", ChannelParams(0.999, 1e-3)),
+    # the argmax row, above the coherent, squeezed-vacuum and TMSV corners
+    ("sweep-twomode --ns 1000 --eta 0.999 --nb 0.001 --normalized",
+     "1,1,1067022.34078", ChannelParams(0.999, 1e-3, normalized=True)),
+], ids=["qfi-sld", "sweep-twomode-normalized"])
+def test_unsettled_stein_items_answer(capsys, argv, row, tmsv_params):
+    # the Stein solve leaves these TMSV items above its residual tolerance,
+    # and the sum in Stein's basis answers, within 1e-9 of the closed form
+    code, out, err = run_cli(capsys, argv.split())
+    assert (code, err) == (0, "")
+    lines = out.split("\n")
+    cell = lines[1] if lines[0].startswith("eta") else lines[-6]
+    assert cell == row
+    exact = qfi_tmsv(1e3, tmsv_params)
+    assert abs(float(row.split(",")[-1]) - exact) <= 1e-9 * exact
 
 
 def test_closed_route_answers_where_the_sld_route_exits_3(capsys):
@@ -438,7 +452,7 @@ def test_sweep_twomode_r_min_overflow_exits_2(capsys):
     code, out, err = run_cli(capsys,
                              "sweep-twomode --ns 1e300 --eta 0.5 --nb 1".split())
     assert (code, out) == (2, "")
-    assert err == "error: n_s = 1e+300 is too large: r_min rounds to 0\n"
+    assert err == "error: n_s = 1e+300 is too large: r_min is not finite\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,6 @@
 """The SLD route chain lives in one module, and no module imports dead names.
 
-`qfi.py` holds the QFI routes, their fallbacks and their failure exits;
+`qfi.py` holds the QFI routes and their failure exits;
 `optimize.py` only searches and plans.  The sources under `src/lossfish` are
 read with `ast`, so a kernel name that leaks into another module, or an
 import that nothing reads, fails here.
@@ -12,7 +12,8 @@ from pathlib import Path
 import lossfish
 
 SOURCES = Path(lossfish.__file__).resolve().parent
-KERNEL = {"_sld_qfi_batch", "_sld_chunk", "_stein", "SLD_RESIDUAL_TOL"}
+KERNEL = {"_sld_qfi_batch", "_stein", "_stein_route", "_williamson", "_pair_terms",
+          "_certified", "SLD_RESIDUAL_TOL"}
 ROUTE_PARTS = {"output_moments", "moment_derivatives", "two_mode_moments",
                "SingularSystem"}
 

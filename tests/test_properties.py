@@ -16,8 +16,8 @@ from lossfish import (ChannelParams, SingleModeProbe, TwoModeProbe,  # noqa: E40
                       make_state, optimize_xi, qfi_if_closed, tmsv)
 from lossfish.channel import moment_derivatives, output_moments  # noqa: E402
 from lossfish.cli import _render  # noqa: E402
-from lossfish.qfi import (_FLOAT_OPS, SLD_RESIDUAL_TOL, _sld_chunk,  # noqa: E402
-                          _sld_qfi_batch, _stein, _two_mode_closed_raw)
+from lossfish.qfi import (_FLOAT_OPS, SLD_RESIDUAL_TOL, _sld_qfi_batch,  # noqa: E402
+                          _stein, _two_mode_closed_raw, _williamson)
 from test_optimize import reference_optimize_xi  # noqa: E402
 
 TINY = float(np.finfo(float).tiny)
@@ -40,8 +40,7 @@ def test_sld_kernel_matches_two_mode_closed_form(eta, n_s, n_b, zeta, r_pos):
     probe = build_two_mode(TwoModeProbe(n_s, zeta, r))
     _, sigma = output_moments(probe.d, probe.sigma, p)
     ddt, dst = moment_derivatives(probe.d, probe.sigma, p)
-    (value,), (rel,) = _sld_qfi_batch(sigma[..., None], dst[..., None], ddt[..., None])
-    assert rel <= SLD_RESIDUAL_TOL
+    (value,) = _sld_qfi_batch(sigma[..., None], dst[..., None], ddt[..., None])
     closed = _two_mode_closed_raw(n_s, zeta, r, 0.0, eta, n_b)
     assert value == pytest.approx(closed, rel=1e-8)
 
@@ -53,17 +52,19 @@ def test_sld_kernel_matches_two_mode_closed_form(eta, n_s, n_b, zeta, r_pos):
        r_pos=st.floats(0.0, 1.0), theta=st.floats(0.0, math.pi))
 def test_stein_route_matches_eigh_kernel(n_s, eta, n_b, normalized, zeta,
                                          r_pos, theta):
-    # a value the Stein route accepts is the eigh kernel's, to 1e-12
+    # a value the Stein route accepts is the one of the general route, whose
+    # Williamson basis comes from eigh, to 1e-12
     r = TwoModeProbe(n_s, zeta, 1.0).r_min ** (1.0 - r_pos)
     probe = build_two_mode(TwoModeProbe(n_s, zeta, r, theta))
     p = ChannelParams(eta, n_b, normalized)
     _, sigma = output_moments(probe.d, probe.sigma, p)
     ddt, dst = moment_derivatives(probe.d, probe.sigma, p)
-    value, rel = _stein(_FLOAT_OPS, sigma.tolist(), dst.tolist(), ddt.tolist())
-    kernel, kernel_rel = _sld_chunk(sigma[None], dst[None], ddt[None])
-    assert kernel_rel[0] <= SLD_RESIDUAL_TOL
+    value, rel, _ = _stein(_FLOAT_OPS, sigma.tolist(), dst.tolist(), ddt.tolist())
+    (general,), (bound,), _, _ = _williamson(sigma[..., None], dst[..., None],
+                                             ddt[..., None])
+    assert bound <= SLD_RESIDUAL_TOL
     if rel <= SLD_RESIDUAL_TOL:
-        assert value == pytest.approx(kernel[0], rel=1e-12)
+        assert value == pytest.approx(general, rel=1e-12)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)

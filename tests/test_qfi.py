@@ -12,9 +12,9 @@ from lossfish import (ChannelParams, EtaTooClose, NonPhysical, SingularSystem,
                       qfi_tmsv, qfi_two_mode_closed, tmsv, vacuum)
 import lossfish.qfi as qfi
 from lossfish.channel import moment_derivatives, output_moments
-from lossfish.probes import two_mode_moments
-from lossfish.qfi import (SLD_CHUNK, SLD_RESIDUAL_TOL, _sld_qfi_batch,
-                          _sld_system, _two_mode_closed_raw)
+from lossfish.probes import two_mode_moments, two_mode_r_min
+from lossfish.qfi import (_ARRAY_OPS, _FLOAT_OPS, SLD_RESIDUAL_TOL, _sld_qfi_batch,
+                          _stein, _two_mode_closed_raw, _williamson)
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -414,9 +414,12 @@ def test_grid_with_singular_row_never_calls_lstsq(monkeypatch):
     (1.0, 0.7071, 1.0),   # the README sweep-twomode grid
     (1.0, 0.5, 1.0),      # a criterion-07 grid
     (1e3, 0.5, 0.0),      # a pure-loss output: one symplectic eigenvalue 1/2
+    (1e3, 0.999, 1.0),    # criterion-07 corners where the Stein solve leaves
+    (1e3, 0.999, 1e-3),   # items above the residual tolerance
 ])
 def test_canonical_grid_never_calls_eigh(monkeypatch, n_s, eta, n_b):
-    # the Stein route settles every item, so none reaches the eigh kernel
+    # the items that the Stein solve leaves unsettled take the sum in Stein's
+    # basis, so a canonical stack never builds a basis by eigh
     calls = []
     real_eigh = np.linalg.eigh
 
@@ -443,16 +446,9 @@ def test_non_finite_stack_raises_nonphysical():
                 _sld_qfi_batch(*bad)
 
 
-def settled(st, dst, ddt):
-    """The kernel's values for a stack that it settles to the tolerance."""
-    values, rel = _sld_qfi_batch(st, dst, ddt)
-    assert (rel <= SLD_RESIDUAL_TOL).all()
-    return values
-
-
 def test_kernel_values_do_not_depend_on_chunking():
     # a stack takes the Stein route's array path, a batch of one its float
-    # path, and a stack of SLD_CHUNK + 1 items the same array path again
+    # path
     p = ChannelParams(0.6, 0.7)
     rng = np.random.default_rng(5)
     two_mode = output_stack(random_two_mode_probes(rng, 1000), p)
@@ -461,94 +457,139 @@ def test_kernel_values_do_not_depend_on_chunking():
                                                     rng.uniform(0.0, np.pi))
                                   for _ in range(1000)], p)
     for st, dst, ddt in (two_mode, one_mode):
-        assert st.shape[-1] % SLD_CHUNK != 0
         assert not (st[0::2, 1::2].any() or dst[0::2, 1::2].any())
-        whole = settled(st, dst, ddt)
+        whole = _sld_qfi_batch(st, dst, ddt)
         # a copy per item: BLAS may round differently at another memory alignment
-        singles = [settled(st[..., g:g + 1].copy(), dst[..., g:g + 1].copy(),
-                           ddt[..., g:g + 1].copy())[0] for g in range(st.shape[-1])]
+        singles = [_sld_qfi_batch(st[..., g:g + 1].copy(), dst[..., g:g + 1].copy(),
+                                  ddt[..., g:g + 1].copy())[0]
+                   for g in range(st.shape[-1])]
         np.testing.assert_allclose(whole, singles, rtol=1e-12)
-        head = settled(st[..., :SLD_CHUNK + 1], dst[..., :SLD_CHUNK + 1],
-                       ddt[..., :SLD_CHUNK + 1])
-        np.testing.assert_allclose(head, whole[:SLD_CHUNK + 1], rtol=1e-12)
 
 
 def test_singular_item_leaves_other_items_unchanged():
     p = ChannelParams(0.8, 0.3)
     probes = random_two_mode_probes(np.random.default_rng(8), 20)
-    before = settled(*output_stack(probes, p))
+    before = _sld_qfi_batch(*output_stack(probes, p))
     # coherent signal with a vacuum idler: the idler output is exactly pure
     singular = TwoModeProbe(1.0, 0.0, 1.0)
     st, dst, ddt = output_stack(probes[:7] + [singular] + probes[7:], p)
     np.testing.assert_array_equal(st[2:, 2:, 7], 0.5 * np.eye(2))
-    after = settled(st, dst, ddt)
+    after = _sld_qfi_batch(st, dst, ddt)
     np.testing.assert_allclose(np.delete(after, 7), before, rtol=1e-12)
     assert after[7] == pytest.approx(qfi_coherent(1.0, p), rel=1e-9)
 
 
 def test_exactly_singular_output_is_a_bad_item():
-    # at N_S = 1e14 and eta = 0.999 the output S of a TMSV is exactly singular
-    # to the LU solve of the displacement term: the kernel marks that item
-    # bad and leaves every other item's bits as they were
+    # at N_S = 1e14 and eta = 0.999 the output S of a TMSV is singular to
+    # double precision: its Williamson basis has no digit left, and the stack
+    # raises naming that item; without it, every item keeps its value
     p = ChannelParams(0.999, 0.0)
-    # rotated idlers (phi != 0) send the whole stack to the eigh kernel
+    # rotated idlers (phi != 0) send the whole stack to the general route
     probes = [TwoModeProbe(q.n_s, q.zeta, q.r, q.theta, 0.3)
               for q in random_two_mode_probes(np.random.default_rng(9), 6)]
-    values, rel = _sld_qfi_batch(*output_stack(probes, p))
     stack = output_stack(probes[:3] + [TwoModeProbe(1e14, 1.0, 1.0)] + probes[3:], p)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(stack[0][..., 3], stack[2][..., 3])
-    after_values, after_rel = _sld_qfi_batch(*stack)
-    assert after_rel[3] == np.inf
-    np.testing.assert_array_equal(np.delete(after_values, 3), values)
-    np.testing.assert_array_equal(np.delete(after_rel, 3), rel)
+    with pytest.raises(SingularSystem,
+                       match=r"^SLD item 3 has no finite Williamson basis$"):
+        _sld_qfi_batch(*stack)
+    values = _sld_qfi_batch(*output_stack(probes, p))
+    np.testing.assert_allclose(values, [qfi_two_mode_closed(q, p) for q in probes],
+                               rtol=1e-9)
 
 
 @pytest.mark.parametrize("n_s,eta", [
     (1e12, 0.99999),  # the float Stein route divides by zero
-    (1e14, 0.999),    # a math domain error, then a singular LU solve
+    (1e14, 0.999),    # a math domain error in the float Stein route
     (1e15, 0.999),
     (1e16, 0.999),
 ])
 def test_sld_route_failures_raise_singular_system(n_s, eta):
-    with pytest.raises(SingularSystem, match=r"^SLD solve residual"):
+    # the array route takes over from the float one, and finds no finite basis
+    with pytest.raises(SingularSystem,
+                       match=r"^SLD item 0 has no finite Williamson basis$"):
         qfi_sld(tmsv(n_s), ChannelParams(eta, 0.0))
 
 
-def test_sld_route_raises_where_its_solve_misses_the_tolerance():
-    # a bright TMSV at eta -> 1: the Stein route and the eigh kernel both
-    # leave its residual above SLD_RESIDUAL_TOL
+def moments(state, p):
+    """The channel output of one state as Python-float entries for `_stein`."""
+    _, st = output_moments(state.d, state.sigma, p)
+    ddt, dst = moment_derivatives(state.d, state.sigma, p)
+    return st.tolist(), dst.tolist(), ddt.tolist()
+
+
+def test_sld_route_answers_where_stein_misses_the_tolerance():
+    # a bright TMSV at eta -> 1: the Stein solve leaves its residual above
+    # SLD_RESIDUAL_TOL, and the sum in Stein's basis takes the item
+    p = ChannelParams(0.999, 1e-3)
+    _, rel, _ = _stein(_FLOAT_OPS, *moments(tmsv(1e3), p))
+    assert rel > SLD_RESIDUAL_TOL
+    assert qfi_sld(tmsv(1e3), p) == pytest.approx(qfi_tmsv(1e3, p), rel=1e-9, abs=0)
+
+
+def test_sld_route_raises_where_its_bound_exceeds_the_tolerance():
+    # a brighter TMSV: the sum's error bound passes 1e-8, and the route
+    # raises rather than return a value it cannot vouch for
     with pytest.raises(SingularSystem,
-                       match=r"^SLD solve residual 7\.755e-07 exceeds 1e-08$"):
-        qfi_sld(tmsv(1e3), ChannelParams(0.999, 1e-3))
+                       match=r"^SLD item 0: error bound 1\.612e-07 exceeds 1e-08$"):
+        qfi_sld(tmsv(1e8), ChannelParams(0.5, 0.0))
+
+
+def test_error_bound_covers_nearly_pure_items():
+    # at eta = 1e-3 and N_B = 0 the outputs at r = r_min of small zeta are
+    # nearly pure: the rounding of S moves their g - 1 terms, and their QFI,
+    # by more than 1e-8.  Weighting those terms by g/(g - 1), the bound
+    # covers the error against a 50-digit closed form, and refuses the items
+    mpmath = pytest.importorskip("mpmath")
+    n_s, p = 1e-3, ChannelParams(1e-3, 0.0)
+    zeta = np.array([1.0, 2.0, 4.0]) / 63.0
+    r = two_mode_r_min(n_s, zeta)
+    d, sigma = two_mode_moments(n_s, zeta, r)
+    _, st = output_moments(d, sigma, p)
+    ddt, dst = moment_derivatives(d, sigma, p)
+    _, rel, sums = _stein(_ARRAY_OPS, st, dst, ddt)
+    assert (rel > SLD_RESIDUAL_TOL).all()
+    values, bound, _, _ = sums()
+    with mpmath.workdps(50):
+        exact = np.array([float(_two_mode_closed_raw(
+            mpmath.mpf(n_s), mpmath.mpf(z), mpmath.mpf(x), 0.0, mpmath.mpf(p.eta), 0))
+            for z, x in zip(zeta, r)])
+    err = np.abs(values - exact) / exact
+    assert (err > SLD_RESIDUAL_TOL).all()
+    assert (err <= bound).all() and (bound > SLD_RESIDUAL_TOL).all()
+
+
+@pytest.mark.parametrize("sigma", [
+    np.diag([0.5, 0.5]),                            # vacuum: the Stein route
+    np.array([[0.625, 0.375], [0.375, 0.625]]),     # squeezed along x = p: the
+])                                                  # general route
+def test_pure_output_whose_purity_changes_diverges(sigma):
+    # dS = S scales a pure state up: its purity changes with eta, and the
+    # cut g - 1 term keeps a numerator, so the QFI is infinite
+    st = sigma[..., None]
+    with pytest.raises(SingularSystem, match=r"^SLD item 0 has a pure mode whose "
+                                             r"purity changes with eta: the QFI "
+                                             r"diverges$"):
+        _sld_qfi_batch(st, st.copy(), np.zeros((2, 1)))
 
 
 def test_decoupled_system_splits_by_parity():
     # canonical probes keep S and dS free of x-p entries through the channel;
-    # the full system then couples no same-parity unknown to a mixed one
+    # the sum in Stein's basis, which takes the x and p blocks apart, is then
+    # the general route's sum in its eigh-built basis
     p = ChannelParams(0.6, 0.7)
-    st, dst, _ = output_stack(random_two_mode_probes(np.random.default_rng(3),
-                                                     64), p)
-    # the tables index the item-first layout that `_sld_chunk` takes
-    st, dst = np.moveaxis(st, -1, 0), np.moveaxis(dst, -1, 0)
-    assert not st[:, 0::2, 1::2].any() and not dst[:, 0::2, 1::2].any()
-    pick, sqrt_w, take, scale, wbw = _sld_system(4, False)
-    s = st.reshape(len(st), -1)[:, take]
-    a_sym = scale * (s[:, 0] * s[:, 1] + s[:, 2] * s[:, 3]) + wbw
-    rhs = sqrt_w * 2.0 * dst.reshape(len(st), -1)[:, pick]
-    rows, cols = np.divmod(pick, 4)
-    same = (rows - cols) % 2 == 0
-    assert same.sum() == 6
-    assert not a_sym[:, same][:, :, ~same].any()
-    assert not a_sym[:, ~same][:, :, same].any()
-    assert not rhs[:, ~same].any()
-    # the split tables are the same-parity block of the full ones
-    split_pick, _, split_take, split_scale, split_wbw = _sld_system(4, True)
-    np.testing.assert_array_equal(split_pick, pick[same])
-    s = st.reshape(len(st), -1)[:, split_take]
-    np.testing.assert_array_equal(
-        split_scale * (s[:, 0] * s[:, 1] + s[:, 2] * s[:, 3]) + split_wbw,
-        a_sym[:, same][:, :, same])
+    rng = np.random.default_rng(3)
+    two_mode = output_stack(random_two_mode_probes(rng, 64), p)
+    one_mode = single_mode_stack([single_mode_state(rng.uniform(0.1, 5.0),
+                                                    rng.uniform(0.0, 1.0))
+                                  for _ in range(64)], p)
+    for st, dst, ddt in (two_mode, one_mode):
+        assert not st[0::2, 1::2].any() and not dst[0::2, 1::2].any()
+        stein = _stein(_ARRAY_OPS, st, dst, ddt)[2]()
+        general = _williamson(st, dst, ddt)
+        np.testing.assert_allclose(stein[0], general[0], rtol=1e-12)
+        assert (stein[1] <= SLD_RESIDUAL_TOL).all()
+        assert (general[1] <= SLD_RESIDUAL_TOL).all()
 
 
 def test_stacks_put_the_item_axis_last(monkeypatch):
@@ -606,3 +647,53 @@ def test_split_solve_is_phase_covariant(modes):
         assert not output_moments(state.d, state.sigma, p)[1][0::2, 1::2].any()
         assert output_moments(rotated.d, rotated.sigma, p)[1][0::2, 1::2].any()
         assert qfi_sld(state, p) == pytest.approx(qfi_sld(rotated, p), rel=1e-12)
+
+
+def sweep_probes(n_s):
+    """A TMSV, a canonical two-mode and a single-mode probe at `n_s` photons,
+    and a TMSV with a rotated idler for the general route, each with the
+    closed form of its QFI; a squeezing r that rounds to 0 (past ~1e8
+    squeezed photons) leaves its probe out."""
+    two_mode = TwoModeProbe(n_s, 0.5, TwoModeProbe(n_s, 0.5, 1.0).r_min ** 0.5)
+    single = SingleModeProbe(n_s, 0.5)
+    probes = [(lambda: tmsv(n_s), lambda p: qfi_tmsv(n_s, p)),
+              (lambda: build_two_mode(TwoModeProbe(n_s, 1.0, 1.0, phi=0.7)),
+               lambda p: qfi_tmsv(n_s, p))]
+    if two_mode.r > 0.0:
+        probes.append((lambda: build_two_mode(two_mode),
+                       lambda p: qfi_two_mode_closed(two_mode, p)))
+    if single.r > 0.0:
+        probes.append((lambda: build_single_mode(single),
+                       lambda p: qfi_if_closed(single.n_coh, single.n_sq, p).total))
+    return probes
+
+
+def test_sld_route_returns_no_silent_wrong_value():
+    # N_S = 10^0 ... 10^16 in half decades, four eta and four baths: a value
+    # that qfi_sld returns is within 1e-8 of the closed form unless the Stein
+    # solve settled it, which keeps the values it had (off by up to ~1e-6
+    # here); every other point raises SingularSystem
+    sums = raised = 0
+    for n_s in 10.0 ** (np.arange(33) / 2):
+        for build, closed in sweep_probes(n_s):
+            try:
+                state = build()
+            except NonPhysical:  # r too small for the Heisenberg check
+                continue
+            for eta in (0.5, 0.9, 0.999, 0.99999):
+                for n_b in (0.0, 1e-3, 1.0, 1e3):
+                    p = ChannelParams(eta, n_b)
+                    try:
+                        value = qfi_sld(state, p)
+                    except SingularSystem:
+                        raised += 1
+                        continue
+                    s, ds, dd = moments(state, p)
+                    canonical = not (np.array(s)[0::2, 1::2].any()
+                                     or np.array(ds)[0::2, 1::2].any())
+                    if canonical and _stein(_FLOAT_OPS, s, ds, dd)[1] <= SLD_RESIDUAL_TOL:
+                        continue
+                    sums += 1
+                    exact = closed(p)
+                    assert abs(value - exact) <= 1e-8 * exact, (n_s, eta, n_b)
+    assert sums > 50 and raised > 50

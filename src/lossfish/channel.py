@@ -134,9 +134,11 @@ def effective_noise(p: ChannelParams) -> float:
 
 
 def gamma_to_eta(gamma: float, t: float) -> float:
-    """Transmission eta = exp(-gamma t / 2) of a loss rate `gamma` after time `t`."""
-    if gamma < 0 or t < 0:
-        raise NonPhysicalParams("gamma and t must be non-negative")
+    """Transmission eta = exp(-gamma t / 2) of a loss rate `gamma` after time
+    `t`; both must be finite and non-negative, else `NonPhysicalParams`."""
+    if not (0.0 <= gamma < math.inf and 0.0 <= t < math.inf):
+        raise NonPhysicalParams("gamma and t must be finite and non-negative, "
+                                f"got gamma = {gamma}, t = {t}")
     return float(np.exp(-0.5 * gamma * t))
 
 

@@ -17,12 +17,13 @@ byte-identical output.  Each command handler returns its table as
 those CSV cells, keyed by the CSV column names.  Grids are given as
 ``min:max:points`` (append ``:log`` for logarithmic spacing) or a comma list.
 
-Exit codes: 0 success, 2 invalid arguments or parameters, 3 numerical failure
-(a floating-point overflow, division by zero or invalid operation in numpy,
-whose commands run under ``np.errstate(..., "raise")``, or numpy's
-``LinAlgError``).  The idler-free and two-mode closed forms take N_B as a
-numpy float, so ``nb ** 2`` at ``--nb 1e200`` is a numpy overflow; an
-``OverflowError`` from a power of Python floats exits 3 too.
+Exit codes: 0 success; 2 invalid arguments or parameters, or an ``--out``
+path that cannot be written (``error: ...`` on stderr, nothing on stdout);
+3 numerical failure (a floating-point overflow, division by zero or invalid
+operation in numpy, whose commands run under ``np.errstate(..., "raise")``,
+or numpy's ``LinAlgError``).  The idler-free and two-mode closed forms take
+N_B as a numpy float, so ``nb ** 2`` at ``--nb 1e200`` is a numpy overflow;
+an ``OverflowError`` from a power of Python floats exits 3 too.
 """
 
 from __future__ import annotations
@@ -312,8 +313,12 @@ def main(argv=None) -> int:
         return 2
     text = _render(header, columns, args.format)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

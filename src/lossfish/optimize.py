@@ -366,7 +366,8 @@ def tmsv_stationarity_check(n_s: float, p: ChannelParams):
     Returns ``(d_r, d2_r, d_zeta)``; stationarity of the maximum demands
     d_r ~ 0, d2_r < 0, and d_zeta > 0 (the zeta = 1 edge is approached from
     inside).  The closed form extends smoothly past r = 1 and zeta = 1, which
-    the centred stencils exploit.
+    the centred stencils exploit.  Like `qfi_two_mode_closed`, it raises
+    `ValueError` at eta = 0, where the closed form is indeterminate.
     """
     if not 0.0 < n_s < math.inf:
         raise ValueError(f"n_s must be finite and positive, got {n_s}")
@@ -374,6 +375,8 @@ def tmsv_stationarity_check(n_s: float, p: ChannelParams):
         raise ValueError("stationarity check uses the bare-channel closed form")
     _scalar_eta(p)
     _check_eta(p)
+    if p.eta == 0.0:
+        raise ValueError("closed form is indeterminate at eta = 0; use qfi_sld")
 
     n_s = np.float64(n_s)  # a numpy float, so that an overflow signals
 

@@ -12,8 +12,9 @@ Routes
     arithmetic.  An item whose residual stays above ``SLD_RESIDUAL_TOL``
     takes ``Tr[L dS]`` as a sum of non-negative terms, one per pair of modes,
     in that Williamson basis ``S = T D T^T``; any other state takes the same
-    sum in a basis built by two batched eigendecompositions.  The sum is
-    certified from its basis alone, by an error bound.  One kernel,
+    sum in a basis built by two batched eigendecompositions (`_eigh_basis`).
+    Either basis feeds one function, `_williamson_sum`, which also certifies
+    the sum from its basis alone, by an error bound.  One kernel,
     `_sld_qfi_batch`, serves single states and stacks, and raises
     `SingularSystem` for the first item it cannot certify; `qfi_sld` and the
     two-mode grid (`_two_mode_qfi`) only call it.
@@ -46,7 +47,6 @@ Grids in this library therefore start at ``eta > 0`` for that corner.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -134,18 +134,17 @@ def _pick_arrays(cond, new, old):
     return old
 
 
-# The SLD route's elementary functions, on Python floats for a batch of one
+# The Stein route's elementary functions, on Python floats for a batch of one
 # and on numpy arrays across a stack.  ``cutoff(den, tol)`` is ``1/den``, or 0
 # where ``|den| <= tol``; ``pick(cond, new, old)`` is the tuple of entries of
 # `new` where `cond` holds and of `old` elsewhere.
 _FLOAT_OPS = SimpleNamespace(
     sqrt=math.sqrt, hypot=math.hypot, atan2=math.atan2, cos=math.cos,
-    sin=math.sin, max=max,
+    sin=math.sin,
     cutoff=lambda den, tol: 0.0 if abs(den) <= tol else 1.0 / den,
     pick=lambda cond, new, old: new if cond else old)
 _ARRAY_OPS = SimpleNamespace(
     sqrt=np.sqrt, hypot=np.hypot, atan2=np.arctan2, cos=np.cos, sin=np.sin,
-    max=np.maximum,
     cutoff=lambda den, tol: np.divide(1.0, den, out=np.zeros_like(den),
                                       where=~(np.abs(den) <= tol)),
     pick=_pick_arrays)
@@ -174,7 +173,7 @@ def _inverse_form(s, d1, d2):
     return d1 * d1 / s[0] + e * e / (s[2] - t * s[1])
 
 
-def _pair_terms(ops, nu_j, nu_k, nu_max, ra, rd, rb=0.0, rc=0.0):
+def _pair_terms(nu_j, nu_k, nu_max, ra, rd, rb, rc):
     """Share of the mode pair (j, k) in ``Tr[L dS]``, in a Williamson basis.
 
     With ``S = T D T^T`` (T symplectic, D the symplectic eigenvalues nu), the
@@ -186,40 +185,64 @@ def _pair_terms(ops, nu_j, nu_k, nu_max, ra, rd, rb=0.0, rc=0.0):
 
     Every term is non-negative.  ``g - 1`` vanishes only for two pure modes;
     it is dropped within `_stein`'s cut on ``16 lam_j lam_k - 1 = g^2 - 1``
-    (``lam = nu^2``, ``nu_max`` the largest nu).  Returns four values that
+    (``lam = nu^2``, ``nu_max`` the largest nu).  Returns four arrays that
     broadcast as the arguments do: the share; the share with its ``g - 1``
     term weighted by ``g/(g - 1)``, which bounds how far a relative error
-    in nu moves it (see `_certified`); the numerator that the cut dropped,
-    0 elsewhere; and the sum of both numerators, ``2 |R_jk|^2``.
+    in nu moves it (see `_williamson_sum`); the numerator that the cut
+    dropped, 0 elsewhere; and the sum of both numerators, ``2 |R_jk|^2``.
     """
     g = 4.0 * nu_j * nu_k
     minus = (ra + rd) * (ra + rd) + (rb - rc) * (rb - rc)
     plus = (ra - rd) * (ra - rd) + (rb + rc) * (rb + rc)
     # nu_j^2 / (g + 1) before nu_max^2, which stays finite for every nu
     # below _NU_MAX
-    inv = ops.cutoff(g - 1.0, _LAM_TOL * nu_max * nu_max * (
+    inv = _ARRAY_OPS.cutoff(g - 1.0, _LAM_TOL * nu_max * nu_max * (
         nu_j / (g + 1.0) * nu_j + nu_k / (g + 1.0) * nu_k))
     near, far = 0.25 * minus * inv, 0.25 * plus / (g + 1.0)
     return near + far, near * g * inv + far, minus * (inv == 0.0), minus + plus
 
 
-def _certified(ops, terms, disp, err):
-    """``(value, bound, dropped, norm)`` of the Williamson-basis sum, from the
-    `_pair_terms` summed over the pairs, the displacement term and `err`.
+def _williamson_sum(y, nu, sound, s, ds, dd):
+    """``(values, bound, dropped, norm)`` of the Williamson-basis sum.
 
-    `err` is the relative accuracy of the basis: with ``Y = D^-1/2 T^-1``,
-    which takes ``S`` to ``I``, the largest entry of ``|Y S Y^T - I|`` (how
-    well ``T D T^T`` reconstructs ``S``) plus ``eps |Y| |S| |Y|^T`` (how far
-    the rounding of the entries of ``S`` moves it).  A relative error `err`
+    Takes a stack of k items, item axis first: a basis ``Y = D^-1/2 T^-1``
+    (k, m, m), which takes ``S`` to ``I``, with its symplectic eigenvalues
+    `nu` (k, m/2) and the flags `sound` of the items it can vouch for, from
+    Stein's systems or `_eigh_basis`; ``s`` and ``ds`` (k, m, m), ``dd``
+    (k, m).  The blocks of ``R = 2 T^-1 dS T^-T``, with ``T^-1 = D^1/2 Y``,
+    give `_pair_terms`, summed over the pairs; the displacement term is
+    ``|Y dd|^2``.
+
+    ``err`` is the relative accuracy of the basis: the largest entry of
+    ``|Y S Y^T - I|`` (how well ``T D T^T`` reconstructs ``S``) plus
+    ``eps |Y| |S| |Y|^T`` (how far the rounding of the entries of ``S``
+    moves it), and infinite where `sound` fails.  A relative error ``err``
     in nu moves each ``g - 1`` term by ``2 err g/(g - 1)`` of itself, so
-    ``bound = err * (weighted terms + disp) / value``, at least `err`,
+    ``bound = err * (weighted terms + disp) / value``, at least ``err``,
     estimates the value's relative error to first order, and errors
-    measured against 50-digit references stay below it.
+    measured against 50-digit references stay below it.  `dropped` and
+    `norm` sum the numerators that the cut dropped and all numerators.
     """
-    trace, weighted, dropped, norm = terms
-    value = trace + disp
-    return (value, err * ops.max(1.0, (weighted + disp) * ops.cutoff(value, 0.0)),
+    yt = np.swapaxes(y, 1, 2)
+    err = (np.abs(y @ s @ yt - np.eye(s.shape[-1]))
+           + EPS_MACHINE * (np.abs(y) @ np.abs(s) @ np.abs(yt))).max(axis=(1, 2))
+    t_inv = np.repeat(np.sqrt(nu), 2, axis=1)[:, :, None] * y
+    r = t_inv @ (2.0 * ds) @ np.swapaxes(t_inv, 1, 2)
+    trace, weighted, dropped, norm = (t.sum(axis=(1, 2)) for t in _pair_terms(
+        nu[:, :, None], nu[:, None, :], nu.max(axis=1)[:, None, None],
+        r[:, 0::2, 0::2], r[:, 1::2, 1::2], r[:, 0::2, 1::2], r[:, 1::2, 0::2]))
+    z = np.einsum("gij,gj->gi", y, dd)
+    disp = np.einsum("gi,gi->g", z, z)
+    values = trace + disp
+    ratio = (weighted + disp) * _ARRAY_OPS.cutoff(values, 0.0)
+    return (values, np.where(sound, err, math.inf) * np.maximum(1.0, ratio),
             dropped, norm)
+
+
+def _stein_basis(rows, nu):
+    """``(Y, nu, sound)`` of a Stein system for `_williamson_sum`, from the
+    rows of ``Y`` entry by entry and the nu, each an array over the items."""
+    return np.moveaxis(np.array(rows), -1, 0), np.stack(nu, axis=1), True
 
 
 def _one_mode_system(ops, s, ds, dd):
@@ -238,15 +261,14 @@ def _one_mode_system(ops, s, ds, dd):
     def apply(l):
         return aa * l[0] - l[1], cc * l[1] - l[0]
 
-    def williamson():
-        nu = ops.sqrt(lam)
-        # Y = diag(a^-1/2, a^1/2 / nu) takes S to I up to one rounding, and
-        # |Y| |S| |Y|^T is Y S Y^T
-        return (_pair_terms(ops, nu, nu, nu, 2.0 * ds[0][0] * nu / a,
-                            2.0 * ds[1][1] * a / nu), 2.0 * EPS_MACHINE)
+    def basis(take):
+        # Y = diag(a^-1/2, a^1/2 / nu)
+        root, nu = np.sqrt(take(a)), np.sqrt(take(lam))
+        zero = np.zeros_like(nu)
+        return _stein_basis([[1.0 / root, zero], [zero, root / nu]], [nu])
 
     disp = dd[0] * dd[0] / a + dd[1] * dd[1] / c
-    return solve, apply, (ds[0][0], ds[1][1]), (2.0, 2.0), disp, williamson
+    return solve, apply, (ds[0][0], ds[1][1]), (2.0, 2.0), disp, basis
 
 
 def _two_mode_system(ops, s, ds, dd):
@@ -291,33 +313,20 @@ def _two_mode_system(ops, s, ds, dd):
         return (4.0 * qx[0] - l[3], 4.0 * qx[1] - l[4], 4.0 * qx[2] - l[5],
                 4.0 * qp[0] - l[0], 4.0 * qp[1] - l[1], 4.0 * qp[2] - l[2])
 
-    def williamson():
-        # R_jk = (nu_j nu_k)^1/2 u_jk on the x entries and w_jk / (nu_j nu_k)^1/2
-        # on the p entries, with u = V^-1 (2 dS_x) V^-T and w = V^T (2 dS_p) V
-        u = _congruence(v_inv, tuple(2.0 * x for x in b[:3]))
-        w = _congruence((v[0], v[2], v[1], v[3]), tuple(2.0 * x for x in b[3:]))
-        nu1, nu2 = ops.sqrt(lam1), ops.sqrt(lam2)
-        root = ops.sqrt(nu1 * nu2)
-        terms = [_pair_terms(ops, nu1, nu1, nu1, nu1 * u[0], w[0] / nu1),
-                 _pair_terms(ops, nu1, nu2, nu1, root * u[1], w[1] / root),
-                 _pair_terms(ops, nu2, nu2, nu1, nu2 * u[2], w[2] / nu2)]
-        # the pair (1, 2) stands for (2, 1) too
-        total = tuple(one + 2.0 * both + two for one, both, two in zip(*terms))
-        # Y = V^-1 (+) nu^-1 V^T takes S_x to I and S_p to I
-        vt = (v[0], v[2], v[1], v[3])
-        reduced = _congruence(v_inv, sx) + _congruence(vt, sp)
-        size = (_congruence(tuple(map(abs, v_inv)), tuple(map(abs, sx)))
-                + _congruence(tuple(map(abs, vt)), tuple(map(abs, sp))))
-        scale = (1.0, 1.0, 1.0, lam1, nu1 * nu2, lam2)
-        err = functools.reduce(ops.max, (
-            (abs(x - exact) + EPS_MACHINE * y) / unit for x, y, exact, unit
-            in zip(reduced, size, (1.0, 0.0, 1.0, lam1, 0.0, lam2), scale)))
-        return total, err
+    def basis(take):
+        # Y = V^-1 on the x rows and nu^-1 V^T on the p rows
+        (i11, i12, i21, i22), (v11, v12, v21, v22) = map(take, v_inv), map(take, v)
+        nu1, nu2 = np.sqrt(take(lam1)), np.sqrt(take(lam2))
+        zero = np.zeros_like(nu1)
+        return _stein_basis([[i11, zero, i12, zero],
+                             [zero, v11 / nu1, zero, v21 / nu1],
+                             [i21, zero, i22, zero],
+                             [zero, v12 / nu2, zero, v22 / nu2]], [nu1, nu2])
 
     b = (ds[0][0], ds[0][2], ds[2][2], ds[1][1], ds[1][3], ds[3][3])
     disp = _inverse_form(sx, dd[0], dd[2]) + _inverse_form(sp, dd[1], dd[3])
     # 2 Tr[X dS] counts each off-diagonal entry twice
-    return solve, apply, b, (2.0, 4.0, 2.0, 2.0, 4.0, 2.0), disp, williamson
+    return solve, apply, b, (2.0, 4.0, 2.0, 2.0, 4.0, 2.0), disp, basis
 
 
 def _dot(x, y):
@@ -326,8 +335,8 @@ def _dot(x, y):
 
 
 def _stein(ops, s, ds, dd):
-    """QFI values and relative SLD residuals by the Stein route, and the
-    Williamson-basis sum of the same items.
+    """QFI values and relative SLD residuals by the Stein route, and Stein's
+    Williamson basis of the same items.
 
     For ``S`` and ``dS`` with no x-p entries, the same-parity SLD system is
     two coupled equations on the x and p blocks (x the quadratures ``0::2``,
@@ -353,20 +362,18 @@ def _stein(ops, s, ds, dd):
     The route solves for ``X = L/2``, whose right-hand side is ``dS``
     itself, so that it copies no entry of ``dS``; scaling by 2 is exact, so
     the values are those of a solve for ``L``.  Each system returns
-    ``(solve, apply, b, weights, disp, williamson)``, with the unknowns and
+    ``(solve, apply, b, weights, disp, basis)``, with the unknowns and
     equations flattened as the x block then the p block (their distinct
     entries): ``apply(X)`` is the left-hand side, ``solve(r)`` solves it for
     the right-hand side ``r`` by the Stein equation, ``b`` is ``dS``,
     ``Tr[L dS] = sum(weights * X * b)`` and ``disp = dd^T S^-1 dd``.
-    ``williamson()`` evaluates `_pair_terms` in Stein's basis, which is a
-    Williamson basis ``T = V nu^-1/2 (+) V^-T nu^1/2``, and returns them
-    summed over the pairs with the accuracy of the basis.  `_stein` returns
-    ``(values, rel, sums)``, where ``sums()`` is `_certified`'s
-    ``(values, bound, dropped, norm)`` for that sum, with the same
-    displacement term.
+    Stein's basis is a Williamson basis ``T = V nu^-1/2 (+) V^-T nu^1/2``,
+    with no `eigh`: ``basis(take)`` returns `_williamson_sum`'s
+    ``(Y, nu, sound)`` for the items that ``take(entry)`` selects, as a
+    numpy array, from each entry.  `_stein` returns ``(values, rel, basis)``.
     """
     system = _one_mode_system if len(dd) == 2 else _two_mode_system
-    solve, apply, b, weights, disp, williamson = system(ops, s, ds, dd)
+    solve, apply, b, weights, disp, basis = system(ops, s, ds, dd)
     n = len(b)
 
     def state(x):
@@ -380,71 +387,40 @@ def _stein(ops, s, ds, dd):
         # a step that does not lower the residual adds only noise: drop it
         return ops.pick(step[-1] < best[-1], step, best)
 
-    def sums():
-        terms, err = williamson()
-        return _certified(ops, terms, disp, err)
-
     best = state(solve(b))
     for _ in range(2):  # iterative refinement for ill-conditioned corners
         best = refine(best)
     # X = 0 where b = 0, so the relative residual is 0 there
     rel = ops.sqrt(best[-1]) * ops.cutoff(ops.sqrt(_dot(b, b)), 0.0)
-    return _dot(map(operator.mul, weights, best[:n]), b) + disp, rel, sums
+    return _dot(map(operator.mul, weights, best[:n]), b) + disp, rel, basis
 
 
-def _williamson(st, dst, ddt):
-    """``(values, bound, dropped, norm)`` of `_certified` for any stack.
+def _eigh_basis(s):
+    """``(Y, nu, sound)`` for `_williamson_sum`, for any stack ``s`` of
+    covariances (k, m, m), item axis first.
 
     Builds a Williamson basis from two batched `eigh` calls.
-    ``S = Q diag(s) Q^T`` gives ``S^-1/2``; the Hermitian
+    ``S = Q diag(w) Q^T`` gives ``S^-1/2``; the Hermitian
     ``i S^-1/2 W S^-1/2`` has the eigenvalues ``+-1/nu``, and the real and
     imaginary parts of the eigenvectors of ``+1/nu`` give an orthogonal
     ``O`` with ``O^T S^-1/2 W S^-1/2 O = D^-1/2 W D^-1/2``.  Then
     ``T = S^1/2 O D^-1/2`` is symplectic with ``S = T D T^T``, and
-    ``Y = D^-1/2 T^-1 = O^T S^-1/2``.  The displacement term is
-    ``|S^-1/2 dd|^2``.  An item with ``s_min <= eps s_max``, whose
-    ``S^-1/2`` carries no digit, gets ``I`` in its place, so that no
-    non-finite entry reaches the second `eigh`, and an infinite bound.
+    ``Y = D^-1/2 T^-1 = O^T S^-1/2``.  An item with ``w_min <= eps w_max``,
+    whose ``S^-1/2`` carries no digit, is not `sound`: it gets ``I`` in
+    place of ``S^-1/2``, so that no non-finite entry reaches the second
+    `eigh`.
     """
-    s_t, ds_t, dd_t = (np.moveaxis(x, -1, 0) for x in (st, dst, ddt))
-    count, m, _ = s_t.shape
-    s, q = np.linalg.eigh(s_t)
-    sound = s[:, 0] > EPS_MACHINE * s[:, -1]
+    count, m, _ = s.shape
+    w, q = np.linalg.eigh(s)
+    sound = w[:, 0] > EPS_MACHINE * w[:, -1]
     inv_half = np.where(sound[:, None, None],
-                        (q / np.sqrt(np.where(sound[:, None], s, 1.0))[:, None, :])
+                        (q / np.sqrt(np.where(sound[:, None], w, 1.0))[:, None, :])
                         @ q.transpose(0, 2, 1), np.eye(m))
     mu, z = np.linalg.eigh(1j * (inv_half @ symplectic_form(m // 2) @ inv_half))
-    nu = 1.0 / mu[:, m // 2:]
     z = math.sqrt(2.0) * z[:, :, m // 2:]
     o = np.empty((count, m, m))
     o[:, :, 0::2], o[:, :, 1::2] = z.imag, z.real
-    y = o.transpose(0, 2, 1) @ inv_half
-    y_t = y.transpose(0, 2, 1)
-    err = (np.abs(y @ s_t @ y_t - np.eye(m))
-           + EPS_MACHINE * (np.abs(y) @ np.abs(s_t) @ np.abs(y_t))).max(axis=(1, 2))
-    t_inv = np.repeat(np.sqrt(nu), 2, axis=1)[:, :, None] * y
-    r = t_inv @ (2.0 * ds_t) @ t_inv.transpose(0, 2, 1)
-    terms = _pair_terms(_ARRAY_OPS, nu[:, :, None], nu[:, None, :],
-                        nu.max(axis=1)[:, None, None], r[:, 0::2, 0::2],
-                        r[:, 1::2, 1::2], r[:, 0::2, 1::2], r[:, 1::2, 0::2])
-    disp = np.einsum("gij,gj->gi", inv_half, dd_t)
-    return _certified(_ARRAY_OPS, [t.sum(axis=(1, 2)) for t in terms],
-                      np.einsum("gi,gi->g", disp, disp),
-                      np.where(sound, err, math.inf))
-
-
-def _stein_route(ops, s, ds, dd):
-    """``(values, items, checks)`` of `_stein` over a stack of canonical
-    outputs: the items it leaves above ``SLD_RESIDUAL_TOL`` take the sum in
-    Stein's basis, and `items` are their indices, with the arrays
-    ``checks = (bound, dropped, norm)`` of that sum."""
-    values, rel, sums = _stein(ops, s, ds, dd)
-    values, rel = np.atleast_1d(values), np.atleast_1d(rel)
-    items = np.flatnonzero(~(rel <= SLD_RESIDUAL_TOL))
-    if not items.size:
-        return values, items, ()
-    values[items], *checks = (np.atleast_1d(x)[items] for x in sums())
-    return values, items, checks
+    return o.transpose(0, 2, 1) @ inv_half, 1.0 / mu[:, m // 2:], sound
 
 
 def _sld_qfi_batch(st, dst, ddt):
@@ -459,21 +435,21 @@ def _sld_qfi_batch(st, dst, ddt):
     by the Stein route (`_stein`): explicit 2x2 arithmetic in one pass over
     the stack, or on Python floats for a batch of one (a domain error there
     reruns it on arrays, where it becomes an inf or a nan).  Items that it
-    settles to ``SLD_RESIDUAL_TOL`` keep its values; the others take the
-    Williamson-basis sum (`_pair_terms`) in Stein's basis.  Every item of
-    any other stack takes that sum in the basis that `_williamson` builds.
-    Pure output modes drop out on either route: a cut ``g - 1`` term has a
-    zero numerator, as ``dS`` is orthogonal to the kernel of the SLD
-    operator.
+    settles to ``SLD_RESIDUAL_TOL`` keep its values.  The others take the
+    Williamson-basis sum (`_williamson_sum`) in Stein's basis, gathered for
+    those items alone; every item of any other stack takes the same sum in
+    the basis that `_eigh_basis` builds.  Pure output modes drop out on
+    either route: a cut ``g - 1`` term has a zero numerator, as ``dS`` is
+    orthogonal to the kernel of the SLD operator.
 
     The sum has no residual, so the decomposition alone certifies its
-    items (`_certified`): the basis and the value are finite; the error
-    bound, the accuracy of the basis times the weight of the ``g - 1``
-    terms, is at most ``SLD_RESIDUAL_TOL``; and the numerators that the cut
-    dropped sum to at most ``SLD_RESIDUAL_TOL^2`` times all numerators, or
-    the QFI diverges (a pure mode whose purity changes with eta).  The
-    first item that fails raises `SingularSystem`, and so does, before any
-    solve, an ``S`` so large that ``g = 4 nu_j nu_k`` would overflow.
+    items: the basis and the value are finite; the error bound, the
+    accuracy of the basis times the weight of the ``g - 1`` terms, is at
+    most ``SLD_RESIDUAL_TOL``; and the numerators that the cut dropped sum
+    to at most ``SLD_RESIDUAL_TOL^2`` times all numerators, or the QFI
+    diverges (a pure mode whose purity changes with eta).  The first item
+    that fails raises `SingularSystem`, and so does, before any solve, an
+    ``S`` so large that ``g = 4 nu_j nu_k`` would overflow.
     """
     count = st.shape[-1]
     finite = (np.isfinite(st).all(axis=(0, 1)) & np.isfinite(dst).all(axis=(0, 1))
@@ -489,19 +465,24 @@ def _sld_qfi_batch(st, dst, ddt):
     # an inf or nan met on the way fails the checks below
     with np.errstate(all="ignore"):
         if st[0::2, 1::2].any() or dst[0::2, 1::2].any():
-            values, *checks = _williamson(st, dst, ddt)
-            items = np.arange(count)
-        elif count == 1:
-            try:
-                values, items, checks = _stein_route(
-                    _FLOAT_OPS, *(x[..., 0].tolist() for x in (st, dst, ddt)))
-            except (ArithmeticError, ValueError):  # a domain error
-                values, items, checks = _stein_route(_ARRAY_OPS, st, dst, ddt)
+            values, items, basis = np.empty(count), np.arange(count), None
         else:
-            values, items, checks = _stein_route(_ARRAY_OPS, st, dst, ddt)
-        if not items.size:
-            return values
-        bound, dropped, norm = checks
+            if count == 1:
+                try:
+                    values, rel, basis = _stein(
+                        _FLOAT_OPS, *(x[..., 0].tolist() for x in (st, dst, ddt)))
+                except (ArithmeticError, ValueError):  # a domain error
+                    values, rel, basis = _stein(_ARRAY_OPS, st, dst, ddt)
+            else:
+                values, rel, basis = _stein(_ARRAY_OPS, st, dst, ddt)
+            values = np.atleast_1d(values)
+            items = np.flatnonzero(~(np.atleast_1d(rel) <= SLD_RESIDUAL_TOL))
+            if not items.size:
+                return values
+        s, ds, dd = (np.moveaxis(x[..., items], -1, 0) for x in (st, dst, ddt))
+        y, nu, sound = (_eigh_basis(s) if basis is None
+                        else basis(lambda x: np.atleast_1d(x)[items]))
+        values[items], bound, dropped, norm = _williamson_sum(y, nu, sound, s, ds, dd)
         diverges = ~(dropped <= SLD_RESIDUAL_TOL ** 2 * norm)
     finite = np.isfinite(bound) & np.isfinite(values[items])
     bad = ~finite | diverges | ~(bound <= SLD_RESIDUAL_TOL)
@@ -825,10 +806,10 @@ def qfi_gamma(gamma: float, t: float, probe: GaussianState,
 
     Chain rule on eta = exp(-gamma t / 2):
     ``I_gamma = (t^2/4) exp(-gamma t) I_eta(eta)``.  Returns 0 at t = 0, where
-    the prefactor vanishes.
+    the prefactor vanishes, once `gamma_to_eta` has checked gamma and t.
     """
+    eta = gamma_to_eta(gamma, t)
     if t == 0.0:
         return 0.0
-    eta = gamma_to_eta(gamma, t)
     i_eta = qfi_sld(probe, replace(p_base, eta=eta))
     return float(0.25 * t ** 2 * math.exp(-gamma * t) * i_eta)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -198,8 +200,10 @@ def test_gamma_to_eta():
     assert gamma_to_eta(0.0, 3.0) == 1.0
     assert gamma_to_eta(2.0, 0.0) == 1.0
     assert gamma_to_eta(2.0 * np.log(2.0), 1.0) == pytest.approx(0.5, rel=1e-14)
-    with pytest.raises(NonPhysicalParams):
-        gamma_to_eta(-1.0, 1.0)
+    for gamma, t in [(-1.0, 1.0), (1.0, -1.0), (math.inf, 0.0), (0.0, math.inf),
+                     (math.nan, 0.0), (1.0, math.nan)]:
+        with pytest.raises(NonPhysicalParams, match="finite and non-negative"):
+            gamma_to_eta(gamma, t)
 
 
 def random_states(rng, modes, count):

@@ -359,6 +359,16 @@ def test_determinism_stdout_and_files(tmp_path, capsys):
     assert f1.read_text().encode() == out1.encode()
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, ["qfi", "--eta", "0.5", "--probe", "coherent",
+                                      "--ns", "1", "--out", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert not path.parent.exists()
+
+
 def test_repeated_calls_share_one_parser(capsys):
     # the parser is built once per process; a rejected flag must not leave
     # state behind that changes the next call

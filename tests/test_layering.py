@@ -12,8 +12,8 @@ from pathlib import Path
 import lossfish
 
 SOURCES = Path(lossfish.__file__).resolve().parent
-KERNEL = {"_sld_qfi_batch", "_stein", "_stein_route", "_williamson", "_pair_terms",
-          "_certified", "SLD_RESIDUAL_TOL"}
+KERNEL = {"_sld_qfi_batch", "_stein", "_eigh_basis", "_williamson_sum", "_pair_terms",
+          "SLD_RESIDUAL_TOL"}
 ROUTE_PARTS = {"output_moments", "moment_derivatives", "two_mode_moments",
                "SingularSystem"}
 

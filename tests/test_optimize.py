@@ -451,6 +451,15 @@ def test_tmsv_stationarity_signs(n_s, eta, nb):
         float((value(1.0 + h, 1.0) - value(1.0 - h, 1.0)) / (2.0 * h)))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("nb", [0.0, 1.0])
+def test_tmsv_stationarity_at_zero_eta_raises(nb):
+    # the closed form is 0/0 at eta = 0: the check refuses it as
+    # qfi_two_mode_closed does, with no RuntimeWarning and no nan
+    with pytest.raises(ValueError, match=r"^closed form is indeterminate at eta = 0"):
+        tmsv_stationarity_check(1.0, ChannelParams(0.0, nb))
+
+
 # ---------------------------------------------------------------------------
 # total QFI and bandwidth
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from lossfish import (ChannelParams, SingleModeProbe, TwoModeProbe,  # noqa: E40
                       make_state, optimize_xi, qfi_if_closed, tmsv)
 from lossfish.channel import moment_derivatives, output_moments  # noqa: E402
 from lossfish.cli import _render  # noqa: E402
-from lossfish.qfi import (_FLOAT_OPS, SLD_RESIDUAL_TOL, _sld_qfi_batch,  # noqa: E402
-                          _stein, _two_mode_closed_raw, _williamson)
+from lossfish.qfi import (_FLOAT_OPS, SLD_RESIDUAL_TOL, _eigh_basis,  # noqa: E402
+                          _sld_qfi_batch, _stein, _two_mode_closed_raw, _williamson_sum)
 from test_optimize import reference_optimize_xi  # noqa: E402
 
 TINY = float(np.finfo(float).tiny)
@@ -50,18 +50,18 @@ def test_sld_kernel_matches_two_mode_closed_form(eta, n_s, n_b, zeta, r_pos):
        n_b=st.one_of(st.just(0.0), st.floats(0.1, 100.0)),
        normalized=st.booleans(), zeta=st.floats(0.0, 1.0),
        r_pos=st.floats(0.0, 1.0), theta=st.floats(0.0, math.pi))
-def test_stein_route_matches_eigh_kernel(n_s, eta, n_b, normalized, zeta,
-                                         r_pos, theta):
-    # a value the Stein route accepts is the one of the general route, whose
-    # Williamson basis comes from eigh, to 1e-12
+def test_accepted_stein_value_is_the_eigh_basis_sum(n_s, eta, n_b, normalized,
+                                                    zeta, r_pos, theta):
+    # a value the Stein route accepts is the Williamson-basis sum in the
+    # basis that eigh builds, to 1e-12
     r = TwoModeProbe(n_s, zeta, 1.0).r_min ** (1.0 - r_pos)
     probe = build_two_mode(TwoModeProbe(n_s, zeta, r, theta))
     p = ChannelParams(eta, n_b, normalized)
     _, sigma = output_moments(probe.d, probe.sigma, p)
     ddt, dst = moment_derivatives(probe.d, probe.sigma, p)
     value, rel, _ = _stein(_FLOAT_OPS, sigma.tolist(), dst.tolist(), ddt.tolist())
-    (general,), (bound,), _, _ = _williamson(sigma[..., None], dst[..., None],
-                                             ddt[..., None])
+    s, ds, dd = sigma[None], dst[None], ddt[None]
+    (general,), (bound,), _, _ = _williamson_sum(*_eigh_basis(s), s, ds, dd)
     assert bound <= SLD_RESIDUAL_TOL
     if rel <= SLD_RESIDUAL_TOL:
         assert value == pytest.approx(general, rel=1e-12)

@@ -1,10 +1,11 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from lossfish import (ChannelParams, EtaTooClose, NonPhysical, SingularSystem,
-                      SingleModeProbe, TwoModeProbe, build_single_mode,
+from lossfish import (ChannelParams, EtaTooClose, NonPhysical, NonPhysicalParams,
+                      SingularSystem, SingleModeProbe, TwoModeProbe, build_single_mode,
                       build_two_mode, homodyne_fisher, make_state,
                       optimize_two_mode, qfi_coherent, qfi_fidelity_fd,
                       qfi_gamma, qfi_if_closed, qfi_shadow,
@@ -13,8 +14,8 @@ from lossfish import (ChannelParams, EtaTooClose, NonPhysical, SingularSystem,
 import lossfish.qfi as qfi
 from lossfish.channel import moment_derivatives, output_moments
 from lossfish.probes import two_mode_moments, two_mode_r_min
-from lossfish.qfi import (_ARRAY_OPS, _FLOAT_OPS, SLD_RESIDUAL_TOL, _sld_qfi_batch,
-                          _stein, _two_mode_closed_raw, _williamson)
+from lossfish.qfi import (_ARRAY_OPS, _FLOAT_OPS, SLD_RESIDUAL_TOL, _eigh_basis,
+                          _sld_qfi_batch, _stein, _two_mode_closed_raw, _williamson_sum)
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -354,6 +355,10 @@ def test_qfi_gamma():
     with pytest.raises(EtaTooClose):
         qfi_gamma(0.0, 1.0, probe, base)
     assert qfi_gamma(2.0, 0.0, probe, base) == 0.0
+    # gamma and t are checked before the t = 0 shortcut
+    for gamma, t in [(1.0, math.inf), (-1.0, 0.0), (math.nan, 0.0), (0.0, math.nan)]:
+        with pytest.raises(NonPhysicalParams, match="finite and non-negative"):
+            qfi_gamma(gamma, t, probe, base)
     # eta = 1/2, I_eta = 4: (t^2/4) e^{-gamma t} I = 0.25
     val = qfi_gamma(2.0 * np.log(2.0), 1.0, probe, base)
     assert val == pytest.approx(0.25, rel=1e-10)
@@ -505,9 +510,11 @@ def test_exactly_singular_output_is_a_bad_item():
     (1e16, 0.999),
 ])
 def test_sld_route_failures_raise_singular_system(n_s, eta):
-    # the array route takes over from the float one, and finds no finite basis
-    with pytest.raises(SingularSystem,
-                       match=r"^SLD item 0 has no finite Williamson basis$"):
+    # the array route takes over from the float one; Stein's basis is finite
+    # but off by O(1) at 1e12, and not finite at the others
+    message = (r"SLD item 0: error bound 8\.840e\+00 exceeds 1e-08" if n_s == 1e12
+               else "SLD item 0 has no finite Williamson basis")
+    with pytest.raises(SingularSystem, match=f"^{message}$"):
         qfi_sld(tmsv(n_s), ChannelParams(eta, 0.0))
 
 
@@ -516,6 +523,12 @@ def moments(state, p):
     _, st = output_moments(state.d, state.sigma, p)
     ddt, dst = moment_derivatives(state.d, state.sigma, p)
     return st.tolist(), dst.tolist(), ddt.tolist()
+
+
+def item_first(*stacks):
+    """Item-last stacks with the item axis moved first, as `_williamson_sum`
+    takes them."""
+    return tuple(np.moveaxis(x, -1, 0) for x in stacks)
 
 
 def test_sld_route_answers_where_stein_misses_the_tolerance():
@@ -531,7 +544,7 @@ def test_sld_route_raises_where_its_bound_exceeds_the_tolerance():
     # a brighter TMSV: the sum's error bound passes 1e-8, and the route
     # raises rather than return a value it cannot vouch for
     with pytest.raises(SingularSystem,
-                       match=r"^SLD item 0: error bound 1\.612e-07 exceeds 1e-08$"):
+                       match=r"^SLD item 0: error bound 1\.572e-07 exceeds 1e-08$"):
         qfi_sld(tmsv(1e8), ChannelParams(0.5, 0.0))
 
 
@@ -547,9 +560,10 @@ def test_error_bound_covers_nearly_pure_items():
     d, sigma = two_mode_moments(n_s, zeta, r)
     _, st = output_moments(d, sigma, p)
     ddt, dst = moment_derivatives(d, sigma, p)
-    _, rel, sums = _stein(_ARRAY_OPS, st, dst, ddt)
+    _, rel, basis = _stein(_ARRAY_OPS, st, dst, ddt)
     assert (rel > SLD_RESIDUAL_TOL).all()
-    values, bound, _, _ = sums()
+    values, bound, _, _ = _williamson_sum(*basis(lambda x: x),
+                                          *item_first(st, dst, ddt))
     with mpmath.workdps(50):
         exact = np.array([float(_two_mode_closed_raw(
             mpmath.mpf(n_s), mpmath.mpf(z), mpmath.mpf(x), 0.0, mpmath.mpf(p.eta), 0))
@@ -575,8 +589,8 @@ def test_pure_output_whose_purity_changes_diverges(sigma):
 
 def test_decoupled_system_splits_by_parity():
     # canonical probes keep S and dS free of x-p entries through the channel;
-    # the sum in Stein's basis, which takes the x and p blocks apart, is then
-    # the general route's sum in its eigh-built basis
+    # Stein's basis, which takes the x and p blocks apart, then gives the
+    # sum that the eigh-built basis gives
     p = ChannelParams(0.6, 0.7)
     rng = np.random.default_rng(3)
     two_mode = output_stack(random_two_mode_probes(rng, 64), p)
@@ -585,8 +599,10 @@ def test_decoupled_system_splits_by_parity():
                                   for _ in range(64)], p)
     for st, dst, ddt in (two_mode, one_mode):
         assert not st[0::2, 1::2].any() and not dst[0::2, 1::2].any()
-        stein = _stein(_ARRAY_OPS, st, dst, ddt)[2]()
-        general = _williamson(st, dst, ddt)
+        moments = item_first(st, dst, ddt)
+        stein = _williamson_sum(*_stein(_ARRAY_OPS, st, dst, ddt)[2](lambda x: x),
+                                *moments)
+        general = _williamson_sum(*_eigh_basis(moments[0]), *moments)
         np.testing.assert_allclose(stein[0], general[0], rtol=1e-12)
         assert (stein[1] <= SLD_RESIDUAL_TOL).all()
         assert (general[1] <= SLD_RESIDUAL_TOL).all()

@@ -111,20 +111,6 @@ def _scalar_eta(p: ChannelParams):
                          "for the idler-free and TMSV closed forms")
 
 
-def additive_noise(p: ChannelParams) -> float:
-    """Additive covariance noise y(eta) of the channel."""
-    if _held_background(p):
-        return p.n_b + 0.5 * (1.0 - p.eta ** 2)
-    return (1.0 - p.eta ** 2) * (p.n_b + 0.5)
-
-
-def additive_noise_derivative(p: ChannelParams) -> float:
-    """d y / d eta, with the normalized substitution applied before differentiating."""
-    if _held_background(p):
-        return -p.eta
-    return -2.0 * p.eta * (p.n_b + 0.5)
-
-
 def effective_noise(p: ChannelParams) -> float:
     """Bath photon number seen by the signal: N_B, or N_B/(1-eta^2) if normalized."""
     _scalar_eta(p)
@@ -151,18 +137,32 @@ def _eye2(sigma):
     return _EYE2.reshape((2, 2) + (1,) * (np.ndim(sigma) - 2))
 
 
+def _channel_factors(p: ChannelParams):
+    """``(eta^2, y, 2 eta, y')``: the signal block's factors in
+    :func:`output_moments`, ``eta^2 Sigma_S + y I``, and in
+    :func:`moment_derivatives`, ``2 eta Sigma_S + y' I``.
+
+    ``y`` is the additive noise and ``y' = dy/deta``; the normalized model
+    substitutes its bath before differentiating (see the module docstring).
+    """
+    eta2 = p.eta ** 2
+    if _held_background(p):
+        return eta2, p.n_b + 0.5 * (1.0 - eta2), 2.0 * p.eta, -p.eta
+    return eta2, (1.0 - eta2) * (p.n_b + 0.5), 2.0 * p.eta, -2.0 * p.eta * (p.n_b + 0.5)
+
+
 def output_moments(d, sigma, p: ChannelParams):
     """Output moments ``(d_out, sigma_out)`` of one state or a stack, m = 2 or 4.
 
     One state has ``d`` of shape ``(m,)`` and ``sigma`` of shape ``(m, m)``.
-    A stack puts its item axes last, ``(m,) + G`` and ``(m, m) + G``, so that
-    each entry ``sigma[i, j]`` is one contiguous array over the items.
+    A stack puts its item axes last, ``(m,) + G`` and ``(m, m) + G``.
     """
     eta = p.eta
+    eta2, y, _, _ = _channel_factors(p)
     d_out = np.array(d, dtype=float)
     d_out[:2] *= eta
     sigma_out = np.array(sigma, dtype=float)
-    sigma_out[:2, :2] = eta ** 2 * sigma_out[:2, :2] + additive_noise(p) * _eye2(sigma)
+    sigma_out[:2, :2] = eta2 * sigma_out[:2, :2] + y * _eye2(sigma)
     sigma_out[:2, 2:] *= eta
     sigma_out[2:, :2] *= eta
     return d_out, sigma_out
@@ -171,11 +171,11 @@ def output_moments(d, sigma, p: ChannelParams):
 def moment_derivatives(d, sigma, p: ChannelParams):
     """Analytic eta-derivative ``(d_dot, sigma_dot)`` of :func:`output_moments`,
     in the same layout: one state, or a stack with its item axes last."""
+    _, _, two_eta, dy = _channel_factors(p)
     d_dot = np.zeros_like(d)
     d_dot[:2] = d[:2]
     sigma_dot = np.zeros_like(sigma)
-    sigma_dot[:2, :2] = 2.0 * p.eta * sigma[:2, :2] \
-        + additive_noise_derivative(p) * _eye2(sigma)
+    sigma_dot[:2, :2] = two_eta * sigma[:2, :2] + dy * _eye2(sigma)
     sigma_dot[:2, 2:] = sigma[:2, 2:]
     sigma_dot[2:, :2] = sigma[2:, :2]
     return d_dot, sigma_dot

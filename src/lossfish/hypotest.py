@@ -35,8 +35,8 @@ class HypothesisSpec:
     def __post_init__(self):
         if not 0.0 <= self.eta_minus < self.eta_plus <= 1.0:
             raise ValueError("require 0 <= eta_minus < eta_plus <= 1")
-        if not self.m >= 1:
-            raise ValueError("m must be at least 1")
+        if not 1 <= self.m < math.inf:
+            raise ValueError(f"m must be finite and at least 1, got {self.m}")
         _scalar_eta(self.channel_base)
 
     @property
@@ -53,9 +53,9 @@ def fidelity_error_bound(spec: HypothesisSpec) -> float:
 
 
 def _check_args(d_eta: float, m: int, i_eta: float):
-    if not (0.0 <= d_eta < math.inf and 0.0 <= i_eta < math.inf and m >= 1):
-        raise ValueError("d_eta and i_eta must be finite and non-negative, "
-                         f"m >= 1; got d_eta = {d_eta}, m = {m}, i_eta = {i_eta}")
+    if not (0.0 <= d_eta < math.inf and 0.0 <= i_eta < math.inf and 1 <= m < math.inf):
+        raise ValueError("d_eta and i_eta must be finite and non-negative, and m "
+                         f"finite and >= 1; got d_eta = {d_eta}, m = {m}, i_eta = {i_eta}")
 
 
 def qfi_error_approx(d_eta: float, m: int, i_eta: float) -> float:

@@ -103,19 +103,26 @@ def build_single_mode(p: SingleModeProbe) -> GaussianState:
     return make_state(d, sigma)
 
 
+def _canonical_factors(n_s, zeta, r):
+    """``(a, c, sqrt(r), sqrt(1/r), amp)`` of canonical two-mode probes: the
+    idler variance ``a``, the correlation ``c = sqrt(a^2 - 1/4)``, the
+    signal's squeezing factors and the displacement amplitude
+    ``sqrt(2 N_coh)``; broadcasts over arrays and checks no ranges."""
+    z2, inv_r = zeta ** 2, 1.0 / r
+    a = (2.0 * (n_s * z2) + 1.0) / (r + inv_r)
+    c = np.sqrt(np.maximum(a ** 2 - 0.25, 0.0))
+    return a, c, np.sqrt(r), np.sqrt(inv_r), np.sqrt(2.0 * (n_s * (1.0 - z2)))
+
+
 def two_mode_moments(n_s, zeta, r, theta=0.0, phi=0.0):
     """Moments ``(d, sigma)`` of canonical two-mode probes; broadcasts over
     arrays and checks no ranges.
 
     The item axes come last: a stack of probes of shape ``G`` gives ``d`` of
-    shape ``(4,) + G`` and ``sigma`` of shape ``(4, 4) + G``, so that each
-    entry ``sigma[i, j]`` is one contiguous array over the stack.  Scalar
+    shape ``(4,) + G`` and ``sigma`` of shape ``(4, 4) + G``.  Scalar
     arguments give one probe's ``(4,)`` and ``(4, 4)`` moments.
     """
-    x = n_s * zeta ** 2
-    a = (2.0 * x + 1.0) / (r + 1.0 / r)
-    c = np.sqrt(np.maximum(a ** 2 - 0.25, 0.0))
-    sr, si = np.sqrt(r), np.sqrt(1.0 / r)
+    a, c, sr, si, amp = _canonical_factors(n_s, zeta, r)
     shape = np.broadcast_shapes(np.shape(a), np.shape(theta), np.shape(phi))
     sigma = np.zeros((4, 4) + shape)
     sigma[0, 0] = a * r
@@ -126,7 +133,6 @@ def two_mode_moments(n_s, zeta, r, theta=0.0, phi=0.0):
     sigma[1, 2] = sigma[2, 1] = c * (si * np.sin(phi))
     sigma[1, 3] = sigma[3, 1] = c * (-si * np.cos(phi))
     d = np.zeros((4,) + shape)
-    amp = np.sqrt(2.0 * (n_s * (1.0 - zeta ** 2)))
     d[0] = amp * np.cos(theta)
     d[1] = amp * np.sin(theta)
     return d, sigma

@@ -18,10 +18,11 @@ Routes
     `_sld_qfi_batch`, serves single states and stacks, and raises
     `SingularSystem` for the first item it cannot certify; `qfi_sld` and the
     two-mode grid (`_two_mode_qfi`) only call it.
-    Stacks of moments put the item axis last, ``(m, m, G)`` and ``(m, G)``,
-    so that each entry the Stein route reads is one contiguous row; a single
-    state keeps its ``(m, m)`` and ``(m,)`` arrays and is the stack of one
-    ``st[..., None]``.
+    The kernel reads its moments entry by entry, ``s[i][j]``, ``ds[i][j]``
+    and ``dd[i]``, each an array over the G items.  A single state is the
+    ndarray stack of one, ``st[..., None]`` of shape ``(m, m, 1)``; the grid
+    passes nested lists of its ten distinct non-zero output rows and one
+    shared zero row, and builds no ``(4, 4, G)`` stack.
 ``qfi_single_mode_form``
     Purity form for one mode:
     ``Tr[(S^-1 dS)^2] / (2 (1 + mu^2)) + 2 mu'^2 / (1 - mu^4) + dd^T S^-1 dd``.
@@ -54,12 +55,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .channel import (ChannelParams, _first_failing, _held_background, _scalar_eta,
-                      additive_noise, additive_noise_derivative, apply_channel,
-                      gamma_to_eta, moment_derivatives, output_moments)
+from .channel import (ChannelParams, _channel_factors, _first_failing,
+                      _held_background, _scalar_eta, apply_channel, gamma_to_eta,
+                      moment_derivatives, output_moments)
 from .errors import EtaTooClose, NonPhysical, SingularSystem
 from .fidelity import gaussian_fidelity
-from .probes import TwoModeProbe, squeeze_parameter, two_mode_moments
+from .probes import TwoModeProbe, _canonical_factors, squeeze_parameter
 from .states import GaussianState, symplectic_form
 
 EPS_ETA = 1e-7
@@ -356,8 +357,8 @@ def _stein(ops, s, ds, dd):
     solve amplifies the rounding noise of the residual.  The relative
     residual is that of the same-parity equations.  ``s[i][j]``,
     ``ds[i][j]`` and ``dd[i]`` are entries: Python floats for one item, or
-    arrays across a stack (the contiguous rows of an item-last stack), with
-    the elementary functions of `ops` to match.
+    1-D arrays over the items of a stack, with the elementary functions of
+    `ops` to match.
 
     The route solves for ``X = L/2``, whose right-hand side is ``dS``
     itself, so that it copies no entry of ``dS``; scaling by 2 is exact, so
@@ -423,24 +424,56 @@ def _eigh_basis(s):
     return o.transpose(0, 2, 1) @ inv_half, 1.0 / mu[:, m // 2:], sound
 
 
-def _sld_qfi_batch(st, dst, ddt):
-    """QFI values for a stack of channel outputs, item axis last: ``st`` and
-    ``dst`` of shape (m, m, G), ``ddt`` of shape (m, G).
+def _blocks(table):
+    """The arrays that hold the entries of a table, each once: an ndarray
+    with the item axis last is one block; a sequence of tables gives the
+    blocks of its entries, a row that stands for several entries once."""
+    if isinstance(table, np.ndarray):
+        return [table]
+    return list({id(b): b for entry in table for b in _blocks(entry)}.values())
 
-    Each entry ``st[i, j]`` is then one contiguous row of G floats, which is
-    what the Stein route reads; one state is the stack ``st[..., None]``.  A
-    non-finite entry raises `NonPhysical`, naming the first such item, before
-    any solve.  A stack whose ``S`` and ``dS`` all have exactly zero x-p
-    entries (canonical probes through the phase-covariant channel) is solved
-    by the Stein route (`_stein`): explicit 2x2 arithmetic in one pass over
-    the stack, or on Python floats for a batch of one (a domain error there
-    reruns it on arrays, where it becomes an inf or a nan).  Items that it
-    settles to ``SLD_RESIDUAL_TOL`` keep its values.  The others take the
-    Williamson-basis sum (`_williamson_sum`) in Stein's basis, gathered for
-    those items alone; every item of any other stack takes the same sum in
-    the basis that `_eigh_basis` builds.  Pure output modes drop out on
-    either route: a cut ``g - 1`` term has a zero numerator, as ``dS`` is
-    orthogonal to the kernel of the SLD operator.
+
+def _per_item(f, reduce, count, blocks):
+    """``f`` of every entry in `blocks`, reduced over the entries item by
+    item with the ufunc `reduce`: an array of `count` values."""
+    return reduce.reduce(np.concatenate([f(b).reshape(-1, count) for b in blocks]))
+
+
+def _x_p(table):
+    """The x-p entries ``table[i][j]`` (i even, j odd) of a table."""
+    if isinstance(table, np.ndarray):
+        return table[0::2, 1::2]
+    return [row[1::2] for row in table[0::2]]
+
+
+def _at(table, items):
+    """`table` at `items` (any numpy index) along its item axis, as one
+    ndarray with the table's shape in front."""
+    if isinstance(table, np.ndarray):
+        return table[..., items]
+    return np.array([_at(entry, items) for entry in table])
+
+
+def _sld_qfi_batch(s, ds, dd):
+    """QFI values for a stack of G channel outputs, given entry by entry:
+    ``s[i][j]``, ``ds[i][j]`` and ``dd[i]`` are arrays over the items.
+
+    A table is an ndarray of shape (m, m, G) or (m, G), or nested sequences
+    of 1-D rows, one row object free to stand for several entries (the
+    two-mode grid shares one zero row); one state is the stack
+    ``st[..., None]``.  A non-finite entry raises `NonPhysical`, naming the
+    first such item, before any solve.  A stack whose ``S`` and ``dS`` all
+    have exactly zero x-p entries (canonical probes through the
+    phase-covariant channel) is solved by the Stein route (`_stein`):
+    explicit 2x2 arithmetic in one pass over the rows, or on Python floats
+    for a batch of one (a domain error there reruns it on arrays, where it
+    becomes an inf or a nan).  Items that it settles to ``SLD_RESIDUAL_TOL``
+    keep its values.  The others, gathered item-first, take the
+    Williamson-basis sum (`_williamson_sum`) in Stein's basis; every item of
+    any other stack takes the same sum in the basis that `_eigh_basis`
+    builds.  Pure output modes drop out on either route: a cut ``g - 1``
+    term has a zero numerator, as ``dS`` is orthogonal to the kernel of the
+    SLD operator.
 
     The sum has no residual, so the decomposition alone certifies its
     items: the basis and the value are finite; the error bound, the
@@ -451,38 +484,40 @@ def _sld_qfi_batch(st, dst, ddt):
     that fails raises `SingularSystem`, and so does, before any solve, an
     ``S`` so large that ``g = 4 nu_j nu_k`` would overflow.
     """
-    count = st.shape[-1]
-    finite = (np.isfinite(st).all(axis=(0, 1)) & np.isfinite(dst).all(axis=(0, 1))
-              & np.isfinite(ddt).all(axis=0))
+    count = len(dd[0])
+    s_blocks = _blocks(s)
+    finite = _per_item(np.isfinite, np.logical_and, count,
+                       s_blocks + _blocks(ds) + _blocks(dd))
     if not finite.all():
         raise NonPhysical(f"SLD stack item {np.argmin(finite)} has a non-finite "
                           "moment or derivative")
-    # nu <= |S| <= m max|S_ij|, and g = 4 nu_j nu_k must be a finite double
-    fits = len(st) * np.abs(st).max(axis=(0, 1)) < _NU_MAX
+    # nu <= |S| <= m max|S_ij|, and g = 4 nu_j nu_k must be a finite double;
+    # m is 2 or 4, so dividing by it is exact and cannot overflow
+    fits = _per_item(np.abs, np.maximum, count, s_blocks) < _NU_MAX / len(s)
     if not fits.all():
         raise SingularSystem(f"SLD item {np.argmin(fits)}: S is so large that "
                              "g = 4 nu_j nu_k overflows")
     # an inf or nan met on the way fails the checks below
     with np.errstate(all="ignore"):
-        if st[0::2, 1::2].any() or dst[0::2, 1::2].any():
+        if any(map(np.count_nonzero, _blocks(_x_p(s)) + _blocks(_x_p(ds)))):
             values, items, basis = np.empty(count), np.arange(count), None
         else:
             if count == 1:
                 try:
                     values, rel, basis = _stein(
-                        _FLOAT_OPS, *(x[..., 0].tolist() for x in (st, dst, ddt)))
+                        _FLOAT_OPS, *(_at(x, 0).tolist() for x in (s, ds, dd)))
                 except (ArithmeticError, ValueError):  # a domain error
-                    values, rel, basis = _stein(_ARRAY_OPS, st, dst, ddt)
+                    values, rel, basis = _stein(_ARRAY_OPS, s, ds, dd)
             else:
-                values, rel, basis = _stein(_ARRAY_OPS, st, dst, ddt)
+                values, rel, basis = _stein(_ARRAY_OPS, s, ds, dd)
             values = np.atleast_1d(values)
             items = np.flatnonzero(~(np.atleast_1d(rel) <= SLD_RESIDUAL_TOL))
             if not items.size:
                 return values
-        s, ds, dd = (np.moveaxis(x[..., items], -1, 0) for x in (st, dst, ddt))
-        y, nu, sound = (_eigh_basis(s) if basis is None
+        sk, dsk, ddk = (np.moveaxis(_at(x, items), -1, 0) for x in (s, ds, dd))
+        y, nu, sound = (_eigh_basis(sk) if basis is None
                         else basis(lambda x: np.atleast_1d(x)[items]))
-        values[items], bound, dropped, norm = _williamson_sum(y, nu, sound, s, ds, dd)
+        values[items], bound, dropped, norm = _williamson_sum(y, nu, sound, sk, dsk, ddk)
         diverges = ~(dropped <= SLD_RESIDUAL_TOL ** 2 * norm)
     finite = np.isfinite(bound) & np.isfinite(values[items])
     bad = ~finite | diverges | ~(bound <= SLD_RESIDUAL_TOL)
@@ -522,10 +557,36 @@ def _two_mode_qfi(n_s: float, zeta: np.ndarray, r: np.ndarray, p: ChannelParams)
     """
     _scalar_eta(p)
     _check_eta(p)
-    d, sigma = two_mode_moments(n_s, zeta, r)
-    _, st = output_moments(d, sigma, p)
-    ddt, dst = moment_derivatives(d, sigma, p)
-    return _sld_qfi_batch(st, dst, ddt)
+    return _sld_qfi_batch(*_two_mode_outputs(n_s, zeta, r, p))
+
+
+def _two_mode_outputs(n_s, zeta, r, p: ChannelParams):
+    """``(s, ds, dd)`` of the channel outputs of canonical two-mode probes,
+    entry by entry: the ten distinct non-zero rows and one read-only zero
+    row, with no ``(4, 4, G)`` stack.
+
+    Each row is computed as `two_mode_moments`, `output_moments` and
+    `moment_derivatives` compute that entry, so it keeps the bits of their
+    stacks.  The channel leaves the idler block (``S_22 = S_33 = a``) and
+    the displacement alone; the input rows that no table holds are freed on
+    return, before the solve.
+    """
+    a, c, sr, si, amp = _canonical_factors(n_s, zeta, r)
+    eta2, y, two_eta, dy = _channel_factors(p)
+    # the input entries, at theta = phi = 0
+    s00, s11, s02, s13 = a * r, a / r, c * sr, c * -si
+    zero = np.zeros_like(a)
+    zero.setflags(write=False)
+    s02_out, s13_out = s02 * p.eta, s13 * p.eta
+    s = [[eta2 * s00 + y, zero, s02_out, zero],
+         [zero, eta2 * s11 + y, zero, s13_out],
+         [s02_out, zero, a, zero],
+         [zero, s13_out, zero, a]]
+    ds = [[two_eta * s00 + dy, zero, s02, zero],
+          [zero, two_eta * s11 + dy, zero, s13],
+          [s02, zero, zero, zero],
+          [zero, s13, zero, zero]]
+    return s, ds, [amp, zero, zero, zero]
 
 
 def qfi_single_mode_form(probe: GaussianState, p: ChannelParams) -> float:
@@ -793,8 +854,9 @@ def homodyne_fisher(n_coh: float, r: float, p: ChannelParams) -> float:
         raise ValueError("r must lie in (0, 1]")
     if not 0.0 <= n_coh < math.inf:
         raise ValueError(f"n_coh must be finite and non-negative, got {n_coh}")
-    var = np.float64(0.5 * p.eta ** 2 * r + additive_noise(p))
-    dvar = np.float64(p.eta * r + additive_noise_derivative(p))
+    eta2, y, _, dy = _channel_factors(p)
+    var = np.float64(0.5 * eta2 * r + y)
+    dvar = np.float64(p.eta * r + dy)
     dmean_sq = 2.0 * n_coh
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         return float(dmean_sq / var + 0.5 * dvar ** 2 / var ** 2)
@@ -807,9 +869,12 @@ def qfi_gamma(gamma: float, t: float, probe: GaussianState,
     Chain rule on eta = exp(-gamma t / 2):
     ``I_gamma = (t^2/4) exp(-gamma t) I_eta(eta)``.  Returns 0 at t = 0, where
     the prefactor vanishes, once `gamma_to_eta` has checked gamma and t.
+    ``t`` is a numpy float, and an overflow or invalid operation in the
+    prefactor raises `FloatingPointError`, as in `homodyne_fisher`.
     """
     eta = gamma_to_eta(gamma, t)
     if t == 0.0:
         return 0.0
     i_eta = qfi_sld(probe, replace(p_base, eta=eta))
-    return float(0.25 * t ** 2 * math.exp(-gamma * t) * i_eta)
+    with np.errstate(over="raise", invalid="raise"):
+        return float(0.25 * np.float64(t) ** 2 * math.exp(-gamma * t) * i_eta)

@@ -27,6 +27,8 @@ def test_spec_validation():
         make_spec(0.6, 0.5, 0, coherent_state(1.0))
     with pytest.raises(ValueError):
         make_spec(0.6, 0.5, math.nan, coherent_state(1.0))
+    with pytest.raises(ValueError, match=r"^m must be finite and at least 1, got inf$"):
+        make_spec(0.6, 0.5, math.inf, coherent_state(1.0))
 
 
 def test_bound_approaches_half_for_indistinguishable_hypotheses():
@@ -80,9 +82,11 @@ def test_threshold_strategy_values():
 @pytest.mark.parametrize("error_form", [qfi_error_approx, threshold_strategy_error])
 @pytest.mark.parametrize("args", [
     (math.nan, 10, 1.0), (math.inf, 10, 1.0), (0.1, 10, math.nan),
-    (0.1, 10, math.inf), (0.1, math.nan, 1.0), (-0.1, 10, 1.0), (0.1, 0, 1.0)],
+    (0.1, 10, math.inf), (0.1, math.nan, 1.0), (-0.1, 10, 1.0), (0.1, 0, 1.0),
+    # inf * 0 in the exponent was a silent nan
+    (0.0, math.inf, 1.0), (0.1, math.inf, 0.0)],
     ids=["d_eta-nan", "d_eta-inf", "i_eta-nan", "i_eta-inf", "m-nan",
-         "d_eta-negative", "m-zero"])
+         "d_eta-negative", "m-zero", "m-inf-d_eta-zero", "m-inf-i_eta-zero"])
 def test_error_forms_reject_out_of_domain_arguments(error_form, args):
     with pytest.raises(ValueError, match="finite and non-negative"):
         error_form(*args)

@@ -15,7 +15,7 @@ SOURCES = Path(lossfish.__file__).resolve().parent
 KERNEL = {"_sld_qfi_batch", "_stein", "_eigh_basis", "_williamson_sum", "_pair_terms",
           "SLD_RESIDUAL_TOL"}
 ROUTE_PARTS = {"output_moments", "moment_derivatives", "two_mode_moments",
-               "SingularSystem"}
+               "_canonical_factors", "_channel_factors", "SingularSystem"}
 
 
 def nodes(name):

@@ -9,10 +9,10 @@ import pytest
 from lossfish import (ChannelParams, EtaTooClose, ProbeRangeError, SingularSystem,
                       TwoModeProbe, advantage_ratio, f1, g1, g2,
                       homodyne_fisher, optimize_bandwidth, optimize_two_mode,
-                      optimize_xi, qfi_coherent, qfi_if_closed, qfi_shadow,
-                      qfi_squeezed_vacuum, qfi_tmsv, qfi_two_mode_closed,
+                      optimize_xi, qfi_coherent, qfi_gamma, qfi_if_closed,
+                      qfi_shadow, qfi_squeezed_vacuum, qfi_tmsv, qfi_two_mode_closed,
                       threshold_constant_large_ns,
-                      tmsv_stationarity_check, total_qfi, xi_threshold_nbar)
+                      tmsv_stationarity_check, total_qfi, vacuum, xi_threshold_nbar)
 from lossfish.optimize import (BOUNDARY_COHERENT, BOUNDARY_SQUEEZED,
                                FAMILY_COHERENT, FAMILY_IDLER_FREE, FAMILY_SQUEEZED,
                                FAMILY_TMSV, _golden_max, grid_argmax, two_mode_grid)
@@ -404,6 +404,16 @@ def test_two_mode_grid_rejects_r_min_overflow_without_a_warning(n_s):
             optimize_two_mode(n_s, ChannelParams(0.5, 1.0))
 
 
+def test_two_mode_grid_too_large_output_raises_without_a_warning():
+    # at N_B = 1.7e308 the output S is too large for g = 4 nu_j nu_k; the size
+    # check divides the bound by m rather than multiply each entry by it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem, match=r"^SLD item 0: S is so large that "
+                                                 r"g = 4 nu_j nu_k overflows$"):
+            optimize_two_mode(3.0, ChannelParams(0.5, 1.7e308))
+
+
 def test_grid_fallback_is_the_scalar_closed_form():
     # bright probes at eta -> 1: the Stein solve leaves many points above the
     # residual tolerance, and the sum in Stein's basis that takes them is the
@@ -553,9 +563,12 @@ def test_optimize_bandwidth_overflow_is_not_divergent(family, normalized):
     # a huge bath enters g2 and homodyne_fisher as a numpy float too
     lambda p: g2(p.eta, 1e200),
     lambda p: homodyne_fisher(1.0, 0.5, replace(p, n_b=1e200)),
+    # gamma t = 1, but t^2 passes the double range
+    lambda p: qfi_gamma(1e-200, 1e200, vacuum(), replace(p, n_b=1.0)),
 ], ids=["qfi_if_closed", "qfi_tmsv", "qfi_two_mode_closed",
         "tmsv_stationarity_check", "f1", "optimize_xi", "total_qfi",
-        "total_qfi-copies", "optimize_bandwidth", "g2", "homodyne_fisher"])
+        "total_qfi-copies", "optimize_bandwidth", "g2", "homodyne_fisher",
+        "qfi_gamma"])
 def test_scalar_overflow_signals(call):
     # a scalar photon number enters the closed forms as a numpy float, so its
     # overflow signals as on arrays; on Python floats a product overflows to
@@ -571,6 +584,15 @@ def test_g2_out_of_double_range_raises_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="overflow"):
             g2(0.5, 1e200)
+
+
+def test_qfi_gamma_prefactor_overflow_raises_without_a_warning():
+    # the prefactor t^2/4 is evaluated on a numpy float under its own
+    # errstate, not on Python floats, which raise a bare OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="overflow"):
+            qfi_gamma(1e-200, 1e200, vacuum(), ChannelParams(0.5, 1.0))
 
 
 @pytest.mark.parametrize("n_b", [1e-30, 1e-160, 1e-200, 2.2250738585072014e-308])

@@ -11,8 +11,10 @@ from lossfish import (ChannelParams, EtaTooClose, NonPhysical, NonPhysicalParams
                       qfi_gamma, qfi_if_closed, qfi_shadow,
                       qfi_single_mode_form, qfi_sld, qfi_squeezed_vacuum,
                       qfi_tmsv, qfi_two_mode_closed, tmsv, vacuum)
+import lossfish.optimize as optimize
 import lossfish.qfi as qfi
 from lossfish.channel import moment_derivatives, output_moments
+from lossfish.optimize import two_mode_grid
 from lossfish.probes import two_mode_moments, two_mode_r_min
 from lossfish.qfi import (_ARRAY_OPS, _FLOAT_OPS, SLD_RESIDUAL_TOL, _eigh_basis,
                           _sld_qfi_batch, _stein, _two_mode_closed_raw, _williamson_sum)
@@ -608,30 +610,111 @@ def test_decoupled_system_splits_by_parity():
         assert (general[1] <= SLD_RESIDUAL_TOL).all()
 
 
-def test_stacks_put_the_item_axis_last(monkeypatch):
-    # the Stein route reads each entry of S, dS and dd as one contiguous row
-    # over the stack; a transposed (item-first) stack would give it views
-    # strided across items
+class Reads(list):
+    """A table, as nested lists, that logs every array entry read from it."""
+
+    def __init__(self, table, log):
+        super().__init__(Reads(row, log) if isinstance(row, list) else row
+                         for row in table)
+        self.log = log
+
+    def __getitem__(self, index):
+        entry = super().__getitem__(index)
+        if isinstance(entry, np.ndarray):
+            self.log.append(entry)
+        return entry
+
+
+def test_stein_reads_the_grid_as_contiguous_rows(monkeypatch):
+    # the grid hands the Stein route its ten distinct non-zero entries as
+    # rows over the items, and no (m, m, G) stack
     p = ChannelParams(0.6, 0.7)
     zeta, r = np.linspace(0.1, 1.0, 5), np.linspace(0.5, 1.0, 5)
-    d, sigma = two_mode_moments(1.0, zeta, r)
-    _, st = output_moments(d, sigma, p)
-    ddt, dst = moment_derivatives(d, sigma, p)
-    assert d.shape == ddt.shape == (4, 5)
-    assert sigma.shape == st.shape == dst.shape == (4, 4, 5)
-    rows = []
+    arrays, reads = [], []
     stein = qfi._stein
 
+    def leaves(table):
+        if isinstance(table, np.ndarray):
+            arrays.append(table)
+        else:
+            for entry in table:
+                leaves(entry)
+
     def spy(ops, s, ds, dd):
-        rows.extend([s[i][j] for i in range(4) for j in range(4)]
-                    + [ds[i][j] for i in range(4) for j in range(4)] + list(dd))
-        return stein(ops, s, ds, dd)
+        leaves((s, ds, dd))
+        return stein(ops, *(Reads(table, reads) for table in (s, ds, dd)))
 
     monkeypatch.setattr(qfi, "_stein", spy)
     qfi._two_mode_qfi(1.0, zeta, r, p)
-    assert len(rows) == 36
-    for row in rows:
+    assert arrays and all(x.ndim == 1 for x in arrays)
+    rows = {id(x): x for x in reads if x.any()}
+    assert len(rows) == 10
+    for row in rows.values():
         assert row.shape == (5,) and row.flags.c_contiguous
+
+
+def grid_points(monkeypatch, n_s, p):
+    """The flat ``(zeta, r)`` points of `two_mode_grid`'s 64x64 search."""
+    seen = []
+
+    def record(n_s, zeta, r, p):
+        seen.append((zeta, r))
+        return np.zeros(zeta.shape)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimize, "_two_mode_qfi", record)
+        two_mode_grid(n_s, p)
+    return seen[0]
+
+
+def stack_qfi(n_s, zeta, r, p):
+    """QFI of the canonical probes from their (m, m, G) moment stacks."""
+    d, sigma = two_mode_moments(n_s, zeta, r)
+    _, st = output_moments(d, sigma, p)
+    ddt, dst = moment_derivatives(d, sigma, p)
+    return _sld_qfi_batch(st, dst, ddt)
+
+
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("n_s,n_b,eta,normalized", [
+    (n_s, n_b, eta, False) for n_s in (1e-3, 1.0, 1e3) for n_b in (1e-3, 1.0, 1e3)
+    for eta in (1e-3, 0.5, 0.999)] + [(1.0, 1.0, 0.5, True), (0.3, 1e-3, 0.9, True)])
+def test_entry_route_keeps_the_bits_of_the_stack_route(monkeypatch, n_s, n_b, eta,
+                                                        normalized):
+    # the criterion-07 grids and two normalized ones: the rows that the grid
+    # computes entry by entry are those of the moment stacks, and so are
+    # the values of the kernel
+    p = ChannelParams(eta, n_b, normalized)
+    zeta, r = grid_points(monkeypatch, n_s, p)
+    assert_same_bits(qfi._two_mode_qfi(n_s, zeta, r, p), stack_qfi(n_s, zeta, r, p))
+
+
+def test_entry_route_gathers_stein_rejected_items_as_the_stack_route(monkeypatch):
+    # a criterion-07 corner where the Stein solve leaves items above the
+    # residual tolerance: both routes gather them for the Williamson sum
+    n_s, p = 1e3, ChannelParams(0.999, 1.0)
+    zeta, r = grid_points(monkeypatch, n_s, p)
+    d, sigma = two_mode_moments(n_s, zeta, r)
+    _, st = output_moments(d, sigma, p)
+    ddt, dst = moment_derivatives(d, sigma, p)
+    _, rel, _ = _stein(_ARRAY_OPS, st, dst, ddt)
+    assert (rel > SLD_RESIDUAL_TOL).any()
+    assert_same_bits(qfi._two_mode_qfi(n_s, zeta, r, p), _sld_qfi_batch(st, dst, ddt))
+
+
+def test_entry_route_raises_as_the_stack_route(monkeypatch):
+    # the strict-xfail grid of test_optimize: nearly pure outputs near r = 1
+    n_s, p = 1e-3, ChannelParams(1e-3, 0.0)
+    zeta, r = grid_points(monkeypatch, n_s, p)
+    with pytest.raises(SingularSystem) as stack:
+        stack_qfi(n_s, zeta, r, p)
+    with pytest.raises(SingularSystem) as entry:
+        qfi._two_mode_qfi(n_s, zeta, r, p)
+    assert str(entry.value) == str(stack.value)
+    assert "error bound" in str(entry.value)
 
 
 def rotate_signal(state, angle):

@@ -132,15 +132,10 @@ _EYE2 = np.eye(2)
 _EYE2.setflags(write=False)
 
 
-def _eye2(sigma):
-    """The 2x2 identity, shaped to broadcast against ``sigma[:2, :2]``."""
-    return _EYE2.reshape((2, 2) + (1,) * (np.ndim(sigma) - 2))
-
-
 def _channel_factors(p: ChannelParams):
     """``(eta^2, y, 2 eta, y')``: the signal block's factors in
-    :func:`output_moments`, ``eta^2 Sigma_S + y I``, and in
-    :func:`moment_derivatives`, ``2 eta Sigma_S + y' I``.
+    :func:`apply_channel`, ``eta^2 Sigma_S + y I``, and in
+    :func:`channel_derivative`, ``2 eta Sigma_S + y' I``.
 
     ``y`` is the additive noise and ``y' = dy/deta``; the normalized model
     substitutes its bath before differentiating (see the module docstring).
@@ -151,36 +146,6 @@ def _channel_factors(p: ChannelParams):
     return eta2, (1.0 - eta2) * (p.n_b + 0.5), 2.0 * p.eta, -2.0 * p.eta * (p.n_b + 0.5)
 
 
-def output_moments(d, sigma, p: ChannelParams):
-    """Output moments ``(d_out, sigma_out)`` of one state or a stack, m = 2 or 4.
-
-    One state has ``d`` of shape ``(m,)`` and ``sigma`` of shape ``(m, m)``.
-    A stack puts its item axes last, ``(m,) + G`` and ``(m, m) + G``.
-    """
-    eta = p.eta
-    eta2, y, _, _ = _channel_factors(p)
-    d_out = np.array(d, dtype=float)
-    d_out[:2] *= eta
-    sigma_out = np.array(sigma, dtype=float)
-    sigma_out[:2, :2] = eta2 * sigma_out[:2, :2] + y * _eye2(sigma)
-    sigma_out[:2, 2:] *= eta
-    sigma_out[2:, :2] *= eta
-    return d_out, sigma_out
-
-
-def moment_derivatives(d, sigma, p: ChannelParams):
-    """Analytic eta-derivative ``(d_dot, sigma_dot)`` of :func:`output_moments`,
-    in the same layout: one state, or a stack with its item axes last."""
-    _, _, two_eta, dy = _channel_factors(p)
-    d_dot = np.zeros_like(d)
-    d_dot[:2] = d[:2]
-    sigma_dot = np.zeros_like(sigma)
-    sigma_dot[:2, :2] = two_eta * sigma[:2, :2] + dy * _eye2(sigma)
-    sigma_dot[:2, 2:] = sigma[:2, 2:]
-    sigma_dot[2:, :2] = sigma[2:, :2]
-    return d_dot, sigma_dot
-
-
 def apply_channel(state: GaussianState, p: ChannelParams) -> GaussianState:
     """Channel output state; the signal is mode 1, any idler passes untouched.
 
@@ -189,10 +154,26 @@ def apply_channel(state: GaussianState, p: ChannelParams) -> GaussianState:
     physical channel maps a physical state to a physical state.
     """
     _scalar_eta(p)
-    return _trusted_state(*output_moments(state.d, state.sigma, p))
+    eta2, y, _, _ = _channel_factors(p)
+    d = state.d.copy()
+    d[:2] *= p.eta
+    sigma = state.sigma.copy()
+    sigma[:2, :2] = eta2 * sigma[:2, :2] + y * _EYE2
+    sigma[:2, 2:] *= p.eta
+    sigma[2:, :2] *= p.eta
+    return _trusted_state(d, sigma)
 
 
 def channel_derivative(state: GaussianState, p: ChannelParams):
-    """Analytic eta-derivative (d_dot, sigma_dot) of the channel output moments."""
+    """Analytic eta-derivative ``(d_dot, sigma_dot)`` of the moments of
+    :func:`apply_channel`'s output."""
     _scalar_eta(p)
-    return moment_derivatives(state.d, state.sigma, p)
+    _, _, two_eta, dy = _channel_factors(p)
+    d, sigma = state.d, state.sigma
+    d_dot = np.zeros_like(d)
+    d_dot[:2] = d[:2]
+    sigma_dot = np.zeros_like(sigma)
+    sigma_dot[:2, :2] = two_eta * sigma[:2, :2] + dy * _EYE2
+    sigma_dot[:2, 2:] = sigma[:2, 2:]
+    sigma_dot[2:, :2] = sigma[2:, :2]
+    return d_dot, sigma_dot

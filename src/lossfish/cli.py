@@ -22,8 +22,7 @@ path that cannot be written (``error: ...`` on stderr, nothing on stdout);
 3 numerical failure (a floating-point overflow, division by zero or invalid
 operation in numpy, whose commands run under ``np.errstate(..., "raise")``,
 or numpy's ``LinAlgError``).  The idler-free and two-mode closed forms take
-N_B as a numpy float, so ``nb ** 2`` at ``--nb 1e200`` is a numpy overflow;
-an ``OverflowError`` from a power of Python floats exits 3 too.
+N_B as a numpy float, so ``nb ** 2`` at ``--nb 1e200`` is a numpy overflow.
 """
 
 from __future__ import annotations
@@ -304,8 +303,7 @@ def main(argv=None) -> int:
         # they exit 3 instead of printing inf or nan; underflow stays silent
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             header, columns = args.handler(args)
-    except (SingularSystem, np.linalg.LinAlgError, FloatingPointError,
-            OverflowError) as exc:
+    except (SingularSystem, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (LossfishError, ValueError, ZeroDivisionError) as exc:

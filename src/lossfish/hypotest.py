@@ -14,12 +14,17 @@ exponential bound at leading order in the exponent.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
 from .channel import ChannelParams, _scalar_eta, apply_channel
 from .fidelity import gaussian_fidelity
 from .states import GaussianState
+
+# the largest m that converts to a float: the bound and the error forms use
+# m as one
+_M_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -37,6 +42,8 @@ class HypothesisSpec:
             raise ValueError("require 0 <= eta_minus < eta_plus <= 1")
         if not 1 <= self.m < math.inf:
             raise ValueError(f"m must be finite and at least 1, got {self.m}")
+        if self.m > _M_MAX:
+            raise ValueError(f"m = {self.m} is larger than any double")
         _scalar_eta(self.channel_base)
 
     @property
@@ -45,17 +52,24 @@ class HypothesisSpec:
 
 
 def fidelity_error_bound(spec: HypothesisSpec) -> float:
-    """Exact fidelity bound (1/2) F^{M/2} on the discrimination error."""
+    """Exact fidelity bound (1/2) F^{M/2} on the discrimination error.
+
+    `gaussian_fidelity` may return up to ``1 + 1e-12`` by roundoff; F is
+    taken as at most 1 here, so that the bound stays at most 1/2 for any M.
+    """
     out_plus = apply_channel(spec.probe, replace(spec.channel_base, eta=spec.eta_plus))
     out_minus = apply_channel(spec.probe, replace(spec.channel_base, eta=spec.eta_minus))
-    fid = gaussian_fidelity(out_plus, out_minus)
+    fid = min(gaussian_fidelity(out_plus, out_minus), 1.0)
     return 0.5 * fid ** (spec.m / 2.0)
 
 
 def _check_args(d_eta: float, m: int, i_eta: float):
-    if not (0.0 <= d_eta < math.inf and 0.0 <= i_eta < math.inf and 1 <= m < math.inf):
-        raise ValueError("d_eta and i_eta must be finite and non-negative, and m "
-                         f"finite and >= 1; got d_eta = {d_eta}, m = {m}, i_eta = {i_eta}")
+    # d_eta is a difference of transmissions, so d_eta ** 2 cannot overflow
+    if not (0.0 <= d_eta <= 1.0 and 0.0 <= i_eta < math.inf and 1 <= m <= _M_MAX):
+        raise ValueError("d_eta must lie in [0, 1], i_eta must be finite and "
+                         "non-negative, and m must be finite, at least 1 and at most "
+                         f"the largest double; got d_eta = {d_eta}, m = {m}, "
+                         f"i_eta = {i_eta}")
 
 
 def qfi_error_approx(d_eta: float, m: int, i_eta: float) -> float:

@@ -367,7 +367,9 @@ def tmsv_stationarity_check(n_s: float, p: ChannelParams):
     d_r ~ 0, d2_r < 0, and d_zeta > 0 (the zeta = 1 edge is approached from
     inside).  The closed form extends smoothly past r = 1 and zeta = 1, which
     the centred stencils exploit.  Like `qfi_two_mode_closed`, it raises
-    `ValueError` at eta = 0, where the closed form is indeterminate.
+    `ValueError` at eta = 0, where the closed form is indeterminate.  An
+    overflow, division by zero or invalid operation raises
+    `FloatingPointError`, as in `g2`.
     """
     if not 0.0 < n_s < math.inf:
         raise ValueError(f"n_s must be finite and positive, got {n_s}")
@@ -378,17 +380,19 @@ def tmsv_stationarity_check(n_s: float, p: ChannelParams):
     if p.eta == 0.0:
         raise ValueError("closed form is indeterminate at eta = 0; use qfi_sld")
 
-    n_s = np.float64(n_s)  # a numpy float, so that an overflow signals
+    # numpy floats, so that an overflow raises under the errstate below
+    n_s, n_b = np.float64(n_s), np.float64(p.n_b)
 
     def value(zeta, r):
-        return _two_mode_closed_raw(n_s, zeta, r, 0.0, p.eta, p.n_b)
+        return _two_mode_closed_raw(n_s, zeta, r, 0.0, p.eta, n_b)
 
     step = STATIONARITY_STEP
-    q0 = value(1.0, 1.0)
-    q_up, q_down = value(1.0, 1.0 + step), value(1.0, 1.0 - step)
-    d_r = (q_up - q_down) / (2.0 * step)
-    d2_r = (q_up - 2.0 * q0 + q_down) / step ** 2
-    d_zeta = (value(1.0 + step, 1.0) - value(1.0 - step, 1.0)) / (2.0 * step)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        q0 = value(1.0, 1.0)
+        q_up, q_down = value(1.0, 1.0 + step), value(1.0, 1.0 - step)
+        d_r = (q_up - q_down) / (2.0 * step)
+        d2_r = (q_up - 2.0 * q0 + q_down) / step ** 2
+        d_zeta = (value(1.0 + step, 1.0) - value(1.0 - step, 1.0)) / (2.0 * step)
     return float(d_r), float(d2_r), float(d_zeta)
 
 

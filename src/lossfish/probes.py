@@ -96,9 +96,19 @@ class TwoModeProbe:
         return two_mode_r_min(self.n_s, self.zeta)
 
 
+def _check_finite(n_s, *factors):
+    """Raise `ProbeRangeError` unless the non-negative factors of a probe's
+    moments are finite: past the double range they would turn into an inf,
+    and an inf times a zero cosine into a nan."""
+    if not all(x < math.inf for x in factors):
+        raise ProbeRangeError(f"n_s = {n_s} is too large: the moments are not finite")
+
+
 def build_single_mode(p: SingleModeProbe) -> GaussianState:
     """Pure single-mode state with the probe's displacement and squeezing."""
-    d = np.sqrt(2.0 * p.n_coh) * np.array([np.cos(p.theta), np.sin(p.theta)])
+    amp = np.sqrt(2.0 * p.n_coh)
+    _check_finite(p.n_s, amp)
+    d = amp * np.array([np.cos(p.theta), np.sin(p.theta)])
     sigma = np.diag([0.5 * p.r, 0.5 / p.r])
     return make_state(d, sigma)
 
@@ -107,40 +117,26 @@ def _canonical_factors(n_s, zeta, r):
     """``(a, c, sqrt(r), sqrt(1/r), amp)`` of canonical two-mode probes: the
     idler variance ``a``, the correlation ``c = sqrt(a^2 - 1/4)``, the
     signal's squeezing factors and the displacement amplitude
-    ``sqrt(2 N_coh)``; broadcasts over arrays and checks no ranges."""
-    z2, inv_r = zeta ** 2, 1.0 / r
+    ``sqrt(2 N_coh)``; broadcasts over arrays and checks no ranges.  It
+    squares by multiplying, as numpy's array ``** 2`` does, so that a probe
+    built alone gets the bits of the same probe in a grid."""
+    z2, inv_r = zeta * zeta, 1.0 / r
     a = (2.0 * (n_s * z2) + 1.0) / (r + inv_r)
-    c = np.sqrt(np.maximum(a ** 2 - 0.25, 0.0))
+    c = np.sqrt(np.maximum(a * a - 0.25, 0.0))
     return a, c, np.sqrt(r), np.sqrt(inv_r), np.sqrt(2.0 * (n_s * (1.0 - z2)))
-
-
-def two_mode_moments(n_s, zeta, r, theta=0.0, phi=0.0):
-    """Moments ``(d, sigma)`` of canonical two-mode probes; broadcasts over
-    arrays and checks no ranges.
-
-    The item axes come last: a stack of probes of shape ``G`` gives ``d`` of
-    shape ``(4,) + G`` and ``sigma`` of shape ``(4, 4) + G``.  Scalar
-    arguments give one probe's ``(4,)`` and ``(4, 4)`` moments.
-    """
-    a, c, sr, si, amp = _canonical_factors(n_s, zeta, r)
-    shape = np.broadcast_shapes(np.shape(a), np.shape(theta), np.shape(phi))
-    sigma = np.zeros((4, 4) + shape)
-    sigma[0, 0] = a * r
-    sigma[1, 1] = a / r
-    sigma[2, 2] = sigma[3, 3] = a
-    sigma[0, 2] = sigma[2, 0] = c * (sr * np.cos(phi))
-    sigma[0, 3] = sigma[3, 0] = c * (sr * np.sin(phi))
-    sigma[1, 2] = sigma[2, 1] = c * (si * np.sin(phi))
-    sigma[1, 3] = sigma[3, 1] = c * (-si * np.cos(phi))
-    d = np.zeros((4,) + shape)
-    d[0] = amp * np.cos(theta)
-    d[1] = amp * np.sin(theta)
-    return d, sigma
 
 
 def build_two_mode(p: TwoModeProbe) -> GaussianState:
     """Pure two-mode state in canonical form; signal-mode photons equal `n_s`."""
-    return make_state(*two_mode_moments(p.n_s, p.zeta, p.r, p.theta, p.phi))
+    a, c, sr, si, amp = _canonical_factors(p.n_s, p.zeta, p.r)
+    _check_finite(p.n_s, c, amp)
+    xc, xs = c * (sr * np.cos(p.phi)), c * (sr * np.sin(p.phi))
+    pc, ps = c * (-si * np.cos(p.phi)), c * (si * np.sin(p.phi))
+    sigma = [[a * p.r, 0.0, xc, xs],
+             [0.0, a / p.r, ps, pc],
+             [xc, ps, a, 0.0],
+             [xs, pc, 0.0, a]]
+    return make_state([amp * np.cos(p.theta), amp * np.sin(p.theta), 0.0, 0.0], sigma)
 
 
 def tmsv(n_s: float) -> GaussianState:

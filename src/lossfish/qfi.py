@@ -56,8 +56,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .channel import (ChannelParams, _channel_factors, _first_failing,
-                      _held_background, _scalar_eta, apply_channel, gamma_to_eta,
-                      moment_derivatives, output_moments)
+                      _held_background, _scalar_eta, apply_channel,
+                      channel_derivative, gamma_to_eta)
 from .errors import EtaTooClose, NonPhysical, SingularSystem
 from .fidelity import gaussian_fidelity
 from .probes import TwoModeProbe, _canonical_factors, squeeze_parameter
@@ -441,8 +441,6 @@ def _per_item(f, reduce, count, blocks):
 
 def _x_p(table):
     """The x-p entries ``table[i][j]`` (i even, j odd) of a table."""
-    if isinstance(table, np.ndarray):
-        return table[0::2, 1::2]
     return [row[1::2] for row in table[0::2]]
 
 
@@ -538,8 +536,8 @@ def qfi_sld(probe: GaussianState, p: ChannelParams) -> float:
     `SingularSystem` for a state that `_sld_qfi_batch` does not certify."""
     _scalar_eta(p)
     _check_eta(p)
-    _, st = output_moments(probe.d, probe.sigma, p)
-    ddt, dst = moment_derivatives(probe.d, probe.sigma, p)
+    st = apply_channel(probe, p).sigma
+    ddt, dst = channel_derivative(probe, p)
     (value,) = _sld_qfi_batch(st[..., None], dst[..., None], ddt[..., None])
     return float(value)
 
@@ -565,11 +563,11 @@ def _two_mode_outputs(n_s, zeta, r, p: ChannelParams):
     entry by entry: the ten distinct non-zero rows and one read-only zero
     row, with no ``(4, 4, G)`` stack.
 
-    Each row is computed as `two_mode_moments`, `output_moments` and
-    `moment_derivatives` compute that entry, so it keeps the bits of their
-    stacks.  The channel leaves the idler block (``S_22 = S_33 = a``) and
-    the displacement alone; the input rows that no table holds are freed on
-    return, before the solve.
+    Each row is computed as `build_two_mode`, `apply_channel` and
+    `channel_derivative` compute that entry for one probe, so it keeps the
+    bits of the probe built alone.  The channel leaves the idler block
+    (``S_22 = S_33 = a``) and the displacement alone; the input rows that no
+    table holds are freed on return, before the solve.
     """
     a, c, sr, si, amp = _canonical_factors(n_s, zeta, r)
     eta2, y, two_eta, dy = _channel_factors(p)
@@ -595,8 +593,8 @@ def qfi_single_mode_form(probe: GaussianState, p: ChannelParams) -> float:
         raise ValueError("the purity form applies to single-mode states")
     _scalar_eta(p)
     _check_eta(p)
-    _, st = output_moments(probe.d, probe.sigma, p)
-    ddt, dst = moment_derivatives(probe.d, probe.sigma, p)
+    st = apply_channel(probe, p).sigma
+    ddt, dst = channel_derivative(probe, p)
     st_inv = np.linalg.inv(st)
     ratio = st_inv @ dst
     mu = (4.0 * np.linalg.det(st)) ** -0.5
@@ -612,19 +610,20 @@ def qfi_fidelity_fd(probe: GaussianState, p: ChannelParams) -> float:
 
     Evaluates ``8 (1 - sqrt(F)) / h^2`` on the centred pair ``eta -/+ h/2``
     with the fixed step ``h = FD_STEP`` (quadratic-order accurate); raises
-    `EtaTooClose` when ``eta + h/2`` enters the guard band.  The route is
+    `ValueError` when ``eta - h/2`` is negative and `EtaTooClose` when
+    ``eta + h/2`` enters the guard band.  The route is
     cross-checked against the SLD to 1e-4 only for ``eta <= 0.95``
     (acceptance criterion 01); closer to 1 its error grows past that
     tolerance.
     """
     _scalar_eta(p)
-    if p.eta - FD_STEP < 0:
-        raise ValueError("eta - FD_STEP must be non-negative")
-    hi = p.eta + 0.5 * FD_STEP
+    lo, hi = p.eta - 0.5 * FD_STEP, p.eta + 0.5 * FD_STEP
+    if lo < 0:
+        raise ValueError(f"eta - FD_STEP/2 = {lo} must be non-negative")
     if hi > 1.0 - EPS_ETA:
         raise EtaTooClose(f"eta + FD_STEP/2 = {hi} is inside the guard band "
                           f"(eta + FD_STEP/2 <= {1.0 - EPS_ETA})")
-    out_lo = apply_channel(probe, replace(p, eta=p.eta - 0.5 * FD_STEP))
+    out_lo = apply_channel(probe, replace(p, eta=lo))
     out_hi = apply_channel(probe, replace(p, eta=hi))
     fid = gaussian_fidelity(out_lo, out_hi)
     return float(8.0 * (1.0 - math.sqrt(fid)) / FD_STEP ** 2)

@@ -69,10 +69,11 @@ def make_state(d, sigma) -> GaussianState:
     DimensionMismatch
         If shapes are inconsistent or the mode count is not 1 or 2.
     NonPhysical
-        If any entry of `d` or `sigma` is not finite, `sigma` is not
-        symmetric, violates the Heisenberg relation ``Sigma + i*Omega/2 >= 0``
-        (margin below -1e-10), or has ``det Sigma < (1/4)**modes - 1e-12``
-        (purity above 1).
+        If any entry of `d` or `sigma` is not finite, ``|Sigma|^(2 modes)``
+        (the scale of the determinant's roundoff) is not a finite double,
+        `sigma` is not symmetric, violates the Heisenberg relation
+        ``Sigma + i*Omega/2 >= 0`` (margin below -1e-10), or has
+        ``det Sigma < (1/4)**modes - 1e-12`` (purity above 1).
     """
     d = np.asarray(d, dtype=float).reshape(-1).copy()
     sigma = np.asarray(sigma, dtype=float).copy()
@@ -87,14 +88,18 @@ def make_state(d, sigma) -> GaussianState:
     if np.max(np.abs(sigma - sigma.T)) > SYM_TOL:
         raise NonPhysical("covariance matrix is not symmetric")
     sigma = 0.5 * (sigma + sigma.T)
+    # determinant roundoff grows like |Sigma|^(2 modes); keep the purity check
+    # meaningful for bright states, and refuse those it cannot check
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(sigma)
+        det_slack = DET_TOL * max(1.0, norm ** (2 * modes))
+    if not det_slack < math.inf:
+        raise NonPhysical(f"covariance norm {norm:.3e} is too large to check: "
+                          f"|Sigma|^{2 * modes} is not a finite double")
     margin = heisenberg_margin(sigma)
-    norm = float(np.linalg.norm(sigma))
     # eigenvalue roundoff scales with |Sigma|; bright states get matching slack
     if margin < HEISENBERG_TOL * max(1.0, norm):
         raise NonPhysical(f"Heisenberg relation violated (margin {margin:.3e})")
-    # determinant roundoff grows like |Sigma|^(2 modes); keep the purity check
-    # meaningful for bright states
-    det_slack = DET_TOL * max(1.0, norm ** (2 * modes))
     if np.linalg.det(sigma) < 0.25 ** modes - det_slack:
         raise NonPhysical("det(Sigma) below the pure-state minimum")
     return _trusted_state(d, sigma)

@@ -11,7 +11,6 @@ from lossfish import (ChannelParams, DivergentNoise, EtaTooClose,
                       optimize_two_mode, qfi_coherent, qfi_fidelity_fd,
                       qfi_single_mode_form, qfi_sld, qfi_two_mode_closed,
                       thermal, tmsv, tmsv_stationarity_check, vacuum)
-from lossfish.channel import moment_derivatives, output_moments
 from lossfish.optimize import two_mode_grid
 
 
@@ -204,33 +203,3 @@ def test_gamma_to_eta():
                      (math.nan, 0.0), (1.0, math.nan)]:
         with pytest.raises(NonPhysicalParams, match="finite and non-negative"):
             gamma_to_eta(gamma, t)
-
-
-def random_states(rng, modes, count):
-    states = []
-    for _ in range(count):
-        g = rng.normal(size=(2 * modes, 2 * modes))
-        sigma = 0.5 * np.eye(2 * modes) + g @ g.T
-        states.append(make_state(rng.normal(size=2 * modes), sigma))
-    return states
-
-
-@pytest.mark.parametrize("normalized", [False, True])
-@pytest.mark.parametrize("modes", [1, 2])
-def test_stacked_moments_match_per_state_channel(modes, normalized):
-    rng = np.random.default_rng(7 + modes)
-    states = random_states(rng, modes, 20)
-    p = ChannelParams(0.63, 1.7, normalized)
-    d = np.stack([s.d for s in states], axis=-1).reshape(2 * modes, 4, 5)
-    sigma = np.stack([s.sigma for s in states], axis=-1).reshape(2 * modes, 2 * modes,
-                                                                  4, 5)
-    d_out, sigma_out = output_moments(d, sigma, p)
-    d_dot, sigma_dot = moment_derivatives(d, sigma, p)
-    for k, state in enumerate(states):
-        item = np.unravel_index(k, (4, 5))
-        out = apply_channel(state, p)
-        np.testing.assert_array_equal(d_out[..., *item], out.d)
-        np.testing.assert_array_equal(sigma_out[..., *item], out.sigma)
-        dd, ds = channel_derivative(state, p)
-        np.testing.assert_array_equal(d_dot[..., *item], dd)
-        np.testing.assert_array_equal(sigma_dot[..., *item], ds)

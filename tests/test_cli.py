@@ -426,6 +426,31 @@ def test_singular_system_exits_3(capsys, argv, message):
     assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    ("qfi --eta 0.5 --nb 0 --probe tmsv --ns 1e200 --route sld",
+     "n_s = 1e+200 is too large: the moments are not finite"),
+    ("qfi --eta 0.5 --nb 0 --probe tmsv --ns 1e80 --route fidelity",
+     "covariance norm 2.828e+80 is too large to check: |Sigma|^4 is not a finite "
+     "double"),
+    ("hypothesis --eta-plus 0.9 --eta-minus 0.8 --probe coherent --ns 1 --m 1"
+     + "0" * 400, "m = 1" + "0" * 400 + " is larger than any double"),
+], ids=["probe-moments", "covariance-norm", "hypothesis-m"])
+def test_out_of_double_range_input_exits_2(capsys, argv, message):
+    # each once raised a bare OverflowError, and exited 3 with '(34, ...)' or
+    # 'int too large to convert to float'
+    code, out, err = run_cli(capsys, argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_hypothesis_bound_at_huge_m_is_at_most_half(capsys):
+    # F rounds above 1 here; at this m its power overflowed and exited 3
+    code, out, err = run_cli(capsys, "hypothesis --eta-plus 0.075 --eta-minus "
+                                     "0.074999999 --m 10000000000000000000 "
+                                     "--probe coherent --ns 1 --nb 1".split())
+    assert (code, err) == (0, "")
+    assert out.split("\n")[1].split(",")[3] == "0.5"
+
+
 @pytest.mark.parametrize("argv,row,tmsv_params", [
     ("qfi --eta 0.999 --nb 0.001 --probe tmsv --ns 1000 --route sld",
      "0.999,0.001,tmsv,1000,sld,1999665.83402", ChannelParams(0.999, 1e-3)),

@@ -31,6 +31,25 @@ def test_spec_validation():
         make_spec(0.6, 0.5, math.inf, coherent_state(1.0))
 
 
+def test_m_beyond_the_double_range_is_rejected():
+    # no double holds m, so m / 2 in the bound would raise OverflowError
+    big = 10 ** 400
+    with pytest.raises(ValueError, match=r"^m = 10{400} is larger than any double$"):
+        make_spec(0.6, 0.5, big, coherent_state(1.0))
+    for error_form in (qfi_error_approx, threshold_strategy_error):
+        with pytest.raises(ValueError, match=r"at most the largest double; .*m = 10{400},"):
+            error_form(0.1, big, 1.0)
+
+
+@pytest.mark.parametrize("m", [10 ** 6, 10 ** 18, 10 ** 19, 10 ** 300],
+                         ids=["1e6", "1e18", "1e19", "1e300"])
+def test_bound_stays_at_most_half(m):
+    # the fidelity of outputs 1e-9 apart rounds above 1; raised to m/2 it
+    # once gave a bound above 1/2, or an OverflowError
+    spec = make_spec(0.075, 0.074999999, m, coherent_state(1.0), nb=1.0)
+    assert fidelity_error_bound(spec) <= 0.5
+
+
 def test_bound_approaches_half_for_indistinguishable_hypotheses():
     spec = make_spec(0.5 + 1e-9, 0.5, 1, coherent_state(1.0))
     assert fidelity_error_bound(spec) == pytest.approx(0.5, abs=1e-9)
@@ -84,9 +103,12 @@ def test_threshold_strategy_values():
     (math.nan, 10, 1.0), (math.inf, 10, 1.0), (0.1, 10, math.nan),
     (0.1, 10, math.inf), (0.1, math.nan, 1.0), (-0.1, 10, 1.0), (0.1, 0, 1.0),
     # inf * 0 in the exponent was a silent nan
-    (0.0, math.inf, 1.0), (0.1, math.inf, 0.0)],
+    (0.0, math.inf, 1.0), (0.1, math.inf, 0.0),
+    # d_eta ** 2 overflowed past the double range; d_eta is at most 1
+    (1e200, 10, 1.0), (1.5, 10, 1.0)],
     ids=["d_eta-nan", "d_eta-inf", "i_eta-nan", "i_eta-inf", "m-nan",
-         "d_eta-negative", "m-zero", "m-inf-d_eta-zero", "m-inf-i_eta-zero"])
+         "d_eta-negative", "m-zero", "m-inf-d_eta-zero", "m-inf-i_eta-zero",
+         "d_eta-huge", "d_eta-above-one"])
 def test_error_forms_reject_out_of_domain_arguments(error_form, args):
     with pytest.raises(ValueError, match="finite and non-negative"):
         error_form(*args)

@@ -14,7 +14,7 @@ import lossfish
 SOURCES = Path(lossfish.__file__).resolve().parent
 KERNEL = {"_sld_qfi_batch", "_stein", "_eigh_basis", "_williamson_sum", "_pair_terms",
           "SLD_RESIDUAL_TOL"}
-ROUTE_PARTS = {"output_moments", "moment_derivatives", "two_mode_moments",
+ROUTE_PARTS = {"apply_channel", "channel_derivative", "build_two_mode",
                "_canonical_factors", "_channel_factors", "SingularSystem"}
 
 

@@ -16,9 +16,9 @@ from lossfish import (ChannelParams, EtaTooClose, ProbeRangeError, SingularSyste
 from lossfish.optimize import (BOUNDARY_COHERENT, BOUNDARY_SQUEEZED,
                                FAMILY_COHERENT, FAMILY_IDLER_FREE, FAMILY_SQUEEZED,
                                FAMILY_TMSV, _golden_max, grid_argmax, two_mode_grid)
-from lossfish.channel import moment_derivatives, output_moments
-from lossfish.probes import two_mode_moments, two_mode_r_min
-from lossfish.qfi import _ARRAY_OPS, SLD_RESIDUAL_TOL, _stein, _two_mode_closed_raw
+from lossfish.probes import two_mode_r_min
+from lossfish.qfi import (_ARRAY_OPS, SLD_RESIDUAL_TOL, _stein, _two_mode_closed_raw,
+                          _two_mode_outputs)
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -421,10 +421,7 @@ def test_grid_fallback_is_the_scalar_closed_form():
     n_s, p = 1e3, ChannelParams(0.999, 1e-3)
     zetas, r_grid, qfi = two_mode_grid(n_s, p)
     zz, rr = np.repeat(zetas, r_grid.shape[1]), r_grid.reshape(-1)
-    d, sigma = two_mode_moments(n_s, zz, rr)
-    _, st = output_moments(d, sigma, p)
-    ddt, dst = moment_derivatives(d, sigma, p)
-    _, rel, _ = _stein(_ARRAY_OPS, st, dst, ddt)
+    _, rel, _ = _stein(_ARRAY_OPS, *_two_mode_outputs(n_s, zz, rr, p))
     bad = ~(rel <= SLD_RESIDUAL_TOL)
     assert bad.sum() > 0
     scalar = [_two_mode_closed_raw(n_s, float(z), float(r), 0.0, p.eta, p.n_b)
@@ -584,6 +581,15 @@ def test_g2_out_of_double_range_raises_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="overflow"):
             g2(0.5, 1e200)
+
+
+def test_stationarity_check_huge_bath_raises_without_a_warning():
+    # N_B enters the closed form as a numpy float under the check's own
+    # errstate; as a Python float, nb ** 2 raised a bare OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="overflow"):
+            tmsv_stationarity_check(1.0, ChannelParams(0.5, 1e200))
 
 
 def test_qfi_gamma_prefactor_overflow_raises_without_a_warning():

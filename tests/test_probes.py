@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from lossfish import (ChannelParams, NotPure, NotTwoMode, ProbeRangeError,
                       SingleModeProbe, TwoModeProbe, build_single_mode,
                       build_two_mode, canonicalize, make_state, purity,
                       qfi_sld, thermal, tmsv, two_mode_r_min, vacuum)
-from lossfish.probes import two_mode_moments
 
 
 def rotation(theta):
@@ -192,20 +193,16 @@ def test_non_finite_probe_parameters_rejected(field, bad):
             SingleModeProbe(**{**single_mode, field: bad})
 
 
-def test_two_mode_moments_stack_matches_built_states():
-    rng = np.random.default_rng(3)
-    probes = []
-    for _ in range(24):
-        n_s, zeta = rng.uniform(0.0, 5.0), rng.uniform(0.0, 1.0)
-        r = np.exp(rng.uniform(np.log(two_mode_r_min(n_s, zeta)), 0.0))
-        probes.append(TwoModeProbe(n_s, zeta, r, rng.uniform(-np.pi, np.pi),
-                                   rng.uniform(-np.pi, np.pi)))
-    fields = [np.array([getattr(p, f) for p in probes]).reshape(6, 4)
-              for f in ("n_s", "zeta", "r", "theta", "phi")]
-    d, sigma = two_mode_moments(*fields)
-    assert d.shape == (4, 6, 4) and sigma.shape == (4, 4, 6, 4)
-    for k, probe in enumerate(probes):
-        item = np.unravel_index(k, (6, 4))
-        state = build_two_mode(probe)
-        np.testing.assert_array_equal(d[..., *item], state.d)
-        np.testing.assert_array_equal(sigma[..., *item], state.sigma)
+@pytest.mark.parametrize("build", [
+    lambda: tmsv(1e200),
+    lambda: build_two_mode(TwoModeProbe(1e308, 0.0, 1.0)),
+    lambda: build_single_mode(SingleModeProbe(1e308, 0.0)),
+], ids=["tmsv", "two-mode-displaced", "single-mode-displaced"])
+def test_too_bright_probe_raises_without_a_warning(build):
+    # a * a or 2 N_coh overflows to inf, and inf times sin(0) would be a nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ProbeRangeError,
+                           match=r"^n_s = 1e\+(200|308) is too large: the moments "
+                                 r"are not finite$"):
+            build()

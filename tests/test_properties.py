@@ -13,8 +13,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from lossfish import (ChannelParams, SingleModeProbe, TwoModeProbe,  # noqa: E402
                       apply_channel, build_single_mode, build_two_mode,
-                      make_state, optimize_xi, qfi_if_closed, tmsv)
-from lossfish.channel import moment_derivatives, output_moments  # noqa: E402
+                      channel_derivative, make_state, optimize_xi, qfi_if_closed,
+                      tmsv)
 from lossfish.cli import _render  # noqa: E402
 from lossfish.qfi import (_FLOAT_OPS, SLD_RESIDUAL_TOL, _eigh_basis,  # noqa: E402
                           _sld_qfi_batch, _stein, _two_mode_closed_raw, _williamson_sum)
@@ -38,8 +38,8 @@ def test_sld_kernel_matches_two_mode_closed_form(eta, n_s, n_b, zeta, r_pos):
     r = math.exp((1.0 - r_pos) * math.log(r_min))
     p = ChannelParams(eta, n_b)
     probe = build_two_mode(TwoModeProbe(n_s, zeta, r))
-    _, sigma = output_moments(probe.d, probe.sigma, p)
-    ddt, dst = moment_derivatives(probe.d, probe.sigma, p)
+    sigma = apply_channel(probe, p).sigma
+    ddt, dst = channel_derivative(probe, p)
     (value,) = _sld_qfi_batch(sigma[..., None], dst[..., None], ddt[..., None])
     closed = _two_mode_closed_raw(n_s, zeta, r, 0.0, eta, n_b)
     assert value == pytest.approx(closed, rel=1e-8)
@@ -57,8 +57,8 @@ def test_accepted_stein_value_is_the_eigh_basis_sum(n_s, eta, n_b, normalized,
     r = TwoModeProbe(n_s, zeta, 1.0).r_min ** (1.0 - r_pos)
     probe = build_two_mode(TwoModeProbe(n_s, zeta, r, theta))
     p = ChannelParams(eta, n_b, normalized)
-    _, sigma = output_moments(probe.d, probe.sigma, p)
-    ddt, dst = moment_derivatives(probe.d, probe.sigma, p)
+    sigma = apply_channel(probe, p).sigma
+    ddt, dst = channel_derivative(probe, p)
     value, rel, _ = _stein(_FLOAT_OPS, sigma.tolist(), dst.tolist(), ddt.tolist())
     s, ds, dd = sigma[None], dst[None], ddt[None]
     (general,), (bound,), _, _ = _williamson_sum(*_eigh_basis(s), s, ds, dd)

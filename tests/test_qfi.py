@@ -1,21 +1,22 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from lossfish import (ChannelParams, EtaTooClose, NonPhysical, NonPhysicalParams,
-                      SingularSystem, SingleModeProbe, TwoModeProbe, build_single_mode,
-                      build_two_mode, homodyne_fisher, make_state,
+                      SingularSystem, SingleModeProbe, TwoModeProbe, apply_channel,
+                      build_single_mode, build_two_mode, channel_derivative,
+                      homodyne_fisher, make_state,
                       optimize_two_mode, qfi_coherent, qfi_fidelity_fd,
                       qfi_gamma, qfi_if_closed, qfi_shadow,
                       qfi_single_mode_form, qfi_sld, qfi_squeezed_vacuum,
                       qfi_tmsv, qfi_two_mode_closed, tmsv, vacuum)
 import lossfish.optimize as optimize
 import lossfish.qfi as qfi
-from lossfish.channel import moment_derivatives, output_moments
 from lossfish.optimize import two_mode_grid
-from lossfish.probes import two_mode_moments, two_mode_r_min
+from lossfish.probes import two_mode_r_min
 from lossfish.qfi import (_ARRAY_OPS, _FLOAT_OPS, SLD_RESIDUAL_TOL, _eigh_basis,
                           _sld_qfi_batch, _stein, _two_mode_closed_raw, _williamson_sum)
 
@@ -110,8 +111,18 @@ def test_fidelity_fd_matches_sld():
 
 def test_fidelity_fd_validates_step():
     # the lower end of the pair must stay at a physical transmission
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^eta - FD_STEP/2 = -4\.99e-05 must be "
+                                         r"non-negative$"):
         qfi_fidelity_fd(vacuum(), ChannelParams(1e-7, 1.0))
+
+
+@pytest.mark.parametrize("probe", [single_mode_state(1.0, 0.0), tmsv(1.0),
+                                   single_mode_state(1.0, 0.5)],
+                         ids=["coherent", "tmsv", "dsq"])
+def test_fidelity_fd_takes_eta_below_the_step(probe):
+    # at eta = 7e-5 the pair [2e-5, 1.2e-4] is physical, though eta < FD_STEP
+    p = ChannelParams(7e-5, 1.0)
+    assert qfi_fidelity_fd(probe, p) == pytest.approx(qfi_sld(probe, p), rel=1e-4)
 
 
 @pytest.mark.parametrize("eta", [0.99995, 1.0 - 1e-7])
@@ -370,23 +381,17 @@ def test_qfi_gamma():
 # the batched SLD kernel
 # ---------------------------------------------------------------------------
 
+def states_stack(states, p):
+    """Channel outputs (st, dst, ddt) of states, each from `apply_channel`
+    and `channel_derivative`, stacked with the item axis last."""
+    st = [apply_channel(state, p).sigma for state in states]
+    ddt, dst = zip(*(channel_derivative(state, p) for state in states))
+    return tuple(np.stack(x, axis=-1) for x in (st, dst, ddt))
+
+
 def output_stack(probes, p):
     """Channel outputs (st, dst, ddt) of two-mode probes, stacked."""
-    states = [build_two_mode(probe) for probe in probes]
-    d = np.stack([state.d for state in states], axis=-1)
-    sigma = np.stack([state.sigma for state in states], axis=-1)
-    _, st = output_moments(d, sigma, p)
-    ddt, dst = moment_derivatives(d, sigma, p)
-    return st, dst, ddt
-
-
-def single_mode_stack(states, p):
-    """Channel outputs (st, dst, ddt) of single-mode states, stacked."""
-    d = np.stack([state.d for state in states], axis=-1)
-    sigma = np.stack([state.sigma for state in states], axis=-1)
-    _, st = output_moments(d, sigma, p)
-    ddt, dst = moment_derivatives(d, sigma, p)
-    return st, dst, ddt
+    return states_stack([build_two_mode(probe) for probe in probes], p)
 
 
 def random_two_mode_probes(rng, count):
@@ -459,10 +464,10 @@ def test_kernel_values_do_not_depend_on_chunking():
     p = ChannelParams(0.6, 0.7)
     rng = np.random.default_rng(5)
     two_mode = output_stack(random_two_mode_probes(rng, 1000), p)
-    one_mode = single_mode_stack([single_mode_state(rng.uniform(0.1, 5.0),
-                                                    rng.uniform(0.0, 1.0),
-                                                    rng.uniform(0.0, np.pi))
-                                  for _ in range(1000)], p)
+    one_mode = states_stack([single_mode_state(rng.uniform(0.1, 5.0),
+                                               rng.uniform(0.0, 1.0),
+                                               rng.uniform(0.0, np.pi))
+                             for _ in range(1000)], p)
     for st, dst, ddt in (two_mode, one_mode):
         assert not (st[0::2, 1::2].any() or dst[0::2, 1::2].any())
         whole = _sld_qfi_batch(st, dst, ddt)
@@ -522,9 +527,8 @@ def test_sld_route_failures_raise_singular_system(n_s, eta):
 
 def moments(state, p):
     """The channel output of one state as Python-float entries for `_stein`."""
-    _, st = output_moments(state.d, state.sigma, p)
-    ddt, dst = moment_derivatives(state.d, state.sigma, p)
-    return st.tolist(), dst.tolist(), ddt.tolist()
+    ddt, dst = channel_derivative(state, p)
+    return apply_channel(state, p).sigma.tolist(), dst.tolist(), ddt.tolist()
 
 
 def item_first(*stacks):
@@ -555,17 +559,14 @@ def test_error_bound_covers_nearly_pure_items():
     # nearly pure: the rounding of S moves their g - 1 terms, and their QFI,
     # by more than 1e-8.  Weighting those terms by g/(g - 1), the bound
     # covers the error against a 50-digit closed form, and refuses the items
-    mpmath = pytest.importorskip("mpmath")
     n_s, p = 1e-3, ChannelParams(1e-3, 0.0)
     zeta = np.array([1.0, 2.0, 4.0]) / 63.0
     r = two_mode_r_min(n_s, zeta)
-    d, sigma = two_mode_moments(n_s, zeta, r)
-    _, st = output_moments(d, sigma, p)
-    ddt, dst = moment_derivatives(d, sigma, p)
-    _, rel, basis = _stein(_ARRAY_OPS, st, dst, ddt)
+    rows = qfi._two_mode_outputs(n_s, zeta, r, p)
+    _, rel, basis = _stein(_ARRAY_OPS, *rows)
     assert (rel > SLD_RESIDUAL_TOL).all()
     values, bound, _, _ = _williamson_sum(*basis(lambda x: x),
-                                          *item_first(st, dst, ddt))
+                                          *item_first(*map(np.array, rows)))
     with mpmath.workdps(50):
         exact = np.array([float(_two_mode_closed_raw(
             mpmath.mpf(n_s), mpmath.mpf(z), mpmath.mpf(x), 0.0, mpmath.mpf(p.eta), 0))
@@ -596,9 +597,9 @@ def test_decoupled_system_splits_by_parity():
     p = ChannelParams(0.6, 0.7)
     rng = np.random.default_rng(3)
     two_mode = output_stack(random_two_mode_probes(rng, 64), p)
-    one_mode = single_mode_stack([single_mode_state(rng.uniform(0.1, 5.0),
-                                                    rng.uniform(0.0, 1.0))
-                                  for _ in range(64)], p)
+    one_mode = states_stack([single_mode_state(rng.uniform(0.1, 5.0),
+                                               rng.uniform(0.0, 1.0))
+                             for _ in range(64)], p)
     for st, dst, ddt in (two_mode, one_mode):
         assert not st[0::2, 1::2].any() and not dst[0::2, 1::2].any()
         moments = item_first(st, dst, ddt)
@@ -667,12 +668,14 @@ def grid_points(monkeypatch, n_s, p):
     return seen[0]
 
 
+def grid_tables(n_s, zeta, r, p):
+    """The grid's output rows as ndarray tables: (4, 4, G), (4, 4, G), (4, G)."""
+    return tuple(map(np.array, qfi._two_mode_outputs(n_s, zeta, r, p)))
+
+
 def stack_qfi(n_s, zeta, r, p):
-    """QFI of the canonical probes from their (m, m, G) moment stacks."""
-    d, sigma = two_mode_moments(n_s, zeta, r)
-    _, st = output_moments(d, sigma, p)
-    ddt, dst = moment_derivatives(d, sigma, p)
-    return _sld_qfi_batch(st, dst, ddt)
+    """QFI of the canonical probes from the grid's rows as ndarray tables."""
+    return _sld_qfi_batch(*grid_tables(n_s, zeta, r, p))
 
 
 def assert_same_bits(a, b):
@@ -684,9 +687,8 @@ def assert_same_bits(a, b):
     for eta in (1e-3, 0.5, 0.999)] + [(1.0, 1.0, 0.5, True), (0.3, 1e-3, 0.9, True)])
 def test_entry_route_keeps_the_bits_of_the_stack_route(monkeypatch, n_s, n_b, eta,
                                                         normalized):
-    # the criterion-07 grids and two normalized ones: the rows that the grid
-    # computes entry by entry are those of the moment stacks, and so are
-    # the values of the kernel
+    # the criterion-07 grids and two normalized ones: the kernel reads rows
+    # and ndarray tables alike, and gives the same values
     p = ChannelParams(eta, n_b, normalized)
     zeta, r = grid_points(monkeypatch, n_s, p)
     assert_same_bits(qfi._two_mode_qfi(n_s, zeta, r, p), stack_qfi(n_s, zeta, r, p))
@@ -694,15 +696,14 @@ def test_entry_route_keeps_the_bits_of_the_stack_route(monkeypatch, n_s, n_b, et
 
 def test_entry_route_gathers_stein_rejected_items_as_the_stack_route(monkeypatch):
     # a criterion-07 corner where the Stein solve leaves items above the
-    # residual tolerance: both routes gather them for the Williamson sum
+    # residual tolerance: rows and ndarray tables gather them alike for the
+    # Williamson sum
     n_s, p = 1e3, ChannelParams(0.999, 1.0)
     zeta, r = grid_points(monkeypatch, n_s, p)
-    d, sigma = two_mode_moments(n_s, zeta, r)
-    _, st = output_moments(d, sigma, p)
-    ddt, dst = moment_derivatives(d, sigma, p)
-    _, rel, _ = _stein(_ARRAY_OPS, st, dst, ddt)
+    tables = grid_tables(n_s, zeta, r, p)
+    _, rel, _ = _stein(_ARRAY_OPS, *tables)
     assert (rel > SLD_RESIDUAL_TOL).any()
-    assert_same_bits(qfi._two_mode_qfi(n_s, zeta, r, p), _sld_qfi_batch(st, dst, ddt))
+    assert_same_bits(qfi._two_mode_qfi(n_s, zeta, r, p), _sld_qfi_batch(*tables))
 
 
 def test_entry_route_raises_as_the_stack_route(monkeypatch):
@@ -715,6 +716,25 @@ def test_entry_route_raises_as_the_stack_route(monkeypatch):
         qfi._two_mode_qfi(n_s, zeta, r, p)
     assert str(entry.value) == str(stack.value)
     assert "error bound" in str(entry.value)
+
+
+@pytest.mark.parametrize("n_s,n_b,eta,normalized", [
+    (1.0, 1.0, 0.7071, False),  # the README sweep-twomode grid
+    (1.0, 1.0, 0.5, True),
+], ids=["readme", "normalized"])
+def test_grid_rows_are_the_probes_built_alone(monkeypatch, n_s, n_b, eta,
+                                              normalized):
+    # every point of the grid has, bit for bit, the output moments and
+    # derivatives of its probe built alone and sent through the channel
+    p = ChannelParams(eta, n_b, normalized)
+    zeta, r = grid_points(monkeypatch, n_s, p)
+    s, ds, dd = grid_tables(n_s, zeta, r, p)
+    for k in range(zeta.size):
+        state = build_two_mode(TwoModeProbe(n_s, float(zeta[k]), float(r[k])))
+        ddt, dst = channel_derivative(state, p)
+        assert_same_bits(s[..., k], apply_channel(state, p).sigma)
+        assert_same_bits(ds[..., k], dst)
+        assert_same_bits(dd[..., k], ddt)
 
 
 def rotate_signal(state, angle):
@@ -743,8 +763,8 @@ def test_split_solve_is_phase_covariant(modes):
         n_b = 0.0 if k % 3 == 0 else rng.uniform(0.1, 10.0)
         p = ChannelParams(rng.uniform(0.05, 0.95), n_b, normalized=k % 2 == 1)
         rotated = rotate_signal(state, rng.uniform(0.1, 2.0 * np.pi - 0.1))
-        assert not output_moments(state.d, state.sigma, p)[1][0::2, 1::2].any()
-        assert output_moments(rotated.d, rotated.sigma, p)[1][0::2, 1::2].any()
+        assert not apply_channel(state, p).sigma[0::2, 1::2].any()
+        assert apply_channel(rotated, p).sigma[0::2, 1::2].any()
         assert qfi_sld(state, p) == pytest.approx(qfi_sld(rotated, p), rel=1e-12)
 
 

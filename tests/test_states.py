@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,26 @@ def test_non_finite_first_moments_rejected(bad):
         make_state([bad, 0.0], 0.5 * np.eye(2))
     with pytest.raises(NonPhysical, match="finite"):
         make_state([0.0, 0.0, 0.0, bad], 0.5 * np.eye(4))
+
+
+@pytest.mark.parametrize("make,norm", [
+    (lambda: tmsv(1e80), r"2\.828e\+80 .*\|Sigma\|\^4"),
+    (lambda: thermal(1e200), r"inf .*\|Sigma\|\^2"),
+], ids=["tmsv", "thermal"])
+def test_covariance_too_large_to_check_raises_without_a_warning(make, norm):
+    # |Sigma|^(2 modes), the determinant's roundoff scale, is past the double
+    # range: a Python float raised OverflowError there, and |Sigma| itself
+    # overflows in numpy at entries above ~1e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonPhysical, match=f"^covariance norm {norm} is not a "
+                                              "finite double$"):
+            make()
+
+
+def test_bright_state_below_the_size_limit_is_accepted():
+    # |Sigma|^4 = 6.4e305 is still a double
+    assert tmsv(1e76).sigma[0, 0] == 1e76 + 0.5
 
 
 @pytest.mark.parametrize("n_bar", [np.nan, np.inf, -1.0])

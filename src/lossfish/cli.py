@@ -12,10 +12,12 @@ hypothesis     discrimination error bounds for an (eta_plus, eta_minus) pair
 Numbers are printed with 12 significant digits, '.' decimal separator and
 '\\n' line endings, header row first; identical invocations produce
 byte-identical output.  Each command handler returns its table as
-``(header, columns)``, one array (or one-element list) per column, and one
-%-format pass with the cell format `CELL` renders it; JSON output reuses
-those CSV cells, keyed by the CSV column names.  Grids are given as
-``min:max:points`` (append ``:log`` for logarithmic spacing) or a comma list.
+``(header, columns)``, one array or list of values per column, and one
+%-format pass with the cell format `CELL` renders it (a column of strings,
+such as grid axis cells already formatted with `CELL`, prints as it is); JSON
+output reuses those CSV cells, keyed by the CSV column names.  Grids are
+given as ``min:max:points`` (append ``:log`` for logarithmic spacing) or a
+comma list.
 
 Exit codes: 0 success; 2 invalid arguments or parameters, or an ``--out``
 path that cannot be written (``error: ...`` on stderr, nothing on stdout);
@@ -80,11 +82,17 @@ def _channel(args) -> ChannelParams:
     return ChannelParams(eta=float(args.eta), n_b=args.nb, normalized=args.normalized)
 
 
+def _cells(values, each=1):
+    """The `CELL` of each of `values`, formatted once and repeated `each` times."""
+    return list(itertools.chain.from_iterable([CELL % x] * each for x in values))
+
+
 def _grid_columns(outer, inner, *columns):
     """Columns ``o, i, column values...`` over an (outer, inner) grid, outer
-    index slowest; each column holds one value per grid point."""
-    o, i = np.meshgrid(outer, inner, indexing="ij")
-    return [o.ravel(), i.ravel(), *(np.ravel(c) for c in columns)]
+    index slowest; each column holds one value per grid point.  The two axis
+    columns are cells, each axis value formatted once and then repeated."""
+    return [_cells(outer, len(inner)), _cells(inner) * len(outer),
+            *(np.ravel(c) for c in columns)]
 
 
 def _probe(args):
@@ -159,8 +167,9 @@ def _cmd_sweep_twomode(args):
     tail = np.array([grid_argmax(zetas, r_grid, qfi),
                      *([zetas[iz], r_grid[iz, ir], qfi[iz, ir]]
                        for iz, ir in ((0, -1), (-1, 0), (-1, -1)))])
-    grid = (np.repeat(zetas, r_grid.shape[1]), r_grid.ravel(), qfi.ravel())
-    return ["zeta", "r", "qfi"], [np.concatenate(c) for c in zip(grid, tail.T)]
+    zeta = _cells(zetas, r_grid.shape[1]) + _cells(tail[:, 0])
+    return ["zeta", "r", "qfi"], [zeta, np.append(r_grid, tail[:, 1]),
+                                  np.append(qfi, tail[:, 2])]
 
 
 def _cmd_sweep_total(args):

@@ -13,7 +13,7 @@ Search and planning only (`qfi` routes every value), in three layers:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -252,15 +252,20 @@ def optimize_xi(n_s: float | np.ndarray, p: ChannelParams) -> XiOptResult:
     (N_S, eta) grid: all points are searched together, one closed-form
     evaluation of the unfinished points per step, each with the values a
     scalar call gives.  The inputs are checked once here, and the closed
-    form's channel factors are computed once; the scan and the search steps
-    evaluate the closed form's total without its checks.
+    form's channel factors are computed once, on ``p.eta``'s own shape; the
+    scan and the search steps evaluate the closed form's total without its
+    checks.  The scan keeps the broadcast shape of `n_s` and ``p.eta``, so
+    the terms that depend on N_S alone run once per N_S, not once per pair;
+    the search runs on the flattened pairs.
     """
     n_s = _photons(n_s, "n_s", positive=True)
     _check_eta(p)
-    # flat, broadcast (N_S, eta) pairs
     shape = np.broadcast_shapes(np.shape(n_s), np.shape(p.eta))
+    c_eta = _if_channel(p)
+    # flat, broadcast (N_S, eta) pairs
     ns, eta = (np.broadcast_to(a, shape).reshape(-1) for a in (n_s, p.eta))
-    c = _if_channel(replace(p, eta=eta))
+    c = tuple(np.broadcast_to(v, shape).reshape(-1) if isinstance(v, np.ndarray) else v
+              for v in c_eta)
 
     def value(xi, n, factors):
         return _if_total((1.0 - xi) * n, xi * n, factors)
@@ -272,8 +277,8 @@ def optimize_xi(n_s: float | np.ndarray, p: ChannelParams) -> XiOptResult:
         lo, hi = np.zeros(ns.shape), np.ones(ns.shape)
     else:
         grid = np.linspace(0.0, 1.0, 64)
-        scan = value(grid, ns[:, None], _take(c, np.s_[:, None]))
-        best = np.argmax(scan, axis=1)
+        scan = value(grid, n_s[..., None], _take(c_eta, np.s_[..., None]))
+        best = np.argmax(scan, axis=-1).reshape(-1)
         lo = grid[np.maximum(best - 1, 0)]
         hi = grid[np.minimum(best + 1, 63)]
     search = ~squeezed

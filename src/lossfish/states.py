@@ -150,9 +150,16 @@ def heisenberg_margin(sigma) -> float:
 
 
 def purity(state: GaussianState) -> float:
-    """Purity mu = [2**(2*modes) * det(Sigma)]**(-1/2); equals 1 for pure states."""
+    """Purity mu = [2**(2*modes) * det(Sigma)]**(-1/2); equals 1 for pure states.
+
+    A bright state can lose its determinant to roundoff (that of a pure TMSV
+    at N_S = 1e40 rounds to 0).  Where the computed ``det Sigma`` is 0 or
+    negative the purity is undefined, and this raises `FloatingPointError`,
+    as `g2` does, never a warning with an inf or a nan.
+    """
     det = np.linalg.det(state.sigma)
-    return float((4.0 ** state.modes * det) ** -0.5)
+    with np.errstate(divide="raise", invalid="raise"):
+        return float((4.0 ** state.modes * det) ** -0.5)
 
 
 def vacuum(modes: int = 1) -> GaussianState:

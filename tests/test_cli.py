@@ -223,13 +223,17 @@ def test_sweep_output_is_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGESTS[command]
 
 
+PINNED_COMMANDS = [*README_DIGESTS, *SWEEP_DIGESTS]
+
+
 @pytest.mark.filterwarnings("ignore:.*threshold approximation is unreliable")
-@pytest.mark.parametrize("command", list(README_DIGESTS), ids=[
-    f"{c.split()[0]}-{i}" for i, c in enumerate(README_DIGESTS)])
+@pytest.mark.parametrize("command", PINNED_COMMANDS, ids=[
+    f"{c.split()[0]}-{i}" for i, c in enumerate(PINNED_COMMANDS)])
 def test_json_values_are_the_csv_cells(capsys, command):
-    code, csv_out, _ = run_cli(capsys, command.split())
+    argv = command.replace(" --format json", "").split()
+    code, csv_out, _ = run_cli(capsys, argv)
     assert code == 0
-    code, json_out, _ = run_cli(capsys, command.split() + ["--format", "json"])
+    code, json_out, _ = run_cli(capsys, argv + ["--format", "json"])
     assert code == 0
     header, *rows = (line.split(",") for line in csv_out.splitlines())
     payload = json.loads(json_out)

@@ -869,6 +869,21 @@ def test_optimize_xi_array_equals_scalar_calls(p):
     for k, field in enumerate(astuple(grid)):
         np.testing.assert_array_equal(field, [[r[k] for r in row] for row in reference])
 
+    # the scan keeps the broadcast shape of its inputs: every other shape
+    # gives the grid's per-point values, in its own layout
+    rolled = np.stack([np.roll(n_s, j) for j in range(len(etas))], axis=1)
+    shapes = [  # (n_s, eta, the grid field -> the expected field)
+        (n_s, etas[:, None], lambda f: f.T),
+        (rolled, etas, lambda f: np.stack([np.roll(f[:, j], j)
+                                           for j in range(len(etas))], axis=1)),
+        (n_s.reshape(4, 5, 1), etas, lambda f: f.reshape(4, 5, len(etas))),
+        *((float(n), etas, lambda f, i=i: f[i]) for i, n in enumerate(n_s)),
+    ]
+    for n, e, layout in shapes:
+        res = optimize_xi(n, eta_grid(p, e))
+        for field, want in zip(astuple(res), astuple(grid)):
+            np.testing.assert_array_equal(field, layout(want), strict=True)
+
 
 def test_golden_max_steps_only_live_brackets():
     # brackets of the scan's widths (1/63, 2/63), the N_B = 0 search's [0, 1]

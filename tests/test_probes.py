@@ -181,6 +181,15 @@ def test_canonicalize_rejects_bad_inputs():
         canonicalize(mixed)
 
 
+def test_canonicalize_passes_a_lost_purity_through():
+    # a pure TMSV whose determinant rounds to 0 has no purity to test: the
+    # FloatingPointError of `purity` comes through, not NotPure
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError):
+            canonicalize(tmsv(1e40))
+
+
 @pytest.mark.parametrize("field", ["n_s", "theta", "phi"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_probe_parameters_rejected(field, bad):

@@ -15,7 +15,7 @@ from lossfish import (ChannelParams, SingleModeProbe, TwoModeProbe,  # noqa: E40
                       apply_channel, build_single_mode, build_two_mode,
                       channel_derivative, make_state, optimize_xi, qfi_if_closed,
                       tmsv)
-from lossfish.cli import _render  # noqa: E402
+from lossfish.cli import _grid_columns, _render  # noqa: E402
 from lossfish.qfi import (_FLOAT_OPS, SLD_RESIDUAL_TOL, _eigh_basis,  # noqa: E402
                           _sld_qfi_batch, _stein, _two_mode_closed_raw, _williamson_sum)
 from test_optimize import reference_optimize_xi  # noqa: E402
@@ -157,3 +157,6 @@ def test_csv_cell_is_format_12g(x):
         assert cells == [want] * len(column)
     for column in ([x], [np.float64(x)], np.array([x])):
         assert json.loads(_render(["x"], [column], "json")) == [{"x": want}]
+    # a grid's axis cells are formatted once and printed as they are
+    assert _render(["o", "i", "x"], _grid_columns([x], [x], [x]), "csv") == \
+        f"o,i,x\n{want},{want},{want}\n"

@@ -69,6 +69,15 @@ def test_purity_examples():
         assert purity(state) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_purity_of_a_bright_pure_state_raises_without_a_warning():
+    # the determinant of a TMSV at N_S = 1e76 rounds to 0: no purity, and no
+    # divide-by-zero warning with an inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError):
+            purity(tmsv(1e76))
+
+
 def test_heisenberg_margin_examples():
     assert heisenberg_margin(0.5 * np.eye(2)) == pytest.approx(0.0, abs=1e-12)
     # eigenvalues 1 +- 1/2

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -735,6 +736,54 @@ def test_grid_rows_are_the_probes_built_alone(monkeypatch, n_s, n_b, eta,
         assert_same_bits(s[..., k], apply_channel(state, p).sigma)
         assert_same_bits(ds[..., k], dst)
         assert_same_bits(dd[..., k], ddt)
+
+
+def kernel_pin_lines(monkeypatch):
+    """`float.hex` of the SLD kernel's values, or the message it raises, on
+    the criterion-07 grids, two normalized grids, the README grid and a
+    seeded panel of single states."""
+    grids = [(n_s, n_b, eta, False) for n_s in (1e-3, 1.0, 1e3)
+             for n_b in (1e-3, 1.0, 1e3) for eta in (1e-3, 0.5, 0.999)]
+    grids += [(1.0, 1.0, 0.5, True), (0.3, 1e-3, 0.9, True), (1.0, 1.0, 0.7071, False),
+              (1e-3, 0.0, 1e-3, False)]  # the last raises (strict xfail)
+    lines = []
+    for n_s, n_b, eta, normalized in grids:
+        p = ChannelParams(eta, n_b, normalized)
+        zeta, r = grid_points(monkeypatch, n_s, p)
+        try:
+            lines += [float(v).hex() for v in qfi._two_mode_qfi(n_s, zeta, r, p)]
+        except SingularSystem as exc:
+            lines.append(str(exc))
+    # one state at a time takes the Stein route's float path
+    rng = np.random.default_rng(23)
+    for k in range(120):
+        n_s = rng.uniform(0.01, 50.0)
+        if k % 2:
+            state = single_mode_state(n_s, rng.uniform(0.0, 1.0), rng.uniform(0.0, np.pi))
+        else:
+            zeta = rng.uniform(0.0, 1.0)
+            r_min = TwoModeProbe(n_s, zeta, 1.0).r_min
+            r = r_min if k % 6 == 0 else r_min ** rng.uniform(0.0, 1.0)
+            state = build_two_mode(TwoModeProbe(n_s, zeta, r,
+                                                theta=rng.uniform(0.0, np.pi)))
+        n_b = (0.0, 1e-3, 1.0, 100.0)[k % 4]
+        p = ChannelParams(rng.uniform(0.001, 0.999), n_b, normalized=k % 5 == 0)
+        try:
+            lines.append(float(qfi_sld(state, p)).hex())
+        except SingularSystem as exc:
+            lines.append(str(exc))
+    return lines
+
+
+# recorded before the Stein route's passes were trimmed; the kernel must
+# keep every bit (numpy 2.4, x86_64)
+KERNEL_DIGEST = "9b2c5d14d6688a2176b5bdc234ea7e96493999ba72de0b1065572074fb2d5329"
+
+
+def test_kernel_values_are_pinned(monkeypatch):
+    lines = kernel_pin_lines(monkeypatch)
+    assert "SLD item 64: error bound" in lines[-121]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == KERNEL_DIGEST
 
 
 def rotate_signal(state, angle):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .states import GaussianState, symplectic_form
+from .states import GaussianState, _omega
 
 # a pure symplectic direction zeroes its invariant exactly; clipping the
 # roundoff residue avoids a spurious sqrt(eps) contribution.  Genuine terms
@@ -58,7 +58,7 @@ def gaussian_fidelity(a: GaussianState, b: GaussianState) -> float:
             * displacement
         return float(min(f, 1.0 + 1e-12))
 
-    omega = symplectic_form(2)
+    omega = _omega(2)
     vaux = omega.T @ total_inv @ (omega / 4.0 + b.sigma @ omega @ a.sigma)
     wa = vaux @ omega
     e1 = complex(0.5 * np.trace(wa @ wa))  # lambda_1^2 + lambda_2^2

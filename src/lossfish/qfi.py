@@ -61,7 +61,7 @@ from .channel import (ChannelParams, _channel_factors, _first_failing,
 from .errors import EtaTooClose, NonPhysical, SingularSystem
 from .fidelity import gaussian_fidelity
 from .probes import TwoModeProbe, _canonical_factors, squeeze_parameter
-from .states import GaussianState, symplectic_form
+from .states import GaussianState, _omega
 
 EPS_ETA = 1e-7
 FD_STEP = 1e-4
@@ -128,17 +128,40 @@ def _as_output(x):
 
 
 def _pick_arrays(cond, new, old):
-    """`old`, its arrays overwritten in place with those of `new` where
-    `cond` holds; the Stein route allocates every array it passes here."""
-    for target, source in zip(old, new):
-        np.copyto(target, source, where=cond)
-    return old
+    """The arrays of `new` where `cond` holds and of `old` elsewhere, as
+    ``np.where`` gives them (a NaN in `cond`'s comparison keeps `old`).
+
+    Writes the side that fewer items take into the other, in place, at
+    `np.flatnonzero` indices: a refinement step keeps most of its items or
+    few, and an index write costs what its items do, where a masked copy
+    reads every item.  The Stein route allocates every array it passes
+    here, and keeps only the tuple returned."""
+    taken = np.flatnonzero(cond)
+    if 2 * taken.size < cond.size:
+        target, source, items = old, new, taken
+    else:
+        target, source, items = new, old, np.flatnonzero(~cond)
+    for t, s in zip(target, source):
+        t[items] = s[items]
+    return target
+
+
+def _cutoff_arrays(den, tol):
+    """``1/den``, or 0 where ``|den| <= tol``, by one division: a kept entry
+    gets the same IEEE quotient, a NaN stays NaN.  The division signals no
+    divide-by-zero or overflow (a cut ``den`` may be 0 or tiny), so that it
+    needs no errstate from its caller."""
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / den
+    inv[np.abs(den) <= tol] = 0.0
+    return inv
 
 
 # The Stein route's elementary functions, on Python floats for a batch of one
 # and on numpy arrays across a stack.  ``cutoff(den, tol)`` is ``1/den``, or 0
 # where ``|den| <= tol``; ``pick(cond, new, old)`` is the tuple of entries of
-# `new` where `cond` holds and of `old` elsewhere.
+# `new` where `cond` holds and of `old` elsewhere, and may reuse the arrays of
+# either.
 _FLOAT_OPS = SimpleNamespace(
     sqrt=math.sqrt, hypot=math.hypot, atan2=math.atan2, cos=math.cos,
     sin=math.sin,
@@ -146,9 +169,7 @@ _FLOAT_OPS = SimpleNamespace(
     pick=lambda cond, new, old: new if cond else old)
 _ARRAY_OPS = SimpleNamespace(
     sqrt=np.sqrt, hypot=np.hypot, atan2=np.arctan2, cos=np.cos, sin=np.sin,
-    cutoff=lambda den, tol: np.divide(1.0, den, out=np.zeros_like(den),
-                                      where=~(np.abs(den) <= tol)),
-    pick=_pick_arrays)
+    cutoff=_cutoff_arrays, pick=_pick_arrays)
 # Each lam carries an error of about eps lam_1, so 16 lam_i lam_j - 1 counts
 # as 0 within _LAM_TOL lam_1 (lam_i + lam_j): six times that error.
 _LAM_TOL = 6.0 * EPS_MACHINE * 16.0
@@ -280,9 +301,12 @@ def _two_mode_system(ops, s, ds, dd):
     turns the Stein equation diagonal:
     ``L_p = V [(V^-1 R V^-T) o W] V^T`` with ``W_ij = 1/(16 lam_i lam_j - 1)``.
     It is Stein's basis: ``V V^T = S_x`` and ``V^T S_p V = diag(lam)``.
+    The congruences of the equations take ``2 S_x`` and ``2 S_p``, whose
+    ``(2 S) X (2 S)`` is ``4 S X S`` bit for bit, as scaling by 2 is exact.
     """
     sx, sp = (s[0][0], s[0][2], s[2][2]), (s[1][1], s[1][3], s[3][3])
-    mx, mp = (sx[0], sx[1], sx[1], sx[2]), (sp[0], sp[1], sp[1], sp[2])
+    x12, p12 = 2.0 * sx[1], 2.0 * sp[1]
+    mx, mp = (2.0 * sx[0], x12, x12, 2.0 * sx[2]), (2.0 * sp[0], p12, p12, 2.0 * sp[2])
     c11 = ops.sqrt(sx[0])
     c21 = sx[1] / c11
     c22 = ops.sqrt(sx[2] - c21 * c21)
@@ -303,16 +327,15 @@ def _two_mode_system(ops, s, ds, dd):
 
     def solve(r):
         q = _congruence(mx, r[3:])
-        y = _congruence(v_inv, (r[0] + 4.0 * q[0], r[1] + 4.0 * q[1],
-                                r[2] + 4.0 * q[2]))
+        y = _congruence(v_inv, (r[0] + q[0], r[1] + q[1], r[2] + q[2]))
         lp = _congruence(v, (y[0] * w11, y[1] * w12, y[2] * w22))
         q = _congruence(mp, lp)
-        return (4.0 * q[0] - r[3], 4.0 * q[1] - r[4], 4.0 * q[2] - r[5]) + lp
+        return (q[0] - r[3], q[1] - r[4], q[2] - r[5]) + lp
 
     def apply(l):
         qx, qp = _congruence(mx, l[:3]), _congruence(mp, l[3:])
-        return (4.0 * qx[0] - l[3], 4.0 * qx[1] - l[4], 4.0 * qx[2] - l[5],
-                4.0 * qp[0] - l[0], 4.0 * qp[1] - l[1], 4.0 * qp[2] - l[2])
+        return (qx[0] - l[3], qx[1] - l[4], qx[2] - l[5],
+                qp[0] - l[0], qp[1] - l[1], qp[2] - l[2])
 
     def basis(take):
         # Y = V^-1 on the x rows and nu^-1 V^T on the p rows
@@ -353,8 +376,10 @@ def _stein(ops, s, ds, dd):
     ``lam``, which drops that direction from ``L_p``.
 
     Two steps of refinement on the coupled equations follow.  A step that
-    does not lower the residual is dropped: near a pure mode the Stein
-    solve amplifies the rounding noise of the residual.  The relative
+    does not lower the residual is dropped, item by item: near a pure mode
+    the Stein solve amplifies the rounding noise of the residual.  On a
+    stack, ``ops.pick`` keeps the step's or the previous arrays, whichever
+    most items take, and writes the other side's items into them.  The relative
     residual is that of the same-parity equations.  ``s[i][j]``,
     ``ds[i][j]`` and ``dd[i]`` are entries: Python floats for one item, or
     1-D arrays over the items of a stack, with the elementary functions of
@@ -417,7 +442,7 @@ def _eigh_basis(s):
     inv_half = np.where(sound[:, None, None],
                         (q / np.sqrt(np.where(sound[:, None], w, 1.0))[:, None, :])
                         @ q.transpose(0, 2, 1), np.eye(m))
-    mu, z = np.linalg.eigh(1j * (inv_half @ symplectic_form(m // 2) @ inv_half))
+    mu, z = np.linalg.eigh(1j * (inv_half @ _omega(m // 2) @ inv_half))
     z = math.sqrt(2.0) * z[:, :, m // 2:]
     o = np.empty((count, m, m))
     o[:, :, 0::2], o[:, :, 1::2] = z.imag, z.real
@@ -433,10 +458,16 @@ def _blocks(table):
     return list({id(b): b for entry in table for b in _blocks(entry)}.values())
 
 
-def _per_item(f, reduce, count, blocks):
-    """``f`` of every entry in `blocks`, reduced over the entries item by
-    item with the ufunc `reduce`: an array of `count` values."""
-    return reduce.reduce(np.concatenate([f(b).reshape(-1, count) for b in blocks]))
+def _largest(blocks, count):
+    """The largest ``|entry|`` of each item over `blocks`, block by block:
+    an array of `count` values, NaN where an entry is NaN."""
+    out = None
+    for block in blocks:
+        big = np.abs(block)
+        if big.ndim > 1:
+            big = big.reshape(-1, count).max(axis=0)
+        out = big if out is None else np.maximum(out, big, out=out)
+    return out
 
 
 def _x_p(table):
@@ -483,18 +514,17 @@ def _sld_qfi_batch(s, ds, dd):
     ``S`` so large that ``g = 4 nu_j nu_k`` would overflow.
     """
     count = len(dd[0])
-    s_blocks = _blocks(s)
-    finite = _per_item(np.isfinite, np.logical_and, count,
-                       s_blocks + _blocks(ds) + _blocks(dd))
-    if not finite.all():
-        raise NonPhysical(f"SLD stack item {np.argmin(finite)} has a non-finite "
-                          "moment or derivative")
+    s_big = _largest(_blocks(s), count)
+    big = np.maximum(s_big, _largest(_blocks((ds, dd)), count))
+    if not big.max() < math.inf:  # an inf or a NaN
+        raise NonPhysical(f"SLD stack item {np.argmin(big < math.inf)} has a "
+                          "non-finite moment or derivative")
     # nu <= |S| <= m max|S_ij|, and g = 4 nu_j nu_k must be a finite double;
     # m is 2 or 4, so dividing by it is exact and cannot overflow
-    fits = _per_item(np.abs, np.maximum, count, s_blocks) < _NU_MAX / len(s)
-    if not fits.all():
-        raise SingularSystem(f"SLD item {np.argmin(fits)}: S is so large that "
-                             "g = 4 nu_j nu_k overflows")
+    if not s_big.max() < _NU_MAX / len(s):
+        raise SingularSystem(f"SLD item {np.argmin(s_big < _NU_MAX / len(s))}: "
+                             "S is so large that g = 4 nu_j nu_k overflows")
+    del s_big, big  # not held through the solve
     # an inf or nan met on the way fails the checks below
     with np.errstate(all="ignore"):
         if any(map(np.count_nonzero, _blocks(_x_p(s)) + _blocks(_x_p(ds)))):

@@ -36,6 +36,14 @@ def symplectic_form(modes: int) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _omega(modes: int) -> np.ndarray:
+    """`symplectic_form`, built once per mode count and read-only."""
+    omega = symplectic_form(modes)
+    omega.setflags(write=False)
+    return omega
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """First moments `d` and covariance `sigma` of a 1- or 2-mode Gaussian state.
@@ -120,7 +128,7 @@ def _trusted_state(d: np.ndarray, sigma: np.ndarray) -> GaussianState:
 @functools.cache
 def _embedding_template(n: int) -> np.ndarray:
     """``[[0, -Omega/2], [Omega/2, 0]]`` for an n x n covariance, read-only."""
-    half_omega = 0.5 * symplectic_form(n // 2)
+    half_omega = 0.5 * _omega(n // 2)
     template = np.zeros((2 * n, 2 * n))
     template[:n, n:] = -half_omega
     template[n:, :n] = half_omega

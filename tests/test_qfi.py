@@ -446,17 +446,23 @@ def test_canonical_grid_never_calls_eigh(monkeypatch, n_s, eta, n_b):
     assert calls == []
 
 
-def test_non_finite_stack_raises_nonphysical():
-    # the kernel checks its input once, before any solve, and names the item
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_stack_raises_nonphysical(value):
+    # the kernel checks its input once, before any solve, and names the
+    # first such item, in an ndarray stack and in the grid's rows alike
     p = ChannelParams(0.6, 0.7)
     stack = output_stack(random_two_mode_probes(np.random.default_rng(4), 8), p)
     for which in range(3):
         bad = [moments.copy() for moments in stack]
-        bad[which][..., 5].flat[0] = np.inf
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonPhysical, match="item 5"):
-                _sld_qfi_batch(*bad)
+        bad[which][..., 5].flat[0] = value
+        bad_rows = qfi._two_mode_outputs(1.0, np.linspace(0.1, 1.0, 8), np.full(8, 0.9), p)
+        row = bad_rows[which][0] if which == 2 else bad_rows[which][0][0]
+        row[[5, 7]] = value
+        for tables in (bad, bad_rows):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonPhysical, match="item 5 "):
+                    _sld_qfi_batch(*tables)
 
 
 def test_kernel_values_do_not_depend_on_chunking():
@@ -736,6 +742,43 @@ def test_grid_rows_are_the_probes_built_alone(monkeypatch, n_s, n_b, eta,
         assert_same_bits(s[..., k], apply_channel(state, p).sigma)
         assert_same_bits(ds[..., k], dst)
         assert_same_bits(dd[..., k], ddt)
+
+
+def test_array_cutoff_divides_once_and_cuts_to_zero():
+    rng = np.random.default_rng(31)
+    den = np.concatenate([rng.uniform(-2.0, 2.0, 200), 10.0 ** rng.uniform(-320, 300, 200),
+                          [0.0, -0.0, 1e-310, -1e-310, 1e-20, -1e-20, 5e-13, math.nan,
+                           math.inf, -math.inf]])
+    for tol in (0.0, 1e-12, rng.uniform(0.0, 1e-12, den.size)):
+        cut = np.abs(den) <= tol
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # outside any np.errstate
+            inv = _ARRAY_OPS.cutoff(den, tol)
+        with np.errstate(over="ignore"):  # a kept subnormal den
+            kept = np.divide(1.0, den, out=np.zeros_like(den), where=~cut)
+        assert_same_bits(inv, kept)
+        assert (inv[cut] == 0.0).all() and inv[den == 0.0].tolist() == [0.0, 0.0]
+        assert np.isnan(inv[np.isnan(den)]).all()
+
+
+@pytest.mark.parametrize("density", [0.0, 0.2, 0.6, 0.95, 1.0])
+def test_array_pick_is_where(density):
+    # the arrays of a refinement step: 13 entries, the last the residual norm,
+    # with NaN norms on either side (NaN < x is False, so `old` stays)
+    rng = np.random.default_rng(int(100 * density))
+    count = 4096
+    new = [rng.normal(size=count) for _ in range(13)]
+    old = [rng.normal(size=count) for _ in range(13)]
+    new[-1] = np.where(rng.random(count) < density, 0.5, 2.0)
+    old[-1] = np.ones(count)
+    new[-1][:7], old[-1][7:14] = math.nan, math.nan
+    cond = new[-1] < old[-1]
+    assert cond.mean() == pytest.approx(density, abs=0.03)
+    expected = [np.where(cond, a, b) for a, b in zip(new, old)]
+    picked = _ARRAY_OPS.pick(cond, new, old)
+    assert len(picked) == 13
+    for got, want in zip(picked, expected):
+        assert_same_bits(got, want)
 
 
 def kernel_pin_lines(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from lossfish import (ChannelParams, DimensionMismatch, NonPhysical,
                       apply_channel, heisenberg_margin, make_state, purity,
                       symplectic_form, thermal, tmsv, vacuum)
+import lossfish.states as states
 
 
 def rotation(theta):
@@ -18,6 +19,20 @@ def test_symplectic_form_properties():
         omega = symplectic_form(modes)
         assert np.allclose(omega @ omega, -np.eye(2 * modes))
         assert np.allclose(omega.T, -omega)
+
+
+def test_symplectic_form_is_fresh_and_the_cached_form_read_only():
+    # the public form is the caller's to write; the fidelity and the eigh
+    # basis share one read-only copy per mode count
+    for modes in (1, 2):
+        omega = symplectic_form(modes)
+        omega[0, 1] = 7.0
+        assert symplectic_form(modes)[0, 1] == 1.0
+        assert symplectic_form(modes) is not symplectic_form(modes)
+        cached = states._omega(modes)
+        assert cached is states._omega(modes)
+        assert not cached.flags.writeable
+        np.testing.assert_array_equal(cached, symplectic_form(modes))
 
 
 def test_vacuum_is_valid_and_saturates_heisenberg():

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +8,9 @@ import pytest
 from lossfish import (ChannelParams, DivergentNoise, EtaTooClose,
                       HypothesisSpec, NonPhysicalParams, SingleModeProbe,
                       TwoModeProbe, apply_channel, build_single_mode,
-                      channel_derivative, effective_noise, gamma_to_eta,
-                      heisenberg_margin, homodyne_fisher, make_state,
+                      build_two_mode, channel_derivative, effective_noise,
+                      gamma_to_eta, gaussian_fidelity, heisenberg_margin,
+                      homodyne_fisher, make_state,
                       optimize_two_mode, qfi_coherent, qfi_fidelity_fd,
                       qfi_single_mode_form, qfi_sld, qfi_two_mode_closed,
                       thermal, tmsv, tmsv_stationarity_check, vacuum)
@@ -203,3 +206,66 @@ def test_gamma_to_eta():
                      (math.nan, 0.0), (1.0, math.nan)]:
         with pytest.raises(NonPhysicalParams, match="finite and non-negative"):
             gamma_to_eta(gamma, t)
+
+
+def rotated_signal(state, angle):
+    """The state after a phase rotation of its first mode, which fills the
+    x-p entries of its covariance."""
+    rot = np.eye(len(state.d))
+    rot[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+    return make_state(rot @ state.d, rot @ state.sigma @ rot.T)
+
+
+def channel_pin_lines():
+    """`float.hex` of every entry of `apply_channel` and `channel_derivative`,
+    of `gaussian_fidelity` between outputs and of `qfi_fidelity_fd`, on a
+    seeded panel of 1- and 2-mode states; `float.hex` tells -0.0 from 0.0."""
+    rng = np.random.default_rng(25)
+    # signed zeros in every block, including the signal's off-diagonal
+    states = [make_state([-0.0, 0.0], [[0.7, -0.0], [-0.0, 0.9]]),
+              make_state([0.3, -0.0, -0.0, 0.0],
+                         [[1.2, -0.0, 0.4, -0.0], [-0.0, 0.8, -0.0, -0.2],
+                          [0.4, -0.0, 1.1, -0.0], [-0.0, -0.2, -0.0, 0.9]]),
+              vacuum(), vacuum(2), tmsv(0.7)]
+    for k in range(60):
+        n_s = rng.uniform(0.01, 20.0)
+        if k % 2:
+            state = build_single_mode(SingleModeProbe(n_s, rng.uniform(0.0, 1.0),
+                                                      rng.uniform(0.0, np.pi)))
+        else:
+            # zeta = 0 leaves the idler in vacuum and the cross block -0.0
+            zeta = rng.uniform(0.0, 1.0) * (k % 10 != 0)
+            r_min = TwoModeProbe(n_s, zeta, 1.0).r_min
+            state = build_two_mode(TwoModeProbe(
+                n_s, zeta, r_min ** rng.uniform(0.0, 1.0), theta=rng.uniform(0.0, np.pi),
+                phi=rng.uniform(0.0, np.pi) if k % 4 == 0 else 0.0))
+        if k % 3 == 0:
+            state = rotated_signal(state, rng.uniform(0.1, 2.0 * np.pi - 0.1))
+        states.append(state)
+    lines = []
+    for k, state in enumerate(states):
+        n_b = (0.0, 1e-3, 1.0, 100.0)[k % 4]
+        p = ChannelParams(rng.uniform(0.001, 0.95), n_b, normalized=k % 5 == 0)
+        for q in (p, replace(p, eta=0.0), replace(p, eta=0.999)):
+            out = apply_channel(state, q)
+            d_dot, s_dot = channel_derivative(state, q)
+            for x in (out.d, out.sigma, d_dot, s_dot):
+                lines += [v.hex() for v in x.ravel().tolist()]
+        out = apply_channel(state, p)
+        other = states[k - 2] if states[k - 2].modes == state.modes else state
+        near = apply_channel(state, replace(p, eta=0.9 * p.eta))
+        lines += [float(gaussian_fidelity(out, near)).hex(),
+                  float(gaussian_fidelity(out, apply_channel(other, p))).hex(),
+                  float(qfi_fidelity_fd(state, p)).hex()]
+    return lines
+
+
+# recorded before the channel action moved to Python floats and the fidelity
+# to one stacked det; both must keep every bit (numpy 2.4, x86_64)
+CHANNEL_DIGEST = "b017ed85234f8fa135a84e847322faf52c0e7cf7b2a195afae908339bae516c0"
+
+
+def test_channel_and_fidelity_values_are_pinned():
+    lines = channel_pin_lines()
+    assert "-0x0.0p+0" in lines
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CHANNEL_DIGEST

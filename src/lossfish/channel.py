@@ -128,10 +128,6 @@ def gamma_to_eta(gamma: float, t: float) -> float:
     return float(np.exp(-0.5 * gamma * t))
 
 
-_EYE2 = np.eye(2)
-_EYE2.setflags(write=False)
-
-
 def _channel_factors(p: ChannelParams):
     """``(eta^2, y, 2 eta, y')``: the signal block's factors in
     :func:`apply_channel`, ``eta^2 Sigma_S + y I``, and in
@@ -149,31 +145,35 @@ def _channel_factors(p: ChannelParams):
 def apply_channel(state: GaussianState, p: ChannelParams) -> GaussianState:
     """Channel output state; the signal is mode 1, any idler passes untouched.
 
-    The output is built trusted, without :func:`make_state`'s checks: `state`
-    was validated when it was made and `p` when it was constructed, and a
-    physical channel maps a physical state to a physical state.
+    Every entry is computed on Python floats, by the IEEE operations of the
+    matrix form, ``eta^2 Sigma_S + y I`` with ``y * 0`` off the diagonal,
+    and each moment is built as one array.  The output is built trusted,
+    without :func:`make_state`'s checks: `state` was validated when it was
+    made and `p` when it was constructed, and a physical channel maps a
+    physical state to a physical state.
     """
     _scalar_eta(p)
     eta2, y, _, _ = _channel_factors(p)
-    d = state.d.copy()
-    d[:2] *= p.eta
-    sigma = state.sigma.copy()
-    sigma[:2, :2] = eta2 * sigma[:2, :2] + y * _EYE2
-    sigma[:2, 2:] *= p.eta
-    sigma[2:, :2] *= p.eta
-    return _trusted_state(d, sigma)
+    eta, y_off = p.eta, y * 0.0
+    d0, d1, *d_idler = state.d.tolist()
+    (s00, s01, *x0), (s10, s11, *x1), *idler = state.sigma.tolist()
+    sigma = [[eta2 * s00 + y, eta2 * s01 + y_off, *(v * eta for v in x0)],
+             [eta2 * s10 + y_off, eta2 * s11 + y, *(v * eta for v in x1)],
+             *([v * eta for v in row[:2]] + row[2:] for row in idler)]
+    return _trusted_state(np.array([d0 * eta, d1 * eta, *d_idler]), np.array(sigma))
 
 
 def channel_derivative(state: GaussianState, p: ChannelParams):
     """Analytic eta-derivative ``(d_dot, sigma_dot)`` of the moments of
-    :func:`apply_channel`'s output."""
+    :func:`apply_channel`'s output, computed as it is: on Python floats,
+    ``2 eta Sigma_S + y' I`` with ``y' * 0`` off the diagonal (-0.0, as
+    ``y'`` is never positive), and one array per moment."""
     _scalar_eta(p)
     _, _, two_eta, dy = _channel_factors(p)
-    d, sigma = state.d, state.sigma
-    d_dot = np.zeros_like(d)
-    d_dot[:2] = d[:2]
-    sigma_dot = np.zeros_like(sigma)
-    sigma_dot[:2, :2] = two_eta * sigma[:2, :2] + dy * _EYE2
-    sigma_dot[:2, 2:] = sigma[:2, 2:]
-    sigma_dot[2:, :2] = sigma[2:, :2]
-    return d_dot, sigma_dot
+    dy_off = dy * 0.0
+    d0, d1, *d_idler = state.d.tolist()
+    (s00, s01, *x0), (s10, s11, *x1), *idler = state.sigma.tolist()
+    sigma_dot = [[two_eta * s00 + dy, two_eta * s01 + dy_off, *x0],
+                 [two_eta * s10 + dy_off, two_eta * s11 + dy, *x1],
+                 *(row[:2] + [0.0, 0.0] for row in idler)]
+    return np.array([d0, d1] + [0.0] * len(d_idler)), np.array(sigma_dot)

@@ -36,7 +36,9 @@ _PURE_CLIP = 1e-12
 def gaussian_fidelity(a: GaussianState, b: GaussianState) -> float:
     """Fidelity F(a, b) in [0, 1]; symmetric in its arguments.
 
-    Only 1- and 2-mode states are supported.
+    Only 1- and 2-mode states are supported.  The three determinants that a
+    branch needs come from one `np.linalg.det` call on their stack, which
+    factors each matrix as three calls would.
     """
     if a.modes != b.modes:
         raise DimensionMismatch(f"mode counts differ: {a.modes} vs {b.modes}")
@@ -50,9 +52,9 @@ def gaussian_fidelity(a: GaussianState, b: GaussianState) -> float:
     if a.modes == 1:
         # two-invariant single-mode form, rationalized so no step cancels:
         # F0 = 2 (sqrt(D + L) + sqrt(L)) / D
-        big_delta = 4.0 * np.linalg.det(total)
-        lam = (4.0 * np.linalg.det(a.sigma) - 1.0) \
-            * (4.0 * np.linalg.det(b.sigma) - 1.0)
+        det_total, det_a, det_b = np.linalg.det(np.stack((total, a.sigma, b.sigma)))
+        big_delta = 4.0 * det_total
+        lam = (4.0 * det_a - 1.0) * (4.0 * det_b - 1.0)
         lam = max(lam, 0.0)
         f = 2.0 * (np.sqrt(big_delta + lam) + np.sqrt(lam)) / big_delta \
             * displacement
@@ -61,8 +63,9 @@ def gaussian_fidelity(a: GaussianState, b: GaussianState) -> float:
     omega = _omega(2)
     vaux = omega.T @ total_inv @ (omega / 4.0 + b.sigma @ omega @ a.sigma)
     wa = vaux @ omega
+    det_wa, det_vaux, det_total = np.linalg.det(np.stack((wa, vaux, total)))
     e1 = complex(0.5 * np.trace(wa @ wa))  # lambda_1^2 + lambda_2^2
-    e2 = complex(np.linalg.det(wa))        # lambda_1^2 lambda_2^2
+    e2 = complex(det_wa)                   # lambda_1^2 lambda_2^2
     t_sum = 2.0 + 0.25 * e1 / e2
     t_prod = (e2 + 0.25 * e1 + 0.0625) / e2
     if abs(t_prod) < _PURE_CLIP:
@@ -72,6 +75,6 @@ def gaussian_fidelity(a: GaussianState, b: GaussianState) -> float:
     if abs(v_sq) < _PURE_CLIP:
         v_sq = 0.0
     prod = 16.0 * (1.0 + u + np.sqrt(v_sq)) ** 2
-    cov_part_sq = (prod * np.linalg.det(vaux)).real / np.linalg.det(total)
+    cov_part_sq = (prod * det_vaux).real / det_total
     f = np.sqrt(max(cov_part_sq, 0.0)) * displacement
     return float(min(f, 1.0 + 1e-12))

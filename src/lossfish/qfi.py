@@ -20,9 +20,10 @@ Routes
     two-mode grid (`_two_mode_qfi`) only call it.
     The kernel reads its moments entry by entry, ``s[i][j]``, ``ds[i][j]``
     and ``dd[i]``, each an array over the G items.  A single state is the
-    ndarray stack of one, ``st[..., None]`` of shape ``(m, m, 1)``; the grid
-    passes nested lists of its ten distinct non-zero output rows and one
-    shared zero row, and builds no ``(4, 4, G)`` stack.
+    ndarray stack of one, ``st[..., None]`` of shape ``(m, m, 1)``, which
+    the kernel reads once as Python floats, and checks and solves on them;
+    the grid passes nested lists of its ten distinct non-zero output rows
+    and one shared zero row, and builds no ``(4, 4, G)`` stack.
 ``qfi_single_mode_form``
     Purity form for one mode:
     ``Tr[(S^-1 dS)^2] / (2 (1 + mu^2)) + 2 mu'^2 / (1 - mu^4) + dd^T S^-1 dd``.
@@ -48,6 +49,8 @@ Grids in this library therefore start at ``eta > 0`` for that corner.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -66,7 +69,8 @@ from .states import GaussianState, _omega
 EPS_ETA = 1e-7
 FD_STEP = 1e-4
 SLD_RESIDUAL_TOL = 1e-8
-EPS_MACHINE = np.finfo(float).eps
+# a Python float, so that the Stein route's float path computes no numpy scalar
+EPS_MACHINE = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -175,6 +179,9 @@ _ARRAY_OPS = SimpleNamespace(
 _LAM_TOL = 6.0 * EPS_MACHINE * 16.0
 # The largest symplectic eigenvalue whose g = 4 nu^2 stays a finite double
 _NU_MAX = 0.5 * math.sqrt(np.finfo(float).max)
+# what `_sld_qfi_batch` raises for an item outside its domain
+_NON_FINITE = "SLD stack item {} has a non-finite moment or derivative"
+_TOO_LARGE = "SLD item {}: S is so large that g = 4 nu_j nu_k overflows"
 
 
 def _congruence(m, x):
@@ -354,8 +361,9 @@ def _two_mode_system(ops, s, ds, dd):
 
 
 def _dot(x, y):
-    """``sum(x[k] * y[k])`` over two sequences of entries."""
-    return sum(map(operator.mul, x, y), 0.0)
+    """``sum(x[k] * y[k])`` over two sequences of entries, from the first
+    product on: a start of 0.0 would cost a stack one more pass."""
+    return functools.reduce(operator.add, map(operator.mul, x, y))
 
 
 def _stein(ops, s, ds, dd):
@@ -494,10 +502,13 @@ def _sld_qfi_batch(s, ds, dd):
     first such item, before any solve.  A stack whose ``S`` and ``dS`` all
     have exactly zero x-p entries (canonical probes through the
     phase-covariant channel) is solved by the Stein route (`_stein`):
-    explicit 2x2 arithmetic in one pass over the rows, or on Python floats
-    for a batch of one (a domain error there reruns it on arrays, where it
-    becomes an inf or a nan).  Items that it settles to ``SLD_RESIDUAL_TOL``
-    keep its values.  The others, gathered item-first, take the
+    explicit 2x2 arithmetic in one pass over the rows.  A batch of one reads
+    its entries once as Python floats, runs the same checks on them and,
+    with no x-p entries, the Stein route on them (a domain error there
+    reruns it on arrays, where it becomes an inf or a nan); only an item
+    that it leaves unsettled, or one with x-p entries, meets an array op.
+    Items that the Stein route settles to ``SLD_RESIDUAL_TOL`` keep its
+    values.  The others, gathered item-first, take the
     Williamson-basis sum (`_williamson_sum`) in Stein's basis; every item of
     any other stack takes the same sum in the basis that `_eigh_basis`
     builds.  Pure output modes drop out on either route: a cut ``g - 1``
@@ -514,30 +525,42 @@ def _sld_qfi_batch(s, ds, dd):
     ``S`` so large that ``g = 4 nu_j nu_k`` would overflow.
     """
     count = len(dd[0])
-    s_big = _largest(_blocks(s), count)
-    big = np.maximum(s_big, _largest(_blocks((ds, dd)), count))
-    if not big.max() < math.inf:  # an inf or a NaN
-        raise NonPhysical(f"SLD stack item {np.argmin(big < math.inf)} has a "
-                          "non-finite moment or derivative")
     # nu <= |S| <= m max|S_ij|, and g = 4 nu_j nu_k must be a finite double;
     # m is 2 or 4, so dividing by it is exact and cannot overflow
-    if not s_big.max() < _NU_MAX / len(s):
-        raise SingularSystem(f"SLD item {np.argmin(s_big < _NU_MAX / len(s))}: "
-                             "S is so large that g = 4 nu_j nu_k overflows")
-    del s_big, big  # not held through the solve
+    s_max = _NU_MAX / len(s)
+    solved = None
+    if count == 1:
+        # the item's entries as Python floats, read once
+        one = [_at(x, 0).tolist() for x in (s, ds, dd)]
+        s_one = list(itertools.chain.from_iterable(one[0]))
+        if not all(map(math.isfinite, itertools.chain(s_one, *one[1], one[2]))):
+            raise NonPhysical(_NON_FINITE.format(0))
+        if not max(map(abs, s_one)) < s_max:
+            raise SingularSystem(_TOO_LARGE.format(0))
+        canonical = not any(itertools.chain(*_x_p(one[0]), *_x_p(one[1])))
+        if canonical:
+            try:
+                solved = _stein(_FLOAT_OPS, *one)
+            except (ArithmeticError, ValueError):  # a domain error: use arrays
+                pass
+            else:
+                if solved[1] <= SLD_RESIDUAL_TOL:
+                    return np.array([solved[0]])
+    else:
+        s_big = _largest(_blocks(s), count)
+        big = np.maximum(s_big, _largest(_blocks((ds, dd)), count))
+        if not big.max() < math.inf:  # an inf or a NaN
+            raise NonPhysical(_NON_FINITE.format(np.argmin(big < math.inf)))
+        if not s_big.max() < s_max:
+            raise SingularSystem(_TOO_LARGE.format(np.argmin(s_big < s_max)))
+        del s_big, big  # not held through the solve
+        canonical = not any(map(np.count_nonzero, _blocks((_x_p(s), _x_p(ds)))))
     # an inf or nan met on the way fails the checks below
     with np.errstate(all="ignore"):
-        if any(map(np.count_nonzero, _blocks(_x_p(s)) + _blocks(_x_p(ds)))):
+        if not canonical:
             values, items, basis = np.empty(count), np.arange(count), None
         else:
-            if count == 1:
-                try:
-                    values, rel, basis = _stein(
-                        _FLOAT_OPS, *(_at(x, 0).tolist() for x in (s, ds, dd)))
-                except (ArithmeticError, ValueError):  # a domain error
-                    values, rel, basis = _stein(_ARRAY_OPS, s, ds, dd)
-            else:
-                values, rel, basis = _stein(_ARRAY_OPS, s, ds, dd)
+            values, rel, basis = solved or _stein(_ARRAY_OPS, s, ds, dd)
             values = np.atleast_1d(values)
             items = np.flatnonzero(~(np.atleast_1d(rel) <= SLD_RESIDUAL_TOL))
             if not items.size:

@@ -449,9 +449,12 @@ def test_canonical_grid_never_calls_eigh(monkeypatch, n_s, eta, n_b):
 
 def test_non_finite_stack_raises_nonphysical():
     # the kernel checks its input once, before any solve, and names the
-    # first such item, in an ndarray stack and in the grid's rows alike
+    # first such item, in an ndarray stack and in the grid's rows alike; a
+    # batch of one, of either mode count, is checked on Python floats
     p = ChannelParams(0.6, 0.7)
     stack = output_stack(random_two_mode_probes(np.random.default_rng(4), 8), p)
+    singles = [states_stack([state], p) for state in
+               (single_mode_state(1.0, 0.5), build_two_mode(TwoModeProbe(1.0, 0.5, 0.8)))]
     for value, which in itertools.product((np.inf, -np.inf, np.nan), range(3)):
         bad = [moments.copy() for moments in stack]
         bad[which][..., 5].flat[0] = value
@@ -463,6 +466,38 @@ def test_non_finite_stack_raises_nonphysical():
                 warnings.simplefilter("error")
                 with pytest.raises(NonPhysical, match="item 5 "):
                     _sld_qfi_batch(*tables)
+        for single, entry in itertools.product(singles, (0, 1, -1)):
+            bad = [moments.copy() for moments in single]
+            bad[which].flat[entry] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonPhysical, match="^SLD stack item 0 has a "
+                                                      "non-finite moment or derivative$"):
+                    _sld_qfi_batch(*bad)
+
+
+@pytest.mark.parametrize("state", [vacuum(), tmsv(3.0)], ids=["one_mode", "two_mode"])
+def test_too_large_batch_of_one_raises_singular_system(state):
+    # a batch of one is checked on Python floats and raises what the grid
+    # raises (test_two_mode_grid_too_large_output_raises_without_a_warning);
+    # at the bound and just below it, it does what a stack of two copies does
+    m = 2 * state.modes
+    bound = qfi._NU_MAX / m
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystem, match=r"^SLD item 0: S is so large that "
+                                                 r"g = 4 nu_j nu_k overflows$"):
+            qfi_sld(state, ChannelParams(0.5, 1.7e308))
+        for big in (bound, np.nextafter(bound, 0.0)):
+            one = (np.eye(m)[..., None] * big, np.eye(m)[..., None], np.zeros((m, 1)))
+            outcomes = []
+            for tables in (one, [np.concatenate([x, x], axis=-1) for x in one]):
+                try:
+                    outcomes.append(_sld_qfi_batch(*tables)[0])
+                except SingularSystem as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            assert ("overflows" in str(outcomes[0])) == (big == bound)
 
 
 def test_kernel_values_do_not_depend_on_chunking():
@@ -858,6 +893,22 @@ def test_split_solve_is_phase_covariant(modes):
         assert not apply_channel(state, p).sigma[0::2, 1::2].any()
         assert apply_channel(rotated, p).sigma[0::2, 1::2].any()
         assert qfi_sld(state, p) == pytest.approx(qfi_sld(rotated, p), rel=1e-12)
+
+
+@pytest.mark.parametrize("n_b", [0.5, 3.0])
+def test_x_p_entries_of_ds_alone_take_the_general_route(n_b):
+    # at eta = 0 the output S of a rotated two-mode probe has no x-p entries,
+    # but dS keeps the input's cross block, which has; the Stein route would
+    # drop them, and accept its wrong value with a zero residual
+    p = ChannelParams(0.0, n_b)
+    state = build_two_mode(TwoModeProbe(1.0, 0.6, 0.7, theta=0.3))
+    rotated = rotate_signal(state, 0.9)
+    assert not apply_channel(rotated, p).sigma[0::2, 1::2].any()
+    assert channel_derivative(rotated, p)[1][0::2, 1::2].any()
+    expected = qfi_sld(state, p)
+    assert qfi_sld(rotated, p) == pytest.approx(expected, rel=1e-12)
+    pair = _sld_qfi_batch(*states_stack([rotated, rotated], p))
+    np.testing.assert_allclose(pair, expected, rtol=1e-12)
 
 
 def sweep_probes(n_s):

@@ -52,7 +52,7 @@ def gaussian_fidelity(a: GaussianState, b: GaussianState) -> float:
     if a.modes == 1:
         # two-invariant single-mode form, rationalized so no step cancels:
         # F0 = 2 (sqrt(D + L) + sqrt(L)) / D
-        det_total, det_a, det_b = np.linalg.det(np.stack((total, a.sigma, b.sigma)))
+        det_total, det_a, det_b = np.linalg.det(np.array((total, a.sigma, b.sigma)))
         big_delta = 4.0 * det_total
         lam = (4.0 * det_a - 1.0) * (4.0 * det_b - 1.0)
         lam = max(lam, 0.0)
@@ -63,7 +63,7 @@ def gaussian_fidelity(a: GaussianState, b: GaussianState) -> float:
     omega = _omega(2)
     vaux = omega.T @ total_inv @ (omega / 4.0 + b.sigma @ omega @ a.sigma)
     wa = vaux @ omega
-    det_wa, det_vaux, det_total = np.linalg.det(np.stack((wa, vaux, total)))
+    det_wa, det_vaux, det_total = np.linalg.det(np.array((wa, vaux, total)))
     e1 = complex(0.5 * np.trace(wa @ wa))  # lambda_1^2 + lambda_2^2
     e2 = complex(det_wa)                   # lambda_1^2 lambda_2^2
     t_sum = 2.0 + 0.25 * e1 / e2

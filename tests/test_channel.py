@@ -16,6 +16,8 @@ from lossfish import (ChannelParams, DivergentNoise, EtaTooClose,
                       thermal, tmsv, tmsv_stationarity_check, vacuum)
 from lossfish.optimize import two_mode_grid
 
+from test_qfi import rotate_signal
+
 
 def test_param_validation():
     with pytest.raises(NonPhysicalParams):
@@ -208,14 +210,6 @@ def test_gamma_to_eta():
             gamma_to_eta(gamma, t)
 
 
-def rotated_signal(state, angle):
-    """The state after a phase rotation of its first mode, which fills the
-    x-p entries of its covariance."""
-    rot = np.eye(len(state.d))
-    rot[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
-    return make_state(rot @ state.d, rot @ state.sigma @ rot.T)
-
-
 def channel_pin_lines():
     """`float.hex` of every entry of `apply_channel` and `channel_derivative`,
     of `gaussian_fidelity` between outputs and of `qfi_fidelity_fd`, on a
@@ -240,7 +234,8 @@ def channel_pin_lines():
                 n_s, zeta, r_min ** rng.uniform(0.0, 1.0), theta=rng.uniform(0.0, np.pi),
                 phi=rng.uniform(0.0, np.pi) if k % 4 == 0 else 0.0))
         if k % 3 == 0:
-            state = rotated_signal(state, rng.uniform(0.1, 2.0 * np.pi - 0.1))
+            # a signal rotation fills the x-p entries
+            state = rotate_signal(state, rng.uniform(0.1, 2.0 * np.pi - 0.1))
         states.append(state)
     lines = []
     for k, state in enumerate(states):

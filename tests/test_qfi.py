@@ -21,6 +21,7 @@ from lossfish.optimize import two_mode_grid
 from lossfish.probes import two_mode_r_min
 from lossfish.qfi import (_ARRAY_OPS, _FLOAT_OPS, SLD_RESIDUAL_TOL, _eigh_basis,
                           _sld_qfi_batch, _stein, _two_mode_closed_raw, _williamson_sum)
+from test_states import random_physical_covariance
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -862,6 +863,47 @@ def test_kernel_values_are_pinned(monkeypatch):
     lines = kernel_pin_lines(monkeypatch)
     assert "SLD item 64: error bound" in lines[-121]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == KERNEL_DIGEST
+
+
+def spectrum_pin_lines(monkeypatch):
+    """`float.hex` of Williamson bases ``(Y, nu, sound)`` and of the sums
+    ``(values, bound)`` that `_williamson_sum` takes in them: the eigh basis
+    on the seeded covariance panel of `test_states`, with two TMSVs too
+    bright for a sound basis, and Stein's basis on the items of the
+    (N_S, eta, N_B) = (1e3, 0.999, 1) grid that the Stein route rejects."""
+    panel, draws = np.random.default_rng(17), np.random.default_rng(19)
+    cases = []
+    for modes in (1, 2):
+        s = [random_physical_covariance(panel, modes) for _ in range(150)]
+        if modes == 2:
+            s += [tmsv(1e8).sigma, tmsv(1e10).sigma]
+        s = np.array(s)
+        ds = draws.normal(size=s.shape)
+        ds, dd = ds + np.swapaxes(ds, 1, 2), draws.normal(size=s.shape[:2])
+        cases.append((_eigh_basis(s), s, ds, dd))
+    n_s, p = 1e3, ChannelParams(0.999, 1.0)
+    rows = qfi._two_mode_outputs(n_s, *grid_points(monkeypatch, n_s, p), p)
+    _, rel, basis = _stein(_ARRAY_OPS, *rows)
+    items = np.flatnonzero(~(rel <= SLD_RESIDUAL_TOL))
+    cases.append((basis(lambda x: x[items]),
+                  *item_first(*(np.array(t)[..., items] for t in rows))))
+    lines = []
+    for (y, nu, sound), s, ds, dd in cases:
+        values, bound, _, _ = _williamson_sum(y, nu, sound, s, ds, dd)
+        lines += [v.hex() for x in (y, nu, values, bound) for v in x.ravel().tolist()]
+        lines += [str(x) for x in np.broadcast_to(sound, len(s)).tolist()]
+    return lines
+
+
+# recorded before the eigh basis moved to `states` and its soundness into
+# the basis error; every bit must hold (numpy 2.4, x86_64)
+SPECTRUM_DIGEST = "4a26f315184bfa8f71a8f7a678503189e451870cba3bbc3c874375ea2f8c260b"
+
+
+def test_williamson_bases_and_sums_are_pinned(monkeypatch):
+    lines = spectrum_pin_lines(monkeypatch)
+    assert lines.count("False") == 2  # the two bright TMSVs
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SPECTRUM_DIGEST
 
 
 def rotate_signal(state, angle):

@@ -26,9 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPure, NotTwoMode, ProbeRangeError
-from .states import GaussianState, make_state, purity
-
-PURITY_TOL = 1e-6
+from .states import GaussianState, _purity, make_state
 
 
 def squeeze_parameter(n_sq: float) -> float:
@@ -90,6 +88,10 @@ class TwoModeProbe:
         rmin = self.r_min
         if not rmin - 1e-12 <= self.r <= 1.0 + 1e-12:
             raise ProbeRangeError(f"r = {self.r} outside allowed range [{rmin}, 1]")
+        # r <= 0 passes only where r_min < 1e-12, and a computed r_min that
+        # small is 0: past N ~ 1e4 it is a multiple of ulp(2N) > 1e-12
+        if not self.r > 0.0:
+            raise ProbeRangeError(f"n_s = {self.n_s} is too large: r_min rounds to 0")
 
     @property
     def r_min(self) -> float:
@@ -106,10 +108,12 @@ def _check_finite(n_s, *factors):
 
 def build_single_mode(p: SingleModeProbe) -> GaussianState:
     """Pure single-mode state with the probe's displacement and squeezing."""
-    amp = np.sqrt(2.0 * p.n_coh)
+    amp, r = np.sqrt(2.0 * p.n_coh), p.r
     _check_finite(p.n_s, amp)
+    if not r > 0.0:
+        raise ProbeRangeError(f"n_s = {p.n_s} is too large: r rounds to 0")
     d = amp * np.array([np.cos(p.theta), np.sin(p.theta)])
-    sigma = np.diag([0.5 * p.r, 0.5 / p.r])
+    sigma = np.diag([0.5 * r, 0.5 / r])
     return make_state(d, sigma)
 
 
@@ -158,9 +162,10 @@ def canonicalize(state: GaussianState) -> TwoModeProbe:
     """
     if state.modes != 2:
         raise NotTwoMode("canonical form is defined for two-mode states")
-    mu = purity(state)
-    if abs(mu - 1.0) > PURITY_TOL:
-        raise NotPure(f"state purity {mu} is not 1 within {PURITY_TOL}")
+    # mu = 1/(4 nu_1 nu_2), each nu good to err: 4 err is twice |mu - 1|'s bound
+    mu, err = _purity(state.sigma)
+    if not abs(mu - 1.0) <= 4.0 * err:
+        raise NotPure(f"state purity {mu} is not 1 within 4 err = {4.0 * err:.3e}")
 
     sig = state.sigma.copy()
 

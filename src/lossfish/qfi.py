@@ -12,9 +12,9 @@ Routes
     arithmetic.  An item whose residual stays above ``SLD_RESIDUAL_TOL``
     takes ``Tr[L dS]`` as a sum of non-negative terms, one per pair of modes,
     in that Williamson basis ``S = T D T^T``; any other state takes the same
-    sum in a basis built by two batched eigendecompositions (`_eigh_basis`).
-    Either basis feeds one function, `_williamson_sum`, which also certifies
-    the sum from its basis alone, by an error bound.  One kernel,
+    sum in the basis of `states._williamson`.  Either basis, with its
+    `states._basis_error`, feeds one function, `_williamson_sum`, which
+    certifies the sum from its basis alone, by an error bound.  One kernel,
     `_sld_qfi_batch`, serves single states and stacks, and raises
     `SingularSystem` for the first item it cannot certify; `qfi_sld` and the
     two-mode grid (`_two_mode_qfi`) only call it.
@@ -64,13 +64,11 @@ from .channel import (ChannelParams, _channel_factors, _first_failing,
 from .errors import EtaTooClose, NonPhysical, SingularSystem
 from .fidelity import gaussian_fidelity
 from .probes import TwoModeProbe, _canonical_factors, squeeze_parameter
-from .states import GaussianState, _omega
+from .states import EPS_MACHINE, GaussianState, _basis_error, _williamson
 
 EPS_ETA = 1e-7
 FD_STEP = 1e-4
 SLD_RESIDUAL_TOL = 1e-8
-# a Python float, so that the Stein route's float path computes no numpy scalar
-EPS_MACHINE = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -231,30 +229,23 @@ def _pair_terms(nu_j, nu_k, nu_max, ra, rd, rb, rc):
     return near + far, near * g * inv + far, minus * (inv == 0.0), minus + plus
 
 
-def _williamson_sum(y, nu, sound, s, ds, dd):
+def _williamson_sum(y, nu, err, ds, dd):
     """``(values, bound, dropped, norm)`` of the Williamson-basis sum.
 
     Takes a stack of k items, item axis first: a basis ``Y = D^-1/2 T^-1``
-    (k, m, m), which takes ``S`` to ``I``, with its symplectic eigenvalues
-    `nu` (k, m/2) and the flags `sound` of the items it can vouch for, from
-    Stein's systems or `_eigh_basis`; ``s`` and ``ds`` (k, m, m), ``dd``
+    (k, m, m), its symplectic eigenvalues `nu` (k, m/2) and its error `err`
+    (k,), from Stein's systems or `_williamson`; ``ds`` (k, m, m) and ``dd``
     (k, m).  The blocks of ``R = 2 T^-1 dS T^-T``, with ``T^-1 = D^1/2 Y``,
     give `_pair_terms`, summed over the pairs; the displacement term is
     ``|Y dd|^2``.
 
-    ``err`` is the relative accuracy of the basis: the largest entry of
-    ``|Y S Y^T - I|`` (how well ``T D T^T`` reconstructs ``S``) plus
-    ``eps |Y| |S| |Y|^T`` (how far the rounding of the entries of ``S``
-    moves it), and infinite where `sound` fails.  A relative error ``err``
-    in nu moves each ``g - 1`` term by ``2 err g/(g - 1)`` of itself, so
+    A relative error ``err`` in nu moves each ``g - 1`` term by
+    ``2 err g/(g - 1)`` of itself, so
     ``bound = err * (weighted terms + disp) / value``, at least ``err``,
     estimates the value's relative error to first order, and errors
     measured against 50-digit references stay below it.  `dropped` and
     `norm` sum the numerators that the cut dropped and all numerators.
     """
-    yt = np.swapaxes(y, 1, 2)
-    err = (np.abs(y @ s @ yt - np.eye(s.shape[-1]))
-           + EPS_MACHINE * (np.abs(y) @ np.abs(s) @ np.abs(yt))).max(axis=(1, 2))
     t_inv = np.repeat(np.sqrt(nu), 2, axis=1)[:, :, None] * y
     r = t_inv @ (2.0 * ds) @ np.swapaxes(t_inv, 1, 2)
     trace, weighted, dropped, norm = (t.sum(axis=(1, 2)) for t in _pair_terms(
@@ -264,14 +255,14 @@ def _williamson_sum(y, nu, sound, s, ds, dd):
     disp = np.einsum("gi,gi->g", z, z)
     values = trace + disp
     ratio = (weighted + disp) * _ARRAY_OPS.cutoff(values, 0.0)
-    return (values, np.where(sound, err, math.inf) * np.maximum(1.0, ratio),
-            dropped, norm)
+    return values, err * np.maximum(1.0, ratio), dropped, norm
 
 
-def _stein_basis(rows, nu):
-    """``(Y, nu, sound)`` of a Stein system for `_williamson_sum`, from the
-    rows of ``Y`` entry by entry and the nu, each an array over the items."""
-    return np.moveaxis(np.array(rows), -1, 0), np.stack(nu, axis=1), True
+def _stein_basis(rows, nu, s):
+    """``(Y, nu, err)`` of a Stein system: the rows of ``Y`` and the nu, each
+    an array over the items, and `s`, their item-first covariance stack."""
+    y = np.moveaxis(np.array(rows), -1, 0)
+    return y, np.stack(nu, axis=1), _basis_error(y, s)
 
 
 def _one_mode_system(ops, s, ds, dd):
@@ -290,11 +281,11 @@ def _one_mode_system(ops, s, ds, dd):
     def apply(l):
         return aa * l[0] - l[1], cc * l[1] - l[0]
 
-    def basis(take):
+    def basis(take, s):
         # Y = diag(a^-1/2, a^1/2 / nu)
         root, nu = np.sqrt(take(a)), np.sqrt(take(lam))
         zero = np.zeros_like(nu)
-        return _stein_basis([[1.0 / root, zero], [zero, root / nu]], [nu])
+        return _stein_basis([[1.0 / root, zero], [zero, root / nu]], [nu], s)
 
     disp = dd[0] * dd[0] / a + dd[1] * dd[1] / c
     return solve, apply, (ds[0][0], ds[1][1]), (2.0, 2.0), disp, basis
@@ -344,7 +335,7 @@ def _two_mode_system(ops, s, ds, dd):
         return (qx[0] - l[3], qx[1] - l[4], qx[2] - l[5],
                 qp[0] - l[0], qp[1] - l[1], qp[2] - l[2])
 
-    def basis(take):
+    def basis(take, s):
         # Y = V^-1 on the x rows and nu^-1 V^T on the p rows
         (i11, i12, i21, i22), (v11, v12, v21, v22) = map(take, v_inv), map(take, v)
         nu1, nu2 = np.sqrt(take(lam1)), np.sqrt(take(lam2))
@@ -352,7 +343,7 @@ def _two_mode_system(ops, s, ds, dd):
         return _stein_basis([[i11, zero, i12, zero],
                              [zero, v11 / nu1, zero, v21 / nu1],
                              [i21, zero, i22, zero],
-                             [zero, v12 / nu2, zero, v22 / nu2]], [nu1, nu2])
+                             [zero, v12 / nu2, zero, v22 / nu2]], [nu1, nu2], s)
 
     b = (ds[0][0], ds[0][2], ds[2][2], ds[1][1], ds[1][3], ds[3][3])
     disp = _inverse_form(sx, dd[0], dd[2]) + _inverse_form(sp, dd[1], dd[3])
@@ -402,9 +393,9 @@ def _stein(ops, s, ds, dd):
     the right-hand side ``r`` by the Stein equation, ``b`` is ``dS``,
     ``Tr[L dS] = sum(weights * X * b)`` and ``disp = dd^T S^-1 dd``.
     Stein's basis is a Williamson basis ``T = V nu^-1/2 (+) V^-T nu^1/2``,
-    with no `eigh`: ``basis(take)`` returns `_williamson_sum`'s
-    ``(Y, nu, sound)`` for the items that ``take(entry)`` selects, as a
-    numpy array, from each entry.  `_stein` returns ``(values, rel, basis)``.
+    with no `eigh`: ``basis(take, s)`` returns `_williamson_sum`'s
+    ``(Y, nu, err)`` of the items that ``take`` selects from each entry, and
+    ``s``, their item-first stack.  `_stein` returns ``(values, rel, basis)``.
     """
     system = _one_mode_system if len(dd) == 2 else _two_mode_system
     solve, apply, b, weights, disp, basis = system(ops, s, ds, dd)
@@ -427,34 +418,6 @@ def _stein(ops, s, ds, dd):
     # X = 0 where b = 0, so the relative residual is 0 there
     rel = ops.sqrt(best[-1]) * ops.cutoff(ops.sqrt(_dot(b, b)), 0.0)
     return _dot(map(operator.mul, weights, best[:n]), b) + disp, rel, basis
-
-
-def _eigh_basis(s):
-    """``(Y, nu, sound)`` for `_williamson_sum`, for any stack ``s`` of
-    covariances (k, m, m), item axis first.
-
-    Builds a Williamson basis from two batched `eigh` calls.
-    ``S = Q diag(w) Q^T`` gives ``S^-1/2``; the Hermitian
-    ``i S^-1/2 W S^-1/2`` has the eigenvalues ``+-1/nu``, and the real and
-    imaginary parts of the eigenvectors of ``+1/nu`` give an orthogonal
-    ``O`` with ``O^T S^-1/2 W S^-1/2 O = D^-1/2 W D^-1/2``.  Then
-    ``T = S^1/2 O D^-1/2`` is symplectic with ``S = T D T^T``, and
-    ``Y = D^-1/2 T^-1 = O^T S^-1/2``.  An item with ``w_min <= eps w_max``,
-    whose ``S^-1/2`` carries no digit, is not `sound`: it gets ``I`` in
-    place of ``S^-1/2``, so that no non-finite entry reaches the second
-    `eigh`.
-    """
-    count, m, _ = s.shape
-    w, q = np.linalg.eigh(s)
-    sound = w[:, 0] > EPS_MACHINE * w[:, -1]
-    inv_half = np.where(sound[:, None, None],
-                        (q / np.sqrt(np.where(sound[:, None], w, 1.0))[:, None, :])
-                        @ q.transpose(0, 2, 1), np.eye(m))
-    mu, z = np.linalg.eigh(1j * (inv_half @ _omega(m // 2) @ inv_half))
-    z = math.sqrt(2.0) * z[:, :, m // 2:]
-    o = np.empty((count, m, m))
-    o[:, :, 0::2], o[:, :, 1::2] = z.imag, z.real
-    return o.transpose(0, 2, 1) @ inv_half, 1.0 / mu[:, m // 2:], sound
 
 
 def _blocks(table):
@@ -510,8 +473,7 @@ def _sld_qfi_batch(s, ds, dd):
     Items that the Stein route settles to ``SLD_RESIDUAL_TOL`` keep its
     values.  The others, gathered item-first, take the
     Williamson-basis sum (`_williamson_sum`) in Stein's basis; every item of
-    any other stack takes the same sum in the basis that `_eigh_basis`
-    builds.  Pure output modes drop out on either route: a cut ``g - 1``
+    any other stack takes the same sum in the basis of `_williamson`.  Pure output modes drop out on either route: a cut ``g - 1``
     term has a zero numerator, as ``dS`` is orthogonal to the kernel of the
     SLD operator.
 
@@ -566,9 +528,9 @@ def _sld_qfi_batch(s, ds, dd):
             if not items.size:
                 return values
         sk, dsk, ddk = (np.moveaxis(_at(x, items), -1, 0) for x in (s, ds, dd))
-        y, nu, sound = (_eigh_basis(sk) if basis is None
-                        else basis(lambda x: np.atleast_1d(x)[items]))
-        values[items], bound, dropped, norm = _williamson_sum(y, nu, sound, sk, dsk, ddk)
+        y, nu, err = (_williamson(sk) if basis is None
+                      else basis(lambda x: np.atleast_1d(x)[items], sk))
+        values[items], bound, dropped, norm = _williamson_sum(y, nu, err, dsk, ddk)
         diverges = ~(dropped <= SLD_RESIDUAL_TOL ** 2 * norm)
     finite = np.isfinite(bound) & np.isfinite(values[items])
     bad = ~finite | diverges | ~(bound <= SLD_RESIDUAL_TOL)

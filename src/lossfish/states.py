@@ -9,7 +9,7 @@ Conventions used throughout the library:
   ``[[0, 1], [-1, 0]]``.
 
 A state is physical iff ``Sigma + i*Omega/2 >= 0``; purity is
-``mu = [4^modes * det(Sigma)]**(-1/2)``.
+``mu = prod_k 1/(2 nu_k)`` over the symplectic eigenvalues (`_williamson`).
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .errors import DimensionMismatch, NonPhysical
 SYM_TOL = 1e-12
 HEISENBERG_TOL = -1e-10
 DET_TOL = 1e-12
+# a Python float, so that the Stein route's float path computes no numpy scalar
+EPS_MACHINE = float(np.finfo(float).eps)
 
 
 def symplectic_form(modes: int) -> np.ndarray:
@@ -157,17 +159,53 @@ def heisenberg_margin(sigma) -> float:
     return float(np.linalg.eigvalsh(embed)[0])
 
 
-def purity(state: GaussianState) -> float:
-    """Purity mu = [2**(2*modes) * det(Sigma)]**(-1/2); equals 1 for pure states.
+def _basis_error(y, s):
+    """Relative accuracy of Williamson bases ``Y`` of a stack ``s`` (k, m, m),
+    item axis first: the largest entry of ``|Y S Y^T - I|`` plus
+    ``eps |Y| |S| |Y|^T``, how far the rounding of ``S`` moves it."""
+    yt = np.swapaxes(y, 1, 2)
+    return (np.abs(y @ s @ yt - np.eye(s.shape[-1]))
+            + EPS_MACHINE * (np.abs(y) @ np.abs(s) @ np.abs(yt))).max(axis=(1, 2))
 
-    A bright state can lose its determinant to roundoff (that of a pure TMSV
-    at N_S = 1e40 rounds to 0).  Where the computed ``det Sigma`` is 0 or
-    negative the purity is undefined, and this raises `FloatingPointError`,
-    as `g2` does, never a warning with an inf or a nan.
+
+def _williamson(s):
+    """``(Y, nu, err)`` of a stack ``s`` of covariances (k, m, m), item axis
+    first: a Williamson basis ``Y = D^-1/2 T^-1`` of ``S = T D T^T``, the
+    symplectic eigenvalues `nu` (k, m/2) and the `_basis_error` of ``Y``.
+    ``S = Q diag(w) Q^T`` gives ``S^-1/2``, and the real and imaginary parts
+    of the eigenvectors of ``+1/nu`` of ``i S^-1/2 W S^-1/2`` give an
+    orthogonal ``O`` with ``O^T S^-1/2 W S^-1/2 O = D^-1/2 W D^-1/2``, so
+    that ``Y = O^T S^-1/2``.  An item with ``w_min <= eps w_max``, whose
+    ``S^-1/2`` carries no digit, is not sound: its `err` is infinite, and
+    ``I`` stands for its ``S^-1/2``, so that no inf reaches the second `eigh`.
     """
-    det = np.linalg.det(state.sigma)
-    with np.errstate(divide="raise", invalid="raise"):
-        return float((4.0 ** state.modes * det) ** -0.5)
+    count, m, _ = s.shape
+    w, q = np.linalg.eigh(s)
+    sound = w[:, 0] > EPS_MACHINE * w[:, -1]
+    inv_half = np.where(sound[:, None, None],
+                        (q / np.sqrt(np.where(sound[:, None], w, 1.0))[:, None, :])
+                        @ q.transpose(0, 2, 1), np.eye(m))
+    mu, z = np.linalg.eigh(1j * (inv_half @ _omega(m // 2) @ inv_half))
+    z = math.sqrt(2.0) * z[:, :, m // 2:]
+    o = np.empty((count, m, m))
+    o[:, :, 0::2], o[:, :, 1::2] = z.imag, z.real
+    y = o.transpose(0, 2, 1) @ inv_half
+    return y, 1.0 / mu[:, m // 2:], np.where(sound, _basis_error(y, s), math.inf)
+
+
+def _purity(sigma: np.ndarray):
+    """``(mu, err)``: the `purity` of a covariance and its `_basis_error`."""
+    _, nu, (err,) = _williamson(sigma[None])
+    if not err < math.inf:
+        raise FloatingPointError("purity is undefined: no sound Williamson basis")
+    return float(1.0 / np.prod(2.0 * nu)), float(err)
+
+
+def purity(state: GaussianState) -> float:
+    """Purity mu = prod_k 1/(2 nu_k), 1 for pure states; raises
+    `FloatingPointError`, never a warning with an inf or a nan, where
+    `_williamson` finds no sound basis (a pure TMSV from N_S ~ 2e7)."""
+    return _purity(state.sigma)[0]
 
 
 def vacuum(modes: int = 1) -> GaussianState:

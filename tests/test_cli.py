@@ -487,6 +487,15 @@ def test_sweep_twomode_r_min_rounded_to_zero_exits_2(capsys):
     assert err == "error: n_s = 100000000.0 is too large: r_min rounds to 0\n"
 
 
+def test_single_mode_r_rounded_to_zero_exits_2(capsys):
+    # the squeezing ratio r of 1e9 squeezed photons rounds to 0: the probe is
+    # out of range, where it once divided by zero and exited 3
+    code, out, err = run_cli(capsys, "qfi --probe sq --ns 1e9 --route sld --eta 0.5 "
+                                     "--nb 0".split())
+    assert (code, out) == (2, "")
+    assert err == "error: n_s = 1000000000.0 is too large: r rounds to 0\n"
+
+
 def test_sweep_twomode_r_min_overflow_exits_2(capsys):
     code, out, err = run_cli(capsys,
                              "sweep-twomode --ns 1e300 --eta 0.5 --nb 1".split())
@@ -499,7 +508,6 @@ def test_sweep_twomode_r_min_overflow_exits_2(capsys):
     "sweep-xi --ns-grid 1e300,1e306 --eta-grid 0.5 --nb 0",
     "advantage --eta-grid 0.5 --ns-grid 1e300 --nb 0",
     "qfi --nb 1e300 --route sld --eta 0.5 --probe coherent --ns 1",
-    "qfi --probe sq --ns 1e9 --route sld --eta 0.5 --nb 0",
     # scalar closed forms, on numpy floats
     "qfi --eta 0.5 --nb 0 --probe tmsv --ns 1e306",
     "qfi --eta 0.5 --nb 1 --probe tmsv --ns 1e306",
@@ -508,7 +516,7 @@ def test_sweep_twomode_r_min_overflow_exits_2(capsys):
     # r = -inf on the way once printed a finite value here
     "qfi --eta 0.5 --nb 1 --probe dsq --xi 0.5 --ns 1e306",
 ], ids=["sweep-total-overflow", "sweep-xi-overflow", "advantage-overflow",
-        "qfi-sld-overflow", "qfi-sld-divide", "qfi-tmsv-overflow",
+        "qfi-sld-overflow", "qfi-tmsv-overflow",
         "qfi-tmsv-thermal-overflow", "qfi-tmsv-normalized-overflow",
         "qfi-twomode-overflow", "qfi-dsq-overflow"])
 def test_floating_point_failure_exits_3(capsys, argv):

@@ -12,7 +12,7 @@ from pathlib import Path
 import lossfish
 
 SOURCES = Path(lossfish.__file__).resolve().parent
-KERNEL = {"_sld_qfi_batch", "_stein", "_eigh_basis", "_williamson_sum", "_pair_terms",
+KERNEL = {"_sld_qfi_batch", "_stein", "_williamson_sum", "_pair_terms",
           "SLD_RESIDUAL_TOL"}
 ROUTE_PARTS = {"apply_channel", "channel_derivative", "build_two_mode",
                "_canonical_factors", "_channel_factors", "SingularSystem"}
@@ -47,6 +47,13 @@ def imported(name):
 def test_only_qfi_names_the_sld_kernel():
     users = {path.name for path in SOURCES.glob("*.py") if named(path.name) & KERNEL}
     assert users == {"qfi.py"}
+
+
+def test_only_states_defines_the_williamson_decomposition():
+    definers = {path.name for path in SOURCES.glob("*.py")
+                for node in nodes(path.name) if isinstance(node, ast.FunctionDef)
+                and node.name in {"_williamson", "_basis_error"}}
+    assert definers == {"states.py"}
 
 
 def test_optimize_builds_no_moments_and_raises_no_solver_error():

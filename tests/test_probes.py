@@ -181,9 +181,24 @@ def test_canonicalize_rejects_bad_inputs():
         canonicalize(mixed)
 
 
+@pytest.mark.parametrize("n_s", [1e2, 1e4, 1e5, 3.16e5, 1e6])
+def test_canonicalize_takes_bright_tmsvs(n_s):
+    # the rounding of Sigma's entries moves the purity of a bright TMSV off
+    # 1 (by 7e-4 at N_S = 1e6), within the slack of its basis error
+    probe = canonicalize(tmsv(n_s))
+    assert (probe.n_s, probe.zeta, probe.r) == (n_s, 1.0, 1.0)
+
+
+def test_canonicalize_refuses_a_nearly_pure_tmsv():
+    # purity 0.992, where the basis error is 2e-9 (thermal noise is refused
+    # in test_canonicalize_rejects_bad_inputs)
+    with pytest.raises(NotPure):
+        canonicalize(make_state(np.zeros(4), tmsv(1e3).sigma + 1e-6 * np.eye(4)))
+
+
 def test_canonicalize_passes_a_lost_purity_through():
-    # a pure TMSV whose determinant rounds to 0 has no purity to test: the
-    # FloatingPointError of `purity` comes through, not NotPure
+    # a pure TMSV too bright for a sound Williamson basis has no purity to
+    # test: the FloatingPointError of `purity` comes through, not NotPure
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError):
@@ -214,4 +229,19 @@ def test_too_bright_probe_raises_without_a_warning(build):
         with pytest.raises(ProbeRangeError,
                            match=r"^n_s = 1e\+(200|308) is too large: the moments "
                                  r"are not finite$"):
+            build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TwoModeProbe(1e8, 1.0, 0.0),
+    lambda: TwoModeProbe(1e8, 1.0, -1e-13),
+    lambda: build_single_mode(SingleModeProbe(1e8, 1.0)),
+], ids=["two-mode-zero", "two-mode-negative", "single-mode"])
+def test_probe_whose_r_rounds_to_zero_raises_without_a_warning(build):
+    # r_min and the squeezing r of 1e8 photons round to 0, and a probe with
+    # r <= 0 would divide by zero or take the square root of a negative number
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ProbeRangeError,
+                           match=r"^n_s = 100000000\.0 is too large: r(_min)? rounds to 0$"):
             build()

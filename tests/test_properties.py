@@ -16,8 +16,9 @@ from lossfish import (ChannelParams, SingleModeProbe, TwoModeProbe,  # noqa: E40
                       channel_derivative, make_state, optimize_xi, qfi_if_closed,
                       tmsv)
 from lossfish.cli import _grid_columns, _render  # noqa: E402
-from lossfish.qfi import (_FLOAT_OPS, SLD_RESIDUAL_TOL, _eigh_basis,  # noqa: E402
-                          _sld_qfi_batch, _stein, _two_mode_closed_raw, _williamson_sum)
+from lossfish.qfi import (_FLOAT_OPS, SLD_RESIDUAL_TOL, _sld_qfi_batch,  # noqa: E402
+                          _stein, _two_mode_closed_raw, _williamson_sum)
+from lossfish.states import _williamson  # noqa: E402
 from test_optimize import reference_optimize_xi  # noqa: E402
 
 TINY = float(np.finfo(float).tiny)
@@ -61,7 +62,7 @@ def test_accepted_stein_value_is_the_eigh_basis_sum(n_s, eta, n_b, normalized,
     ddt, dst = channel_derivative(probe, p)
     value, rel, _ = _stein(_FLOAT_OPS, sigma.tolist(), dst.tolist(), ddt.tolist())
     s, ds, dd = sigma[None], dst[None], ddt[None]
-    (general,), (bound,), _, _ = _williamson_sum(*_eigh_basis(s), s, ds, dd)
+    (general,), (bound,), _, _ = _williamson_sum(*_williamson(s), ds, dd)
     assert bound <= SLD_RESIDUAL_TOL
     if rel <= SLD_RESIDUAL_TOL:
         assert value == pytest.approx(general, rel=1e-12)

@@ -19,8 +19,9 @@ import lossfish.optimize as optimize
 import lossfish.qfi as qfi
 from lossfish.optimize import two_mode_grid
 from lossfish.probes import two_mode_r_min
-from lossfish.qfi import (_ARRAY_OPS, _FLOAT_OPS, SLD_RESIDUAL_TOL, _eigh_basis,
-                          _sld_qfi_batch, _stein, _two_mode_closed_raw, _williamson_sum)
+from lossfish.qfi import (_ARRAY_OPS, _FLOAT_OPS, SLD_RESIDUAL_TOL, _sld_qfi_batch,
+                          _stein, _two_mode_closed_raw, _williamson_sum)
+from lossfish.states import _williamson
 from test_states import random_physical_covariance
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -608,8 +609,8 @@ def test_error_bound_covers_nearly_pure_items():
     rows = qfi._two_mode_outputs(n_s, zeta, r, p)
     _, rel, basis = _stein(_ARRAY_OPS, *rows)
     assert (rel > SLD_RESIDUAL_TOL).all()
-    values, bound, _, _ = _williamson_sum(*basis(lambda x: x),
-                                          *item_first(*map(np.array, rows)))
+    moments = item_first(*map(np.array, rows))
+    values, bound, _, _ = _williamson_sum(*basis(lambda x: x, moments[0]), *moments[1:])
     with mpmath.workdps(50):
         exact = np.array([float(_two_mode_closed_raw(
             mpmath.mpf(n_s), mpmath.mpf(z), mpmath.mpf(x), 0.0, mpmath.mpf(p.eta), 0))
@@ -646,9 +647,9 @@ def test_decoupled_system_splits_by_parity():
     for st, dst, ddt in (two_mode, one_mode):
         assert not st[0::2, 1::2].any() and not dst[0::2, 1::2].any()
         moments = item_first(st, dst, ddt)
-        stein = _williamson_sum(*_stein(_ARRAY_OPS, st, dst, ddt)[2](lambda x: x),
-                                *moments)
-        general = _williamson_sum(*_eigh_basis(moments[0]), *moments)
+        basis = _stein(_ARRAY_OPS, st, dst, ddt)[2]
+        stein = _williamson_sum(*basis(lambda x: x, moments[0]), *moments[1:])
+        general = _williamson_sum(*_williamson(moments[0]), *moments[1:])
         np.testing.assert_allclose(stein[0], general[0], rtol=1e-12)
         assert (stein[1] <= SLD_RESIDUAL_TOL).all()
         assert (general[1] <= SLD_RESIDUAL_TOL).all()
@@ -866,11 +867,12 @@ def test_kernel_values_are_pinned(monkeypatch):
 
 
 def spectrum_pin_lines(monkeypatch):
-    """`float.hex` of Williamson bases ``(Y, nu, sound)`` and of the sums
-    ``(values, bound)`` that `_williamson_sum` takes in them: the eigh basis
-    on the seeded covariance panel of `test_states`, with two TMSVs too
-    bright for a sound basis, and Stein's basis on the items of the
-    (N_S, eta, N_B) = (1e3, 0.999, 1) grid that the Stein route rejects."""
+    """`float.hex` of Williamson bases ``(Y, nu)``, their soundness (a
+    finite error) and the sums ``(values, bound)`` that `_williamson_sum`
+    takes in them: the eigh basis on the seeded covariance panel of
+    `test_states`, with two TMSVs too bright for a sound basis, and Stein's
+    basis on the items of the (N_S, eta, N_B) = (1e3, 0.999, 1) grid that
+    the Stein route rejects."""
     panel, draws = np.random.default_rng(17), np.random.default_rng(19)
     cases = []
     for modes in (1, 2):
@@ -880,18 +882,18 @@ def spectrum_pin_lines(monkeypatch):
         s = np.array(s)
         ds = draws.normal(size=s.shape)
         ds, dd = ds + np.swapaxes(ds, 1, 2), draws.normal(size=s.shape[:2])
-        cases.append((_eigh_basis(s), s, ds, dd))
+        cases.append((_williamson(s), ds, dd))
     n_s, p = 1e3, ChannelParams(0.999, 1.0)
     rows = qfi._two_mode_outputs(n_s, *grid_points(monkeypatch, n_s, p), p)
     _, rel, basis = _stein(_ARRAY_OPS, *rows)
     items = np.flatnonzero(~(rel <= SLD_RESIDUAL_TOL))
-    cases.append((basis(lambda x: x[items]),
-                  *item_first(*(np.array(t)[..., items] for t in rows))))
+    s, ds, dd = item_first(*(np.array(t)[..., items] for t in rows))
+    cases.append((basis(lambda x: x[items], s), ds, dd))
     lines = []
-    for (y, nu, sound), s, ds, dd in cases:
-        values, bound, _, _ = _williamson_sum(y, nu, sound, s, ds, dd)
+    for (y, nu, err), ds, dd in cases:
+        values, bound, _, _ = _williamson_sum(y, nu, err, ds, dd)
         lines += [v.hex() for x in (y, nu, values, bound) for v in x.ravel().tolist()]
-        lines += [str(x) for x in np.broadcast_to(sound, len(s)).tolist()]
+        lines += [str(x) for x in np.isfinite(err).tolist()]
     return lines
 
 
@@ -958,12 +960,13 @@ def sweep_probes(n_s):
     and a TMSV with a rotated idler for the general route, each with the
     closed form of its QFI; a squeezing r that rounds to 0 (past ~1e8
     squeezed photons) leaves its probe out."""
-    two_mode = TwoModeProbe(n_s, 0.5, TwoModeProbe(n_s, 0.5, 1.0).r_min ** 0.5)
+    r = TwoModeProbe(n_s, 0.5, 1.0).r_min ** 0.5
     single = SingleModeProbe(n_s, 0.5)
     probes = [(lambda: tmsv(n_s), lambda p: qfi_tmsv(n_s, p)),
               (lambda: build_two_mode(TwoModeProbe(n_s, 1.0, 1.0, phi=0.7)),
                lambda p: qfi_tmsv(n_s, p))]
-    if two_mode.r > 0.0:
+    if r > 0.0:  # a probe with r = 0 is refused
+        two_mode = TwoModeProbe(n_s, 0.5, r)
         probes.append((lambda: build_two_mode(two_mode),
                        lambda p: qfi_two_mode_closed(two_mode, p)))
     if single.r > 0.0:

@@ -85,12 +85,13 @@ def test_purity_examples():
 
 
 def test_purity_of_a_bright_pure_state_raises_without_a_warning():
-    # the determinant of a TMSV at N_S = 1e76 rounds to 0: no purity, and no
-    # divide-by-zero warning with an inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(FloatingPointError):
-            purity(tmsv(1e76))
+    # the eigenvalues of a TMSV's Sigma span more than 1/eps from N_S ~ 2e7:
+    # no sound Williamson basis, so no purity, and no warning with an inf
+    for n_s in (1e10, 1e76):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="no sound Williamson basis"):
+                purity(tmsv(n_s))
 
 
 def test_heisenberg_margin_examples():
@@ -230,6 +231,40 @@ def test_heisenberg_margin_equals_block_embedding_exactly():
             assert heisenberg_margin(sigma) == block_margin(sigma)
     # bright covariances are covered
     assert max(norms) > 1e5
+
+
+def williamson_panel(rng):
+    """Seeded covariances of one and two modes, item-first: mixed ones from
+    `random_physical_covariance`, and pure ones (squeezed vacua, TMSVs up
+    to N_S = 1e7)."""
+    squeezed = [np.diag([0.5 * r, 0.5 / r]) for r in np.geomspace(1e-6, 1.0, 13)]
+    one = [random_physical_covariance(rng, 1) for _ in range(200)] + squeezed
+    two = [random_physical_covariance(rng, 2) for _ in range(200)]
+    two += [tmsv(n_s).sigma for n_s in np.geomspace(1e-3, 1e7, 21)]
+    return np.array(one), np.array(two)
+
+
+def test_williamson_basis_is_within_its_error():
+    # Y S Y^T = I and nu >= 1/2, each to the basis error that _williamson
+    # reports, which is finite on every physical state of the panel
+    for s in williamson_panel(np.random.default_rng(29)):
+        y, nu, err = states._williamson(s)
+        assert np.isfinite(err).all()
+        gap = np.abs(y @ s @ np.swapaxes(y, 1, 2) - np.eye(s.shape[-1]))
+        assert (gap.max(axis=(1, 2)) <= err).all()
+        assert (nu >= 0.5 * (1.0 - err[:, None])).all()
+
+
+def test_purity_is_the_determinant_formula_within_the_basis_error():
+    # mu = prod 1/(2 nu) multiplies m/2 factors, each as accurate as the
+    # basis: within m err of the determinant formula, relative
+    for s in williamson_panel(np.random.default_rng(31)):
+        m = s.shape[-1]
+        for sigma in s:
+            mu = purity(make_state(np.zeros(m), sigma))
+            _, err = states._purity(sigma)
+            reference = (4.0 ** (m // 2) * np.linalg.det(sigma)) ** -0.5
+            assert abs(mu - reference) <= m * err * mu
 
 
 def test_mode_photons_bookkeeping():

@@ -129,51 +129,56 @@ def gamma_to_eta(gamma: float, t: float) -> float:
 
 
 def _channel_factors(p: ChannelParams):
-    """``(eta^2, y, 2 eta, y')``: the signal block's factors in
-    :func:`apply_channel`, ``eta^2 Sigma_S + y I``, and in
-    :func:`channel_derivative`, ``2 eta Sigma_S + y' I``.
-
-    ``y`` is the additive noise and ``y' = dy/deta``; the normalized model
-    substitutes its bath before differentiating (see the module docstring).
-    """
+    """``(eta^2, y, 2 eta, y')``, the signal block's factors in
+    ``eta^2 Sigma_S + y I`` and ``2 eta Sigma_S + y' I``: ``y`` is the added
+    noise, ``y' = dy/deta``, with the normalized model's bath substituted
+    before differentiating (see the module docstring)."""
     eta2 = p.eta ** 2
     if _held_background(p):
         return eta2, p.n_b + 0.5 * (1.0 - eta2), 2.0 * p.eta, -p.eta
     return eta2, (1.0 - eta2) * (p.n_b + 0.5), 2.0 * p.eta, -2.0 * p.eta * (p.n_b + 0.5)
 
 
-def apply_channel(state: GaussianState, p: ChannelParams) -> GaussianState:
-    """Channel output state; the signal is mode 1, any idler passes untouched.
-
-    Every entry is computed on Python floats, by the IEEE operations of the
-    matrix form, ``eta^2 Sigma_S + y I`` with ``y * 0`` off the diagonal,
-    and each moment is built as one array.  The output is built trusted,
-    without :func:`make_state`'s checks: `state` was validated when it was
-    made and `p` when it was constructed, and a physical channel maps a
-    physical state to a physical state.
-    """
-    _scalar_eta(p)
+def _output_entries(d, sigma, p: ChannelParams):
+    """``(d, sigma)`` of the channel output, from nested lists of entries:
+    Python floats, or 1-D arrays over items with a float for an entry that
+    every item shares.  Each entry takes the IEEE operations of the matrix
+    form, ``eta^2 Sigma_S + y I`` with ``y * 0`` off the diagonal, so that a
+    state keeps its bits alone or among items; an empty `d` stays empty."""
     eta2, y, _, _ = _channel_factors(p)
     eta, y_off = p.eta, y * 0.0
-    d0, d1, *d_idler = state.d.tolist()
-    (s00, s01, *x0), (s10, s11, *x1), *idler = state.sigma.tolist()
+    (s00, s01, *x0), (s10, s11, *x1), *idler = sigma
     sigma = [[eta2 * s00 + y, eta2 * s01 + y_off, *(v * eta for v in x0)],
              [eta2 * s10 + y_off, eta2 * s11 + y, *(v * eta for v in x1)],
              *([v * eta for v in row[:2]] + row[2:] for row in idler)]
-    return _trusted_state(np.array([d0 * eta, d1 * eta, *d_idler]), np.array(sigma))
+    return [v * eta for v in d[:2]] + d[2:], sigma
+
+
+def _derivative_entries(d, sigma, p: ChannelParams):
+    """The eta-derivative ``(d_dot, sigma_dot)`` of `_output_entries`, computed
+    as it is: ``2 eta Sigma_S + y' I``, ``y' * 0`` (-0.0) off the diagonal."""
+    _, _, two_eta, dy = _channel_factors(p)
+    dy_off = dy * 0.0
+    (s00, s01, *x0), (s10, s11, *x1), *idler = sigma
+    sigma_dot = [[two_eta * s00 + dy, two_eta * s01 + dy_off, *x0],
+                 [two_eta * s10 + dy_off, two_eta * s11 + dy, *x1],
+                 *(row[:2] + [0.0, 0.0] for row in idler)]
+    return d[:2] + [0.0] * (len(d) - 2), sigma_dot
+
+
+def apply_channel(state: GaussianState, p: ChannelParams) -> GaussianState:
+    """Channel output state; the signal is mode 1, any idler passes untouched.
+    It is computed on Python floats and built trusted, without
+    :func:`make_state`'s checks: `state` and `p` were validated when made,
+    and a physical channel maps a physical state to a physical state."""
+    _scalar_eta(p)
+    d, sigma = _output_entries(state.d.tolist(), state.sigma.tolist(), p)
+    return _trusted_state(np.array(d), np.array(sigma))
 
 
 def channel_derivative(state: GaussianState, p: ChannelParams):
     """Analytic eta-derivative ``(d_dot, sigma_dot)`` of the moments of
-    :func:`apply_channel`'s output, computed as it is: on Python floats,
-    ``2 eta Sigma_S + y' I`` with ``y' * 0`` off the diagonal (-0.0, as
-    ``y'`` is never positive), and one array per moment."""
+    :func:`apply_channel`'s output, computed on Python floats."""
     _scalar_eta(p)
-    _, _, two_eta, dy = _channel_factors(p)
-    dy_off = dy * 0.0
-    d0, d1, *d_idler = state.d.tolist()
-    (s00, s01, *x0), (s10, s11, *x1), *idler = state.sigma.tolist()
-    sigma_dot = [[two_eta * s00 + dy, two_eta * s01 + dy_off, *x0],
-                 [two_eta * s10 + dy_off, two_eta * s11 + dy, *x1],
-                 *(row[:2] + [0.0, 0.0] for row in idler)]
-    return np.array([d0, d1] + [0.0] * len(d_idler)), np.array(sigma_dot)
+    d_dot, sigma_dot = _derivative_entries(state.d.tolist(), state.sigma.tolist(), p)
+    return np.array(d_dot), np.array(sigma_dot)

@@ -18,12 +18,10 @@ Routes
     `_sld_qfi_batch`, serves single states and stacks, and raises
     `SingularSystem` for the first item it cannot certify; `qfi_sld` and the
     two-mode grid (`_two_mode_qfi`) only call it.
-    The kernel reads its moments entry by entry, ``s[i][j]``, ``ds[i][j]``
-    and ``dd[i]``, each an array over the G items.  A single state is the
-    ndarray stack of one, ``st[..., None]`` of shape ``(m, m, 1)``, which
-    the kernel reads once as Python floats, and checks and solves on them;
-    the grid passes nested lists of its ten distinct non-zero output rows
-    and one shared zero row, and builds no ``(4, 4, G)`` stack.
+    The kernel reads its moments entry by entry: ``s[i][j]``, ``ds[i][j]``
+    and ``dd[i]`` are arrays over the G items, or floats that every item
+    shares, as at the grid's structural zeros; no ``(4, 4, G)`` stack is built.
+    One state, ``st[..., None]``, is read once, checked and solved as floats.
 ``qfi_single_mode_form``
     Purity form for one mode:
     ``Tr[(S^-1 dS)^2] / (2 (1 + mu^2)) + 2 mu'^2 / (1 - mu^4) + dd^T S^-1 dd``.
@@ -58,9 +56,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .channel import (ChannelParams, _channel_factors, _first_failing,
-                      _held_background, _scalar_eta, apply_channel,
-                      channel_derivative, gamma_to_eta)
+from .channel import (ChannelParams, _channel_factors, _derivative_entries,
+                      _first_failing, _held_background, _output_entries, _scalar_eta,
+                      apply_channel, channel_derivative, gamma_to_eta)
 from .errors import EtaTooClose, NonPhysical, SingularSystem
 from .fidelity import gaussian_fidelity
 from .probes import TwoModeProbe, _canonical_factors, squeeze_parameter
@@ -378,11 +376,11 @@ def _stein(ops, s, ds, dd):
     does not lower the residual is dropped, item by item: near a pure mode
     the Stein solve amplifies the rounding noise of the residual.  On a
     stack, ``ops.pick`` keeps the step's or the previous arrays, whichever
-    most items take, and writes the other side's items into them.  The relative
-    residual is that of the same-parity equations.  ``s[i][j]``,
-    ``ds[i][j]`` and ``dd[i]`` are entries: Python floats for one item, or
-    1-D arrays over the items of a stack, with the elementary functions of
-    `ops` to match.
+    most items take, and writes the other side's items into them.  The
+    relative residual is that of the same-parity equations.  ``s[i][j]``,
+    ``ds[i][j]`` and ``dd[i]`` are Python floats for one item; on a stack,
+    1-D arrays over its items, or floats that they all share, with the
+    elementary functions of `ops` to match.
 
     The route solves for ``X = L/2``, whose right-hand side is ``dS``
     itself, so that it copies no entry of ``dS``; scaling by 2 is exact, so
@@ -421,24 +419,28 @@ def _stein(ops, s, ds, dd):
 
 
 def _blocks(table):
-    """The arrays that hold the entries of a table, each once: an ndarray
-    with the item axis last is one block; a sequence of tables gives the
-    blocks of its entries, a row that stands for several entries once."""
-    if isinstance(table, np.ndarray):
+    """The objects that hold the entries of a table, each once: an ndarray
+    with the item axis last, or a float, is one block; a sequence of tables
+    gives the blocks of its entries, one that stands for several once."""
+    if isinstance(table, (np.ndarray, float)):
         return [table]
     return list({id(b): b for entry in table for b in _blocks(entry)}.values())
 
 
 def _largest(blocks, count):
-    """The largest ``|entry|`` of each item over `blocks`, block by block:
-    an array of `count` values, NaN where an entry is NaN."""
-    out = None
+    """The largest ``|entry|`` over `blocks`, as ``(rows, shared)``: each
+    item's over the array blocks, NaN where an entry is NaN, and the largest
+    over the float blocks, inf for a NaN, which costs no array pass."""
+    rows, shared = None, 0.0
     for block in blocks:
+        if isinstance(block, float):
+            shared = max(shared, abs(block) if block == block else math.inf)
+            continue
         big = np.abs(block)
         if big.ndim > 1:
             big = big.reshape(-1, count).max(axis=0)
-        out = big if out is None else np.maximum(out, big, out=out)
-    return out
+        rows = big if rows is None else np.maximum(rows, big, out=rows)
+    return rows, shared
 
 
 def _x_p(table):
@@ -447,35 +449,36 @@ def _x_p(table):
 
 
 def _at(table, items):
-    """`table` at `items` (any numpy index) along its item axis, as one
-    ndarray with the table's shape in front."""
+    """`table` at `items` (an item or an array of them) along its item axis,
+    as one ndarray with the table's shape in front, a float repeated."""
     if isinstance(table, np.ndarray):
         return table[..., items]
+    if isinstance(table, float):
+        return np.full(np.shape(items), table)
     return np.array([_at(entry, items) for entry in table])
 
 
 def _sld_qfi_batch(s, ds, dd):
     """QFI values for a stack of G channel outputs, given entry by entry:
-    ``s[i][j]``, ``ds[i][j]`` and ``dd[i]`` are arrays over the items.
-
-    A table is an ndarray of shape (m, m, G) or (m, G), or nested sequences
-    of 1-D rows, one row object free to stand for several entries (the
-    two-mode grid shares one zero row); one state is the stack
-    ``st[..., None]``.  A non-finite entry raises `NonPhysical`, naming the
-    first such item, before any solve.  A stack whose ``S`` and ``dS`` all
-    have exactly zero x-p entries (canonical probes through the
-    phase-covariant channel) is solved by the Stein route (`_stein`):
-    explicit 2x2 arithmetic in one pass over the rows.  A batch of one reads
-    its entries once as Python floats, runs the same checks on them and,
-    with no x-p entries, the Stein route on them (a domain error there
-    reruns it on arrays, where it becomes an inf or a nan); only an item
-    that it leaves unsettled, or one with x-p entries, meets an array op.
-    Items that the Stein route settles to ``SLD_RESIDUAL_TOL`` keep its
-    values.  The others, gathered item-first, take the
-    Williamson-basis sum (`_williamson_sum`) in Stein's basis; every item of
-    any other stack takes the same sum in the basis of `_williamson`.  Pure output modes drop out on either route: a cut ``g - 1``
-    term has a zero numerator, as ``dS`` is orthogonal to the kernel of the
-    SLD operator.
+    ``s[i][j]``, ``ds[i][j]`` and ``dd[i]`` are arrays over the items, or
+    Python floats that every item shares, in nested sequences (one object
+    may stand for several entries) or ndarrays of shape (m, m, G) or (m, G);
+    ``dd[0]`` and the diagonal of ``s`` are arrays.  A float is checked
+    with no array pass, and repeated only where the Williamson sum gathers
+    items.  A non-finite entry raises `NonPhysical`, naming the first such
+    item, before any solve.  A stack whose ``S`` and ``dS`` have exactly
+    zero x-p entries (canonical probes through the phase-covariant channel)
+    is solved by the Stein route (`_stein`): explicit 2x2 arithmetic in one
+    pass over the rows.  One state is the stack ``st[..., None]``, read
+    once as Python floats, checked and, with no x-p entries, solved by the
+    Stein route on them (a domain error there reruns it on arrays, where it
+    becomes an inf or a nan).  Items that the Stein route settles to
+    ``SLD_RESIDUAL_TOL`` keep its values; the others, gathered item-first,
+    take the Williamson-basis sum (`_williamson_sum`) in Stein's basis, and
+    every item of any other stack takes it in the basis of `_williamson`.
+    Pure output modes drop out on either route: a cut ``g - 1`` term has a
+    zero numerator, as ``dS`` is orthogonal to the kernel of the SLD
+    operator.
 
     The sum has no residual, so the decomposition alone certifies its
     items: the basis and the value are finite; the error bound, the
@@ -509,14 +512,17 @@ def _sld_qfi_batch(s, ds, dd):
                 if solved[1] <= SLD_RESIDUAL_TOL:
                     return np.array([solved[0]])
     else:
-        s_big = _largest(_blocks(s), count)
-        big = np.maximum(s_big, _largest(_blocks((ds, dd)), count))
-        if not big.max() < math.inf:  # an inf or a NaN
-            raise NonPhysical(_NON_FINITE.format(np.argmin(big < math.inf)))
-        if not s_big.max() < s_max:
-            raise SingularSystem(_TOO_LARGE.format(np.argmin(s_big < s_max)))
+        (s_big, s_top), (big, top) = (_largest(_blocks(t), count) for t in (s, (ds, dd)))
+        big, top = np.maximum(s_big, big), max(s_top, top)
+        if not max(big.max(), top) < math.inf:  # an inf or a NaN
+            ok = np.maximum(big, top) < math.inf
+            raise NonPhysical(_NON_FINITE.format(np.argmin(ok)))
+        if not max(s_big.max(), s_top) < s_max:
+            ok = np.maximum(s_big, s_top) < s_max
+            raise SingularSystem(_TOO_LARGE.format(np.argmin(ok)))
         del s_big, big  # not held through the solve
-        canonical = not any(map(np.count_nonzero, _blocks((_x_p(s), _x_p(ds)))))
+        canonical = not any(np.count_nonzero(b) if isinstance(b, np.ndarray) else b
+                            for b in _blocks((_x_p(s), _x_p(ds))))
     # an inf or nan met on the way fails the checks below
     with np.errstate(all="ignore"):
         if not canonical:
@@ -529,7 +535,7 @@ def _sld_qfi_batch(s, ds, dd):
                 return values
         sk, dsk, ddk = (np.moveaxis(_at(x, items), -1, 0) for x in (s, ds, dd))
         y, nu, err = (_williamson(sk) if basis is None
-                      else basis(lambda x: np.atleast_1d(x)[items], sk))
+                      else basis(lambda x: _at(x, items), sk))
         values[items], bound, dropped, norm = _williamson_sum(y, nu, err, dsk, ddk)
         diverges = ~(dropped <= SLD_RESIDUAL_TOL ** 2 * norm)
     finite = np.isfinite(bound) & np.isfinite(values[items])
@@ -574,32 +580,20 @@ def _two_mode_qfi(n_s: float, zeta: np.ndarray, r: np.ndarray, p: ChannelParams)
 
 
 def _two_mode_outputs(n_s, zeta, r, p: ChannelParams):
-    """``(s, ds, dd)`` of the channel outputs of canonical two-mode probes,
-    entry by entry: the ten distinct non-zero rows and one read-only zero
-    row, with no ``(4, 4, G)`` stack.
-
-    Each row is computed as `build_two_mode`, `apply_channel` and
-    `channel_derivative` compute that entry for one probe, so it keeps the
-    bits of the probe built alone.  The channel leaves the idler block
-    (``S_22 = S_33 = a``) and the displacement alone; the input rows that no
-    table holds are freed on return, before the solve.
-    """
+    """``(s, ds, dd)`` of the outputs of canonical two-mode probes, entry by
+    entry: the input table, built as `build_two_mode` builds each entry and
+    ``0.0`` at each structural zero, goes through the channel's entry
+    functions, so each point keeps the bits of its probe built alone.  No
+    output displacement is computed: the kernel reads none."""
     a, c, sr, si, amp = _canonical_factors(n_s, zeta, r)
-    eta2, y, two_eta, dy = _channel_factors(p)
     # the input entries, at theta = phi = 0
-    s00, s11, s02, s13 = a * r, a / r, c * sr, c * -si
-    zero = np.zeros_like(a)
-    zero.setflags(write=False)
-    s02_out, s13_out = s02 * p.eta, s13 * p.eta
-    s = [[eta2 * s00 + y, zero, s02_out, zero],
-         [zero, eta2 * s11 + y, zero, s13_out],
-         [s02_out, zero, a, zero],
-         [zero, s13_out, zero, a]]
-    ds = [[two_eta * s00 + dy, zero, s02, zero],
-          [zero, two_eta * s11 + dy, zero, s13],
-          [s02, zero, zero, zero],
-          [zero, s13, zero, zero]]
-    return s, ds, [amp, zero, zero, zero]
+    s02, s13 = c * sr, c * -si
+    sigma = [[a * r, 0.0, s02, 0.0],
+             [0.0, a / r, 0.0, s13],
+             [s02, 0.0, a, 0.0],
+             [0.0, s13, 0.0, a]]
+    dd, ds = _derivative_entries([amp, 0.0, 0.0, 0.0], sigma, p)
+    return _output_entries([], sigma, p)[1], ds, dd
 
 
 def qfi_single_mode_form(probe: GaussianState, p: ChannelParams) -> float:

@@ -56,6 +56,22 @@ def test_only_states_defines_the_williamson_decomposition():
     assert definers == {"states.py"}
 
 
+def test_only_channel_defines_the_channel_action():
+    definers = {path.name for path in SOURCES.glob("*.py")
+                for node in nodes(path.name) if isinstance(node, ast.FunctionDef)
+                and node.name in {"_output_entries", "_derivative_entries"}}
+    assert definers == {"channel.py"}
+
+
+def test_two_mode_grid_takes_its_outputs_from_the_channel():
+    (grid,) = [node for node in nodes("qfi.py") if isinstance(node, ast.FunctionDef)
+               and node.name == "_two_mode_outputs"]
+    names = {node.id for node in ast.walk(grid) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(grid) if isinstance(node, ast.Attribute)}
+    assert {"_output_entries", "_derivative_entries"} <= names
+    assert not names & {"_channel_factors", "zeros_like"}
+
+
 def test_optimize_builds_no_moments_and_raises_no_solver_error():
     assert not imported("optimize.py") & ROUTE_PARTS
 

@@ -452,6 +452,7 @@ def test_canonical_grid_never_calls_eigh(monkeypatch, n_s, eta, n_b):
 def test_non_finite_stack_raises_nonphysical():
     # the kernel checks its input once, before any solve, and names the
     # first such item, in an ndarray stack and in the grid's rows alike; a
+    # float entry of the grid, which every item shares, fails item 0; a
     # batch of one, of either mode count, is checked on Python floats
     p = ChannelParams(0.6, 0.7)
     stack = output_stack(random_two_mode_probes(np.random.default_rng(4), 8), p)
@@ -468,6 +469,14 @@ def test_non_finite_stack_raises_nonphysical():
                 warnings.simplefilter("error")
                 with pytest.raises(NonPhysical, match="item 5 "):
                     _sld_qfi_batch(*tables)
+        shared = qfi._two_mode_outputs(1.0, np.linspace(0.1, 1.0, 8), np.full(8, 0.9), p)
+        entries, index = ((shared[0][0], 1), (shared[1][2], 2), (shared[2], 1))[which]
+        assert isinstance(entries[index], float)
+        entries[index] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPhysical, match="item 0 "):
+                _sld_qfi_batch(*shared)
         for single, entry in itertools.product(singles, (0, 1, -1)):
             bad = [moments.copy() for moments in single]
             bad[which].flat[entry] = value
@@ -476,6 +485,20 @@ def test_non_finite_stack_raises_nonphysical():
                 with pytest.raises(NonPhysical, match="^SLD stack item 0 has a "
                                                       "non-finite moment or derivative$"):
                     _sld_qfi_batch(*bad)
+
+
+def test_float_x_p_entry_takes_the_general_route_as_its_row():
+    # a non-zero float x-p entry, which every item shares, makes the stack
+    # non-canonical; the general route gathers it as the same row would be
+    p = ChannelParams(0.6, 0.7)
+    stack = output_stack(random_two_mode_probes(np.random.default_rng(6), 8), p)
+    values = []
+    for entry in (0.05, np.full(8, 0.05)):
+        (s, ds), dd = ([list(row) for row in x] for x in stack[:2]), list(stack[2])
+        s[0][1] = s[1][0] = ds[2][3] = ds[3][2] = entry
+        values.append(_sld_qfi_batch(s, ds, dd))
+    assert np.isfinite(values[0]).all()
+    assert_same_bits(*values)
 
 
 @pytest.mark.parametrize("state", [vacuum(), tmsv(3.0)], ids=["one_mode", "two_mode"])
@@ -609,7 +632,7 @@ def test_error_bound_covers_nearly_pure_items():
     rows = qfi._two_mode_outputs(n_s, zeta, r, p)
     _, rel, basis = _stein(_ARRAY_OPS, *rows)
     assert (rel > SLD_RESIDUAL_TOL).all()
-    moments = item_first(*map(np.array, rows))
+    moments = item_first(*(np.array(as_rows(t, zeta.size)) for t in rows))
     values, bound, _, _ = _williamson_sum(*basis(lambda x: x, moments[0]), *moments[1:])
     with mpmath.workdps(50):
         exact = np.array([float(_two_mode_closed_raw(
@@ -686,7 +709,7 @@ def test_stein_reads_the_grid_as_contiguous_rows(monkeypatch):
                 leaves(entry)
 
     def spy(ops, s, ds, dd):
-        leaves((s, ds, dd))
+        leaves(as_rows((s, ds, dd), zeta.size))
         return stein(ops, *(Reads(table, reads) for table in (s, ds, dd)))
 
     monkeypatch.setattr(qfi, "_stein", spy)
@@ -712,9 +735,18 @@ def grid_points(monkeypatch, n_s, p):
     return seen[0]
 
 
+def as_rows(table, count):
+    """`table` with each float entry, which every item shares, repeated
+    over the `count` items as a row."""
+    if isinstance(table, float):
+        return np.full(count, table)
+    return table if isinstance(table, np.ndarray) else [as_rows(x, count) for x in table]
+
+
 def grid_tables(n_s, zeta, r, p):
     """The grid's output rows as ndarray tables: (4, 4, G), (4, 4, G), (4, G)."""
-    return tuple(map(np.array, qfi._two_mode_outputs(n_s, zeta, r, p)))
+    return tuple(np.array(as_rows(t, zeta.size))
+                 for t in qfi._two_mode_outputs(n_s, zeta, r, p))
 
 
 def stack_qfi(n_s, zeta, r, p):
@@ -765,7 +797,9 @@ def test_entry_route_raises_as_the_stack_route(monkeypatch):
 @pytest.mark.parametrize("n_s,n_b,eta,normalized", [
     (1.0, 1.0, 0.7071, False),  # the README sweep-twomode grid
     (1.0, 1.0, 0.5, True),
-], ids=["readme", "normalized"])
+    (1e3, 1.0, 0.999, False),   # a bright corner with Stein-rejected items
+    (1e-3, 0.0, 1e-3, False),   # N_B = 0
+], ids=["readme", "normalized", "bright", "vacuum_bath"])
 def test_grid_rows_are_the_probes_built_alone(monkeypatch, n_s, n_b, eta,
                                               normalized):
     # every point of the grid has, bit for bit, the output moments and
@@ -887,7 +921,7 @@ def spectrum_pin_lines(monkeypatch):
     rows = qfi._two_mode_outputs(n_s, *grid_points(monkeypatch, n_s, p), p)
     _, rel, basis = _stein(_ARRAY_OPS, *rows)
     items = np.flatnonzero(~(rel <= SLD_RESIDUAL_TOL))
-    s, ds, dd = item_first(*(np.array(t)[..., items] for t in rows))
+    s, ds, dd = item_first(*(np.array(as_rows(t, rel.size))[..., items] for t in rows))
     cases.append((basis(lambda x: x[items], s), ds, dd))
     lines = []
     for (y, nu, err), ds, dd in cases:

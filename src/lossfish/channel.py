@@ -144,14 +144,19 @@ def _output_entries(d, sigma, p: ChannelParams):
     Python floats, or 1-D arrays over items with a float for an entry that
     every item shares.  Each entry takes the IEEE operations of the matrix
     form, ``eta^2 Sigma_S + y I`` with ``y * 0`` off the diagonal, so that a
-    state keeps its bits alone or among items; an empty `d` stays empty."""
+    state keeps its bits alone or among items; an empty `d` stays empty.
+    An idler entry that is the same object as its twin in the signal rows
+    takes the twin's product, so a symmetric table shares its cross entries."""
     eta2, y, _, _ = _channel_factors(p)
     eta, y_off = p.eta, y * 0.0
     (s00, s01, *x0), (s10, s11, *x1), *idler = sigma
-    sigma = [[eta2 * s00 + y, eta2 * s01 + y_off, *(v * eta for v in x0)],
-             [eta2 * s10 + y_off, eta2 * s11 + y, *(v * eta for v in x1)],
-             *([v * eta for v in row[:2]] + row[2:] for row in idler)]
-    return [v * eta for v in d[:2]] + d[2:], sigma
+    cross = [v * eta for v in x0], [v * eta for v in x1]
+    out = [[eta2 * s00 + y, eta2 * s01 + y_off, *cross[0]],
+           [eta2 * s10 + y_off, eta2 * s11 + y, *cross[1]]]
+    for i, row in enumerate(idler):
+        out.append([cross[j][i] if v is sigma[j][i + 2] else v * eta
+                    for j, v in enumerate(row[:2])] + row[2:])
+    return [v * eta for v in d[:2]] + d[2:], out
 
 
 def _derivative_entries(d, sigma, p: ChannelParams):

@@ -135,7 +135,7 @@ def _pick_arrays(cond, new, old):
     `np.flatnonzero` indices: a refinement step keeps most of its items or
     few, and an index write costs what its items do, where a masked copy
     reads every item.  The Stein route allocates every array it passes
-    here, and keeps only the tuple returned."""
+    here, and keeps only the list returned."""
     taken = np.flatnonzero(cond)
     if 2 * taken.size < cond.size:
         target, source, items = old, new, taken
@@ -159,7 +159,7 @@ def _cutoff_arrays(den, tol):
 
 # The Stein route's elementary functions, on Python floats for a batch of one
 # and on numpy arrays across a stack.  ``cutoff(den, tol)`` is ``1/den``, or 0
-# where ``|den| <= tol``; ``pick(cond, new, old)`` is the tuple of entries of
+# where ``|den| <= tol``; ``pick(cond, new, old)`` is the list of entries of
 # `new` where `cond` holds and of `old` elsewhere, and may reuse the arrays of
 # either.
 _FLOAT_OPS = SimpleNamespace(
@@ -182,12 +182,27 @@ _TOO_LARGE = "SLD item {}: S is so large that g = 4 nu_j nu_k overflows"
 
 def _congruence(m, x):
     """``M X M^T`` for ``M = ((m[0], m[1]), (m[2], m[3]))`` and the symmetric
-    ``X = ((x[0], x[1]), (x[1], x[2]))``, as the triple of its entries."""
+    ``X = ((x[0], x[1]), (x[1], x[2]))``, as the list of its entries, each
+    one made here.  The product ``m[1] x[1]`` is taken once where
+    ``m[1] is m[2]``."""
     m11, m12, m21, m22 = m
     x11, x12, x22 = x
-    r11, r12 = m11 * x11 + m12 * x12, m11 * x12 + m12 * x22
-    r21, r22 = m21 * x11 + m22 * x12, m21 * x12 + m22 * x22
-    return r11 * m11 + r12 * m12, r11 * m21 + r12 * m22, r21 * m21 + r22 * m22
+    r11, r12, r21 = m11 * x11, m11 * x12, m21 * x11
+    shared = m12 * x12
+    r11 += shared
+    r22 = shared if m21 is m12 else m21 * x12
+    r12 += m12 * x22
+    r21 += m22 * x12
+    r22 += m22 * x22
+    first = r11 * m11
+    first += r12 * m12
+    r11 *= m21
+    r12 *= m22
+    r11 += r12
+    r21 *= m21
+    r22 *= m22
+    r21 += r22
+    return [first, r11, r21]
 
 
 def _inverse_form(s, d1, d2):
@@ -195,7 +210,12 @@ def _inverse_form(s, d1, d2):
     ``S = L D L^T``."""
     t = s[1] / s[0]
     e = d2 - t * d1
-    return d1 * d1 / s[0] + e * e / (s[2] - t * s[1])
+    e *= e
+    e /= s[2] - t * s[1]
+    form = d1 * d1
+    form /= s[0]
+    form += e
+    return form
 
 
 def _pair_terms(nu_j, nu_k, nu_max, ra, rd, rb, rc):
@@ -263,6 +283,14 @@ def _stein_basis(rows, nu, s):
     return y, np.stack(nu, axis=1), _basis_error(y, s)
 
 
+def _weight(ops, lam_i, lam_j, tol):
+    """``1/(16 lam_i lam_j - 1)``, or 0 where the denominator is within `tol`."""
+    den = 16.0 * lam_i
+    den *= lam_j
+    den -= 1.0
+    return ops.cutoff(den, tol)
+
+
 def _one_mode_system(ops, s, ds, dd):
     """`_stein`'s system for one mode, where ``S_x = a`` and ``S_p = c`` are
     scalars and ``L_p = (b_x + 4 a^2 b_p) / (16 a^2 c^2 - 1)``.  Stein's basis
@@ -270,14 +298,21 @@ def _one_mode_system(ops, s, ds, dd):
     a, c = s[0][0], s[1][1]
     aa, cc = (2.0 * a) * (2.0 * a), (2.0 * c) * (2.0 * c)
     lam = a * c
-    w = ops.cutoff(16.0 * lam * lam - 1.0, _LAM_TOL * lam * 2.0 * lam)
+    w = _weight(ops, lam, lam, _LAM_TOL * lam * 2.0 * lam)
 
     def solve(r):
-        lp = (r[0] + aa * r[1]) * w
-        return cc * lp - r[1], lp
+        lp = aa * r[1]
+        lp += r[0]
+        lp *= w
+        lx = cc * lp
+        lx -= r[1]
+        return [lx, lp]
 
     def apply(l):
-        return aa * l[0] - l[1], cc * l[1] - l[0]
+        qx, qp = aa * l[0], cc * l[1]
+        qx -= l[1]
+        qp -= l[0]
+        return [qx, qp]
 
     def basis(take, s):
         # Y = diag(a^-1/2, a^1/2 / nu)
@@ -307,31 +342,62 @@ def _two_mode_system(ops, s, ds, dd):
     c21 = sx[1] / c11
     c22 = ops.sqrt(sx[2] - c21 * c21)
     p11, p12, p22 = _congruence((c11, c21, 0.0, c22), sp)
-    half = 0.5 * (p11 - p22)
-    lam1 = 0.5 * (p11 + p22) + ops.hypot(half, p12)
-    lam2 = (p11 * p22 - p12 * p12) / lam1
-    angle = 0.5 * ops.atan2(p12, half)
+    half = p11 - p22
+    half *= 0.5
+    lam1 = p11 + p22
+    lam1 *= 0.5
+    lam1 += ops.hypot(half, p12)
+    lam2 = p11 * p22
+    lam2 -= p12 * p12
+    lam2 /= lam1
+    angle = ops.atan2(p12, half)
+    angle *= 0.5
     cos, sin = ops.cos(angle), ops.sin(angle)
     inv11, inv22 = 1.0 / c11, 1.0 / c22
-    inv21 = -c21 * inv11 * inv22
-    v = (c11 * cos, -c11 * sin, c21 * cos + c22 * sin, c22 * cos - c21 * sin)
-    v_inv = (cos * inv11 + sin * inv21, sin * inv22,
-             cos * inv21 - sin * inv11, cos * inv22)
-    w11 = ops.cutoff(16.0 * lam1 * lam1 - 1.0, _LAM_TOL * lam1 * 2.0 * lam1)
-    w12 = ops.cutoff(16.0 * lam1 * lam2 - 1.0, _LAM_TOL * lam1 * (lam1 + lam2))
-    w22 = ops.cutoff(16.0 * lam2 * lam2 - 1.0, _LAM_TOL * lam1 * 2.0 * lam2)
+    inv21 = -c21
+    inv21 *= inv11
+    inv21 *= inv22
+    v12, v21, v22 = -c11, c21 * cos, c22 * cos
+    v12 *= sin
+    v21 += c22 * sin
+    v22 -= c21 * sin
+    i11, i21 = cos * inv11, cos * inv21
+    i11 += sin * inv21
+    i21 -= sin * inv11
+    v, v_inv = (c11 * cos, v12, v21, v22), (i11, sin * inv22, i21, cos * inv22)
+    tol = _LAM_TOL * lam1
+    w12 = _weight(ops, lam1, lam2, tol * (lam1 + lam2))
+    tol *= 2.0
+    w11 = _weight(ops, lam1, lam1, tol * lam1)
+    tol *= lam2
+    w22 = _weight(ops, lam2, lam2, tol)
 
     def solve(r):
-        q = _congruence(mx, r[3:])
-        y = _congruence(v_inv, (r[0] + q[0], r[1] + q[1], r[2] + q[2]))
-        lp = _congruence(v, (y[0] * w11, y[1] * w12, y[2] * w22))
-        q = _congruence(mp, lp)
-        return (q[0] - r[3], q[1] - r[4], q[2] - r[5]) + lp
+        q11, q12, q22 = _congruence(mx, r[3:])
+        q11 += r[0]
+        q12 += r[1]
+        q22 += r[2]
+        y11, y12, y22 = _congruence(v_inv, (q11, q12, q22))
+        y11 *= w11
+        y12 *= w12
+        y22 *= w22
+        lp = _congruence(v, (y11, y12, y22))
+        x11, x12, x22 = _congruence(mp, lp)
+        x11 -= r[3]
+        x12 -= r[4]
+        x22 -= r[5]
+        return [x11, x12, x22, *lp]
 
     def apply(l):
-        qx, qp = _congruence(mx, l[:3]), _congruence(mp, l[3:])
-        return (qx[0] - l[3], qx[1] - l[4], qx[2] - l[5],
-                qp[0] - l[0], qp[1] - l[1], qp[2] - l[2])
+        x11, x12, x22 = _congruence(mx, l[:3])
+        p11, p12, p22 = _congruence(mp, l[3:])
+        x11 -= l[3]
+        x12 -= l[4]
+        x22 -= l[5]
+        p11 -= l[0]
+        p12 -= l[1]
+        p22 -= l[2]
+        return [x11, x12, x22, p11, p12, p22]
 
     def basis(take, s):
         # Y = V^-1 on the x rows and nu^-1 V^T on the p rows
@@ -344,15 +410,16 @@ def _two_mode_system(ops, s, ds, dd):
                              [zero, v12 / nu2, zero, v22 / nu2]], [nu1, nu2], s)
 
     b = (ds[0][0], ds[0][2], ds[2][2], ds[1][1], ds[1][3], ds[3][3])
-    disp = _inverse_form(sx, dd[0], dd[2]) + _inverse_form(sp, dd[1], dd[3])
+    disp = _inverse_form(sx, dd[0], dd[2])
+    disp += _inverse_form(sp, dd[1], dd[3])
     # 2 Tr[X dS] counts each off-diagonal entry twice
     return solve, apply, b, (2.0, 4.0, 2.0, 2.0, 4.0, 2.0), disp, basis
 
 
 def _dot(x, y):
-    """``sum(x[k] * y[k])`` over two sequences of entries, from the first
-    product on: a start of 0.0 would cost a stack one more pass."""
-    return functools.reduce(operator.add, map(operator.mul, x, y))
+    """``sum(x[k] * y[k])`` over two sequences of entries, accumulated into
+    the first product: a start of 0.0 would cost a stack one more pass."""
+    return functools.reduce(operator.iadd, map(operator.mul, x, y))
 
 
 def _stein(ops, s, ds, dd):
@@ -394,6 +461,15 @@ def _stein(ops, s, ds, dd):
     with no `eigh`: ``basis(take, s)`` returns `_williamson_sum`'s
     ``(Y, nu, err)`` of the items that ``take`` selects from each entry, and
     ``s``, their item-first stack.  `_stein` returns ``(values, rel, basis)``.
+
+    The route sums and scales in place (``+=``, ``-=``, ``*=``, ``/=``), so
+    that a stack allocates one array per product, not one per operation.
+    Only an array that the route has just made is written, and it stays on
+    the left: ``a += b`` is ``a + b``, and IEEE addition and multiplication
+    commute, so every value keeps its bits; ``b - apply(X)``, whose own
+    operand is on the right, allocates.  No entry of ``s``, ``ds`` or ``dd``
+    is written, and an entry that stands for several is read as each.  For
+    one item the same code runs on Python floats.
     """
     system = _one_mode_system if len(dd) == 2 else _two_mode_system
     solve, apply, b, weights, disp, basis = system(ops, s, ds, dd)
@@ -401,12 +477,12 @@ def _stein(ops, s, ds, dd):
 
     def state(x):
         """``X``, then its residual ``b - apply(X)``, then the residual's norm^2."""
-        gap = tuple(map(operator.sub, b, apply(x)))
-        return x + gap + (_dot(gap, gap),)
+        gap = list(map(operator.sub, b, apply(x)))
+        return x + gap + [_dot(gap, gap)]
 
     def refine(best):
         # a function, so that a stack frees each step's arrays before the next
-        step = state(tuple(map(operator.add, best[:n], solve(best[n:2 * n]))))
+        step = state(list(map(operator.iadd, solve(best[n:2 * n]), best)))
         # a step that does not lower the residual adds only noise: drop it
         return ops.pick(step[-1] < best[-1], step, best)
 
@@ -414,8 +490,11 @@ def _stein(ops, s, ds, dd):
     for _ in range(2):  # iterative refinement for ill-conditioned corners
         best = refine(best)
     # X = 0 where b = 0, so the relative residual is 0 there
-    rel = ops.sqrt(best[-1]) * ops.cutoff(ops.sqrt(_dot(b, b)), 0.0)
-    return _dot(map(operator.mul, weights, best[:n]), b) + disp, rel, basis
+    rel = ops.sqrt(best[-1])
+    rel *= ops.cutoff(ops.sqrt(_dot(b, b)), 0.0)
+    values = _dot(map(operator.mul, weights, best[:n]), b)
+    values += disp
+    return values, rel, basis
 
 
 def _blocks(table):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lossfish import (ChannelParams, DivergentNoise, EtaTooClose,
+from lossfish import (ChannelParams, DivergentNoise, EtaTooClose, GaussianState,
                       HypothesisSpec, NonPhysicalParams, SingleModeProbe,
                       TwoModeProbe, apply_channel, build_single_mode,
                       build_two_mode, channel_derivative, effective_noise,
@@ -14,6 +14,7 @@ from lossfish import (ChannelParams, DivergentNoise, EtaTooClose,
                       optimize_two_mode, qfi_coherent, qfi_fidelity_fd,
                       qfi_single_mode_form, qfi_sld, qfi_two_mode_closed,
                       thermal, tmsv, tmsv_stationarity_check, vacuum)
+from lossfish.channel import _output_entries
 from lossfish.optimize import two_mode_grid
 
 from test_qfi import rotate_signal
@@ -152,6 +153,28 @@ def test_zero_temperature_semigroup_composition():
                               ChannelParams(eta1, 0.0))
         assert np.max(np.abs(once.sigma - twice.sigma)) < 1e-12
         assert np.max(np.abs(once.d - twice.d)) < 1e-12
+
+
+def test_cross_entries_are_shared_only_where_the_input_shares_them():
+    # a table that hands one object to both cross entries, as the (zeta, r)
+    # grid does, gets one product for both; distinct objects, as in a
+    # hand-made state whose idler rows differ from its signal rows, keep a
+    # product each
+    rng = np.random.default_rng(28)
+    p = ChannelParams(0.6, 0.7)
+    a, b, c, e, f, g = (rng.uniform(0.5, 2.0, 8) for _ in range(6))
+    table = [[a, 0.0, c, 0.0], [0.0, b, 0.0, e], [c, 0.0, f, 0.0], [0.0, e, 0.0, g]]
+    _, out = _output_entries([], table, p)
+    assert out[2][0] is out[0][2] and out[3][1] is out[1][3]
+    table[2][0], table[3][1] = c + 0.25, e.copy()
+    _, out = _output_entries([], table, p)
+    assert out[3][1] is not out[1][3]
+    np.testing.assert_array_equal(out[2][0], (c + 0.25) * 0.6)
+    sigma = 0.5 * np.eye(4)
+    sigma[0, 2], sigma[2, 0] = 0.1, 0.2
+    state = GaussianState(2, np.zeros(4), sigma)  # not symmetric: no make_state
+    out = apply_channel(state, p).sigma
+    assert (out[0, 2], out[2, 0]) == (0.1 * 0.6, 0.2 * 0.6)
 
 
 def test_physicality_preserved_on_grid():

@@ -852,6 +852,112 @@ def test_array_pick_is_where(density):
         assert_same_bits(got, want)
 
 
+def congruence_reference(m, x):
+    """``M X M^T`` written out, one fresh result per operation."""
+    m11, m12, m21, m22 = m
+    x11, x12, x22 = x
+    r11, r12 = m11 * x11 + m12 * x12, m11 * x12 + m12 * x22
+    r21, r22 = m21 * x11 + m22 * x12, m21 * x12 + m22 * x22
+    return r11 * m11 + r12 * m12, r11 * m21 + r12 * m22, r21 * m21 + r22 * m22
+
+
+def test_congruence_keeps_the_bits_of_the_written_out_form():
+    # _congruence accumulates into the arrays it makes; every entry keeps
+    # the bits of the written-out form, NaN payloads and signed zeros
+    # included, and no input is written to
+    rng = np.random.default_rng(41)
+    rows = [rng.normal(size=4096) * 10.0 ** rng.uniform(-120, 120, 4096) for _ in range(7)]
+    for row in rows:
+        row[rng.integers(0, 4096, 40)] = rng.choice([0.0, -0.0, 1e-310, -1e300, np.inf,
+                                                     np.nan], 40)
+    cases = {"symmetric": ((rows[0], rows[1], rows[1], rows[3]), rows[4:]),
+             "non-symmetric": (rows[:4], rows[4:]),
+             "float entry": ((rows[0], rows[1], 0.0, rows[3]), rows[4:])}
+    with np.errstate(all="ignore"):
+        for name, (m, x) in cases.items():
+            kept = [a.copy() for a in rows]
+            got = qfi._congruence(m, x)
+            for out, want in zip(got, congruence_reference(m, x), strict=True):
+                assert_same_bits(out, want)
+                assert not any(out is a for a in rows), name
+            for after, before in zip(rows, kept):
+                assert_same_bits(after, before)
+    # Python floats, as a batch of one takes them; every other M symmetric
+    for k in range(4096):
+        m = [float(row[k]) for row in rows[:4]]
+        if k % 2:
+            m[2] = m[1]
+        x = [float(row[k]) for row in rows[4:]]
+        got = qfi._congruence(m, x)
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == [v.hex() for v in congruence_reference(m, x)]
+
+
+def table_snapshot(table):
+    """Each leaf of a table, an array copied or a float as it is, with the
+    identity of every object in it."""
+    if isinstance(table, np.ndarray):
+        return id(table), table.copy()
+    if isinstance(table, float):
+        return id(table), table.hex()
+    return id(table), [table_snapshot(entry) for entry in table]
+
+
+def one_mode_float_table(count):
+    """A one-mode stack with shared float entries, -0.0 among them."""
+    rng = np.random.default_rng(43)
+    a, c = rng.uniform(0.6, 3.0, count), rng.uniform(0.6, 3.0, count)
+    return ([[a, 0.0], [0.0, c]], [[rng.normal(size=count), -0.0], [-0.0, 0.5]],
+            [rng.normal(size=count), 0.0])
+
+
+@pytest.mark.parametrize("kind", ["grid_rows", "ndarray_stack", "float_entries"])
+def test_kernel_leaves_its_inputs_unchanged(monkeypatch, kind):
+    # the Stein route writes only into arrays it made: every input array
+    # keeps its bits, signbits included, and every table its objects, also
+    # where one array stands for two entries; the bright corner's grid has
+    # Stein-rejected items, which take the Williamson sum
+    n_s, p = 1e3, ChannelParams(0.999, 1.0)
+    if kind == "float_entries":
+        tables = one_mode_float_table(64)
+    else:
+        zeta, r = grid_points(monkeypatch, n_s, p)
+        make = qfi._two_mode_outputs if kind == "grid_rows" else grid_tables
+        tables = make(n_s, zeta, r, p)
+    if kind == "grid_rows":
+        assert tables[0][0][2] is tables[0][2][0]
+        assert tables[0][1][3] is tables[0][3][1]
+    before = table_snapshot(tables)
+    _, rel, _ = _stein(_ARRAY_OPS, *tables)
+    _sld_qfi_batch(*tables)
+    if kind != "float_entries":
+        assert (rel > SLD_RESIDUAL_TOL).any()
+    after = table_snapshot(tables)
+
+    def same(a, b):
+        assert a[0] == b[0]
+        if isinstance(a[1], np.ndarray):
+            assert_same_bits(b[1], a[1])
+        elif isinstance(a[1], list):
+            for x, y in zip(a[1], b[1], strict=True):
+                same(x, y)
+        else:
+            assert a[1] == b[1]
+    same(before, after)
+
+
+@pytest.mark.parametrize("state", [vacuum(), single_mode_state(1.0, 0.5), tmsv(1.0),
+                                   build_two_mode(TwoModeProbe(1.0, 0.5, 0.8))])
+def test_float_stein_returns_python_floats(state):
+    # a batch of one is solved on Python floats and yields no numpy scalar
+    p = ChannelParams(0.6, 0.7)
+    ddt, dst = channel_derivative(state, p)
+    one = (apply_channel(state, p).sigma.tolist(), dst.tolist(), ddt.tolist())
+    values, rel, _ = _stein(_FLOAT_OPS, *one)
+    assert type(values) is float and type(rel) is float
+    assert values.hex() == float(_sld_qfi_batch(*(np.array(x)[..., None] for x in one))[0]).hex()
+
+
 def kernel_pin_lines(monkeypatch):
     """`float.hex` of the SLD kernel's values, or the message it raises, on
     the criterion-07 grids, two normalized grids, the README grid and a

@@ -150,12 +150,12 @@ def _output_entries(d, sigma, p: ChannelParams):
     eta2, y, _, _ = _channel_factors(p)
     eta, y_off = p.eta, y * 0.0
     (s00, s01, *x0), (s10, s11, *x1), *idler = sigma
-    cross = [v * eta for v in x0], [v * eta for v in x1]
-    out = [[eta2 * s00 + y, eta2 * s01 + y_off, *cross[0]],
-           [eta2 * s10 + y_off, eta2 * s11 + y, *cross[1]]]
-    for i, row in enumerate(idler):
-        out.append([cross[j][i] if v is sigma[j][i + 2] else v * eta
-                    for j, v in enumerate(row[:2])] + row[2:])
+    cross0, cross1 = [v * eta for v in x0], [v * eta for v in x1]
+    out = [[eta2 * s00 + y, eta2 * s01 + y_off, *cross0],
+           [eta2 * s10 + y_off, eta2 * s11 + y, *cross1]]
+    # each idler row's signal columns, with their twins in the signal rows
+    for (v0, v1, *rest), u0, u1, c0, c1 in zip(idler, x0, x1, cross0, cross1):
+        out.append([c0 if v0 is u0 else v0 * eta, c1 if v1 is u1 else v1 * eta, *rest])
     return [v * eta for v in d[:2]] + d[2:], out
 
 

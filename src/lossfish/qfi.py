@@ -47,7 +47,6 @@ Grids in this library therefore start at ``eta > 0`` for that corner.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -418,8 +417,13 @@ def _two_mode_system(ops, s, ds, dd):
 
 def _dot(x, y):
     """``sum(x[k] * y[k])`` over two sequences of entries, accumulated into
-    the first product: a start of 0.0 would cost a stack one more pass."""
-    return functools.reduce(operator.iadd, map(operator.mul, x, y))
+    the first product: a start of 0.0 would cost a stack one more pass, and
+    on Python floats the loop costs less than `functools.reduce`."""
+    products = map(operator.mul, x, y)
+    total = next(products)
+    for product in products:
+        total += product
+    return total
 
 
 def _stein(ops, s, ds, dd):

@@ -21,10 +21,13 @@ Routes
     The kernel reads its moments entry by entry: ``s[i][j]``, ``ds[i][j]``
     and ``dd[i]`` are arrays over the G items, or floats that every item
     shares, as at the grid's structural zeros; no ``(4, 4, G)`` stack is built.
-    One state, ``st[..., None]``, is read once, checked and solved as floats.
+    `qfi_sld` hands it one state as the nested Python floats of the
+    channel's entry functions, which it checks and solves as they are; no
+    output `GaussianState` or array is built for a canonical state.
 ``qfi_single_mode_form``
     Purity form for one mode:
-    ``Tr[(S^-1 dS)^2] / (2 (1 + mu^2)) + 2 mu'^2 / (1 - mu^4) + dd^T S^-1 dd``.
+    ``Tr[(S^-1 dS)^2] / (2 (1 + mu^2)) + 2 mu'^2 / (1 - mu^4) + dd^T S^-1 dd``,
+    as closed-form 2x2 arithmetic on the same Python floats.
 ``qfi_fidelity_fd``
     Finite difference of ``8 (1 - sqrt(F(rho_eta1, rho_eta2))) / d_eta^2``,
     the defining limit of the QFI as a fidelity susceptibility.
@@ -57,7 +60,7 @@ import numpy as np
 
 from .channel import (ChannelParams, _channel_factors, _derivative_entries,
                       _first_failing, _held_background, _output_entries, _scalar_eta,
-                      apply_channel, channel_derivative, gamma_to_eta)
+                      apply_channel, gamma_to_eta)
 from .errors import EtaTooClose, NonPhysical, SingularSystem
 from .fidelity import gaussian_fidelity
 from .probes import TwoModeProbe, _canonical_factors, squeeze_parameter
@@ -546,16 +549,20 @@ def _sld_qfi_batch(s, ds, dd):
     ``s[i][j]``, ``ds[i][j]`` and ``dd[i]`` are arrays over the items, or
     Python floats that every item shares, in nested sequences (one object
     may stand for several entries) or ndarrays of shape (m, m, G) or (m, G);
-    ``dd[0]`` and the diagonal of ``s`` are arrays.  A float is checked
-    with no array pass, and repeated only where the Williamson sum gathers
-    items.  A non-finite entry raises `NonPhysical`, naming the first such
-    item, before any solve.  A stack whose ``S`` and ``dS`` have exactly
-    zero x-p entries (canonical probes through the phase-covariant channel)
-    is solved by the Stein route (`_stein`): explicit 2x2 arithmetic in one
-    pass over the rows.  One state is the stack ``st[..., None]``, read
-    once as Python floats, checked and, with no x-p entries, solved by the
-    Stein route on them (a domain error there reruns it on arrays, where it
-    becomes an inf or a nan).  Items that the Stein route settles to
+    ``dd[0]`` and the diagonal of ``s`` are arrays, unless every entry is a
+    float: then the tables are one state, as `qfi_sld` takes it from the
+    channel's entry functions.  A float is checked with no array pass, and
+    repeated only where the Williamson sum gathers items.  A non-finite
+    entry raises `NonPhysical`, naming the first such item, before any
+    solve.  A stack whose ``S`` and ``dS`` have exactly zero x-p entries
+    (canonical probes through the phase-covariant channel) is solved by the
+    Stein route (`_stein`): explicit 2x2 arithmetic in one pass over the
+    rows.  One state, as floats or as a stack of one (whose ndarrays are
+    read once with ``.tolist()``), is checked and, with no x-p entries,
+    solved by the Stein route on its floats as they are.  A state they do
+    not settle (x-p entries, a domain error, which becomes an inf or a nan
+    on arrays, or a residual above ``SLD_RESIDUAL_TOL``) continues as the
+    stack of one of the same values.  Items that the Stein route settles to
     ``SLD_RESIDUAL_TOL`` keep its values; the others, gathered item-first,
     take the Williamson-basis sum (`_williamson_sum`) in Stein's basis, and
     every item of any other stack takes it in the basis of `_williamson`.
@@ -572,14 +579,18 @@ def _sld_qfi_batch(s, ds, dd):
     that fails raises `SingularSystem`, and so does, before any solve, an
     ``S`` so large that ``g = 4 nu_j nu_k`` would overflow.
     """
-    count = len(dd[0])
+    if isinstance(dd[0], float):  # one state, as nested Python floats
+        one = s, ds, dd
+    elif len(dd[0]) == 1:  # a stack of one: its entries as floats, read once
+        one = [_at(x, 0).tolist() for x in (s, ds, dd)]
+    else:
+        one = None
+    count = 1 if one else len(dd[0])
     # nu <= |S| <= m max|S_ij|, and g = 4 nu_j nu_k must be a finite double;
     # m is 2 or 4, so dividing by it is exact and cannot overflow
     s_max = _NU_MAX / len(s)
     solved = None
-    if count == 1:
-        # the item's entries as Python floats, read once
-        one = [_at(x, 0).tolist() for x in (s, ds, dd)]
+    if one:
         s_one = list(itertools.chain.from_iterable(one[0]))
         if not all(map(math.isfinite, itertools.chain(s_one, *one[1], one[2]))):
             raise NonPhysical(_NON_FINITE.format(0))
@@ -594,6 +605,8 @@ def _sld_qfi_batch(s, ds, dd):
             else:
                 if solved[1] <= SLD_RESIDUAL_TOL:
                     return np.array([solved[0]])
+        # not settled on floats: the same values, as a stack of one
+        s, ds, dd = (np.array(x)[..., None] for x in one)
     else:
         (s_big, s_top), (big, top) = (_largest(_blocks(t), count) for t in (s, (ds, dd)))
         big, top = np.maximum(s_big, big), max(s_top, top)
@@ -637,12 +650,16 @@ def _sld_qfi_batch(s, ds, dd):
 
 def qfi_sld(probe: GaussianState, p: ChannelParams) -> float:
     """QFI from the SLD equation, for 1- and 2-mode probes; raises
-    `SingularSystem` for a state that `_sld_qfi_batch` does not certify."""
+    `SingularSystem` for a state that `_sld_qfi_batch` does not certify.
+
+    The probe's moments are read once with ``.tolist()`` and go through the
+    channel's entry functions to the kernel as Python floats, with no output
+    state or array on the way."""
     _scalar_eta(p)
     _check_eta(p)
-    st = apply_channel(probe, p).sigma
-    ddt, dst = channel_derivative(probe, p)
-    (value,) = _sld_qfi_batch(st[..., None], dst[..., None], ddt[..., None])
+    d, sigma = probe.d.tolist(), probe.sigma.tolist()
+    ddt, dst = _derivative_entries(d, sigma, p)
+    (value,) = _sld_qfi_batch(_output_entries(d, sigma, p)[1], dst, ddt)
     return float(value)
 
 
@@ -680,21 +697,52 @@ def _two_mode_outputs(n_s, zeta, r, p: ChannelParams):
 
 
 def qfi_single_mode_form(probe: GaussianState, p: ChannelParams) -> float:
-    """Purity-form QFI, valid for single-mode probes only."""
+    """Purity-form QFI, valid for single-mode probes only.
+
+    Closed-form 2x2 arithmetic on Python floats, on the channel's output
+    entries ``S = ((a, b), (b, c))``, ``dS`` and ``dd``.  With
+    ``S = L D L^T``, ``L = ((1, 0), (t, 1))``, ``t = b/a`` and
+    ``D = diag(a, u)``, ``u = c - t b``, ``S^-1 dS`` is similar to
+    ``D^-1 E`` with ``E = L^-1 dS L^-T``: its traces come from the entries
+    of ``E``, ``det S = a u`` and ``mu^2 = 1/(4 a u)``.  With
+    ``q = 4 a u - 1 = 1/mu^2 - 1``, the first two terms are
+    ``(Tr[(S^-1 dS)^2] + Tr[S^-1 dS]^2 / q) / (2 (1 + mu^2))``, and
+    ``q = 4 (a - 1/2) u + 2 (u - 1/2)`` keeps its digits near the vacuum,
+    where ``1 - mu^4`` cancels; ``mu' = 0`` (``Tr[S^-1 dS] = 0``) keeps the
+    second term at 0 for a pure output.  Where numpy would signal, the
+    form raises `FloatingPointError`, never an inf, a nan, a complex or a
+    `ZeroDivisionError`: ``det S <= 0`` (a state that `make_state`'s
+    roundoff slack admits), ``q = 0`` with ``mu' != 0`` (the outputs at
+    eta below ~1e-8, which round to pure), and a value past the double
+    range.
+    """
     if probe.modes != 1:
         raise ValueError("the purity form applies to single-mode states")
     _scalar_eta(p)
     _check_eta(p)
-    st = apply_channel(probe, p).sigma
-    ddt, dst = channel_derivative(probe, p)
-    st_inv = np.linalg.inv(st)
-    ratio = st_inv @ dst
-    mu = (4.0 * np.linalg.det(st)) ** -0.5
-    dmu = -0.5 * mu * np.trace(ratio)
-    term1 = np.trace(ratio @ ratio) / (2.0 * (1.0 + mu ** 2))
-    term2 = 0.0 if dmu == 0.0 else 2.0 * dmu ** 2 / (1.0 - mu ** 4)
-    term3 = ddt @ st_inv @ ddt
-    return float(term1 + term2 + term3)
+    d, sigma = probe.d.tolist(), probe.sigma.tolist()
+    (a, b), (_, c) = _output_entries(d, sigma, p)[1]
+    ddt, ((p00, p01), (_, p11)) = _derivative_entries(d, sigma, p)
+    t = b / a
+    u = c - t * b
+    det = a * u
+    if not det > 0.0:
+        raise FloatingPointError(f"the purity form needs det S > 0, got {det:.3e}")
+    e01 = p01 - t * p00
+    # the diagonal of D^-1 E
+    x0, x1 = p00 / a, (p11 - t * p01 - t * e01) / u
+    trace = x0 + x1
+    value = x0 * x0 + x1 * x1 + 2.0 * (e01 / a) * (e01 / u)
+    if trace != 0.0:
+        q = 4.0 * (a - 0.5) * u + 2.0 * (u - 0.5)
+        if q == 0.0:
+            raise FloatingPointError("the purity form divides by 1 - mu^4 = 0")
+        value += trace * trace / q
+    value /= 2.0 * (1.0 + 0.25 / det)
+    value += _inverse_form((a, b, c), *ddt)
+    if not math.isfinite(value):
+        raise FloatingPointError(f"the purity form is not a finite double: {value}")
+    return value
 
 
 def qfi_fidelity_fd(probe: GaussianState, p: ChannelParams) -> float:

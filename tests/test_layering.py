@@ -72,6 +72,23 @@ def test_two_mode_grid_takes_its_outputs_from_the_channel():
     assert not names & {"_channel_factors", "zeros_like"}
 
 
+def test_single_state_routes_take_their_entries_from_the_channel():
+    # one state stays on Python floats from the channel's entry functions to
+    # its QFI: no output GaussianState, and no numpy linear algebra in the
+    # purity form
+    routes = {node.name: node for node in nodes("qfi.py")
+              if isinstance(node, ast.FunctionDef)
+              and node.name in {"qfi_sld", "qfi_single_mode_form"}}
+    assert set(routes) == {"qfi_sld", "qfi_single_mode_form"}
+    for name, route in routes.items():
+        names = {node.id for node in ast.walk(route) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(route) if isinstance(node, ast.Attribute)}
+        assert {"_output_entries", "_derivative_entries"} <= names, name
+        assert not names & {"apply_channel", "channel_derivative"}, name
+        if name == "qfi_single_mode_form":
+            assert "linalg" not in names
+
+
 def test_optimize_builds_no_moments_and_raises_no_solver_error():
     assert not imported("optimize.py") & ROUTE_PARTS
 

@@ -21,6 +21,7 @@ from lossfish.optimize import two_mode_grid
 from lossfish.probes import two_mode_r_min
 from lossfish.qfi import (_ARRAY_OPS, _FLOAT_OPS, SLD_RESIDUAL_TOL, _sld_qfi_batch,
                           _stein, _two_mode_closed_raw, _williamson_sum)
+from lossfish.channel import _derivative_entries, _output_entries
 from lossfish.states import _williamson
 from test_states import random_physical_covariance
 
@@ -99,6 +100,101 @@ def test_single_mode_form_matches_sld():
         a = qfi_sld(state, p)
         b = qfi_single_mode_form(state, p)
         assert b == pytest.approx(a, rel=1e-9)
+
+
+def purity_form_reference(state, p):
+    """The purity form at 50 digits, on the channel's own output entries:
+    ``Tr[(S^-1 dS)^2] / (2 (1 + mu^2)) + 2 mu'^2 / (1 - mu^4) + dd^T S^-1 dd``."""
+    d, sigma = state.d.tolist(), state.sigma.tolist()
+    dd, ds = _derivative_entries(d, sigma, p)
+    with mpmath.workdps(50):
+        s, ds, dd = (mpmath.matrix(x) for x in (_output_entries(d, sigma, p)[1], ds, dd))
+        s_inv = s ** -1
+        ratio = s_inv * ds
+        square = ratio * ratio
+        mu = 1 / mpmath.sqrt(4 * mpmath.det(s))
+        dmu = -mu * (ratio[0, 0] + ratio[1, 1]) / 2
+        value = ((square[0, 0] + square[1, 1]) / (2 * (1 + mu ** 2))
+                 + (0 if dmu == 0 else 2 * dmu ** 2 / (1 - mu ** 4))
+                 + (dd.T * s_inv * dd)[0])
+    return value
+
+
+def test_single_mode_form_matches_a_50_digit_reference():
+    # both models, every bath of the panel and eta down to 1e-3, where an
+    # output near the vacuum makes 1 - mu^4 cancel; a random phase fills
+    # the x-p entries of every other state
+    rng = np.random.default_rng(29)
+    errors = []
+    for k in range(320):
+        state = single_mode_state(math.exp(rng.uniform(math.log(0.01), math.log(100.0))),
+                                  rng.uniform(0.0, 1.0),
+                                  rng.uniform(0.0, 2.0 * np.pi) if k % 2 else 0.0)
+        eta = (rng.uniform(1e-3, 0.95) if k % 3 else
+               math.exp(rng.uniform(math.log(1e-3), math.log(0.95))))
+        p = ChannelParams(eta, (0.0, 1e-3, 1.0, 100.0)[k % 4], normalized=k % 8 >= 4)
+        exact = purity_form_reference(state, p)
+        errors.append(float(abs(qfi_single_mode_form(state, p) - exact) / exact))
+    assert max(errors) <= 2e-13
+
+
+TINY = float(np.finfo(float).tiny)
+# the brightest single-mode probe: 2 N_coh is the largest double
+BRIGHTEST = float(np.finfo(float).max) / 2.0
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("n_s, xi, eta, n_b, expected", [
+    (2.0, 0.0, 0.5, 0.0, 8.0),                      # coherent: a pure output
+    (0.0, 0.0, 0.5, 0.0, 0.0),                      # vacuum: a pure output
+    (1.0, 1.0, 0.0, 0.0, 0.0),                      # eta = 0: mu = 1, mu' = 0
+    (3.0, 0.5, 0.0, 0.0, 5.999999999999999),
+    (3.0, 0.5, 0.0, 1.0, 1.9999999999999998),
+    (BRIGHTEST, 0.0, 0.5, 1.0, {False: 1.4381545078898524e+308,
+                                True: 1.1984620899082101e+308}),
+    (2.0, 0.0, 0.5, 1e100, {False: 1.7777777777777777, True: 4e-100}),
+    (0.0, 0.0, 0.5, 1e100, {False: 1.7777777777777777, True: 0.0}),
+    (3.0, 0.5, 0.5, 1e100, {False: 1.7777777777777777, True: 2.9999999999999996e-100}),
+    (2.0, 0.0, 0.5, TINY, 8.0),
+    (0.0, 0.0, 0.5, TINY, 0.0),
+    (3.0, 0.5, 0.5, TINY, 10.875047067911119),
+], ids=["coherent_pure", "vacuum_pure", "eta0_pure", "eta0_displaced", "eta0_bath",
+        "brightest", "coherent_huge_bath", "vacuum_huge_bath", "displaced_huge_bath",
+        "coherent_tiny_bath", "vacuum_tiny_bath", "displaced_tiny_bath"])
+def test_single_mode_form_edges_keep_their_values(n_s, xi, eta, n_b, expected, normalized):
+    # the values of the numpy form (numpy 2.4.6), to 1e-12, with no warning
+    # and a Python float on the way out
+    if isinstance(expected, dict):
+        expected = expected[normalized]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = qfi_single_mode_form(single_mode_state(n_s, xi),
+                                     ChannelParams(eta, n_b, normalized))
+    assert type(value) is float
+    assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("state, p, message", [
+    # the QFI of the brightest coherent probe at N_B = 0 is past the doubles
+    (single_mode_state(BRIGHTEST, 0.0), ChannelParams(0.5, 0.0),
+     "is not a finite double: inf"),
+    (single_mode_state(BRIGHTEST, 0.0), ChannelParams(0.5, 0.0, normalized=True),
+     "is not a finite double: inf"),
+    # make_state's roundoff slack admits a negative variance at |Sigma| = 1e8
+    (make_state([0.0, 0.0], np.diag([1e8, -1e-5])), ChannelParams(1.0 - 1e-7, 0.0),
+     r"needs det S > 0, got -9\.900e\+02"),
+    # the output rounds to the vacuum while dS does not vanish
+    (single_mode_state(1.0, 1.0), ChannelParams(1e-9, 0.0),
+     r"divides by 1 - mu\^4 = 0"),
+], ids=["brightest", "brightest_normalized", "negative_det", "rounds_to_pure"])
+def test_single_mode_form_raises_where_numpy_signals(state, p, message):
+    # the numpy form warned here (overflow in matmul, an invalid power, a
+    # division by zero) and returned an inf or a nan; the float form raises
+    # FloatingPointError, never an inf, a complex or a ZeroDivisionError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match=message):
+            qfi_single_mode_form(state, p)
 
 
 def test_fidelity_fd_matches_sld():

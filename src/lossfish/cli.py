@@ -218,7 +218,12 @@ def _render(header, columns, fmt: str) -> str:
     cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     # one %-format over the whole table, so no Python call per cell
     line = ",".join("%s" if isinstance(c[0], str) else CELL for c in cols) + "\n"
-    body = (line * len(cols[0])) % tuple(itertools.chain.from_iterable(zip(*cols)))
+    # the cells row by row: column j fills every k-th slot from slot j
+    k = len(cols)
+    cells = [None] * (k * len(cols[0]))
+    for j, c in enumerate(cols):
+        cells[j::k] = c
+    body = (line * len(cols[0])) % tuple(cells)
     if fmt == "json":
         # the CSV cells themselves; no string cell holds a comma
         payload = [dict(zip(header, row.split(","))) for row in body.splitlines()]

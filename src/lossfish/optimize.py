@@ -210,14 +210,17 @@ def _golden_max(landscape, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.nda
     array; it is called again whenever the live set shrinks.  A bracket
     freezes as soon as ``hi - lo <= tol``: its midpoint goes to the result
     and it leaves the search, so brackets of different widths take different
-    numbers of steps and each step evaluates the live brackets only.
+    numbers of steps and each step evaluates the live brackets only.  Each
+    step takes one width ``hi - lo`` for both the freeze test and the gap,
+    and scales it in place into ``GOLDEN (hi - lo)`` and then ``hi - gap``.
     Returns the bracket midpoints.
     """
     mid = 0.5 * (lo + hi)
     live = np.flatnonzero(hi - lo > tol)
     lo, hi = lo[live], hi[live]
-    x1 = hi - GOLDEN * (hi - lo)
-    x2 = lo + GOLDEN * (hi - lo)
+    gap = hi - lo
+    gap *= GOLDEN
+    x1, x2 = hi - gap, lo + gap
     f = landscape(live)
     f1_, f2_ = f(np.stack([x1, x2]))
     while live.size:
@@ -225,13 +228,16 @@ def _golden_max(landscape, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.nda
         # rise: (lo, x1, f1) <- (x1, x2, f2); fall: (hi, x2, f2) <- (x2, x1, f1)
         lo = np.where(up, x1, lo)
         hi = np.where(up, hi, x2)
-        gap = GOLDEN * (hi - lo)
-        x = np.where(up, lo + gap, hi - gap)
+        width = hi - lo
+        done = width <= tol
+        width *= GOLDEN
+        x = lo + width
+        np.subtract(hi, width, out=width)
+        x = np.where(up, x, width)
         x1, x2 = np.where(up, x2, x), np.where(up, x, x1)
         new = f(x)
         f1_, f2_ = np.where(up, f2_, new), np.where(up, new, f1_)
-        done = hi - lo <= tol
-        if done.any():
+        if np.count_nonzero(done):
             mid[live[done]] = 0.5 * (lo[done] + hi[done])
             keep = ~done
             live, lo, hi, x1, x2, f1_, f2_ = (a[keep] for a in

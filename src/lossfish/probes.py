@@ -30,8 +30,19 @@ from .states import GaussianState, _purity, make_state
 
 
 def squeeze_parameter(n_sq: float) -> float:
-    """Quadrature ratio r in (0, 1] that stores `n_sq` photons of squeezing."""
-    return 1.0 + 2.0 * n_sq - 2.0 * np.sqrt(n_sq * (n_sq + 1.0))
+    """Quadrature ratio r in (0, 1] that stores `n_sq` photons of squeezing.
+
+    ``1 + 2 N - 2 sqrt(N (N + 1))``, accumulated in place into the arrays it
+    makes (IEEE ``+`` and ``*`` commute, so each value keeps its bits);
+    `n_sq` is never written."""
+    root = n_sq + 1.0
+    root *= n_sq
+    root = np.sqrt(root)
+    root *= 2.0
+    r = 2.0 * n_sq
+    r += 1.0
+    r -= root
+    return r
 
 
 def two_mode_r_min(n_s: float, zeta: float) -> float:

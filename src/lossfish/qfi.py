@@ -561,11 +561,12 @@ def _sld_qfi_batch(s, ds, dd):
     read once with ``.tolist()``), is checked and, with no x-p entries,
     solved by the Stein route on its floats as they are.  A state they do
     not settle (x-p entries, a domain error, which becomes an inf or a nan
-    on arrays, or a residual above ``SLD_RESIDUAL_TOL``) continues as the
-    stack of one of the same values.  Items that the Stein route settles to
-    ``SLD_RESIDUAL_TOL`` keep its values; the others, gathered item-first,
-    take the Williamson-basis sum (`_williamson_sum`) in Stein's basis, and
-    every item of any other stack takes it in the basis of `_williamson`.
+    on arrays, a residual above ``SLD_RESIDUAL_TOL`` or a value that is not
+    finite) continues as the stack of one of the same values.  Items that
+    the Stein route settles to ``SLD_RESIDUAL_TOL`` with a finite value keep
+    it; the others, gathered item-first, take the Williamson-basis sum
+    (`_williamson_sum`) in Stein's basis, and every item of any other stack
+    takes it in the basis of `_williamson`.
     Pure output modes drop out on either route: a cut ``g - 1`` term has a
     zero numerator, as ``dS`` is orthogonal to the kernel of the SLD
     operator.
@@ -603,7 +604,7 @@ def _sld_qfi_batch(s, ds, dd):
             except (ArithmeticError, ValueError):  # a domain error: use arrays
                 pass
             else:
-                if solved[1] <= SLD_RESIDUAL_TOL:
+                if solved[1] <= SLD_RESIDUAL_TOL and math.isfinite(solved[0]):
                     return np.array([solved[0]])
         # not settled on floats: the same values, as a stack of one
         s, ds, dd = (np.array(x)[..., None] for x in one)
@@ -626,7 +627,10 @@ def _sld_qfi_batch(s, ds, dd):
         else:
             values, rel, basis = solved or _stein(_ARRAY_OPS, s, ds, dd)
             values = np.atleast_1d(values)
-            items = np.flatnonzero(~(np.atleast_1d(rel) <= SLD_RESIDUAL_TOL))
+            # a Stein value is kept where it is finite and its residual passes
+            kept = np.isfinite(values)
+            kept &= np.atleast_1d(rel) <= SLD_RESIDUAL_TOL
+            items = np.flatnonzero(~kept)
             if not items.size:
                 return values
         sk, dsk, ddk = (np.moveaxis(_at(x, items), -1, 0) for x in (s, ds, dd))
@@ -712,9 +716,9 @@ def qfi_single_mode_form(probe: GaussianState, p: ChannelParams) -> float:
     second term at 0 for a pure output.  Where numpy would signal, the
     form raises `FloatingPointError`, never an inf, a nan, a complex or a
     `ZeroDivisionError`: ``det S <= 0`` (a state that `make_state`'s
-    roundoff slack admits), ``q = 0`` with ``mu' != 0`` (the outputs at
-    eta below ~1e-8, which round to pure), and a value past the double
-    range.
+    roundoff slack admits), ``q <= 0`` with ``mu' != 0`` (the outputs at
+    eta below ~1e-8, which round to pure or to a purity above 1), and a
+    value past the double range.
     """
     if probe.modes != 1:
         raise ValueError("the purity form applies to single-mode states")
@@ -737,6 +741,9 @@ def qfi_single_mode_form(probe: GaussianState, p: ChannelParams) -> float:
         q = 4.0 * (a - 0.5) * u + 2.0 * (u - 0.5)
         if q == 0.0:
             raise FloatingPointError("the purity form divides by 1 - mu^4 = 0")
+        if not q > 0.0:
+            raise FloatingPointError(f"the purity form needs mu < 1, got "
+                                     f"1/mu^2 - 1 = {q:.3e}")
         value += trace * trace / q
     value /= 2.0 * (1.0 + 0.25 / det)
     value += _inverse_form((a, b, c), *ddt)
@@ -809,8 +816,10 @@ def _take(c, index):
 def _if_total(n_coh, n_sq, c):
     """Total of :func:`qfi_if_closed` for checked inputs and the channel
     factors `c` of :func:`_if_channel`; arrays stay arrays."""
-    i_disp, i_sq, i_shadow = _if_terms(n_coh, n_sq, c)
-    return i_disp + i_sq + i_shadow
+    total, i_sq, i_shadow = _if_terms(n_coh, n_sq, c)
+    total += i_sq
+    total += i_shadow
+    return total
 
 
 def _if_terms(n_coh, n_sq, c):
@@ -819,28 +828,71 @@ def _if_terms(n_coh, n_sq, c):
     and the eta guard.  The denominators are positive for every channel
     `ChannelParams` admits (N_B is 0 or a normal float).  Every power of an
     eta-dependent base goes through `_sq`, so an array eta gives the bits of
-    scalar calls."""
+    scalar calls.
+
+    Each term accumulates in place (``+=``, ``-=``, ``*=``, ``/=``) into an
+    array it has just made, that array on the left, as `_stein` does: IEEE
+    ``+`` and ``*`` commute, so every value keeps the bits of the written-out
+    form.  No argument is written.  A product whose operands depend on
+    different inputs (N_S-only terms of shape (N_S, 1, 64) and eta factors
+    of shape (eta, 1) in the scan of `optimize_xi`) allocates the term's full
+    shape, and later products write into it; on scalars ``+=`` rebinds."""
     r = squeeze_parameter(n_sq)
     if c[0] == _VACUUM:
         _, e2, one, sq_gain = c
-        i_disp = 4.0 * n_coh / (e2 * r + one)
-        a_den = one * n_sq * e2
-        i_sq = 4.0 * n_sq * sq_gain / (one * (2.0 * a_den + 1.0))
+        den = e2 * r
+        den += one
+        i_disp = 4.0 * n_coh / den
+        a_den = one * n_sq
+        a_den *= e2
+        i_sq = 4.0 * n_sq * sq_gain
+        den = 2.0 * a_den
+        den += 1.0
+        den *= one
+        i_sq /= den
         i_shadow = 0.0
     elif c[0] == _HELD:
         _, e2, e4, two_nb, nb_nb1, tnb1, tnb1_sq = c
         # not r*e2 + (2N_B + 1 - e2): the sum rounds left to right
-        i_disp = 4.0 * n_coh / (r * e2 + two_nb + 1.0 - e2)
-        b_den = nb_nb1 + n_sq * e2 * tnb1 - n_sq * e4
-        i_sq = (4.0 * n_sq * e2 / b_den) * (
-            (n_sq + 1.0) * tnb1_sq / (2.0 * b_den + 1.0) - 1.0)
+        den = r * e2
+        den += two_nb
+        den += 1.0
+        den -= e2
+        i_disp = 4.0 * n_coh / den
+        b_den = n_sq * e2
+        b_den *= tnb1
+        b_den += nb_nb1
+        b_den -= n_sq * e4
+        i_sq = 4.0 * n_sq * e2
+        i_sq /= b_den
+        gain = n_sq + 1.0
+        gain *= tnb1_sq
+        den = 2.0 * b_den
+        den += 1.0
+        gain = gain / den
+        gain -= 1.0
+        i_sq *= gain
         i_shadow = 0.0
     else:
         _, e2, one, nb_nb1, tnb1, one_tnb1, nb_sq_e2, shadow = c
-        i_disp = 4.0 * n_coh / (e2 * r + one_tnb1)
-        a_den = one * (nb_nb1 + n_sq * e2 * tnb1 - nb_sq_e2)
-        i_sq = (4.0 * n_sq * e2 * tnb1 / a_den) * (
-            (n_sq + 1.0) * tnb1 / (2.0 * a_den + 1.0) - 1.0)
+        den = e2 * r
+        den += one_tnb1
+        i_disp = 4.0 * n_coh / den
+        a_den = n_sq * e2
+        a_den *= tnb1
+        a_den += nb_nb1
+        a_den -= nb_sq_e2
+        a_den *= one
+        i_sq = 4.0 * n_sq * e2
+        i_sq *= tnb1
+        i_sq /= a_den
+        gain = n_sq + 1.0
+        gain *= tnb1
+        den = 2.0 * a_den
+        den += 1.0
+        gain = gain / den
+        gain -= 1.0
+        i_sq *= gain
         i_shadow = shadow / a_den
     return i_disp, i_sq, i_shadow
 

@@ -82,8 +82,9 @@ def make_state(d, sigma) -> GaussianState:
         If any entry of `d` or `sigma` is not finite, ``|Sigma|^(2 modes)``
         (the scale of the determinant's roundoff) is not a finite double,
         `sigma` is not symmetric, violates the Heisenberg relation
-        ``Sigma + i*Omega/2 >= 0`` (margin below -1e-10), or has
-        ``det Sigma < (1/4)**modes - 1e-12`` (purity above 1).
+        ``Sigma + i*Omega/2 >= 0`` (margin below -1e-10), has a variance
+        (diagonal entry) ``<= 0``, or has ``det Sigma < (1/4)**modes - 1e-12``
+        (purity above 1).
     """
     d = np.asarray(d, dtype=float).reshape(-1).copy()
     sigma = np.asarray(sigma, dtype=float).copy()
@@ -110,6 +111,10 @@ def make_state(d, sigma) -> GaussianState:
     # eigenvalue roundoff scales with |Sigma|; bright states get matching slack
     if margin < HEISENBERG_TOL * max(1.0, norm):
         raise NonPhysical(f"Heisenberg relation violated (margin {margin:.3e})")
+    # the slacks above scale with |Sigma| and can admit a negative variance
+    low = min(sigma.diagonal().tolist())
+    if not low > 0.0:
+        raise NonPhysical(f"covariance has a variance {low:.3e} <= 0")
     if np.linalg.det(sigma) < 0.25 ** modes - det_slack:
         raise NonPhysical("det(Sigma) below the pure-state minimum")
     return _trusted_state(d, sigma)

@@ -14,7 +14,8 @@ from lossfish import (ChannelParams, EtaTooClose, NonPhysical, NonPhysicalParams
                       optimize_two_mode, qfi_coherent, qfi_fidelity_fd,
                       qfi_gamma, qfi_if_closed, qfi_shadow,
                       qfi_single_mode_form, qfi_sld, qfi_squeezed_vacuum,
-                      qfi_tmsv, qfi_two_mode_closed, tmsv, vacuum)
+                      qfi_tmsv, qfi_two_mode_closed, squeeze_parameter,
+                      tmsv, vacuum)
 import lossfish.optimize as optimize
 import lossfish.qfi as qfi
 from lossfish.optimize import two_mode_grid
@@ -180,13 +181,17 @@ def test_single_mode_form_edges_keep_their_values(n_s, xi, eta, n_b, expected, n
      "is not a finite double: inf"),
     (single_mode_state(BRIGHTEST, 0.0), ChannelParams(0.5, 0.0, normalized=True),
      "is not a finite double: inf"),
-    # make_state's roundoff slack admits a negative variance at |Sigma| = 1e8
-    (make_state([0.0, 0.0], np.diag([1e8, -1e-5])), ChannelParams(1.0 - 1e-7, 0.0),
-     r"needs det S > 0, got -9\.900e\+02"),
+    # make_state's roundoff slack admits det Sigma < 0 at |Sigma| = 1e8
+    (make_state([0.0, 0.0], [[1e8, 1e4], [1e4, 1.0 - 1e-5]]),
+     ChannelParams(1.0 - 1e-7, 0.0), r"needs det S > 0, got -9\.900e\+02"),
     # the output rounds to the vacuum while dS does not vanish
     (single_mode_state(1.0, 1.0), ChannelParams(1e-9, 0.0),
      r"divides by 1 - mu\^4 = 0"),
-], ids=["brightest", "brightest_normalized", "negative_det", "rounds_to_pure"])
+    # the output rounds to a purity above 1: the numpy form gave -0.036
+    (single_mode_state(0.1, 1.0), ChannelParams(1e-8, 0.0),
+     r"needs mu < 1, got 1/mu\^2 - 1 = -1\.110e-16"),
+], ids=["brightest", "brightest_normalized", "negative_det", "rounds_to_pure",
+        "rounds_above_pure"])
 def test_single_mode_form_raises_where_numpy_signals(state, p, message):
     # the numpy form warned here (overflow in matmul, an invalid power, a
     # division by zero) and returned an inf or a nan; the float form raises
@@ -621,6 +626,18 @@ def test_too_large_batch_of_one_raises_singular_system(state):
             assert ("overflows" in str(outcomes[0])) == (big == bound)
 
 
+def test_stein_value_past_the_doubles_raises_singular_system():
+    # the Stein route settles the brightest coherent probe at N_B = 0 with a
+    # QFI of inf; it is kept only if finite, so the state takes the
+    # Williamson sum, which fails, alone and as item 1 of a stack
+    p = ChannelParams(0.5, 0.0)
+    bright = single_mode_state(BRIGHTEST, 0.0)
+    with pytest.raises(SingularSystem, match=r"^SLD item 0 "):
+        qfi_sld(bright, p)
+    with pytest.raises(SingularSystem, match=r"^SLD item 1 "):
+        _sld_qfi_batch(*states_stack([single_mode_state(1.0, 0.5), bright], p))
+
+
 def test_kernel_values_do_not_depend_on_chunking():
     # a stack takes the Stein route's array path, a batch of one its float
     # path
@@ -987,6 +1004,94 @@ def test_congruence_keeps_the_bits_of_the_written_out_form():
         got = qfi._congruence(m, x)
         assert all(type(v) is float for v in got)
         assert [v.hex() for v in got] == [v.hex() for v in congruence_reference(m, x)]
+
+
+def squeeze_parameter_reference(n_sq):
+    """`squeeze_parameter` written out, one fresh result per operation."""
+    return 1.0 + 2.0 * n_sq - 2.0 * np.sqrt(n_sq * (n_sq + 1.0))
+
+
+def if_terms_reference(n_coh, n_sq, c):
+    """`qfi._if_terms` written out, one fresh result per operation."""
+    r = squeeze_parameter_reference(n_sq)
+    if c[0] == qfi._VACUUM:
+        _, e2, one, sq_gain = c
+        i_disp = 4.0 * n_coh / (e2 * r + one)
+        a_den = one * n_sq * e2
+        i_sq = 4.0 * n_sq * sq_gain / (one * (2.0 * a_den + 1.0))
+        i_shadow = 0.0
+    elif c[0] == qfi._HELD:
+        _, e2, e4, two_nb, nb_nb1, tnb1, tnb1_sq = c
+        i_disp = 4.0 * n_coh / (r * e2 + two_nb + 1.0 - e2)
+        b_den = nb_nb1 + n_sq * e2 * tnb1 - n_sq * e4
+        i_sq = (4.0 * n_sq * e2 / b_den) * (
+            (n_sq + 1.0) * tnb1_sq / (2.0 * b_den + 1.0) - 1.0)
+        i_shadow = 0.0
+    else:
+        _, e2, one, nb_nb1, tnb1, one_tnb1, nb_sq_e2, shadow = c
+        i_disp = 4.0 * n_coh / (e2 * r + one_tnb1)
+        a_den = one * (nb_nb1 + n_sq * e2 * tnb1 - nb_sq_e2)
+        i_sq = (4.0 * n_sq * e2 * tnb1 / a_den) * (
+            (n_sq + 1.0) * tnb1 / (2.0 * a_den + 1.0) - 1.0)
+        i_shadow = shadow / a_den
+    return i_disp, i_sq, i_shadow
+
+
+def assert_same_values(got, want):
+    """Same type, shape and bits, signbits and NaN payloads included."""
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert_same_bits(np.asarray(got, dtype=float), np.asarray(want, dtype=float))
+
+
+def closed_form_cases():
+    """``(name, n_coh, n_sq, c)`` for each branch of `qfi._if_terms`: flat
+    arrays with xi in {0, 1}, signed zeros, subnormals and overflowing
+    photon numbers; the scan's broadcast shapes; and np.float64 scalars."""
+    rng = np.random.default_rng(47)
+    n = 10.0 ** rng.uniform(-12, 12, 512)
+    n[:6] = [0.0, -0.0, 5e-324, 1e-310, 1e154, 1e308]
+    xi = rng.uniform(0.0, 1.0, 512)
+    xi[::7], xi[3::7] = 0.0, 1.0
+    ns_scan = 10.0 ** rng.uniform(-2, 2, 5)[:, None, None]
+    scan_xi = np.linspace(0.0, 1.0, 64)
+    channels = {"vacuum": (0.0, False), "held": (0.7, True), "bare": (0.7, False)}
+    for branch, (n_b, normalized) in channels.items():
+        eta = rng.uniform(0.0, 0.999, 512)
+        eta[:3] = [0.0, 1e-8, 0.999]
+        yield (f"{branch}-flat", (1.0 - xi) * n, xi * n,
+               qfi._if_channel(ChannelParams(eta, n_b, normalized)))
+        eta_scan = ChannelParams(eta[:9], n_b, normalized)
+        yield (f"{branch}-scan", (1.0 - scan_xi) * ns_scan, scan_xi * ns_scan,
+               qfi._take(qfi._if_channel(eta_scan), np.s_[..., None]))
+        for k in range(0, 512, 37):
+            c = qfi._if_channel(ChannelParams(float(eta[k]), n_b, normalized))
+            yield (f"{branch}-scalar-{k}", np.float64((1.0 - xi[k]) * n[k]),
+                   np.float64(xi[k] * n[k]), c)
+
+
+def test_closed_form_keeps_the_bits_of_the_written_out_form():
+    # _if_terms, _if_total and squeeze_parameter accumulate into the arrays
+    # they make: every value keeps the bits of the written-out form, and no
+    # argument, channel factor included, is written to
+    seen = set()
+    with np.errstate(all="ignore"):
+        for name, n_coh, n_sq, c in closed_form_cases():
+            seen.add(c[0])
+            args = (n_coh, n_sq, *c)
+            kept = [x.copy() if isinstance(x, np.ndarray) else x for x in args]
+            want = if_terms_reference(n_coh, n_sq, c)
+            for got, ref in zip(qfi._if_terms(n_coh, n_sq, c), want, strict=True):
+                assert_same_values(got, ref)
+                assert not any(got is x for x in args), name
+            assert_same_values(qfi._if_total(n_coh, n_sq, c), want[0] + want[1] + want[2])
+            assert_same_values(squeeze_parameter(n_sq), squeeze_parameter_reference(n_sq))
+            for after, before in zip(args, kept, strict=True):
+                assert_same_values(after, before)
+    assert seen == {qfi._VACUUM, qfi._HELD, qfi._BARE}
+    # squeeze_parameter on Python floats, as SingleModeProbe.r takes it
+    for n_sq in (0.0, -0.0, 5e-324, 0.5, 1e8, 1e300):
+        assert_same_values(squeeze_parameter(n_sq), squeeze_parameter_reference(n_sq))
 
 
 def table_snapshot(table):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -47,6 +48,22 @@ def test_below_vacuum_variance_rejected():
     # a Heisenberg margin of -1e-11 passes its tolerance; the determinant not
     with pytest.raises(NonPhysical, match="det\\(Sigma\\) below the pure-state minimum"):
         make_state(np.zeros(2), (0.5 - 1e-11) * np.eye(2))
+
+
+@pytest.mark.parametrize("sigma, low", [
+    (np.diag([1e8, -1e-5]), "-1.000e-05"),
+    (np.diag([1e8, 0.0]), "0.000e+00"),
+    (np.diag([-0.0, 1e8]), "-0.000e+00"),
+    (np.diag([1e8, 1e8, 1e8, -1e-12]), "-1.000e-12"),
+], ids=["negative", "zero", "negative_zero", "two_mode"])
+def test_non_positive_variance_rejected(sigma, low):
+    # at |Sigma| = 1e8 the determinant slack (1e4) and the Heisenberg slack
+    # (-1e-2) both admit these; a variance must be positive
+    message = re.escape(f"covariance has a variance {low} <= 0")
+    with pytest.raises(NonPhysical, match=f"^{message}$"):
+        make_state(np.zeros(len(sigma)), sigma)
+    # a negative det Sigma that every variance keeps positive still passes
+    make_state([0.0, 0.0], [[1e8, 1e4], [1e4, 1.0 - 1e-5]])
 
 
 def test_tmsv_covariance_is_valid_two_mode_pure_state():

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelParams, _any, _first_failing, _held_background, _scalar_eta,
-                      _shadow_diverges)
+from .channel import ChannelParams, _any, _first_failing, _shadow_diverges
 from .errors import ProbeRangeError
 from .probes import two_mode_r_min
-from .qfi import (_as_output, _check_eta, _if_channel, _if_total, _photons, _sq, _take,
-                  _two_mode_closed_raw, _two_mode_qfi, qfi_coherent, qfi_if_closed,
-                  qfi_squeezed_vacuum, qfi_tmsv)
+from .qfi import (_as_output, _check_eta, _check_two_mode_closed, _if_channel, _if_total,
+                  _photons, _sq, _take, _two_mode_closed_raw, _two_mode_qfi, qfi_coherent,
+                  qfi_if_closed, qfi_squeezed_vacuum, qfi_tmsv)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -327,8 +326,7 @@ def two_mode_grid(n_s: float, p: ChannelParams, grid=(64, 64)):
     n_zeta, n_r = grid
     if n_zeta < 32 or n_r < 32:
         raise ValueError("grid must be at least 32x32")
-    if not 0.0 <= n_s < math.inf:
-        raise ValueError(f"n_s must be finite and non-negative, got {n_s}")
+    n_s = _photons(n_s, "n_s")
     zetas = np.linspace(0.0, 1.0, n_zeta)
     # an overflow in r_min is a probe out of range, reported as such below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -377,22 +375,15 @@ def tmsv_stationarity_check(n_s: float, p: ChannelParams):
     Returns ``(d_r, d2_r, d_zeta)``; stationarity of the maximum demands
     d_r ~ 0, d2_r < 0, and d_zeta > 0 (the zeta = 1 edge is approached from
     inside).  The closed form extends smoothly past r = 1 and zeta = 1, which
-    the centred stencils exploit.  Like `qfi_two_mode_closed`, it raises
-    `ValueError` at eta = 0, where the closed form is indeterminate.  An
-    overflow, division by zero or invalid operation raises
+    the centred stencils exploit.  It refuses the channels that
+    `qfi_two_mode_closed` refuses, eta = 0 among them, with the same errors.
+    An overflow, division by zero or invalid operation raises
     `FloatingPointError`, as in `g2`.
     """
-    if not 0.0 < n_s < math.inf:
-        raise ValueError(f"n_s must be finite and positive, got {n_s}")
-    if _held_background(p):
-        raise ValueError("stationarity check uses the bare-channel closed form")
-    _scalar_eta(p)
-    _check_eta(p)
-    if p.eta == 0.0:
-        raise ValueError("closed form is indeterminate at eta = 0; use qfi_sld")
-
-    # numpy floats, so that an overflow raises under the errstate below
-    n_s, n_b = np.float64(n_s), np.float64(p.n_b)
+    n_s = _photons(n_s, "n_s", positive=True)
+    _check_two_mode_closed(p)
+    # a numpy float, as n_s is, so that an overflow raises under the errstate below
+    n_b = np.float64(p.n_b)
 
     def value(zeta, r):
         return _two_mode_closed_raw(n_s, zeta, r, 0.0, p.eta, n_b)

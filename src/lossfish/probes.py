@@ -178,33 +178,28 @@ def canonicalize(state: GaussianState) -> TwoModeProbe:
     if not abs(mu - 1.0) <= 4.0 * err:
         raise NotPure(f"state purity {mu} is not 1 within 4 err = {4.0 * err:.3e}")
 
-    sig = state.sigma.copy()
-
-    # (ii) + (iii): bring the idler block to a*I
-    evals, vecs = np.linalg.eigh(sig[2:, 2:])
+    # (ii) + (iii): the idler symplectic T_I that brings the idler block to a*I
+    evals, vecs = np.linalg.eigh(state.sigma[2:, 2:])
     order = np.argsort(evals)[::-1]
     evals, vecs = evals[order], vecs[:, order]
     if np.linalg.det(vecs) < 0:
         vecs = vecs * np.array([1.0, -1.0])
     a = float(np.sqrt(evals[0] * evals[1]))
-    t_full = np.eye(4)
-    t_full[2:, 2:] = np.diag(np.sqrt(a / evals)) @ vecs.T
-    sig = t_full @ sig @ t_full.T
+    t_idler = np.diag(np.sqrt(a / evals)) @ vecs.T
 
     # (iv): signal -> diag(a r, a / r), eigenvalues ascending so that r <= 1
-    evals_s, vecs_s = np.linalg.eigh(sig[:2, :2])
+    evals_s, vecs_s = np.linalg.eigh(state.sigma[:2, :2])
     if np.linalg.det(vecs_s) < 0:
         vecs_s = vecs_s * np.array([1.0, -1.0])
-    t_full = np.eye(4)
-    t_full[:2, :2] = vecs_s.T
-    sig = t_full @ sig @ t_full.T
+    # T_I moves only the cross block; V_s^T (C T_I^T) keeps the 4x4 form's bits
+    cross = vecs_s.T @ (state.sigma[:2, 2:] @ t_idler.T)
     d_signal = vecs_s.T @ state.d[:2]
     r = float(np.sqrt(evals_s[0] / evals_s[1]))
 
     # cross block: c * diag(sqrt(r), 1/sqrt(r)) @ [[cos, sin], [sin, -cos]](phi)
     c = np.sqrt(max(a * a - 0.25, 0.0))
     if c > 1e-12:
-        refl = np.diag([1.0 / np.sqrt(r), np.sqrt(r)]) @ sig[:2, 2:] / c
+        refl = np.diag([1.0 / np.sqrt(r), np.sqrt(r)]) @ cross / c
         phi = float(np.arctan2(refl[0, 1] + refl[1, 0], refl[0, 0] - refl[1, 1]))
     else:
         phi = 0.0

@@ -107,11 +107,13 @@ def _sq(x):
 
 def _photons(x, name: str, positive: bool = False):
     """`x` as a numpy float, or as a float array, with every entry finite and
-    non-negative (positive if `positive`); raises `ValueError` otherwise.  A
-    scalar is an `np.float64`, not a Python float, so that an overflow in the
-    closed forms signals as it does on arrays instead of passing silently."""
+    non-negative (positive if `positive`); raises `ValueError` otherwise,
+    naming a scalar as given.  A scalar is returned as an `np.float64`, not a
+    Python float, so that an overflow in the closed forms signals as it does
+    on arrays instead of passing silently."""
     if isinstance(x, (int, float)) or np.ndim(x) == 0:
-        x = low = high = np.float64(x)
+        low = high = x
+        x = np.float64(x)
     else:
         x = np.asarray(x, dtype=float)
         # NaN propagates through min and max, and fails both tests below
@@ -1010,18 +1012,25 @@ def _two_mode_closed_raw(n_s, zeta, r, theta, eta, nb):
     return trace_term + disp_term
 
 
+def _check_two_mode_closed(p: ChannelParams):
+    """Raise unless `p` is one bare channel with ``0 < eta <= 1 - EPS_ETA``,
+    where the two-mode closed form holds."""
+    if _held_background(p):
+        raise ValueError("the bare-channel closed form covers the bare channel only; "
+                         "use qfi_sld")
+    _scalar_eta(p)
+    _check_eta(p)
+    if p.eta == 0.0:
+        raise ValueError("closed form is indeterminate at eta = 0; use qfi_sld")
+
+
 def qfi_two_mode_closed(probe: TwoModeProbe, p: ChannelParams) -> float:
     """Closed-form QFI of a canonical two-mode probe (bare channel, eta > 0).
 
     Independent of the probe's `phi`.  For the normalized model or eta = 0 use
     :func:`qfi_sld` on the built state.
     """
-    if _held_background(p):
-        raise ValueError("closed form covers the bare channel only; use qfi_sld")
-    _scalar_eta(p)
-    _check_eta(p)
-    if p.eta == 0.0:
-        raise ValueError("closed form is indeterminate at eta = 0; use qfi_sld")
+    _check_two_mode_closed(p)
     # n_s and N_B as numpy floats, so that an overflow signals (see `_photons`)
     return float(_two_mode_closed_raw(np.float64(probe.n_s), probe.zeta, probe.r,
                                       probe.theta, p.eta, np.float64(p.n_b)))
@@ -1036,21 +1045,19 @@ def homodyne_fisher(n_coh: float, r: float, p: ChannelParams) -> float:
 
     The measured quadrature is Gaussian with mean ``eta sqrt(2 n_coh)`` and
     variance ``eta^2 r/2 + y(eta)``, so
-    ``H = (dm)^2 / V + (dV)^2 / (2 V^2)``.  ``V`` and ``dV`` are numpy
-    floats, and an overflow or invalid operation in ``H`` raises
-    `FloatingPointError`, never a warning with an inf or a nan.
+    ``H = (dm)^2 / V + (dV)^2 / (2 V^2)``.  `n_coh`, ``V`` and ``dV`` are
+    numpy floats, and an overflow or invalid operation in ``H`` (``(dm)^2``
+    too) raises `FloatingPointError`, never a warning with an inf or a nan.
     """
     _scalar_eta(p)
     if not 0.0 < r <= 1.0:
         raise ValueError("r must lie in (0, 1]")
-    if not 0.0 <= n_coh < math.inf:
-        raise ValueError(f"n_coh must be finite and non-negative, got {n_coh}")
+    n_coh = _photons(n_coh, "n_coh")
     eta2, y, _, dy = _channel_factors(p)
     var = np.float64(0.5 * eta2 * r + y)
     dvar = np.float64(p.eta * r + dy)
-    dmean_sq = 2.0 * n_coh
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        return float(dmean_sq / var + 0.5 * dvar ** 2 / var ** 2)
+        return float(2.0 * n_coh / var + 0.5 * dvar ** 2 / var ** 2)
 
 
 def qfi_gamma(gamma: float, t: float, probe: GaussianState,

@@ -87,7 +87,7 @@ def make_state(d, sigma) -> GaussianState:
         (purity above 1).
     """
     d = np.asarray(d, dtype=float).reshape(-1).copy()
-    sigma = np.asarray(sigma, dtype=float).copy()
+    sigma = np.asarray(sigma, dtype=float)
     if d.size % 2 != 0 or d.size // 2 not in (1, 2):
         raise DimensionMismatch(f"first moments must have length 2 or 4, got {d.size}")
     modes = d.size // 2

@@ -66,6 +66,23 @@ def test_out_of_domain_calls_rejected():
         tmsv_stationarity_check(1.0, ChannelParams(0.5, 1.0, normalized=True))
 
 
+@pytest.mark.parametrize("p", [
+    ChannelParams(0.5, 1.0, normalized=True),
+    ChannelParams(np.array([0.5, 0.6]), 0.0),
+    ChannelParams(1.0 - 1e-8, 0.0),
+    ChannelParams(0.0, 1.0),
+], ids=["held-background", "array-eta", "guard-band", "eta-zero"])
+def test_closed_form_entry_points_refuse_the_same_channels(p):
+    # both go through one channel guard: same error type, same message
+    errors = []
+    for call in (lambda: qfi_two_mode_closed(TwoModeProbe(1.0, 0.5, 1.0), p),
+                 lambda: tmsv_stationarity_check(1.0, p)):
+        with pytest.raises((ValueError, EtaTooClose)) as info:
+            call()
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+
+
 def test_threshold_below_sqrt_half_is_zero():
     assert xi_threshold_nbar(0.7) == 0.0
     assert xi_threshold_nbar(0.3) == 0.0
@@ -562,10 +579,12 @@ def test_optimize_bandwidth_overflow_is_not_divergent(family, normalized):
     lambda p: homodyne_fisher(1.0, 0.5, replace(p, n_b=1e200)),
     # gamma t = 1, but t^2 passes the double range
     lambda p: qfi_gamma(1e-200, 1e200, vacuum(), replace(p, n_b=1.0)),
+    # 2 n_coh passes the double range
+    lambda p: homodyne_fisher(1.7e308, 1.0, p),
 ], ids=["qfi_if_closed", "qfi_tmsv", "qfi_two_mode_closed",
         "tmsv_stationarity_check", "f1", "optimize_xi", "total_qfi",
         "total_qfi-copies", "optimize_bandwidth", "g2", "homodyne_fisher",
-        "qfi_gamma"])
+        "qfi_gamma", "homodyne_fisher-n_coh"])
 def test_scalar_overflow_signals(call):
     # a scalar photon number enters the closed forms as a numpy float, so its
     # overflow signals as on arrays; on Python floats a product overflows to
@@ -590,6 +609,15 @@ def test_stationarity_check_huge_bath_raises_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="overflow"):
             tmsv_stationarity_check(1.0, ChannelParams(0.5, 1e200))
+
+
+def test_homodyne_fisher_bright_probe_raises_without_a_warning():
+    # n_coh enters as a numpy float and 2 n_coh is taken under the function's
+    # own errstate, so a bright probe raises instead of returning inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="overflow"):
+            homodyne_fisher(1.7e308, 1.0, ChannelParams(0.0, 0.0))
 
 
 def test_qfi_gamma_prefactor_overflow_raises_without_a_warning():

@@ -1,12 +1,15 @@
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from lossfish import (ChannelParams, NotPure, NotTwoMode, ProbeRangeError,
-                      SingleModeProbe, TwoModeProbe, build_single_mode,
-                      build_two_mode, canonicalize, make_state, purity,
-                      qfi_sld, thermal, tmsv, two_mode_r_min, vacuum)
+from lossfish import (ChannelParams, LossfishError, NotPure, NotTwoMode,
+                      ProbeRangeError, SingleModeProbe, TwoModeProbe,
+                      build_single_mode, build_two_mode, canonicalize,
+                      make_state, purity, qfi_sld, thermal, tmsv,
+                      two_mode_r_min, vacuum)
+from lossfish.states import _purity
 
 
 def rotation(theta):
@@ -203,6 +206,82 @@ def test_canonicalize_passes_a_lost_purity_through():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError):
             canonicalize(tmsv(1e40))
+
+
+def canonicalize_reference(state):
+    """`canonicalize` as two 4x4 congruences on a copy of the whole covariance."""
+    if state.modes != 2:
+        raise NotTwoMode("canonical form is defined for two-mode states")
+    mu, err = _purity(state.sigma)
+    if not abs(mu - 1.0) <= 4.0 * err:
+        raise NotPure(f"state purity {mu} is not 1 within 4 err = {4.0 * err:.3e}")
+    sig = state.sigma.copy()
+    evals, vecs = np.linalg.eigh(sig[2:, 2:])
+    order = np.argsort(evals)[::-1]
+    evals, vecs = evals[order], vecs[:, order]
+    if np.linalg.det(vecs) < 0:
+        vecs = vecs * np.array([1.0, -1.0])
+    a = float(np.sqrt(evals[0] * evals[1]))
+    t_full = np.eye(4)
+    t_full[2:, 2:] = np.diag(np.sqrt(a / evals)) @ vecs.T
+    sig = t_full @ sig @ t_full.T
+    evals_s, vecs_s = np.linalg.eigh(sig[:2, :2])
+    if np.linalg.det(vecs_s) < 0:
+        vecs_s = vecs_s * np.array([1.0, -1.0])
+    t_full = np.eye(4)
+    t_full[:2, :2] = vecs_s.T
+    sig = t_full @ sig @ t_full.T
+    d_signal = vecs_s.T @ state.d[:2]
+    r = float(np.sqrt(evals_s[0] / evals_s[1]))
+    c = np.sqrt(max(a * a - 0.25, 0.0))
+    if c > 1e-12:
+        refl = np.diag([1.0 / np.sqrt(r), np.sqrt(r)]) @ sig[:2, 2:] / c
+        phi = float(np.arctan2(refl[0, 1] + refl[1, 0], refl[0, 0] - refl[1, 1]))
+    else:
+        phi = 0.0
+    n_coh = 0.5 * float(d_signal @ d_signal)
+    theta = float(np.arctan2(d_signal[1], d_signal[0])) if n_coh > 0 else 0.0
+    n_sq_th = 0.5 * a * (r + 1.0 / r) - 0.5
+    n_s = n_coh + n_sq_th
+    if n_s <= 0:
+        return TwoModeProbe(n_s=0.0, zeta=0.0, r=1.0)
+    zeta = float(np.sqrt(min(max(n_sq_th / n_s, 0.0), 1.0)))
+    r = float(min(max(r, two_mode_r_min(n_s, zeta)), 1.0))
+    return TwoModeProbe(n_s=n_s, zeta=zeta, r=r, theta=theta, phi=phi)
+
+
+def test_canonicalize_keeps_the_bits_of_the_4x4_congruences():
+    # moving only the 2x2 blocks it reads, canonicalize returns the fields
+    # of the whole-matrix form bit for bit, or raises as it does
+    def outcome(f, state):
+        try:
+            return [float(v).hex() for v in astuple(f(state))]
+        except (LossfishError, FloatingPointError) as exc:
+            return type(exc), str(exc)
+
+    # canonical probes at random angles, the same moved by a signal rotation
+    # and an idler symplectic, bright TMSVs, the two-mode vacuum, and states
+    # that it refuses
+    rng = np.random.default_rng(31)
+    panel = []
+    for _ in range(1024):
+        n_s, zeta = 10.0 ** rng.uniform(-3, 3), rng.uniform(0.0, 1.0)
+        r = 10.0 ** rng.uniform(np.log10(two_mode_r_min(n_s, zeta)), 0.0)
+        state = build_two_mode(TwoModeProbe(n_s, zeta, r, *rng.uniform(0, 2 * np.pi, 2)))
+        full = np.eye(4)
+        full[:2, :2] = rotation(rng.uniform(0, 2 * np.pi))
+        full[2:, 2:] = rotation(rng.uniform(0, 2 * np.pi)) \
+            @ np.diag(np.exp(np.array([1.0, -1.0]) * rng.uniform(-1.0, 1.0))) \
+            @ rotation(rng.uniform(0, 2 * np.pi))
+        panel += [state, make_state(full @ state.d, full @ state.sigma @ full.T)]
+    panel += [tmsv(n_s) for n_s in np.geomspace(1e2, 1e6, 41)]
+    panel += [vacuum(2), tmsv(1e40), thermal(0.5), make_state(np.zeros(4), np.eye(4))]
+    kinds = set()
+    for state in panel:
+        got = outcome(canonicalize, state)
+        assert got == outcome(canonicalize_reference, state)
+        kinds.add(got[0] if isinstance(got, tuple) else TwoModeProbe)
+    assert kinds == {TwoModeProbe, FloatingPointError, NotTwoMode, NotPure}
 
 
 @pytest.mark.parametrize("field", ["n_s", "theta", "phi"])

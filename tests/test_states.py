@@ -149,6 +149,22 @@ def test_states_are_immutable():
             state.d[0] = 1.0
 
 
+@pytest.mark.parametrize("d, sigma", [
+    (np.array([0.3, -0.2]), np.diag([0.4, 0.7])),
+    (np.array([0.1, 0.2, -0.3, 0.4]), np.array(tmsv(1.0).sigma)),
+    (np.zeros(4), np.array(tmsv(1.0).sigma)
+     + np.triu(np.full((4, 4), 0.5 * states.SYM_TOL), 1)),
+], ids=["one-mode", "two-mode", "asymmetric-within-tol"])
+def test_make_state_leaves_its_inputs_alone(d, sigma):
+    # the state keeps arrays of its own; the caller's stay writable, unchanged
+    kept = d.tobytes(), sigma.tobytes()
+    state = make_state(d, sigma)
+    for given, before, stored in zip((d, sigma), kept, (state.d, state.sigma)):
+        assert given.flags.writeable
+        assert given.tobytes() == before
+        assert not np.shares_memory(given, stored)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_covariance_rejected(bad):
     one_mode = [[bad, 0.0], [0.0, bad]]

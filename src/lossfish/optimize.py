@@ -21,8 +21,8 @@ from .channel import ChannelParams, _any, _first_failing, _shadow_diverges
 from .errors import ProbeRangeError
 from .probes import two_mode_r_min
 from .qfi import (_as_output, _check_eta, _check_two_mode_closed, _if_channel, _if_total,
-                  _photons, _sq, _take, _two_mode_closed_raw, _two_mode_qfi, qfi_coherent,
-                  qfi_if_closed, qfi_squeezed_vacuum, qfi_tmsv)
+                  _one_number, _photons, _sq, _take, _two_mode_closed_raw, _two_mode_qfi,
+                  qfi_coherent, qfi_if_closed, qfi_squeezed_vacuum, qfi_tmsv)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -208,11 +208,12 @@ def _golden_max(landscape, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.nda
     the brackets `live` (indices into `lo`), each at its own point of an
     array; it is called again whenever the live set shrinks.  A bracket
     freezes as soon as ``hi - lo <= tol``: its midpoint goes to the result
-    and it leaves the search, so brackets of different widths take different
-    numbers of steps and each step evaluates the live brackets only.  Each
-    step takes one width ``hi - lo`` for both the freeze test and the gap,
-    and scales it in place into ``GOLDEN (hi - lo)`` and then ``hi - gap``.
-    Returns the bracket midpoints.
+    and it leaves the search before the step evaluates its new point, so
+    brackets of different widths take different numbers of steps and each
+    step evaluates the brackets that stay live only.  Each step takes one
+    width ``hi - lo`` for both the freeze test and the gap, and scales it in
+    place into ``GOLDEN (hi - lo)`` and then ``hi - gap``.  Returns the
+    bracket midpoints.
     """
     mid = 0.5 * (lo + hi)
     live = np.flatnonzero(hi - lo > tol)
@@ -229,6 +230,14 @@ def _golden_max(landscape, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.nda
         hi = np.where(up, hi, x2)
         width = hi - lo
         done = width <= tol
+        if np.count_nonzero(done):
+            mid[live[done]] = 0.5 * (lo[done] + hi[done])
+            keep = ~done
+            live, lo, hi, width, up, x1, x2, f1_, f2_ = (
+                a[keep] for a in (live, lo, hi, width, up, x1, x2, f1_, f2_))
+            if not live.size:
+                break
+            f = landscape(live)
         width *= GOLDEN
         x = lo + width
         np.subtract(hi, width, out=width)
@@ -236,12 +245,6 @@ def _golden_max(landscape, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.nda
         x1, x2 = np.where(up, x2, x), np.where(up, x, x1)
         new = f(x)
         f1_, f2_ = np.where(up, f2_, new), np.where(up, new, f1_)
-        if np.count_nonzero(done):
-            mid[live[done]] = 0.5 * (lo[done] + hi[done])
-            keep = ~done
-            live, lo, hi, x1, x2, f1_, f2_ = (a[keep] for a in
-                                              (live, lo, hi, x1, x2, f1_, f2_))
-            f = landscape(live)
     return mid
 
 
@@ -323,6 +326,7 @@ def two_mode_grid(n_s: float, p: ChannelParams, grid=(64, 64)):
     Raises `ProbeRangeError` if some r_min rounds to 0, as at n_s = 1e8, or
     overflows to -inf or nan, as at n_s = 1e300 and 1e308.
     """
+    _one_number(n_s, "n_s")
     n_zeta, n_r = grid
     if n_zeta < 32 or n_r < 32:
         raise ValueError("grid must be at least 32x32")
@@ -380,6 +384,7 @@ def tmsv_stationarity_check(n_s: float, p: ChannelParams):
     An overflow, division by zero or invalid operation raises
     `FloatingPointError`, as in `g2`.
     """
+    _one_number(n_s, "n_s")
     n_s = _photons(n_s, "n_s", positive=True)
     _check_two_mode_closed(p)
     # a numpy float, as n_s is, so that an overflow raises under the errstate below

@@ -109,11 +109,11 @@ class TwoModeProbe:
         return two_mode_r_min(self.n_s, self.zeta)
 
 
-def _check_finite(n_s, *factors):
-    """Raise `ProbeRangeError` unless the non-negative factors of a probe's
-    moments are finite: past the double range they would turn into an inf,
-    and an inf times a zero cosine into a nan."""
-    if not all(x < math.inf for x in factors):
+def _check_finite(n_s, *entries):
+    """Raise `ProbeRangeError` unless the entries of a probe's moments that
+    carry its amplitude and correlation are finite: past the double range
+    they would turn into an inf, and an inf times a zero into a nan."""
+    if not all(abs(x) < math.inf for x in entries):
         raise ProbeRangeError(f"n_s = {n_s} is too large: the moments are not finite")
 
 
@@ -128,30 +128,39 @@ def build_single_mode(p: SingleModeProbe) -> GaussianState:
     return make_state(d, sigma)
 
 
-def _canonical_factors(n_s, zeta, r):
-    """``(a, c, sqrt(r), sqrt(1/r), amp)`` of canonical two-mode probes: the
-    idler variance ``a``, the correlation ``c = sqrt(a^2 - 1/4)``, the
-    signal's squeezing factors and the displacement amplitude
-    ``sqrt(2 N_coh)``; broadcasts over arrays and checks no ranges.  It
-    squares by multiplying, as numpy's array ``** 2`` does, so that a probe
-    built alone gets the bits of the same probe in a grid."""
+def _canonical_table(n_s, zeta, r, theta, phi):
+    """``(d, sigma)`` of canonical two-mode probes as nested lists of
+    entries, the one table that `build_two_mode` and the (zeta, r) grid read.
+
+    Broadcasts over arrays of `n_s`, `zeta` and `r` (one entry per probe);
+    the angles are scalars, and an entry with a zero sine is that signed
+    zero as a float, so the grid keeps floats at its structural zeros.  The
+    cross entries are shared objects (``sigma[0][2] is sigma[2][0]``).
+    Checks no ranges.  It squares by multiplying, as numpy's array ``** 2``
+    does, so that a probe built alone gets the bits of the same probe in a
+    grid."""
     z2, inv_r = zeta * zeta, 1.0 / r
     a = (2.0 * (n_s * z2) + 1.0) / (r + inv_r)
     c = np.sqrt(np.maximum(a * a - 0.25, 0.0))
-    return a, c, np.sqrt(r), np.sqrt(inv_r), np.sqrt(2.0 * (n_s * (1.0 - z2)))
+    sr, si, amp = np.sqrt(r), np.sqrt(inv_r), np.sqrt(2.0 * (n_s * (1.0 - z2)))
+    cos, sin, sin_t = np.cos(phi), np.sin(phi), np.sin(theta)
+    xc, pc = c * (sr * cos), c * (-si * cos)
+    # where a sine is zero, each product with it is that signed zero, as one
+    # float that every item shares
+    xs, ps = (float(sin),) * 2 if sin == 0.0 else (c * (sr * sin), c * (si * sin))
+    sigma = [[a * r, 0.0, xc, xs],
+             [0.0, a / r, ps, pc],
+             [xc, ps, a, 0.0],
+             [xs, pc, 0.0, a]]
+    d = [amp * np.cos(theta), float(sin_t) if sin_t == 0.0 else amp * sin_t, 0.0, 0.0]
+    return d, sigma
 
 
 def build_two_mode(p: TwoModeProbe) -> GaussianState:
     """Pure two-mode state in canonical form; signal-mode photons equal `n_s`."""
-    a, c, sr, si, amp = _canonical_factors(p.n_s, p.zeta, p.r)
-    _check_finite(p.n_s, c, amp)
-    xc, xs = c * (sr * np.cos(p.phi)), c * (sr * np.sin(p.phi))
-    pc, ps = c * (-si * np.cos(p.phi)), c * (si * np.sin(p.phi))
-    sigma = [[a * p.r, 0.0, xc, xs],
-             [0.0, a / p.r, ps, pc],
-             [xc, ps, a, 0.0],
-             [xs, pc, 0.0, a]]
-    return make_state([amp * np.cos(p.theta), amp * np.sin(p.theta), 0.0, 0.0], sigma)
+    d, sigma = _canonical_table(p.n_s, p.zeta, p.r, p.theta, p.phi)
+    _check_finite(p.n_s, d[0], sigma[0][2])
+    return make_state(d, sigma)
 
 
 def tmsv(n_s: float) -> GaussianState:

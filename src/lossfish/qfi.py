@@ -63,7 +63,7 @@ from .channel import (ChannelParams, _channel_factors, _derivative_entries,
                       apply_channel, gamma_to_eta)
 from .errors import EtaTooClose, NonPhysical, SingularSystem
 from .fidelity import gaussian_fidelity
-from .probes import TwoModeProbe, _canonical_factors, squeeze_parameter
+from .probes import TwoModeProbe, _canonical_table, squeeze_parameter
 from .states import EPS_MACHINE, GaussianState, _basis_error, _williamson
 
 EPS_ETA = 1e-7
@@ -124,6 +124,13 @@ def _photons(x, name: str, positive: bool = False):
         raise ValueError(f"{name} must be finite and {kind}, "
                          f"got {high if low_ok else low}")
     return x
+
+
+def _one_number(x, name: str):
+    """Raise `ValueError`, naming `name`, if `x` is an array of any shape:
+    the routes that call this take one photon number."""
+    if np.ndim(x):
+        raise ValueError(f"{name} must be one number, got an array of shape {np.shape(x)}")
 
 
 def _as_output(x):
@@ -431,7 +438,7 @@ def _dot(x, y):
     return total
 
 
-def _stein(ops, s, ds, dd):
+def _stein(s, ds, dd):
     """QFI values and relative SLD residuals by the Stein route, and Stein's
     Williamson basis of the same items.
 
@@ -453,10 +460,11 @@ def _stein(ops, s, ds, dd):
     the Stein solve amplifies the rounding noise of the residual.  On a
     stack, ``ops.pick`` keeps the step's or the previous arrays, whichever
     most items take, and writes the other side's items into them.  The
-    relative residual is that of the same-parity equations.  ``s[i][j]``,
-    ``ds[i][j]`` and ``dd[i]`` are Python floats for one item; on a stack,
-    1-D arrays over its items, or floats that they all share, with the
-    elementary functions of `ops` to match.
+    relative residual is that of the same-parity equations.  The tables
+    come in `_sld_qfi_batch`'s two layouts: ``s[i][j]``, ``ds[i][j]`` and
+    ``dd[i]`` are Python floats for one item; on a stack, 1-D arrays over
+    its items, or floats that they all share.  Whether ``dd[0]`` is a float
+    picks the elementary functions, `_FLOAT_OPS` or `_ARRAY_OPS`.
 
     The route solves for ``X = L/2``, whose right-hand side is ``dS``
     itself, so that it copies no entry of ``dS``; scaling by 2 is exact, so
@@ -480,6 +488,7 @@ def _stein(ops, s, ds, dd):
     is written, and an entry that stands for several is read as each.  For
     one item the same code runs on Python floats.
     """
+    ops = _FLOAT_OPS if isinstance(dd[0], float) else _ARRAY_OPS
     system = _one_mode_system if len(dd) == 2 else _two_mode_system
     solve, apply, b, weights, disp, basis = system(ops, s, ds, dd)
     n = len(b)
@@ -507,27 +516,24 @@ def _stein(ops, s, ds, dd):
 
 
 def _blocks(table):
-    """The objects that hold the entries of a table, each once: an ndarray
-    with the item axis last, or a float, is one block; a sequence of tables
-    gives the blocks of its entries, one that stands for several once."""
+    """The objects that hold the entries of a table, each once: a row over
+    the items, or a float, is one block; a sequence of tables gives the
+    blocks of its entries, one that stands for several once."""
     if isinstance(table, (np.ndarray, float)):
         return [table]
     return list({id(b): b for entry in table for b in _blocks(entry)}.values())
 
 
-def _largest(blocks, count):
+def _largest(blocks):
     """The largest ``|entry|`` over `blocks`, as ``(rows, shared)``: each
-    item's over the array blocks, NaN where an entry is NaN, and the largest
+    item's over the row blocks, NaN where an entry is NaN, and the largest
     over the float blocks, inf for a NaN, which costs no array pass."""
     rows, shared = None, 0.0
     for block in blocks:
         if isinstance(block, float):
             shared = max(shared, abs(block) if block == block else math.inf)
             continue
-        big = np.abs(block)
-        if big.ndim > 1:
-            big = big.reshape(-1, count).max(axis=0)
-        rows = big if rows is None else np.maximum(rows, big, out=rows)
+        rows = np.abs(block) if rows is None else np.maximum(rows, np.abs(block), out=rows)
     return rows, shared
 
 
@@ -547,27 +553,25 @@ def _at(table, items):
 
 
 def _sld_qfi_batch(s, ds, dd):
-    """QFI values for a stack of G channel outputs, given entry by entry:
-    ``s[i][j]``, ``ds[i][j]`` and ``dd[i]`` are arrays over the items, or
-    Python floats that every item shares, in nested sequences (one object
-    may stand for several entries) or ndarrays of shape (m, m, G) or (m, G);
-    ``dd[0]`` and the diagonal of ``s`` are arrays, unless every entry is a
-    float: then the tables are one state, as `qfi_sld` takes it from the
-    channel's entry functions.  A float is checked with no array pass, and
-    repeated only where the Williamson sum gathers items.  A non-finite
-    entry raises `NonPhysical`, naming the first such item, before any
-    solve.  A stack whose ``S`` and ``dS`` have exactly zero x-p entries
-    (canonical probes through the phase-covariant channel) is solved by the
-    Stein route (`_stein`): explicit 2x2 arithmetic in one pass over the
-    rows.  One state, as floats or as a stack of one (whose ndarrays are
-    read once with ``.tolist()``), is checked and, with no x-p entries,
-    solved by the Stein route on its floats as they are.  A state they do
-    not settle (x-p entries, a domain error, which becomes an inf or a nan
-    on arrays, a residual above ``SLD_RESIDUAL_TOL`` or a value that is not
-    finite) continues as the stack of one of the same values.  Items that
-    the Stein route settles to ``SLD_RESIDUAL_TOL`` with a finite value keep
+    """QFI values for G channel outputs, given entry by entry in one of the
+    two layouts that its callers send.  One state (`qfi_sld`): ``s[i][j]``,
+    ``ds[i][j]`` and ``dd[i]`` are Python floats in nested lists.  A stack
+    (the (zeta, r) grid, `_two_mode_qfi`): each entry is a 1-D array over
+    the items, or a Python float that every item shares, and one object may
+    stand for several entries; ``dd[0]`` is an array.  Whether ``dd[0]`` is
+    a float tells them apart.  A float is checked with no array pass, and
+    repeated only where the Williamson sum gathers items.  A
+    non-finite entry raises `NonPhysical`, naming the first such item,
+    before any solve.  A table whose ``S`` and ``dS`` have exactly zero x-p
+    entries (canonical probes through the phase-covariant channel) is
+    solved by the Stein route (`_stein`): explicit 2x2 arithmetic, on one
+    state's floats as they are, or in one pass over a stack's rows.  A state
+    the floats do not settle (x-p entries, a domain error, which becomes an
+    inf or a nan on arrays, a residual above ``SLD_RESIDUAL_TOL`` or a value
+    that is not finite) continues as rows of one item.  Items that the
+    Stein route settles to ``SLD_RESIDUAL_TOL`` with a finite value keep
     it; the others, gathered item-first, take the Williamson-basis sum
-    (`_williamson_sum`) in Stein's basis, and every item of any other stack
+    (`_williamson_sum`) in Stein's basis, and every item of any other table
     takes it in the basis of `_williamson`.
     Pure output modes drop out on either route: a cut ``g - 1`` term has a
     zero numerator, as ``dS`` is orthogonal to the kernel of the SLD
@@ -582,36 +586,31 @@ def _sld_qfi_batch(s, ds, dd):
     that fails raises `SingularSystem`, and so does, before any solve, an
     ``S`` so large that ``g = 4 nu_j nu_k`` would overflow.
     """
-    if isinstance(dd[0], float):  # one state, as nested Python floats
-        one = s, ds, dd
-    elif len(dd[0]) == 1:  # a stack of one: its entries as floats, read once
-        one = [_at(x, 0).tolist() for x in (s, ds, dd)]
-    else:
-        one = None
+    one = isinstance(dd[0], float)  # one state, as nested Python floats
     count = 1 if one else len(dd[0])
     # nu <= |S| <= m max|S_ij|, and g = 4 nu_j nu_k must be a finite double;
     # m is 2 or 4, so dividing by it is exact and cannot overflow
     s_max = _NU_MAX / len(s)
     solved = None
     if one:
-        s_one = list(itertools.chain.from_iterable(one[0]))
-        if not all(map(math.isfinite, itertools.chain(s_one, *one[1], one[2]))):
+        s_one = list(itertools.chain.from_iterable(s))
+        if not all(map(math.isfinite, itertools.chain(s_one, *ds, dd))):
             raise NonPhysical(_NON_FINITE.format(0))
         if not max(map(abs, s_one)) < s_max:
             raise SingularSystem(_TOO_LARGE.format(0))
-        canonical = not any(itertools.chain(*_x_p(one[0]), *_x_p(one[1])))
+        canonical = not any(itertools.chain(*_x_p(s), *_x_p(ds)))
         if canonical:
             try:
-                solved = _stein(_FLOAT_OPS, *one)
+                solved = _stein(s, ds, dd)
             except (ArithmeticError, ValueError):  # a domain error: use arrays
                 pass
             else:
                 if solved[1] <= SLD_RESIDUAL_TOL and math.isfinite(solved[0]):
                     return np.array([solved[0]])
-        # not settled on floats: the same values, as a stack of one
-        s, ds, dd = (np.array(x)[..., None] for x in one)
+        # not settled on floats: the same values, as rows of one item
+        s, ds, dd = (np.array(x)[..., None] for x in (s, ds, dd))
     else:
-        (s_big, s_top), (big, top) = (_largest(_blocks(t), count) for t in (s, (ds, dd)))
+        (s_big, s_top), (big, top) = (_largest(_blocks(t)) for t in (s, (ds, dd)))
         big, top = np.maximum(s_big, big), max(s_top, top)
         if not max(big.max(), top) < math.inf:  # an inf or a NaN
             ok = np.maximum(big, top) < math.inf
@@ -627,7 +626,7 @@ def _sld_qfi_batch(s, ds, dd):
         if not canonical:
             values, items, basis = np.empty(count), np.arange(count), None
         else:
-            values, rel, basis = solved or _stein(_ARRAY_OPS, s, ds, dd)
+            values, rel, basis = solved or _stein(s, ds, dd)
             values = np.atleast_1d(values)
             # a Stein value is kept where it is finite and its residual passes
             kept = np.isfinite(values)
@@ -687,18 +686,12 @@ def _two_mode_qfi(n_s: float, zeta: np.ndarray, r: np.ndarray, p: ChannelParams)
 
 def _two_mode_outputs(n_s, zeta, r, p: ChannelParams):
     """``(s, ds, dd)`` of the outputs of canonical two-mode probes, entry by
-    entry: the input table, built as `build_two_mode` builds each entry and
-    ``0.0`` at each structural zero, goes through the channel's entry
-    functions, so each point keeps the bits of its probe built alone.  No
-    output displacement is computed: the kernel reads none."""
-    a, c, sr, si, amp = _canonical_factors(n_s, zeta, r)
-    # the input entries, at theta = phi = 0
-    s02, s13 = c * sr, c * -si
-    sigma = [[a * r, 0.0, s02, 0.0],
-             [0.0, a / r, 0.0, s13],
-             [s02, 0.0, a, 0.0],
-             [0.0, s13, 0.0, a]]
-    dd, ds = _derivative_entries([amp, 0.0, 0.0, 0.0], sigma, p)
+    entry: `probes._canonical_table` at theta = phi = 0, which `build_two_mode`
+    reads too, goes through the channel's entry functions, so each point
+    keeps the bits of its probe built alone.  No output displacement is
+    computed: the kernel reads none."""
+    d, sigma = _canonical_table(n_s, zeta, r, 0.0, 0.0)
+    dd, ds = _derivative_entries(d, sigma, p)
     return _output_entries([], sigma, p)[1], ds, dd
 
 
@@ -1049,6 +1042,7 @@ def homodyne_fisher(n_coh: float, r: float, p: ChannelParams) -> float:
     numpy floats, and an overflow or invalid operation in ``H`` (``(dm)^2``
     too) raises `FloatingPointError`, never a warning with an inf or a nan.
     """
+    _one_number(n_coh, "n_coh")
     _scalar_eta(p)
     if not 0.0 < r <= 1.0:
         raise ValueError("r must lie in (0, 1]")

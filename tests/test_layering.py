@@ -15,7 +15,7 @@ SOURCES = Path(lossfish.__file__).resolve().parent
 KERNEL = {"_sld_qfi_batch", "_stein", "_williamson_sum", "_pair_terms",
           "SLD_RESIDUAL_TOL"}
 ROUTE_PARTS = {"apply_channel", "channel_derivative", "build_two_mode",
-               "_canonical_factors", "_channel_factors", "SingularSystem"}
+               "_canonical_table", "_channel_factors", "SingularSystem"}
 
 
 def nodes(name):
@@ -36,6 +36,20 @@ def named(name):
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             found.add(node.name)
     return found
+
+
+def functions():
+    """``(module, top-level function)`` for every function in the sources;
+    a nested function counts as part of the one that holds it."""
+    return [(path.name, node) for path in SOURCES.glob("*.py")
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef)]
+
+
+def reads(node):
+    """Every name and attribute that the code under `node` reads."""
+    names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    return names | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
 
 
 def imported(name):
@@ -63,11 +77,38 @@ def test_only_channel_defines_the_channel_action():
     assert definers == {"channel.py"}
 
 
+def writes_a_moment_table(node):
+    """True if `node` holds a 4x4 list literal with a 0.0 entry: a two-mode
+    covariance table written out with its structural zeros."""
+    return any(isinstance(t, ast.List) and len(t.elts) == 4
+               and all(isinstance(row, ast.List) and len(row.elts) == 4 for row in t.elts)
+               and any(isinstance(x, ast.Constant) and x.value == 0.0
+                       for row in t.elts for x in row.elts)
+               for t in ast.walk(node))
+
+
+def test_one_function_builds_the_canonical_table():
+    # the canonical probe's moments are written once, and the probe builder
+    # and the (zeta, r) grid both read them from there
+    builders = {(module, node.name) for module, node in functions()
+                if writes_a_moment_table(node)}
+    assert builders == {("probes.py", "_canonical_table")}
+    users = {node.name for _, node in functions() if "_canonical_table" in reads(node)}
+    assert users == {"build_two_mode", "_two_mode_outputs"}
+
+
+def test_sld_kernel_has_two_callers():
+    # one state from qfi_sld, and the grid's rows from _two_mode_qfi
+    callers = {(module, node.name) for module, node in functions()
+               if any(isinstance(call, ast.Call) and "_sld_qfi_batch" in reads(call.func)
+                      for call in ast.walk(node))}
+    assert callers == {("qfi.py", "qfi_sld"), ("qfi.py", "_two_mode_qfi")}
+
+
 def test_two_mode_grid_takes_its_outputs_from_the_channel():
     (grid,) = [node for node in nodes("qfi.py") if isinstance(node, ast.FunctionDef)
                and node.name == "_two_mode_outputs"]
-    names = {node.id for node in ast.walk(grid) if isinstance(node, ast.Name)}
-    names |= {node.attr for node in ast.walk(grid) if isinstance(node, ast.Attribute)}
+    names = reads(grid)
     assert {"_output_entries", "_derivative_entries"} <= names
     assert not names & {"_channel_factors", "zeros_like"}
 
@@ -81,8 +122,7 @@ def test_single_state_routes_take_their_entries_from_the_channel():
               and node.name in {"qfi_sld", "qfi_single_mode_form"}}
     assert set(routes) == {"qfi_sld", "qfi_single_mode_form"}
     for name, route in routes.items():
-        names = {node.id for node in ast.walk(route) if isinstance(node, ast.Name)}
-        names |= {node.attr for node in ast.walk(route) if isinstance(node, ast.Attribute)}
+        names = reads(route)
         assert {"_output_entries", "_derivative_entries"} <= names, name
         assert not names & {"apply_channel", "channel_derivative"}, name
         if name == "qfi_single_mode_form":

@@ -13,12 +13,13 @@ from lossfish import (ChannelParams, EtaTooClose, ProbeRangeError, SingularSyste
                       qfi_shadow, qfi_squeezed_vacuum, qfi_tmsv, qfi_two_mode_closed,
                       threshold_constant_large_ns,
                       tmsv_stationarity_check, total_qfi, vacuum, xi_threshold_nbar)
+import lossfish.optimize as optimize
+import lossfish.qfi as qfi
 from lossfish.optimize import (BOUNDARY_COHERENT, BOUNDARY_SQUEEZED,
                                FAMILY_COHERENT, FAMILY_IDLER_FREE, FAMILY_SQUEEZED,
                                FAMILY_TMSV, _golden_max, grid_argmax, two_mode_grid)
 from lossfish.probes import two_mode_r_min
-from lossfish.qfi import (_ARRAY_OPS, SLD_RESIDUAL_TOL, _stein, _two_mode_closed_raw,
-                          _two_mode_outputs)
+from lossfish.qfi import SLD_RESIDUAL_TOL, _stein, _two_mode_closed_raw, _two_mode_outputs
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -438,7 +439,7 @@ def test_grid_fallback_is_the_scalar_closed_form():
     n_s, p = 1e3, ChannelParams(0.999, 1e-3)
     zetas, r_grid, qfi = two_mode_grid(n_s, p)
     zz, rr = np.repeat(zetas, r_grid.shape[1]), r_grid.reshape(-1)
-    _, rel, _ = _stein(_ARRAY_OPS, *_two_mode_outputs(n_s, zz, rr, p))
+    _, rel, _ = _stein(*_two_mode_outputs(n_s, zz, rr, p))
     bad = ~(rel <= SLD_RESIDUAL_TOL)
     assert bad.sum() > 0
     scalar = [_two_mode_closed_raw(n_s, float(z), float(r), 0.0, p.eta, p.n_b)
@@ -725,6 +726,26 @@ def test_library_boundary_rejects_non_finite(call, x):
         call(x)
 
 
+@pytest.mark.parametrize("shape", [(2,), (1,)])
+@pytest.mark.parametrize("call,name", [
+    (lambda x: two_mode_grid(x, P_BARE, grid=(32, 32)), "n_s"),
+    (lambda x: tmsv_stationarity_check(x, P_BARE), "n_s"),
+    (lambda x: homodyne_fisher(x, 1.0, P_BARE), "n_coh"),
+], ids=["two_mode_grid", "tmsv_stationarity_check", "homodyne_fisher"])
+def test_scalar_routes_refuse_array_photon_numbers(monkeypatch, call, name, shape):
+    # a route that takes one photon number names it for an array of any
+    # shape, a one-item array too, before it evaluates anything
+    def evaluated(*args, **kwargs):
+        raise AssertionError("evaluated an array photon number")
+
+    for route in ("_two_mode_qfi", "_two_mode_closed_raw", "two_mode_r_min"):
+        monkeypatch.setattr(optimize, route, evaluated)
+    monkeypatch.setattr(qfi, "_channel_factors", evaluated)
+    with pytest.raises(ValueError, match=f"^{name} must be one number, got an array "
+                                         rf"of shape \({shape[0]},\)$"):
+        call(np.ones(shape))
+
+
 def test_total_qfi_rejects_xi_outside_unit_interval():
     # the broadband closed form would extrapolate, to a negative QFI at 1.5
     for m in (1.0, math.inf):
@@ -819,24 +840,29 @@ def assert_columns_equal(grid, p, etas, call):
 
 def golden_python(f, lo, hi, tol):
     # one bracket's golden-section search in Python floats: its midpoint and
-    # the number of points it evaluates (none if it starts within tol)
+    # the number of points whose value it reads (none if it starts within
+    # tol); a step that freezes the bracket evaluates no new point
     if not hi - lo > tol:
         return 0.5 * (lo + hi), 0
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
     f_1, f_2 = f(x1), f(x2)
     count = 2
-    while hi - lo > tol:
-        if f_1 < f_2:
+    while True:
+        up = f_1 < f_2
+        if up:
             lo, x1, f_1 = x1, x2, f_2
+        else:
+            hi, x2, f_2 = x2, x1, f_1
+        if not hi - lo > tol:
+            return 0.5 * (lo + hi), count
+        if up:
             x2 = lo + golden * (hi - lo)
             f_2 = f(x2)
         else:
-            hi, x2, f_2 = x2, x1, f_1
             x1 = hi - golden * (hi - lo)
             f_1 = f(x1)
         count += 1
-    return 0.5 * (lo + hi), count
 
 
 def reference_optimize_xi(n_s, p, xi_tol=1e-8):

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from dataclasses import astuple
 
@@ -282,6 +283,37 @@ def test_canonicalize_keeps_the_bits_of_the_4x4_congruences():
         assert got == outcome(canonicalize_reference, state)
         kinds.add(got[0] if isinstance(got, tuple) else TwoModeProbe)
     assert kinds == {TwoModeProbe, FloatingPointError, NotTwoMode, NotPure}
+
+
+def build_two_mode_reference(p):
+    """`build_two_mode` with its moments written out entry by entry, each
+    with the IEEE operations it takes, a zero sine times its factors too."""
+    z2, inv_r = p.zeta * p.zeta, 1.0 / p.r
+    a = (2.0 * (p.n_s * z2) + 1.0) / (p.r + inv_r)
+    c = np.sqrt(np.maximum(a * a - 0.25, 0.0))
+    sr, si, amp = np.sqrt(p.r), np.sqrt(inv_r), np.sqrt(2.0 * (p.n_s * (1.0 - z2)))
+    xc, xs = c * (sr * np.cos(p.phi)), c * (sr * np.sin(p.phi))
+    pc, ps = c * (-si * np.cos(p.phi)), c * (si * np.sin(p.phi))
+    sigma = [[a * p.r, 0.0, xc, xs], [0.0, a / p.r, ps, pc],
+             [xc, ps, a, 0.0], [xs, pc, 0.0, a]]
+    return make_state([amp * np.cos(p.theta), amp * np.sin(p.theta), 0.0, 0.0], sigma)
+
+
+def test_build_two_mode_keeps_the_bits_of_the_written_out_form():
+    # signed-zero angles, whose zero sines the shared canonical table turns
+    # into float entries, and seeded ones, at r_min, zeta = 0 and 1 and
+    # inside: every moment keeps its bits, signbits included
+    rng = np.random.default_rng(37)
+    angles = [0.0, -0.0, np.pi, -np.pi / 2, *rng.uniform(-np.pi, np.pi, 6)]
+    for k, (theta, phi) in enumerate(itertools.product(angles, angles)):
+        n_s = rng.uniform(0.0, 20.0)
+        zeta = (0.0, 1.0)[k % 2] if k % 7 == 0 else rng.uniform(0.0, 1.0)
+        r_min = two_mode_r_min(n_s, zeta)
+        r = r_min if k % 5 == 0 else r_min ** rng.uniform(0.0, 1.0)
+        p = TwoModeProbe(n_s, zeta, r, theta, phi)
+        got, want = build_two_mode(p), build_two_mode_reference(p)
+        for x, y in ((got.d, want.d), (got.sigma, want.sigma)):
+            np.testing.assert_array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 @pytest.mark.parametrize("field", ["n_s", "theta", "phi"])

@@ -16,10 +16,11 @@ from lossfish import (ChannelParams, SingleModeProbe, TwoModeProbe,  # noqa: E40
                       channel_derivative, make_state, optimize_xi, qfi_if_closed,
                       tmsv)
 from lossfish.cli import _grid_columns, _render  # noqa: E402
-from lossfish.qfi import (_FLOAT_OPS, SLD_RESIDUAL_TOL, _sld_qfi_batch,  # noqa: E402
-                          _stein, _two_mode_closed_raw, _williamson_sum)
+from lossfish.qfi import (SLD_RESIDUAL_TOL, _sld_qfi_batch, _stein,  # noqa: E402
+                          _two_mode_closed_raw, _williamson_sum)
 from lossfish.states import _williamson  # noqa: E402
 from test_optimize import reference_optimize_xi  # noqa: E402
+from test_qfi import kernel_tables  # noqa: E402
 
 TINY = float(np.finfo(float).tiny)
 
@@ -41,7 +42,8 @@ def test_sld_kernel_matches_two_mode_closed_form(eta, n_s, n_b, zeta, r_pos):
     probe = build_two_mode(TwoModeProbe(n_s, zeta, r))
     sigma = apply_channel(probe, p).sigma
     ddt, dst = channel_derivative(probe, p)
-    (value,) = _sld_qfi_batch(sigma[..., None], dst[..., None], ddt[..., None])
+    (value,) = _sld_qfi_batch(*kernel_tables(sigma[..., None], dst[..., None],
+                                             ddt[..., None]))
     closed = _two_mode_closed_raw(n_s, zeta, r, 0.0, eta, n_b)
     assert value == pytest.approx(closed, rel=1e-8)
 
@@ -60,7 +62,7 @@ def test_accepted_stein_value_is_the_eigh_basis_sum(n_s, eta, n_b, normalized,
     p = ChannelParams(eta, n_b, normalized)
     sigma = apply_channel(probe, p).sigma
     ddt, dst = channel_derivative(probe, p)
-    value, rel, _ = _stein(_FLOAT_OPS, sigma.tolist(), dst.tolist(), ddt.tolist())
+    value, rel, _ = _stein(sigma.tolist(), dst.tolist(), ddt.tolist())
     s, ds, dd = sigma[None], dst[None], ddt[None]
     (general,), (bound,), _, _ = _williamson_sum(*_williamson(s), ds, dd)
     assert bound <= SLD_RESIDUAL_TOL

@@ -20,8 +20,8 @@ import lossfish.optimize as optimize
 import lossfish.qfi as qfi
 from lossfish.optimize import two_mode_grid
 from lossfish.probes import two_mode_r_min
-from lossfish.qfi import (_ARRAY_OPS, _FLOAT_OPS, SLD_RESIDUAL_TOL, _sld_qfi_batch,
-                          _stein, _two_mode_closed_raw, _williamson_sum)
+from lossfish.qfi import (_ARRAY_OPS, SLD_RESIDUAL_TOL, _sld_qfi_batch, _stein,
+                          _two_mode_closed_raw, _williamson_sum)
 from lossfish.channel import _derivative_entries, _output_entries
 from lossfish.states import _williamson
 from test_states import random_physical_covariance
@@ -494,6 +494,14 @@ def states_stack(states, p):
     return tuple(np.stack(x, axis=-1) for x in (st, dst, ddt))
 
 
+def kernel_tables(*stacks):
+    """Item-last ndarray stacks in the kernel's two layouts: a stack of one
+    item as nested Python floats, any other as nested lists of its rows."""
+    if stacks[-1].shape[-1] == 1:
+        return tuple(x[..., 0].tolist() for x in stacks)
+    return tuple([list(row) for row in x] if x.ndim == 3 else list(x) for x in stacks)
+
+
 def output_stack(probes, p):
     """Channel outputs (st, dst, ddt) of two-mode probes, stacked."""
     return states_stack([build_two_mode(probe) for probe in probes], p)
@@ -552,7 +560,7 @@ def test_canonical_grid_never_calls_eigh(monkeypatch, n_s, eta, n_b):
 
 def test_non_finite_stack_raises_nonphysical():
     # the kernel checks its input once, before any solve, and names the
-    # first such item, in an ndarray stack and in the grid's rows alike; a
+    # first such item, in a stack's rows and in the grid's rows alike; a
     # float entry of the grid, which every item shares, fails item 0; a
     # batch of one, of either mode count, is checked on Python floats
     p = ChannelParams(0.6, 0.7)
@@ -565,7 +573,7 @@ def test_non_finite_stack_raises_nonphysical():
         bad_rows = qfi._two_mode_outputs(1.0, np.linspace(0.1, 1.0, 8), np.full(8, 0.9), p)
         row = bad_rows[which][0] if which == 2 else bad_rows[which][0][0]
         row[[5, 7]] = value
-        for tables in (bad, bad_rows):
+        for tables in (kernel_tables(*bad), bad_rows):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(NonPhysical, match="item 5 "):
@@ -585,7 +593,7 @@ def test_non_finite_stack_raises_nonphysical():
                 warnings.simplefilter("error")
                 with pytest.raises(NonPhysical, match="^SLD stack item 0 has a "
                                                       "non-finite moment or derivative$"):
-                    _sld_qfi_batch(*bad)
+                    _sld_qfi_batch(*kernel_tables(*bad))
 
 
 def test_float_x_p_entry_takes_the_general_route_as_its_row():
@@ -595,7 +603,7 @@ def test_float_x_p_entry_takes_the_general_route_as_its_row():
     stack = output_stack(random_two_mode_probes(np.random.default_rng(6), 8), p)
     values = []
     for entry in (0.05, np.full(8, 0.05)):
-        (s, ds), dd = ([list(row) for row in x] for x in stack[:2]), list(stack[2])
+        s, ds, dd = kernel_tables(*stack)
         s[0][1] = s[1][0] = ds[2][3] = ds[3][2] = entry
         values.append(_sld_qfi_batch(s, ds, dd))
     assert np.isfinite(values[0]).all()
@@ -619,7 +627,7 @@ def test_too_large_batch_of_one_raises_singular_system(state):
             outcomes = []
             for tables in (one, [np.concatenate([x, x], axis=-1) for x in one]):
                 try:
-                    outcomes.append(_sld_qfi_batch(*tables)[0])
+                    outcomes.append(_sld_qfi_batch(*kernel_tables(*tables))[0])
                 except SingularSystem as exc:
                     outcomes.append(str(exc))
             assert outcomes[0] == outcomes[1]
@@ -635,7 +643,8 @@ def test_stein_value_past_the_doubles_raises_singular_system():
     with pytest.raises(SingularSystem, match=r"^SLD item 0 "):
         qfi_sld(bright, p)
     with pytest.raises(SingularSystem, match=r"^SLD item 1 "):
-        _sld_qfi_batch(*states_stack([single_mode_state(1.0, 0.5), bright], p))
+        _sld_qfi_batch(*kernel_tables(*states_stack([single_mode_state(1.0, 0.5),
+                                                     bright], p)))
 
 
 def test_kernel_values_do_not_depend_on_chunking():
@@ -650,10 +659,9 @@ def test_kernel_values_do_not_depend_on_chunking():
                              for _ in range(1000)], p)
     for st, dst, ddt in (two_mode, one_mode):
         assert not (st[0::2, 1::2].any() or dst[0::2, 1::2].any())
-        whole = _sld_qfi_batch(st, dst, ddt)
-        # a copy per item: BLAS may round differently at another memory alignment
-        singles = [_sld_qfi_batch(st[..., g:g + 1].copy(), dst[..., g:g + 1].copy(),
-                                  ddt[..., g:g + 1].copy())[0]
+        whole = _sld_qfi_batch(*kernel_tables(st, dst, ddt))
+        singles = [_sld_qfi_batch(*kernel_tables(st[..., g:g + 1], dst[..., g:g + 1],
+                                                 ddt[..., g:g + 1]))[0]
                    for g in range(st.shape[-1])]
         np.testing.assert_allclose(whole, singles, rtol=1e-12)
 
@@ -661,12 +669,12 @@ def test_kernel_values_do_not_depend_on_chunking():
 def test_singular_item_leaves_other_items_unchanged():
     p = ChannelParams(0.8, 0.3)
     probes = random_two_mode_probes(np.random.default_rng(8), 20)
-    before = _sld_qfi_batch(*output_stack(probes, p))
+    before = _sld_qfi_batch(*kernel_tables(*output_stack(probes, p)))
     # coherent signal with a vacuum idler: the idler output is exactly pure
     singular = TwoModeProbe(1.0, 0.0, 1.0)
     st, dst, ddt = output_stack(probes[:7] + [singular] + probes[7:], p)
     np.testing.assert_array_equal(st[2:, 2:, 7], 0.5 * np.eye(2))
-    after = _sld_qfi_batch(st, dst, ddt)
+    after = _sld_qfi_batch(*kernel_tables(st, dst, ddt))
     np.testing.assert_allclose(np.delete(after, 7), before, rtol=1e-12)
     assert after[7] == pytest.approx(qfi_coherent(1.0, p), rel=1e-9)
 
@@ -684,8 +692,8 @@ def test_exactly_singular_output_is_a_bad_item():
         np.linalg.solve(stack[0][..., 3], stack[2][..., 3])
     with pytest.raises(SingularSystem,
                        match=r"^SLD item 3 has no finite Williamson basis$"):
-        _sld_qfi_batch(*stack)
-    values = _sld_qfi_batch(*output_stack(probes, p))
+        _sld_qfi_batch(*kernel_tables(*stack))
+    values = _sld_qfi_batch(*kernel_tables(*output_stack(probes, p)))
     np.testing.assert_allclose(values, [qfi_two_mode_closed(q, p) for q in probes],
                                rtol=1e-9)
 
@@ -721,7 +729,7 @@ def test_sld_route_answers_where_stein_misses_the_tolerance():
     # a bright TMSV at eta -> 1: the Stein solve leaves its residual above
     # SLD_RESIDUAL_TOL, and the sum in Stein's basis takes the item
     p = ChannelParams(0.999, 1e-3)
-    _, rel, _ = _stein(_FLOAT_OPS, *moments(tmsv(1e3), p))
+    _, rel, _ = _stein(*moments(tmsv(1e3), p))
     assert rel > SLD_RESIDUAL_TOL
     assert qfi_sld(tmsv(1e3), p) == pytest.approx(qfi_tmsv(1e3, p), rel=1e-9, abs=0)
 
@@ -743,7 +751,7 @@ def test_error_bound_covers_nearly_pure_items():
     zeta = np.array([1.0, 2.0, 4.0]) / 63.0
     r = two_mode_r_min(n_s, zeta)
     rows = qfi._two_mode_outputs(n_s, zeta, r, p)
-    _, rel, basis = _stein(_ARRAY_OPS, *rows)
+    _, rel, basis = _stein(*rows)
     assert (rel > SLD_RESIDUAL_TOL).all()
     moments = item_first(*(np.array(as_rows(t, zeta.size)) for t in rows))
     values, bound, _, _ = _williamson_sum(*basis(lambda x: x, moments[0]), *moments[1:])
@@ -767,7 +775,7 @@ def test_pure_output_whose_purity_changes_diverges(sigma):
     with pytest.raises(SingularSystem, match=r"^SLD item 0 has a pure mode whose "
                                              r"purity changes with eta: the QFI "
                                              r"diverges$"):
-        _sld_qfi_batch(st, st.copy(), np.zeros((2, 1)))
+        _sld_qfi_batch(*kernel_tables(st, st, np.zeros((2, 1))))
 
 
 def test_decoupled_system_splits_by_parity():
@@ -783,7 +791,7 @@ def test_decoupled_system_splits_by_parity():
     for st, dst, ddt in (two_mode, one_mode):
         assert not st[0::2, 1::2].any() and not dst[0::2, 1::2].any()
         moments = item_first(st, dst, ddt)
-        basis = _stein(_ARRAY_OPS, st, dst, ddt)[2]
+        basis = _stein(*kernel_tables(st, dst, ddt))[2]
         stein = _williamson_sum(*basis(lambda x: x, moments[0]), *moments[1:])
         general = _williamson_sum(*_williamson(moments[0]), *moments[1:])
         np.testing.assert_allclose(stein[0], general[0], rtol=1e-12)
@@ -821,9 +829,9 @@ def test_stein_reads_the_grid_as_contiguous_rows(monkeypatch):
             for entry in table:
                 leaves(entry)
 
-    def spy(ops, s, ds, dd):
+    def spy(s, ds, dd):
         leaves(as_rows((s, ds, dd), zeta.size))
-        return stein(ops, *(Reads(table, reads) for table in (s, ds, dd)))
+        return stein(*(Reads(table, reads) for table in (s, ds, dd)))
 
     monkeypatch.setattr(qfi, "_stein", spy)
     qfi._two_mode_qfi(1.0, zeta, r, p)
@@ -863,8 +871,9 @@ def grid_tables(n_s, zeta, r, p):
 
 
 def stack_qfi(n_s, zeta, r, p):
-    """QFI of the canonical probes from the grid's rows as ndarray tables."""
-    return _sld_qfi_batch(*grid_tables(n_s, zeta, r, p))
+    """QFI of the canonical probes from the rows of the grid's ndarray
+    tables, a row at every entry where the grid has a shared float."""
+    return _sld_qfi_batch(*kernel_tables(*grid_tables(n_s, zeta, r, p)))
 
 
 def assert_same_bits(a, b):
@@ -876,8 +885,8 @@ def assert_same_bits(a, b):
     for eta in (1e-3, 0.5, 0.999)] + [(1.0, 1.0, 0.5, True), (0.3, 1e-3, 0.9, True)])
 def test_entry_route_keeps_the_bits_of_the_stack_route(monkeypatch, n_s, n_b, eta,
                                                         normalized):
-    # the criterion-07 grids and two normalized ones: the kernel reads rows
-    # and ndarray tables alike, and gives the same values
+    # the criterion-07 grids and two normalized ones: the kernel reads the
+    # grid's shared floats as it reads full rows, and gives the same values
     p = ChannelParams(eta, n_b, normalized)
     zeta, r = grid_points(monkeypatch, n_s, p)
     assert_same_bits(qfi._two_mode_qfi(n_s, zeta, r, p), stack_qfi(n_s, zeta, r, p))
@@ -885,12 +894,12 @@ def test_entry_route_keeps_the_bits_of_the_stack_route(monkeypatch, n_s, n_b, et
 
 def test_entry_route_gathers_stein_rejected_items_as_the_stack_route(monkeypatch):
     # a criterion-07 corner where the Stein solve leaves items above the
-    # residual tolerance: rows and ndarray tables gather them alike for the
-    # Williamson sum
+    # residual tolerance: the grid's tables and full rows gather them alike
+    # for the Williamson sum
     n_s, p = 1e3, ChannelParams(0.999, 1.0)
     zeta, r = grid_points(monkeypatch, n_s, p)
-    tables = grid_tables(n_s, zeta, r, p)
-    _, rel, _ = _stein(_ARRAY_OPS, *tables)
+    tables = kernel_tables(*grid_tables(n_s, zeta, r, p))
+    _, rel, _ = _stein(*tables)
     assert (rel > SLD_RESIDUAL_TOL).any()
     assert_same_bits(qfi._two_mode_qfi(n_s, zeta, r, p), _sld_qfi_batch(*tables))
 
@@ -1123,13 +1132,14 @@ def test_kernel_leaves_its_inputs_unchanged(monkeypatch, kind):
         tables = one_mode_float_table(64)
     else:
         zeta, r = grid_points(monkeypatch, n_s, p)
-        make = qfi._two_mode_outputs if kind == "grid_rows" else grid_tables
-        tables = make(n_s, zeta, r, p)
+        tables = (qfi._two_mode_outputs(n_s, zeta, r, p) if kind == "grid_rows"
+                  # the rows of the same grid's (4, 4, G) and (4, G) arrays
+                  else kernel_tables(*grid_tables(n_s, zeta, r, p)))
     if kind == "grid_rows":
         assert tables[0][0][2] is tables[0][2][0]
         assert tables[0][1][3] is tables[0][3][1]
     before = table_snapshot(tables)
-    _, rel, _ = _stein(_ARRAY_OPS, *tables)
+    _, rel, _ = _stein(*tables)
     _sld_qfi_batch(*tables)
     if kind != "float_entries":
         assert (rel > SLD_RESIDUAL_TOL).any()
@@ -1154,9 +1164,9 @@ def test_float_stein_returns_python_floats(state):
     p = ChannelParams(0.6, 0.7)
     ddt, dst = channel_derivative(state, p)
     one = (apply_channel(state, p).sigma.tolist(), dst.tolist(), ddt.tolist())
-    values, rel, _ = _stein(_FLOAT_OPS, *one)
+    values, rel, _ = _stein(*one)
     assert type(values) is float and type(rel) is float
-    assert values.hex() == float(_sld_qfi_batch(*(np.array(x)[..., None] for x in one))[0]).hex()
+    assert values.hex() == float(_sld_qfi_batch(*one)[0]).hex()
 
 
 def kernel_pin_lines(monkeypatch):
@@ -1226,7 +1236,7 @@ def spectrum_pin_lines(monkeypatch):
         cases.append((_williamson(s), ds, dd))
     n_s, p = 1e3, ChannelParams(0.999, 1.0)
     rows = qfi._two_mode_outputs(n_s, *grid_points(monkeypatch, n_s, p), p)
-    _, rel, basis = _stein(_ARRAY_OPS, *rows)
+    _, rel, basis = _stein(*rows)
     items = np.flatnonzero(~(rel <= SLD_RESIDUAL_TOL))
     s, ds, dd = item_first(*(np.array(as_rows(t, rel.size))[..., items] for t in rows))
     cases.append((basis(lambda x: x[items], s), ds, dd))
@@ -1292,7 +1302,7 @@ def test_x_p_entries_of_ds_alone_take_the_general_route(n_b):
     assert channel_derivative(rotated, p)[1][0::2, 1::2].any()
     expected = qfi_sld(state, p)
     assert qfi_sld(rotated, p) == pytest.approx(expected, rel=1e-12)
-    pair = _sld_qfi_batch(*states_stack([rotated, rotated], p))
+    pair = _sld_qfi_batch(*kernel_tables(*states_stack([rotated, rotated], p)))
     np.testing.assert_allclose(pair, expected, rtol=1e-12)
 
 
@@ -1339,7 +1349,7 @@ def test_sld_route_returns_no_silent_wrong_value():
                     s, ds, dd = moments(state, p)
                     canonical = not (np.array(s)[0::2, 1::2].any()
                                      or np.array(ds)[0::2, 1::2].any())
-                    if canonical and _stein(_FLOAT_OPS, s, ds, dd)[1] <= SLD_RESIDUAL_TOL:
+                    if canonical and _stein(s, ds, dd)[1] <= SLD_RESIDUAL_TOL:
                         continue
                     sums += 1
                     exact = closed(p)
